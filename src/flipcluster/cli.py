@@ -24,12 +24,12 @@ from .tree_graded import blocks, decomposition_to_spec, graph_of_spec
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = dumps_canonical(payload)
+    text = dumps_canonical(payload)  # ends in its own newline
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _load_json(path: str):

@@ -10,6 +10,7 @@ represented on the lowest-id edge incident to that vertex.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -245,6 +246,7 @@ class Line:
         lo = Fraction(lo)
         spans: dict[int, tuple[Fraction, int]] = {}
         vparams: dict[int, Fraction] = {}
+        ends: list[Fraction] = []   # parameter at the far end of each path edge
         v = int(start_vertex)
         t = lo
         vparams[v] = t
@@ -260,9 +262,11 @@ class Line:
                 raise ValueError(f"line edge path breaks at edge {eid}")
             spans[eid] = (t, v)
             t += e.length
+            ends.append(t)
             v = nxt
             vparams[v] = t
         self.edge_path = path
+        self.edge_ends = ends
         self.start_vertex = int(start_vertex)
         self.end_vertex = v
         self.lo = lo
@@ -281,14 +285,12 @@ class Line:
                 f"parameter {t} outside line range [{self.lo}, {self.hi}]",
                 param=t,
             )
-        for eid in self.edge_path:
-            enter_t, enter_v = self.edge_spans[eid]
-            e = self.tree.edges[eid]
-            if t <= enter_t + e.length:
-                along = t - enter_t
-                off = along if enter_v == e.a else e.length - along
-                return self.tree.point(eid, off)
-        raise AssertionError("unreachable: parameter within range not located")
+        eid = self.edge_path[bisect_left(self.edge_ends, t)]  # first edge ending at or after t
+        enter_t, enter_v = self.edge_spans[eid]
+        e = self.tree.edges[eid]
+        along = t - enter_t
+        off = along if enter_v == e.a else e.length - along
+        return self.tree.point(eid, off)
 
     def coord_of(self, p: TreePoint) -> Fraction:
         span = self.edge_spans.get(p.edge)
@@ -303,11 +305,7 @@ class Line:
         raise NotOnLineError(f"point {p} not on line")
 
     def contains(self, p: TreePoint) -> bool:
-        try:
-            self.coord_of(p)
-            return True
-        except NotOnLineError:
-            return False
+        return p.edge in self.edge_spans or self.tree.point_vertex(p) in self.vertex_params
 
     @cached_property
     def vertex_gates(self) -> dict[int, tuple[Fraction, Fraction]]:

@@ -12,13 +12,61 @@ sound for these objectives - a diagonal kink such as |x - y| can make
 every axis direction flat at a non-optimal point - which is why the
 elimination route is used.
 
-Everything is exact over Fraction.  A convexity certificate (slopes must
-be nondecreasing) is checked on every intermediate value function; a
-violation raises NonConvexObjective instead of returning a wrong minimum.
+Slope form
+----------
+Every value function and message is convex, so one type holds them all:
+``ConvexPL`` keeps the sorted knots of a convex PL function on a closed
+interval, its value at each knot and its slope between consecutive
+knots, with a knot only where the slope changes.  The elimination needs
+four operations, each read off the slopes:
+
+* ``add``: the sum on a common interval, a two-pointer merge of knots;
+* ``inf_conv_abs``: g(y) = min_x f(x) + |x - y| on an output range, the
+  l1 distance transform (Felzenszwalb and Huttenlocher, "Distance
+  Transforms of Sampled Functions", Theory of Computing 8, 2012).  For
+  convex f it keeps the pieces with slope strictly inside (-1, 1),
+  continues with slope -1 to their left and +1 to their right, and is
+  restricted to the output range;
+* ``pullback``: x -> f(sigma * x + shift), which moves the knots and, for
+  sigma = -1, reverses them and negates the slopes;
+* ``argmin``: the lowest minimizer is the first knot whose right slope is
+  >= 0.
+
+Convex-only is sound: unary terms are convex, the sum, inf-convolution
+and affine pullback of convex functions are convex, and every pair term
+is jointly convex except a TreePair whose interval is inside out
+(lo > hi), which is rejected before elimination.  The convexity
+certificate (nondecreasing slopes) is still checked on every message and
+value function, and a violation raises NonConvexObjective instead of
+returning a wrong minimum.
+
+The TreePair identity
+---------------------
+With r = sigma * x_b + shift and I = [lo, hi], a TreePair's value
+|x_a - clamp_I(r)| + dist(r, I) equals
+
+    dist(x_a, I) + |clamp_I(x_a) - clamp_I(r)| + dist(r, I),
+
+which is symmetric in x_a and r, as |x_a - r| is for a PairAbs.  So one
+formula serves both directions: with the child value function f in its
+own coordinate (x_a, or r for a child on the b side), the message is
+
+    inf_conv_abs(inf_conv_abs(f, I), parent range)
+
+in the other coordinate.  Minimizing f + dist(., I) + |clamp_I(.) - s|
+over the child gives inf_conv_abs(f)(s) for s in I, and a function whose
+slopes lie in [-1, 1] is its own inf-convolution, which supplies the
+unit-slope continuation outside I.  With one side fixed at u the term is
+a constant plus |v - clamp_I(u)| in the other coordinate v, so
+backtracking only needs the lowest argmin of f + |x - c|: c clamped
+between the first knots of f whose right slopes reach -1 and 1.
+
+Everything is exact over Fraction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -132,27 +180,26 @@ def evaluate_terms(terms: Sequence[Term], x: Sequence[Fraction]) -> Fraction:
     return total
 
 
-# -- one-dimensional piecewise-linear functions ------------------------------
+# -- convex piecewise-linear functions in slope form --------------------------
 
 
-@dataclass(frozen=True)
-class PLFunction:
-    """A piecewise-linear function on a closed bounded interval.
+class ConvexPL:
+    """A convex piecewise-linear function on [knots[0], knots[-1]].
 
-    Stored as strictly increasing knots with their values; between knots
-    the function interpolates linearly.  A single knot encodes a function
-    on a degenerate (one point) domain.
+    ``knots`` strictly increase, ``values[i]`` is the value at
+    ``knots[i]`` and ``slopes[i]`` the slope between ``knots[i]`` and
+    ``knots[i + 1]``.  A single knot encodes a function on a one-point
+    domain.  The operations assume convexity, which ``is_convex``
+    certifies.
     """
 
-    knots: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+    __slots__ = ("knots", "values", "slopes")
 
-    def __post_init__(self):
-        if not self.knots or len(self.knots) != len(self.values):
-            raise ValueError("knots/values mismatch")
-        for a, b in zip(self.knots, self.knots[1:]):
-            if not a < b:
-                raise ValueError("knots must be strictly increasing")
+    def __init__(self, knots: tuple[Fraction, ...], values: tuple[Fraction, ...],
+                 slopes: tuple[Fraction, ...]):
+        self.knots = knots
+        self.values = values
+        self.slopes = slopes
 
     @property
     def lo(self) -> Fraction:
@@ -163,248 +210,153 @@ class PLFunction:
         return self.knots[-1]
 
     def __call__(self, x: Fraction) -> Fraction:
-        if x < self.lo or x > self.hi:
-            raise ValueError(f"{x} outside domain [{self.lo}, {self.hi}]")
         ks = self.knots
-        for i in range(len(ks) - 1):
-            if ks[i] <= x <= ks[i + 1]:
-                if x == ks[i]:
-                    return self.values[i]
-                t = (x - ks[i]) / (ks[i + 1] - ks[i])
-                return self.values[i] + t * (self.values[i + 1] - self.values[i])
-        return self.values[-1] if x == ks[-1] else self.values[0]
+        if x < ks[0] or x > ks[-1]:
+            raise ValueError(f"{x} outside domain [{ks[0]}, {ks[-1]}]")
+        i = bisect_right(ks, x) - 1
+        if i == len(self.slopes):
+            return self.values[-1]
+        return self.values[i] + self.slopes[i] * (x - ks[i])
 
     def is_convex(self) -> bool:
-        prev = None
-        for i in range(len(self.knots) - 1):
-            s = (self.values[i + 1] - self.values[i]) / (self.knots[i + 1] - self.knots[i])
-            if prev is not None and s < prev:
-                return False
-            prev = s
-        return True
+        s = self.slopes
+        return all(a <= b for a, b in zip(s, s[1:]))
 
-    def min_point(self) -> tuple[Fraction, Fraction]:
-        """(lowest argmin, minimum value).  Exact: PL minima sit on knots."""
-        best = min(self.values)
-        i = self.values.index(best)
-        return self.knots[i], best
+    def argmin(self) -> tuple[Fraction, Fraction]:
+        """(lowest argmin, minimum value): the first knot with right slope >= 0."""
+        i = bisect_left(self.slopes, 0)
+        return self.knots[i], self.values[i]
 
-    def shift(self, c: Fraction) -> "PLFunction":
-        return PLFunction(self.knots, tuple(v + c for v in self.values))
+    def argmin_plus_abs(self, c: Fraction) -> Fraction:
+        """Lowest argmin of f(x) + |x - c|.
 
+        Left of c the sum has slope f' - 1 and right of it f' + 1, so the
+        answer is c clamped between the first knots whose right slopes
+        reach -1 and 1.
+        """
+        ks, s = self.knots, self.slopes
+        return _clamp(c, ks[bisect_left(s, -1)], ks[bisect_left(s, 1)])
 
-def pl_from_samples(points: list[tuple[Fraction, Fraction]]) -> PLFunction:
-    points = sorted(set(points))
-    ks = tuple(p[0] for p in points)
-    vs = tuple(p[1] for p in points)
-    return PLFunction(ks, vs)
+    def add(self, other: "ConvexPL") -> "ConvexPL":
+        """Pointwise sum on the common domain, by a two-pointer merge of the knots."""
+        fk, fs, gk, gs = self.knots, self.slopes, other.knots, other.slopes
+        if fk[0] != gk[0] or fk[-1] != gk[-1]:
+            raise ValueError("domain mismatch in add")
+        x, v = fk[0], self.values[0] + other.values[0]
+        ks, vs, ss = [x], [v], []
+        i = j = 1
+        while i < len(fk):
+            a, b = fk[i], gk[j]
+            y = a if a <= b else b
+            s = fs[i - 1] + gs[j - 1]
+            v += s * (y - x)
+            ks.append(y)
+            vs.append(v)
+            ss.append(s)
+            x = y
+            i += a == y
+            j += b == y
+        return ConvexPL(tuple(ks), tuple(vs), tuple(ss))
 
+    def inf_conv_abs(self, lo: Fraction, hi: Fraction) -> "ConvexPL":
+        """g(y) = min over x in dom(f) of f(x) + |x - y|, on [lo, hi] (lo <= hi).
 
-def pl_build(lo: Fraction, hi: Fraction, interior: list[Fraction], fn) -> PLFunction:
-    """Sample fn at lo, hi and the interior points that fall inside (lo, hi)."""
-    if lo > hi:
-        raise ValueError("empty domain")
-    xs = {lo, hi}
-    for p in interior:
-        if lo < p < hi:
-            xs.add(p)
-    ks = tuple(sorted(xs))
-    return PLFunction(ks, tuple(fn(x) for x in ks))
+        Pieces before p have slope <= -1 and pieces from q on slope >= 1;
+        g agrees with f on [knots[p], knots[q]] and continues with slope -1
+        to the left and +1 to the right.
+        """
+        k, v, s = self.knots, self.values, self.slopes
+        p = bisect_right(s, -1)
+        q = bisect_left(s, 1, p)
+        a = bisect_right(k, lo, p, q + 1)   # kept knots lie strictly inside (lo, hi)
+        b = bisect_left(k, hi, a, q + 1)
 
+        def at(y: Fraction, i: int) -> tuple[Fraction, int | Fraction]:
+            """(g(y), slope of g right of y) for the last kept knot i <= y."""
+            if i < p:
+                return v[p] + (k[p] - y), -1
+            if i == q:
+                return v[q] + (y - k[q]), 1
+            return v[i] + s[i] * (y - k[i]), s[i]
 
-def pl_const(lo: Fraction, hi: Fraction, c: Fraction) -> PLFunction:
-    return pl_build(lo, hi, [], lambda _x: c)
+        v_lo, s_lo = at(lo, a - 1)
+        if lo == hi:
+            return ConvexPL((lo,), (v_lo,), ())
+        tail = (1,) if b > q else ()
+        return ConvexPL((lo, *k[a:b], hi), (v_lo, *v[a:b], at(hi, b - 1)[0]),
+                        (s_lo, *s[a:min(b, q)], *tail))
 
-
-def pl_abs(lo: Fraction, hi: Fraction, anchor: Fraction) -> PLFunction:
-    return pl_build(lo, hi, [anchor], lambda x: abs(x - anchor))
-
-
-def pl_affine(lo: Fraction, hi: Fraction, slope: Fraction, intercept: Fraction) -> PLFunction:
-    return pl_build(lo, hi, [], lambda x: slope * x + intercept)
-
-
-def pl_interval_dist(lo: Fraction, hi: Fraction, a: Fraction, b: Fraction) -> PLFunction:
-    return pl_build(lo, hi, [a, b], lambda x: _ivl_dist(x, a, b))
-
-
-def pl_add(f: PLFunction, g: PLFunction) -> PLFunction:
-    if (f.lo, f.hi) != (g.lo, g.hi):
-        raise ValueError("domain mismatch in pl_add")
-    ks = tuple(sorted(set(f.knots) | set(g.knots)))
-    return PLFunction(ks, tuple(f(x) + g(x) for x in ks))
-
-
-def pl_min2(f: PLFunction, g: PLFunction) -> PLFunction:
-    """Exact pointwise minimum (adds crossing knots)."""
-    if (f.lo, f.hi) != (g.lo, g.hi):
-        raise ValueError("domain mismatch in pl_min2")
-    ks = sorted(set(f.knots) | set(g.knots))
-    refined: list[Fraction] = []
-    for i, k in enumerate(ks):
-        refined.append(k)
-        if i + 1 < len(ks):
-            k2 = ks[i + 1]
-            d0 = f(k) - g(k)
-            d1 = f(k2) - g(k2)
-            if (d0 > 0 > d1) or (d0 < 0 < d1):
-                t = d0 / (d0 - d1)
-                refined.append(k + t * (k2 - k))
-    out_ks = tuple(sorted(set(refined)))
-    return PLFunction(out_ks, tuple(min(f(x), g(x)) for x in out_ks))
-
-
-def pl_min_many(fs: list[PLFunction]) -> PLFunction:
-    out = fs[0]
-    for f in fs[1:]:
-        out = pl_min2(out, f)
-    return out
-
-
-def pl_compose_affine(f: PLFunction, sigma: int, shift: Fraction) -> PLFunction:
-    """g(x) = f(sigma * x + shift) on the pulled-back domain."""
-    if sigma == 1:
-        ks = tuple(k - shift for k in f.knots)
-        return PLFunction(ks, f.values)
-    ks = tuple(shift - k for k in reversed(f.knots))
-    return PLFunction(ks, tuple(reversed(f.values)))
-
-
-def pl_inf_conv_abs(f: PLFunction, out_lo: Fraction, out_hi: Fraction) -> PLFunction:
-    """g(y) = min over x in dom(f) of f(x) + |x - y|, on [out_lo, out_hi].
-
-    Works piece by piece: a linear piece of slope within [-1, 1] survives
-    with unit-slope extensions, a steeper piece collapses to the cone at
-    its cheap end.  The pointwise minimum of those simple functions is the
-    exact inf-convolution, with no convexity assumption on f.
-    """
-    pieces: list[PLFunction] = []
-
-    def cone(cx: Fraction, cv: Fraction) -> PLFunction:
-        return pl_build(out_lo, out_hi, [cx], lambda y: cv + abs(y - cx))
-
-    if len(f.knots) == 1:
-        return cone(f.knots[0], f.values[0])
-    for i in range(len(f.knots) - 1):
-        x0, x1 = f.knots[i], f.knots[i + 1]
-        v0, v1 = f.values[i], f.values[i + 1]
-        s = (v1 - v0) / (x1 - x0)
-        if s > 1:
-            pieces.append(cone(x0, v0))
-        elif s < -1:
-            pieces.append(cone(x1, v1))
-        else:
-            def ext(y, x0=x0, x1=x1, v0=v0, v1=v1, s=s):
-                if y < x0:
-                    return v0 + (x0 - y)
-                if y > x1:
-                    return v1 + (y - x1)
-                return v0 + s * (y - x0)
-
-            pieces.append(pl_build(out_lo, out_hi, [x0, x1], ext))
-    return pl_min_many(pieces)
+    def pullback(self, sigma: int, shift: Fraction) -> "ConvexPL":
+        """g(x) = f(sigma * x + shift) on the pulled-back domain."""
+        if sigma == 1:
+            if not shift:
+                return self
+            return ConvexPL(tuple(x - shift for x in self.knots), self.values, self.slopes)
+        return ConvexPL(tuple(shift - x for x in reversed(self.knots)), self.values[::-1],
+                        tuple(-t for t in reversed(self.slopes)))
 
 
 # -- chain elimination --------------------------------------------------------
 
 
-def _unary_pl(terms: list[Term], var: int, lo: Fraction, hi: Fraction) -> PLFunction:
-    out = pl_const(lo, hi, Fraction(0))
+def _unary_pl(terms: list[Term], lo: Fraction, hi: Fraction) -> ConvexPL:
+    """Sum of one variable's unary terms on [lo, hi], built from slope changes.
+
+    |x - a| is the distance to [a, a]; the distance to [a, b] has slope
+    -1, 0, +1 and gains 1 at each of a and b.
+    """
+    value, slope = Fraction(0), Fraction(0)
+    jumps: dict[Fraction, int] = {}
     for t in terms:
-        if isinstance(t, AbsAnchor) and t.var == var:
-            out = pl_add(out, pl_abs(lo, hi, _frac(t.anchor)))
-        elif isinstance(t, Affine) and t.var == var:
-            out = pl_add(out, pl_affine(lo, hi, _frac(t.slope), _frac(t.intercept)))
-        elif isinstance(t, IntervalDist) and t.var == var:
-            out = pl_add(out, pl_interval_dist(lo, hi, _frac(t.lo), _frac(t.hi)))
-    return out
+        if isinstance(t, Affine):
+            value += _frac(t.slope) * lo + _frac(t.intercept)
+            slope += _frac(t.slope)
+            continue
+        a, b = (t.anchor, t.anchor) if isinstance(t, AbsAnchor) else (t.lo, t.hi)
+        a, b = _frac(a), _frac(b)
+        value += _ivl_dist(lo, a, b)
+        slope += -1 if lo < a else 0 if lo < b else 1
+        for k in (a, b):
+            if lo < k < hi:
+                jumps[k] = jumps.get(k, 0) + 1
+    ks, vs, ss = [lo], [value], []
+    for k in sorted(jumps) + ([hi] if lo < hi else []):
+        value += slope * (k - ks[-1])
+        ks.append(k)
+        vs.append(value)
+        ss.append(slope)
+        slope += jumps.get(k, 0)
+    return ConvexPL(tuple(ks), tuple(vs), tuple(ss))
 
 
-def _pair_message(pair: Term, child_fn: PLFunction, child_var: int,
-                  parent_lo: Fraction, parent_hi: Fraction) -> PLFunction:
-    """min over the child variable of child_fn + pair(child, parent)."""
-    if isinstance(pair, PairAbs):
-        # rewrite so the child is the plain side: |c - (sig*p + sh)|
-        if pair.var_a == child_var:
-            sig, sh = pair.sigma, _frac(pair.shift)
-        else:
-            # |a - sig*b - sh| = |b - sig*(a - sh)| since sig*sig = 1
-            sig, sh = pair.sigma, -pair.sigma * _frac(pair.shift)
-        env = pl_inf_conv_abs(child_fn, min(sig * parent_lo + sh, sig * parent_hi + sh),
-                              max(sig * parent_lo + sh, sig * parent_hi + sh))
-        return pl_compose_affine(env, sig, sh)
+def _pair_message(pair: PairAbs | TreePair, child: ConvexPL, child_var: int,
+                  parent_lo: Fraction, parent_hi: Fraction) -> ConvexPL:
+    """min over the child variable of child + pair(child, parent).
+
+    Both pair types are symmetric in x_a and r = sigma * x_b + shift, so
+    the child is moved into its own side's coordinate, convolved there,
+    and the result read in the parent's coordinate.
+    """
+    sig, sh = pair.sigma, _frac(pair.shift)
+    to_a = pair.var_b == child_var
+    if to_a:
+        child = child.pullback(sig, -sig * sh)   # b = sig * (r - shift)
+        lo, hi = parent_lo, parent_hi
+    else:
+        lo, hi = sorted((sig * parent_lo + sh, sig * parent_hi + sh))
     if isinstance(pair, TreePair):
-        lo_i, hi_i = _frac(pair.lo), _frac(pair.hi)
-        sig, sh = pair.sigma, _frac(pair.shift)
-        if pair.var_a == child_var:
-            # child moves on the plain side; parent enters through r = sig*p + sh
-            env = pl_inf_conv_abs(child_fn, lo_i, hi_i)  # defined for s in I
-            r_lo = min(sig * parent_lo + sh, sig * parent_hi + sh)
-            r_hi = max(sig * parent_lo + sh, sig * parent_hi + sh)
-
-            def fr(r):
-                return env(_clamp(r, lo_i, hi_i)) + _ivl_dist(r, lo_i, hi_i)
-
-            f_r = pl_build(r_lo, r_hi, [lo_i, hi_i, *env.knots], fr)
-            return pl_compose_affine(f_r, sig, sh)
-        # child is the clamped side: substitute r = sig*c + sh and minimize
-        # W(r) = child_fn(child) + dist(r, I) over each clamp regime.
-        g_r = pl_compose_affine(child_fn, sig, -sig * sh)  # child_fn as a function of r
-        w = pl_add(g_r, pl_interval_dist(g_r.lo, g_r.hi, lo_i, hi_i))
-        pieces: list[PLFunction] = []
-        if w.lo < lo_i:
-            # crossing pinned at the low end of the overlap
-            end = min(w.hi, lo_i)
-            m = pl_restrict(w, w.lo, end).min_point()[1]
-            pieces.append(pl_build(parent_lo, parent_hi, [lo_i],
-                                   lambda p, m=m: m + abs(p - lo_i)))
-        if w.hi > hi_i:
-            start = max(w.lo, hi_i)
-            m = pl_restrict(w, start, w.hi).min_point()[1]
-            pieces.append(pl_build(parent_lo, parent_hi, [hi_i],
-                                   lambda p, m=m: m + abs(p - hi_i)))
-        mid_lo, mid_hi = max(w.lo, lo_i), min(w.hi, hi_i)
-        if mid_lo <= mid_hi:
-            mid = pl_restrict(w, mid_lo, mid_hi)
-            pieces.append(pl_inf_conv_abs(mid, parent_lo, parent_hi))
-        if not pieces:
-            raise AssertionError("empty pair message")
-        return pl_min_many(pieces)
-    raise TypeError(f"not a pair term: {pair!r}")
+        child = child.inf_conv_abs(_frac(pair.lo), _frac(pair.hi))
+    msg = child.inf_conv_abs(lo, hi)
+    return msg if to_a else msg.pullback(sig, sh)
 
 
-def _pair_fixed(pair: Term, fixed_var: int, fixed_value: Fraction,
-                free_lo: Fraction, free_hi: Fraction) -> PLFunction:
-    """The pair term as a function of its free variable, the other one fixed."""
-    if isinstance(pair, PairAbs):
-        if pair.var_a == fixed_var:
-            # |fixed - sig*x - sh| = |x - sig*(fixed - sh)|
-            return pl_abs(free_lo, free_hi, pair.sigma * (fixed_value - _frac(pair.shift)))
-        return pl_abs(free_lo, free_hi, pair.sigma * fixed_value + _frac(pair.shift))
+def _pair_anchor(pair: PairAbs | TreePair, fixed_var: int, fixed_value: Fraction) -> Fraction:
+    """c such that the pair term, its other variable fixed, is a constant plus |x - c|."""
+    sig, sh = pair.sigma, _frac(pair.shift)
+    target = fixed_value if pair.var_a == fixed_var else sig * fixed_value + sh
     if isinstance(pair, TreePair):
-        lo_i, hi_i = _frac(pair.lo), _frac(pair.hi)
-        sig, sh = pair.sigma, _frac(pair.shift)
-        if pair.var_b == fixed_var:
-            r = sig * fixed_value + sh
-            base = _ivl_dist(r, lo_i, hi_i)
-            return pl_abs(free_lo, free_hi, _clamp(r, lo_i, hi_i)).shift(base)
-
-        def fb(x, a=fixed_value):
-            r = sig * x + sh
-            return abs(a - _clamp(r, lo_i, hi_i)) + _ivl_dist(r, lo_i, hi_i)
-
-        anchors = [sig * (lo_i - sh), sig * (hi_i - sh), sig * (fixed_value - sh)]
-        return pl_build(free_lo, free_hi, anchors, fb)
-    raise TypeError(f"not a pair term: {pair!r}")
-
-
-def pl_restrict(f: PLFunction, lo: Fraction, hi: Fraction) -> PLFunction:
-    if lo < f.lo or hi > f.hi or lo > hi:
-        raise ValueError("bad restriction")
-    if lo == hi:
-        return PLFunction((lo,), (f(lo),))
-    ks = [lo] + [k for k in f.knots if lo < k < hi] + [hi]
-    return PLFunction(tuple(ks), tuple(f(x) for x in ks))
+        target = _clamp(target, _frac(pair.lo), _frac(pair.hi))
+    return sig * (target - sh) if pair.var_a == fixed_var else target
 
 
 def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Fraction]],
@@ -414,8 +366,8 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
     Returns (argmin, value); the argmin is canonical (lowest coordinates
     among minimizers under the elimination order).  Raises
     ObjectiveStructureError when pair couplings do not form a forest and
-    NonConvexObjective when an intermediate value function fails the
-    convexity certificate.
+    NonConvexObjective when a TreePair interval is inside out or an
+    intermediate value function fails the convexity certificate.
     """
     n = len(box)
     box_f = [(_frac(lo), _frac(hi)) for lo, hi in box]
@@ -424,15 +376,20 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
             raise ValueError(f"empty box for variable {i}")
     terms = list(terms)
     const_total = sum((t.value for t in terms if isinstance(t, Const)), Fraction(0))
-    pair_terms = [t for t in terms if isinstance(t, (PairAbs, TreePair))]
+    unary_terms: dict[int, list[Term]] = {i: [] for i in range(n)}
     adj: dict[int, list[tuple[int, Term]]] = {i: [] for i in range(n)}
-    for t in pair_terms:
-        if t.var_a == t.var_b:
-            raise ObjectiveStructureError("pair term couples a variable with itself")
-        adj[t.var_a].append((t.var_b, t))
-        adj[t.var_b].append((t.var_a, t))
-
-    unary = {i: _unary_pl(terms, i, *box_f[i]) for i in range(n)}
+    for t in terms:
+        if isinstance(t, (PairAbs, TreePair)):
+            if t.var_a == t.var_b:
+                raise ObjectiveStructureError("pair term couples a variable with itself")
+            if isinstance(t, TreePair) and _frac(t.lo) > _frac(t.hi):
+                raise NonConvexObjective(
+                    f"TreePair interval [{t.lo}, {t.hi}] is inside out; the coupling is not convex"
+                )
+            adj[t.var_a].append((t.var_b, t))
+            adj[t.var_b].append((t.var_a, t))
+        elif not isinstance(t, Const):
+            unary_terms[t.var].append(t)
 
     assign: dict[int, Fraction] = {}
     total = const_total
@@ -457,48 +414,27 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
                     raise ObjectiveStructureError(
                         "pair couplings contain a cycle; chain elimination needs a forest"
                     )
-        # children lists, processed leaves-first
-        children: dict[int, list[tuple[int, Term]]] = {v: [] for v in comp}
-        for v in comp:
-            if parent[v] is not None:
-                pv, t = parent[v]
-                children[pv].append((v, t))
-        post: list[int] = []
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            post.append(v)
-            for w, _ in children[v]:
-                stack.append(w)
-        post.reverse()
-
-        msg: dict[int, PLFunction] = {}
-        for v in post:
-            fn = unary[v]
-            for w, t in children[v]:
-                m = _pair_message(t, msg[w], w, *box_f[v])
-                if not m.is_convex():
-                    raise NonConvexObjective(
-                        f"message into variable {v} violates the convexity certificate"
-                    )
-                fn = pl_add(fn, m)
-            if not fn.is_convex():
+        # comp lists every variable after its parent: reversed, leaves come first
+        fn = {v: _unary_pl(unary_terms[v], *box_f[v]) for v in comp}
+        for v in reversed(comp):
+            if not fn[v].is_convex():
                 raise NonConvexObjective(
                     f"value function of variable {v} violates the convexity certificate"
                 )
-            msg[v] = fn
+            if parent[v] is not None:
+                pv, t = parent[v]
+                m = _pair_message(t, fn[v], v, *box_f[pv])
+                if not m.is_convex():
+                    raise NonConvexObjective(
+                        f"message into variable {pv} violates the convexity certificate"
+                    )
+                fn[pv] = fn[pv].add(m)
 
-        arg_root, val = msg[root].min_point()
+        arg_root, val = fn[root].argmin()
         total += val
         assign[root] = arg_root
-        # backtrack downward, fixing parents first
-        down = [root]
-        while down:
-            v = down.pop()
-            for w, t in children[v]:
-                fixed = _pair_fixed(t, v, assign[v], *box_f[w])
-                g = pl_add(msg[w], fixed)
-                assign[w] = g.min_point()[0]
-                down.append(w)
+        for w in comp[1:]:   # backtrack downward, parents first
+            v, t = parent[w]
+            assign[w] = fn[w].argmin_plus_abs(_pair_anchor(t, v, assign[v]))
 
     return tuple(assign[i] for i in range(n)), total

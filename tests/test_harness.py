@@ -251,6 +251,17 @@ class TestCLI:
         assert rc == 0
         assert json.loads(text) == {"valid": True}
 
+    def test_generate_output_is_library_dumps(self, tmp_path):
+        from flipcluster.cluster import dumps
+        want = dumps(generate_cluster(GeneratorParams(seed=1)))
+        out = tmp_path / "c.json"
+        rc, text = run_cli("generate", "--seed", "1", "--out", str(out))
+        assert rc == 0 and text == ""
+        assert out.read_bytes() == want.encode()
+        rc, text = run_cli("generate", "--seed", "1")
+        assert rc == 0
+        assert text.encode() == want.encode()
+
     def test_generate_config_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tree_size": [2, 2], "piece_edges": [1, 2]}))

@@ -235,6 +235,17 @@ def tree_with_line(draw):
     return tree, Line(tree, path, start, F(lo))
 
 
+def scan_point_at(line: Line, t: Fraction) -> TreePoint:
+    """Reference Line.point_at: the first path edge ending at or after t."""
+    for eid in line.edge_path:
+        enter_t, enter_v = line.edge_spans[eid]
+        e = line.tree.edges[eid]
+        if t <= enter_t + e.length:
+            along = t - enter_t
+            return line.tree.point(eid, along if enter_v == e.a else e.length - along)
+    raise AssertionError(f"parameter {t} beyond the line")
+
+
 class TestLine:
     def test_params_and_points(self):
         t = h_tree()
@@ -267,6 +278,25 @@ class TestLine:
         for v in tree.vertices:
             g, d = line.vertex_gates[v]
             assert tree.distance(tree.vertex_point(v), line.point_at(u)) == d + abs(u - g)
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(tree_with_line(), st.lists(st.integers(1, 15), max_size=4))
+    def test_point_at_inverts_coord_of(self, tl, sixteenths):
+        tree, line = tl
+        on = [tree.vertex_point(v) for v in line.vertex_params]
+        off = [tree.vertex_point(v) for v in tree.vertices if v not in line.vertex_params]
+        for eid, e in enumerate(tree.edges):
+            pts = [tree.point(eid, e.length * F(k, 16)) for k in sixteenths]
+            (on if eid in line.edge_spans else off).extend(pts)
+        for p in on:
+            t = line.coord_of(p)
+            assert line.contains(p)
+            assert line.point_at(t) == p == scan_point_at(line, t)
+        for p in off:
+            assert not line.contains(p)
+            with pytest.raises(NotOnLineError):
+                line.coord_of(p)
 
 
 class TestProjection:

@@ -7,28 +7,24 @@ The oracle enumerates that grid and takes the exact minimum.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flipcluster.piecewise_linear as pl
 from flipcluster.errors import NonConvexObjective, ObjectiveStructureError
 from flipcluster.piecewise_linear import (
     AbsAnchor,
     Affine,
     Const,
     IntervalDist,
+    ConvexPL,
     PairAbs,
-    PLFunction,
     TreePair,
     evaluate_terms,
     minimize_convex_pl,
-    pl_abs,
-    pl_add,
-    pl_build,
-    pl_compose_affine,
-    pl_inf_conv_abs,
-    pl_min2,
 )
 
 F = Fraction
@@ -79,69 +75,80 @@ def grid_minimize(terms, box):
     return best
 
 
+def from_points(knots, values):
+    """The PL function through the points, with the slopes between them."""
+    ks, vs = tuple(knots), tuple(values)
+    slopes = tuple((v1 - v0) / (k1 - k0) for k0, k1, v0, v1 in zip(ks, ks[1:], vs, vs[1:]))
+    return ConvexPL(ks, vs, slopes)
+
+
+def abs_pl(lo, hi, anchor):
+    """|x - anchor| on [lo, hi] with lo < anchor < hi."""
+    return from_points((lo, anchor, hi), (anchor - lo, F(0), hi - anchor))
+
+
 class TestPLFunction:
     def test_eval_and_minimum(self):
-        f = PLFunction((F(0), F(2), F(5)), (F(4), F(0), F(6)))
+        f = from_points((F(0), F(2), F(5)), (F(4), F(0), F(6)))
         assert f(F(1)) == 2
         assert f(F(4)) == 4
-        assert f.min_point() == (F(2), F(0))
+        assert f.argmin() == (F(2), F(0))
         assert f.is_convex()
+        assert f.slopes == (F(-2), F(2))
 
     def test_nonconvex_detected(self):
-        w = PLFunction((F(0), F(1), F(2)), (F(0), F(1), F(0)))
+        w = from_points((F(0), F(1), F(2)), (F(0), F(1), F(0)))
         assert not w.is_convex()
 
     def test_min_prefers_lowest_knot_on_flat(self):
-        f = PLFunction((F(0), F(1), F(3)), (F(2), F(0), F(0)))
-        assert f.min_point() == (F(1), F(0))
+        f = from_points((F(0), F(1), F(3)), (F(2), F(0), F(0)))
+        assert f.argmin() == (F(1), F(0))
 
     def test_single_knot(self):
-        f = PLFunction((F(3),), (F(7),))
+        f = from_points((F(3),), (F(7),))
         assert f(F(3)) == 7
-        assert f.min_point() == (F(3), F(7))
+        assert f.argmin() == (F(3), F(7))
+        assert f.slopes == ()
 
     def test_add_refines_knots(self):
-        f = pl_abs(F(0), F(4), F(1))
-        g = pl_abs(F(0), F(4), F(3))
-        h = pl_add(f, g)
+        f = abs_pl(F(0), F(4), F(1))
+        g = abs_pl(F(0), F(4), F(3))
+        h = f.add(g)
+        assert h.knots == (F(0), F(1), F(3), F(4))
+        assert h.slopes == (F(-2), F(0), F(2))
         assert h(F(2)) == 2
         assert h(F(1)) == 2
         assert h(F(0)) == 4
-        assert h.min_point() == (F(1), F(2))
-
-    def test_min2_inserts_crossing(self):
-        up = pl_build(F(0), F(4), [], lambda x: x)
-        down = pl_build(F(0), F(4), [], lambda x: 4 - x)
-        m = pl_min2(up, down)
-        assert F(2) in m.knots
-        assert m(F(2)) == 2
-        assert m(F(0)) == 0 and m(F(4)) == 0
+        assert h.argmin() == (F(1), F(2))
 
     def test_compose_affine_reflection(self):
-        f = pl_build(F(0), F(3), [F(1)], lambda x: abs(x - 1))
-        g = pl_compose_affine(f, -1, F(3))  # g(x) = f(3 - x)
+        f = abs_pl(F(0), F(3), F(1))
+        g = f.pullback(-1, F(3))  # g(x) = f(3 - x)
         assert (g.lo, g.hi) == (F(0), F(3))
         assert g(F(2)) == 0
         assert g(F(0)) == 2
+        assert g.slopes == (F(-1), F(1))
 
     def test_inf_conv_keeps_shallow_v(self):
-        f = pl_abs(F(0), F(10), F(3))
-        g = pl_inf_conv_abs(f, F(0), F(10))
+        f = abs_pl(F(0), F(10), F(3))
+        g = f.inf_conv_abs(F(0), F(10))
         for x in range(0, 11):
             assert g(F(x)) == abs(x - 3)
 
     def test_inf_conv_clips_steep_slopes(self):
-        f = pl_build(F(0), F(6), [F(3)], lambda x: 2 * abs(x - 3))
-        g = pl_inf_conv_abs(f, F(0), F(6))
+        f = from_points((F(0), F(3), F(6)), (F(6), F(0), F(6)))  # 2|x - 3|
+        g = f.inf_conv_abs(F(0), F(6))
+        assert g.knots == (F(0), F(3), F(6))
         for x in range(0, 7):
             assert g(F(x)) == abs(x - 3)
 
     def test_inf_conv_extends_past_domain(self):
-        f = pl_build(F(0), F(2), [], lambda x: 3 * x)
-        g = pl_inf_conv_abs(f, F(-2), F(4))
+        f = from_points((F(0), F(2)), (F(0), F(6)))  # 3x
+        g = f.inf_conv_abs(F(-2), F(4))
         assert g(F(-2)) == 2
         assert g(F(0)) == 0
         assert g(F(4)) == 4
+        assert g.knots == (F(-2), F(0), F(4))
 
 
 class TestMinimizeFrozen:
@@ -278,3 +285,170 @@ class TestMinimizeAgainstOracle:
         for x, (lo, hi) in zip(arg, box):
             assert lo <= x <= hi
         assert val == grid_minimize(terms, box)
+
+
+# -- the slope-form primitives against their pointwise definitions ------------
+
+
+@st.composite
+def convex_pl(draw, domain=None):
+    """A convex PL function: knots at sixteenths of the domain, sorted slopes."""
+    if domain is None:
+        lo = draw(rationals())
+        domain = (lo, lo + draw(st.builds(F, st.integers(0, 12), st.just(2))))
+    lo, hi = domain
+    ks = [lo]
+    if lo < hi:
+        inner = sorted(draw(st.sets(st.integers(1, 15), max_size=5)))
+        ks += [lo + (hi - lo) * F(u, 16) for u in inner] + [hi]
+    slopes = sorted(draw(st.lists(st.builds(F, st.integers(-12, 12), st.just(4)),
+                                  min_size=len(ks) - 1, max_size=len(ks) - 1)))
+    vs = [draw(rationals())]
+    for (x0, x1), s in zip(zip(ks, ks[1:]), slopes):
+        vs.append(vs[-1] + s * (x1 - x0))
+    return from_points(ks, vs)
+
+
+def probes(*knot_sets):
+    """The union of the knots and the midpoints between neighbours: two PL
+    functions whose knots all lie in the union agree everywhere iff they
+    agree here."""
+    ks = sorted(set().union(*knot_sets))
+    return ks + [(a + b) / 2 for a, b in zip(ks, ks[1:])]
+
+
+def brute_inf_conv(f, y):
+    """min over x of f(x) + |x - y|: attained at a knot of f or at the
+    point of dom(f) nearest to y."""
+    xs = list(f.knots) + [_clamp(y, f.lo, f.hi)]
+    return min(f(x) + abs(x - y) for x in xs)
+
+
+class TestPrimitivesPointwise:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_add(self, data):
+        f = data.draw(convex_pl())
+        g = data.draw(convex_pl(domain=(f.lo, f.hi)))
+        h = f.add(g)
+        assert h.is_convex()
+        assert set(h.knots) <= set(f.knots) | set(g.knots)
+        for x in probes(f.knots, g.knots):
+            assert h(x) == f(x) + g(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(convex_pl(), rationals(-9, 9), st.builds(F, st.integers(0, 16), st.just(2)))
+    def test_inf_conv_abs(self, f, lo, width):
+        hi = lo + width
+        g = f.inf_conv_abs(lo, hi)
+        assert (g.lo, g.hi) == (lo, hi)
+        assert g.is_convex()
+        assert all(-1 <= s <= 1 for s in g.slopes)
+        inside = [x for x in f.knots if lo <= x <= hi]
+        assert set(g.knots) <= set(inside) | {lo, hi}
+        for y in probes(g.knots, inside):
+            assert g(y) == brute_inf_conv(f, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(term_system())
+    def test_unary_sum(self, tb):
+        terms, box = tb
+        for v, (lo, hi) in enumerate(box):
+            mine = [t for t in terms if getattr(t, "var", None) == v]
+            f = pl._unary_pl(mine, lo, hi)
+            assert (f.lo, f.hi) == (lo, hi)
+            assert f.is_convex()
+            kinks = {k for t in mine for k in (getattr(t, "anchor", None),
+                                               getattr(t, "lo", None), getattr(t, "hi", None))
+                     if k is not None and lo <= k <= hi}
+            for x in probes(f.knots, kinks):
+                assert f(x) == evaluate_terms(mine, {v: x})
+
+    @settings(max_examples=200, deadline=None)
+    @given(convex_pl(), st.sampled_from([1, -1]), rationals())
+    def test_pullback(self, f, sigma, shift):
+        g = f.pullback(sigma, shift)
+        assert sorted({sigma * g.lo + shift, sigma * g.hi + shift}) == sorted({f.lo, f.hi})
+        assert g.is_convex()
+        for x in probes(g.knots):
+            assert g(x) == f(sigma * x + shift)
+
+    @settings(max_examples=200, deadline=None)
+    @given(convex_pl(), rationals())
+    def test_argmin_plus_abs(self, f, c):
+        x = f.argmin_plus_abs(c)
+        cands = sorted(set(f.knots) | {_clamp(c, f.lo, f.hi)})
+        best = min(f(k) + abs(k - c) for k in cands)
+        assert f(x) + abs(x - c) == best
+        assert all(f(k) + abs(k - c) > best for k in cands if k < x)
+
+
+class TestTreePairIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(rationals(), rationals(), st.sampled_from([1, -1]), rationals(),
+           rationals(), st.builds(F, st.integers(0, 8), st.just(2)))
+    def test_symmetric_form(self, a, b, sigma, shift, lo, width):
+        hi = lo + width
+        r = sigma * b + shift
+        value = evaluate_terms([TreePair(0, 1, sigma, shift, lo, hi)], [a, b])
+
+        def dist(x):
+            return lo - x if x < lo else x - hi if x > hi else 0
+
+        assert value == dist(a) + abs(_clamp(a, lo, hi) - _clamp(r, lo, hi)) + dist(r)
+        # the same coupling with the roles of x_a and r exchanged
+        assert value == evaluate_terms([TreePair(0, 1, 1, F(0), lo, hi)], [r, a])
+
+
+def random_chain(rng, n):
+    """Unary terms on each of n variables, couplings i -- i + 1 in random
+    orientation, so the elimination rooted at 0 runs down the chain."""
+    terms, box = [], []
+    for i in range(n):
+        lo = F(rng.randint(-8, 0))
+        box.append((lo, lo + rng.randint(4, 16)))
+        for _ in range(rng.randint(0, 2)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                terms.append(AbsAnchor(i, F(rng.randint(-16, 16), 2)))
+            elif kind == 1:
+                terms.append(Affine(i, F(rng.randint(-3, 3), 4)))
+            else:
+                a = F(rng.randint(-16, 16), 2)
+                terms.append(IntervalDist(i, a, a + F(rng.randint(0, 6), 2)))
+    for i in range(n - 1):
+        a, b = (i, i + 1) if rng.random() < 0.5 else (i + 1, i)
+        sig, sh = rng.choice([1, -1]), F(rng.randint(-6, 6), 3)
+        if rng.random() < 0.5:
+            terms.append(PairAbs(a, b, sig, sh))
+        else:
+            lo = F(rng.randint(-8, 4))
+            terms.append(TreePair(a, b, sig, sh, lo, lo + rng.randint(0, 8)))
+    return terms, box
+
+
+class TestMessageSize:
+    def test_chain_messages_stay_small(self, monkeypatch):
+        # A message keeps only kinks: the unary kinks it summarizes, one
+        # per side for each variable's box or overlap ends, and its own
+        # two ends.  Extra knots (sampled points, crossings) break this.
+        sizes = []
+        real = pl._pair_message
+
+        def counted(pair, child, child_var, lo, hi):
+            m = real(pair, child, child_var, lo, hi)
+            sizes.append((child_var, len(m.knots)))
+            return m
+
+        monkeypatch.setattr(pl, "_pair_message", counted)
+        n = 16
+        for seed in range(60):
+            terms, box = random_chain(random.Random(seed), n)
+            sizes.clear()
+            arg, val = minimize_convex_pl(terms, box)
+            assert evaluate_terms(terms, arg) == val
+            assert len(sizes) == n - 1
+            for w, knots in sizes:
+                kinks = sum(1 if isinstance(t, AbsAnchor) else 2 for t in terms
+                            if isinstance(t, (AbsAnchor, IntervalDist)) and t.var >= w)
+                assert knots <= kinks + 2 * (n - w) + 2, (seed, w)
