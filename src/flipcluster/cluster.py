@@ -90,9 +90,6 @@ class SimplicialTree:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def edge_endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
-
     def other_end(self, eid: int, v: int) -> int:
         a, b = self.edges[eid]
         if v == a:
@@ -244,6 +241,8 @@ class Cluster:
         return ClusterPoint(v, h, u)
 
     def represent_at(self, pt: ClusterPoint, v: int) -> ClusterPoint:
+        if pt.vertex == v:
+            return pt   # supports() keeps the walk's starting representation
         reps = self.supports(pt)
         if v not in reps:
             raise InvalidPointError(f"point not in the piece of vertex {v}")
@@ -320,10 +319,41 @@ def supporting_vertices(c: Cluster, x: ClusterPoint) -> tuple[int, ...]:
     return tuple(sorted(c.supports(x)))
 
 
+class SupportRoute(NamedTuple):
+    """The T-path between two points' supports, with both ends resolved:
+    ``start`` is the first point represented at ``vertices[0]``, ``end``
+    the second at ``vertices[-1]``."""
+
+    vertices: tuple[int, ...]
+    edges: tuple[int, ...]
+    start: ClusterPoint
+    end: ClusterPoint
+
+
+def support_route(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SupportRoute:
+    """The route every distance and path between x0 and xn follows.
+
+    Points with a common support get the lowest common vertex and no
+    edges.  Otherwise the supports are disjoint subtrees of T, and the
+    route joins the support pair at least T-distance (ties to the lowest
+    ids): that pair is the bridge between the subtrees, so every
+    connecting path crosses the route's walls in order.
+    """
+    sx = c.supports(x0)
+    sy = c.supports(xn)
+    common = sx.keys() & sy.keys()
+    if common:
+        a = b = min(common)
+    else:
+        a, b = min(((a, b) for a in sx for b in sy),
+                   key=lambda ab: (c.tree.distance(*ab), ab))
+    verts, eids = c.tree.path(a, b)
+    return SupportRoute(tuple(verts), tuple(eids),
+                        ClusterPoint(a, *sx[a]), ClusterPoint(b, *sy[b]))
+
+
 def bass_serre_distance(c: Cluster, x: ClusterPoint, y: ClusterPoint) -> int:
-    sx = c.supports(x)
-    sy = c.supports(y)
-    return min(c.tree.distance(a, b) for a in sx for b in sy)
+    return len(support_route(c, x, y).edges)
 
 
 # -- serialization ---------------------------------------------------------------

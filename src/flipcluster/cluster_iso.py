@@ -379,20 +379,17 @@ def piece_normal_form(c: Cluster, v: int) -> NormalForm:
 
 
 def point_image(triple: GoodTriple, x: ClusterPoint) -> ClusterPoint:
-    x = triple.ca.canonical(x)
-    if x.vertex not in triple.phi:
-        # wall points may canonicalize outside the mapped region; any
-        # support inside it serves as the working representative
-        for v in sorted(triple.ca.supports(x)):
-            if v in triple.phi:
-                x = triple.ca.represent_at(x, v)
-                break
-        else:
-            raise ValueError("point has no support in the mapped subtree")
-    pm = triple.phi[x.vertex]
-    hor = pm.iso.point_image(x.horizontal)
-    return triple.cb.point(triple.psi[x.vertex], hor.edge, hor.offset,
-                           x.height + pm.height_shift)
+    # wall points may canonicalize outside the mapped region; the lowest
+    # support inside it serves as the working representative
+    reps = triple.ca.supports(x)
+    v = min((v for v in reps if v in triple.phi), default=None)
+    if v is None:
+        raise ValueError("point has no support in the mapped subtree")
+    horizontal, height = reps[v]
+    pm = triple.phi[v]
+    hor = pm.iso.point_image(horizontal)
+    return triple.cb.point(triple.psi[v], hor.edge, hor.offset,
+                           height + pm.height_shift)
 
 
 def verify_good(triple: GoodTriple, sample_pairs: int = 3

@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .cluster import Cluster, ClusterPoint, piece_distance
+from .cluster import Cluster, ClusterPoint, piece_distance, support_route
 from .errors import InstanceDefect, SizeCapError
 from .metric_tree import TreePoint, line_gate
 from .piecewise_linear import (
@@ -105,23 +105,6 @@ def crossing_objective(c: Cluster, profile: CrossingProfile,
     return total
 
 
-def closest_support_pair(c: Cluster, sx: dict, sy: dict) -> tuple[int, int]:
-    """Support pair minimizing T-distance, ties to the lowest vertex ids.
-
-    The supports each form a subtree of T, so when they are disjoint this
-    pair is the bridge between them and every connecting path crosses the
-    walls between the picked vertices in order.
-    """
-    best = None
-    pick = None
-    for a in sorted(sx):
-        for b in sorted(sy):
-            d = c.tree.distance(a, b)
-            if best is None or d < best or (d == best and (a, b) < pick):
-                best, pick = d, (a, b)
-    return pick
-
-
 def exact_distance(c: Cluster, x0: ClusterPoint, xn: ClusterPoint
                    ) -> tuple[Fraction, CrossingProfile]:
     """Exact distance and a minimizing crossing profile.
@@ -130,16 +113,10 @@ def exact_distance(c: Cluster, x0: ClusterPoint, xn: ClusterPoint
     couplings (horizontal legs couple h_{i-1} with s_i; vertical legs
     couple s_{i-1} with h_i), which the chain eliminator solves exactly.
     """
-    sx = c.supports(x0)
-    sy = c.supports(xn)
-    common = sorted(set(sx) & set(sy))
-    if common:
-        v = common[0]
-        prof = CrossingProfile((v,), (), (), ())
-        return piece_distance(c, v, x0, xn), prof
-    a, b = closest_support_pair(c, sx, sy)
-    verts, eids = c.tree.path(a, b)
+    verts, eids, x0, xn = support_route(c, x0, xn)   # ends now resolved on the route
     n = len(eids)
+    if n == 0:
+        return piece_distance(c, verts[0], x0, xn), CrossingProfile(verts, (), (), ())
     terms: list[Term] = []
     box: list[tuple[Fraction, Fraction]] = []
     for i in range(n):
@@ -150,12 +127,11 @@ def exact_distance(c: Cluster, x0: ClusterPoint, xn: ClusterPoint
     if any(lo > hi for lo, hi in box):
         raise InstanceDefect("empty crossing range despite validation")
 
-    hx, tx = sx[verts[0]]
-    g, d0 = line_gate(c.pieces[verts[0]].tree, hx, c.marks[(verts[0], eids[0])])
+    g, d0 = line_gate(c.pieces[verts[0]].tree, x0.horizontal, c.marks[(verts[0], eids[0])])
     terms.append(AbsAnchor(0, g))
     if d0:
         terms.append(Const(d0))
-    terms.append(AbsAnchor(1, tx))
+    terms.append(AbsAnchor(1, x0.height))
 
     for i in range(1, n):
         v = verts[i]
@@ -175,15 +151,14 @@ def exact_distance(c: Cluster, x0: ClusterPoint, xn: ClusterPoint
                 terms.append(Const(br.gap))
         terms.append(PairAbs(2 * (i - 1), 2 * i + 1, 1, Fraction(0)))
 
-    hy, ty = sy[verts[n]]
-    g, dn = line_gate(c.pieces[verts[n]].tree, hy, c.marks[(verts[n], eids[n - 1])])
+    g, dn = line_gate(c.pieces[verts[n]].tree, xn.horizontal, c.marks[(verts[n], eids[n - 1])])
     terms.append(AbsAnchor(2 * n - 1, g))
     if dn:
         terms.append(Const(dn))
-    terms.append(AbsAnchor(2 * (n - 1), ty))
+    terms.append(AbsAnchor(2 * (n - 1), xn.height))
 
     arg, value = minimize_convex_pl(terms, box)
-    prof = CrossingProfile(tuple(verts), tuple(eids), arg[0::2], arg[1::2])
+    prof = CrossingProfile(verts, eids, arg[0::2], arg[1::2])
     check = crossing_objective(c, prof, x0, xn)
     if check != value:
         raise AssertionError(

@@ -87,9 +87,6 @@ class MetricTree:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return tuple(eid for eid, _ in self._adj[v])
-
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """(edge id, opposite vertex) pairs, sorted by edge id."""
         return self._adj[v]
@@ -117,9 +114,6 @@ class MetricTree:
             dist[root] = d
             first[root] = f
         return dist, first
-
-    def vertex_distance(self, u: int, v: int) -> Fraction:
-        return self._routing[0][u][v]
 
     def vertex_path_edges(self, u: int, v: int) -> list[int]:
         """Edge ids along the geodesic from u to v, in traversal order."""
@@ -151,6 +145,11 @@ class MetricTree:
             raise InvalidPointError(
                 f"offset {offset} outside [0, {e.length}] on edge {edge}"
             )
+        return self._on_edge(edge, offset)
+
+    def _on_edge(self, edge: int, offset: Fraction) -> TreePoint:
+        """Canonical form of a Fraction offset already known to lie on the edge."""
+        e = self.edges[edge]
         if offset == 0:
             return self.vertex_point(e.a)
         if offset == e.length:
@@ -290,7 +289,7 @@ class Line:
         e = self.tree.edges[eid]
         along = t - enter_t
         off = along if enter_v == e.a else e.length - along
-        return self.tree.point(eid, off)
+        return self.tree._on_edge(eid, off)   # enter_t <= t <= edge end: off is on the edge
 
     def coord_of(self, p: TreePoint) -> Fraction:
         span = self.edge_spans.get(p.edge)
@@ -472,11 +471,3 @@ def bridge(tree: MetricTree, l1: Line, l2: Line) -> Bridge:
                     param=param,
                 )
     return br
-
-
-def line_point(line: Line, t: Fraction | int | str) -> TreePoint:
-    return line.point_at(t)
-
-
-def line_coord(line: Line, p: TreePoint) -> Fraction:
-    return line.coord_of(p)

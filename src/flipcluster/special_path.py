@@ -1,9 +1,11 @@
 """Canonical piecewise paths through bridge feet, with quality audits.
 
-A special path between two points follows their support-to-support
-geodesic in T.  Inside each intermediate piece it runs between the two
-mark lines of the traversed walls, entering and leaving at the feet of
-the bridge between those lines (the midpoint of their overlap when they
+A special path between two points follows their support route in T
+(``cluster.support_route``, the same route ``exact_distance`` minimizes
+over), starting and ending at the endpoints as the route represents
+them.  Inside each intermediate piece it runs between the two mark
+lines of the traversed walls, entering and leaving at the feet of the
+bridge between those lines (the midpoint of their overlap when they
 intersect).  End pieces project the endpoint onto the single mark line
 instead.  Crossing heights are then forced by the flip rule: the height
 carried into a piece is the mark parameter left behind in the previous
@@ -15,6 +17,9 @@ Paths are never shorter than the exact distance, and the interest is in
 how much longer they can get: verify_bilipschitz measures that ratio
 over sampled pairs, including every contiguous sub-range of segments,
 since those are again special paths between their own endpoints.
+star_terms compares a path piece by piece with an optimal crossing
+profile between the same points; a caller that already holds both
+passes them in, and star_audit builds both from the two points.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from .cluster import (
     ClusterPoint,
     piece_distance,
     point_to_spec,
+    support_route,
     transfer_across_wall,
 )
-from .distance_oracle import closest_support_pair, exact_distance
+from .distance_oracle import CrossingProfile, exact_distance
 from .errors import SegmentOverflow
 from .metric_tree import project_to_line
 from .rational import format_rational
@@ -61,38 +67,30 @@ def _segment(c: Cluster, y: ClusterPoint, z: ClusterPoint) -> PathSegment:
 def special_path(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SpecialPath:
     """Build the special path from x0 to xn.
 
-    Wall endpoints have several supporting vertices; the pair minimizing
-    the T-distance is used (ties to lower ids), so the path never starts
-    with an avoidable crossing.
+    Wall endpoints have several supporting vertices; the path follows
+    their support route, so it never starts with an avoidable crossing.
 
     Raises SegmentOverflow, tagged with the offending T-edge, when a
     projection or bridge foot with positive distance lands on a mark end
     that the piece tree continues past: a longer mark could move the
     foot, so the truncation is not innocent there.
     """
-    sx = c.supports(x0)
-    sy = c.supports(xn)
-    common = sorted(set(sx) & set(sy))
-    if common:
-        v = common[0]
-        y = ClusterPoint(v, *sx[v])
-        z = ClusterPoint(v, *sy[v])
-        seg = _segment(c, y, z)
-        return SpecialPath((v,), (), (seg,), seg.length)
-
-    a, b = closest_support_pair(c, sx, sy)
-    verts, eids = c.tree.path(a, b)
+    verts, eids, x0, xn = support_route(c, x0, xn)   # ends now resolved on the route
     n = len(eids)
+    if n == 0:
+        seg = _segment(c, x0, xn)
+        return SpecialPath(verts, (), (seg,), seg.length)
+
     p: list = [None] * (n + 1)
     q: list = [None] * (n + 1)
 
-    p[0] = sx[verts[0]][0]
+    p[0] = x0.horizontal
     try:
         q[0] = project_to_line(c.pieces[verts[0]].tree, p[0],
                                c.marks[(verts[0], eids[0])]).foot
     except SegmentOverflow as exc:
         raise SegmentOverflow(str(exc), edge=eids[0], param=exc.param) from exc
-    q[n] = sy[verts[n]][0]
+    q[n] = xn.horizontal
     try:
         p[n] = project_to_line(c.pieces[verts[n]].tree, q[n],
                                c.marks[(verts[n], eids[n - 1])]).foot
@@ -122,8 +120,8 @@ def special_path(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SpecialPath:
 
     t: list = [None] * (n + 1)
     u: list = [None] * (n + 1)
-    t[0] = sx[verts[0]][1]
-    u[n] = sy[verts[n]][1]
+    t[0] = x0.height
+    u[n] = xn.height
     for i in range(n):
         u[i] = c.marks[(verts[i + 1], eids[i])].coord_of(p[i + 1])
         t[i + 1] = c.marks[(verts[i], eids[i])].coord_of(q[i])
@@ -140,7 +138,7 @@ def special_path(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SpecialPath:
                 f"segments {i} and {i + 1} fail to glue across edge {eids[i]}"
             )
     total = sum(s.length for s in segments)
-    return SpecialPath(tuple(verts), tuple(eids), tuple(segments), total)
+    return SpecialPath(verts, eids, tuple(segments), total)
 
 
 def path_length(sp: SpecialPath) -> Fraction:
@@ -217,17 +215,15 @@ def verify_bilipschitz(c: Cluster, pairs: Iterable[tuple[ClusterPoint, ClusterPo
     }
 
 
-def star_audit(c: Cluster, x0: ClusterPoint, xn: ClusterPoint
-               ) -> list[tuple[Fraction, Fraction]]:
-    """Per-piece vertical comparison of the path against the optimal profile.
+def star_terms(sp: SpecialPath, prof: CrossingProfile) -> list[tuple[Fraction, Fraction]]:
+    """Per-piece vertical comparison of a special path against an optimal
+    profile between the same two points.
 
     For each traversed piece, the path's vertical travel |t_i - u_i| is
     bounded by the optimal crossing's vertical leg plus the two height
     mismatches at the walls (entry heights t_0 and s_{i-1} coincide at
     i = 0, exit heights u_n and h_n at i = n).  Returns (lhs, rhs) pairs.
     """
-    sp = special_path(c, x0, xn)
-    value, prof = exact_distance(c, x0, xn)
     if prof.vertices != sp.vertices:
         raise AssertionError("path and oracle disagree on the vertex geodesic")
     n = len(sp.segments) - 1
@@ -241,3 +237,9 @@ def star_audit(c: Cluster, x0: ClusterPoint, xn: ClusterPoint
         rhs = abs(s_prev - h_i) + abs(t_i - s_prev) + abs(h_i - u_i)
         out.append((lhs, rhs))
     return out
+
+
+def star_audit(c: Cluster, x0: ClusterPoint, xn: ClusterPoint
+               ) -> list[tuple[Fraction, Fraction]]:
+    """star_terms of the special path and an optimal profile from x0 to xn."""
+    return star_terms(special_path(c, x0, xn), exact_distance(c, x0, xn)[1])

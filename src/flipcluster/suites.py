@@ -16,7 +16,7 @@ import random
 import time
 from fractions import Fraction
 
-from .cluster import dumps, piece_distance, point_to_spec, to_spec
+from .cluster import dumps, point_to_spec
 from .cluster_iso import brute_force_iso, isomorphic, point_image, verify_good
 from .distance_oracle import DiscretizedOracle, default_eps, exact_distance
 from .errors import SizeCapError
@@ -31,7 +31,7 @@ from .generator import (
 )
 from .jsonutil import dumps_canonical
 from .rational import format_rational, parse_rational
-from .special_path import special_path, star_audit, subpath
+from .special_path import special_path, star_terms, subpath
 from .tree_graded import blocks, check_T1_T2, cut_points, graph_of_spec
 
 SCHEMA_VERSION = 1
@@ -163,7 +163,7 @@ def suite_bilipschitz(seed: int, sizes: dict, k_obs: str | None) -> dict:
         for j in range(sizes["pairs"]):
             x, y = pts[2 * j], pts[2 * j + 1]
             pairs_run += 1
-            d = exact_distance(c, x, y)[0]
+            d, prof = exact_distance(c, x, y)
             sp = special_path(c, x, y)
             if sp.length < d:
                 rec.fail(dumps(c), "special_path",
@@ -177,7 +177,7 @@ def suite_bilipschitz(seed: int, sizes: dict, k_obs: str | None) -> dict:
             elif sp.length / d > max_ratio:
                 max_ratio = sp.length / d
                 attaining = [point_to_spec(x), point_to_spec(y)]
-            for lhs, rhs in star_audit(c, x, y):
+            for lhs, rhs in star_terms(sp, prof):
                 star_checked += 1
                 if lhs > rhs:
                     rec.fail(dumps(c), "star_audit",

@@ -14,6 +14,7 @@ from flipcluster.cluster import (
     dumps,
     piece_distance,
     piece_distance_parts,
+    support_route,
     supporting_vertices,
     to_spec,
     transfer_across_wall,
@@ -28,6 +29,18 @@ from flipcluster.errors import (
 from flipcluster.metric_tree import Line, MetricTree
 
 F = Fraction
+
+
+def grid_point(c: Cluster, rng: random.Random) -> ClusterPoint:
+    """A point on the k/8 grid of a random piece: often a vertex or a wall
+    point, so points with several supports are common."""
+    v = rng.choice(list(c.tree.vertices))
+    tree = c.pieces[v].tree
+    eid = rng.randrange(len(tree.edges))
+    off = tree.edges[eid].length * F(rng.randrange(0, 9), 8)
+    lo, hi = c.pieces[v].window
+    h = lo + (hi - lo) * F(rng.randrange(0, 9), 8)
+    return c.point(v, eid, off, h)
 
 
 def two_piece_spec(range_hi="10", window=("-12", "12")):
@@ -290,15 +303,7 @@ class TestBassSerre:
     def test_pseudo_metric_samples(self):
         c = chain3()
         rng = random.Random(3)
-        pts = []
-        for _ in range(12):
-            v = rng.choice([0, 1, 2])
-            tree = c.pieces[v].tree
-            eid = rng.randrange(len(tree.edges))
-            off = tree.edges[eid].length * F(rng.randrange(0, 9), 8)
-            lo, hi = c.pieces[v].window
-            h = lo + (hi - lo) * F(rng.randrange(0, 9), 8)
-            pts.append(c.point(v, eid, off, h))
+        pts = [grid_point(c, rng) for _ in range(12)]
         for x in pts:
             for y in pts:
                 for z in pts:
@@ -306,3 +311,19 @@ class TestBassSerre:
                     dyz = bass_serre_distance(c, y, z)
                     dxy = bass_serre_distance(c, x, y)
                     assert abs(dxz - dyz) <= dxy + 1
+
+    def test_support_route_against_brute_force(self):
+        """The route joins the closest support pair (ties to the lowest
+        ids) and hands back both ends represented there."""
+        c = chain3()
+        rng = random.Random(5)
+        pts = [grid_point(c, rng) for _ in range(16)]
+        for x in pts:
+            for y in pts:
+                route = support_route(c, x, y)
+                a, b = min((c.tree.distance(a, b), a, b)
+                           for a in c.supports(x) for b in c.supports(y))[1:]
+                assert (route.vertices[0], route.vertices[-1]) == (a, b)
+                assert (list(route.vertices), list(route.edges)) == c.tree.path(a, b)
+                assert route.start == c.represent_at(x, a)
+                assert route.end == c.represent_at(y, b)

@@ -9,6 +9,9 @@ point declared under [project.scripts] in pyproject.toml the way an
 installed console-script launcher would.
 """
 
+import hashlib
+import importlib
+import importlib.util
 import json
 import random
 import subprocess
@@ -35,6 +38,10 @@ from flipcluster.generator import (
 from flipcluster.jsonutil import dumps_canonical
 from flipcluster.rational import parse_rational
 from flipcluster.suites import MAX_REPROS, _Recorder, run_suite, strip_timings
+
+# sha256(dumps_canonical(strip_timings(run_suite({"seed": 42}))))
+DESK_GOLDEN = "edbdc60d07cc9025df779c563c32203552b0559d7c6deb7056807110c35d55a7"
+REPO = Path(__file__).resolve().parent.parent
 
 SMALL = dict(tree_size=(2, 4), piece_edges=(1, 8))
 TINY = dict(tree_size=(2, 3), piece_edges=(1, 4))
@@ -196,6 +203,12 @@ class TestRunSuite:
         a = dumps_canonical(strip_timings(run_suite(TINY_SUITE)))
         b = dumps_canonical(strip_timings(run_suite(TINY_SUITE)))
         assert a == b
+
+    def test_desk_golden_hash(self):
+        """The full desk-size report (all six suites, seed 42) is pinned
+        byte for byte: refactors of the library must not move it."""
+        report = dumps_canonical(strip_timings(run_suite({"seed": 42})))
+        assert hashlib.sha256(report.encode()).hexdigest() == DESK_GOLDEN
 
     def test_empty_suite_list_trivially_passes(self):
         report = run_suite({"suites": []})
@@ -410,7 +423,7 @@ class TestCLI:
         # put a launcher on PATH is the installer's concern, and the test
         # command installs nothing.
         tomllib = pytest.importorskip("tomllib")
-        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        pyproject = REPO / "pyproject.toml"
         with pyproject.open("rb") as f:
             entry = tomllib.load(f)["project"]["scripts"]["flipcluster"]
         module, attr = entry.split(":")
@@ -424,3 +437,22 @@ class TestCLI:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         validate(json.loads(out.read_text()))
+
+
+class TestBenchTracedNames:
+    def test_traced_names_resolve(self, monkeypatch):
+        """Every library function the benchmark's traced run wraps still
+        exists under the name the benchmark looks it up by."""
+        monkeypatch.syspath_prepend(str(REPO / "bench"))
+        spec = importlib.util.spec_from_file_location("bench_run", REPO / "bench" / "run.py")
+        bench_run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_run)
+        missing = []
+        for module, qualnames in bench_run.TRACED.items():
+            for qualname in qualnames:
+                obj = importlib.import_module(f"flipcluster.{module}")
+                for part in qualname.split("."):
+                    obj = getattr(obj, part, None)
+                if not callable(obj):
+                    missing.append(f"{module}.{qualname}")
+        assert missing == []

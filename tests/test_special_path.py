@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_cluster import chain3, two_piece
+from test_cluster import chain3, grid_point, two_piece
 
 from flipcluster.cluster import (
     Cluster,
@@ -12,6 +12,7 @@ from flipcluster.cluster import (
     Piece,
     SimplicialTree,
     piece_distance,
+    support_route,
     transfer_across_wall,
 )
 from flipcluster.distance_oracle import exact_distance
@@ -22,6 +23,7 @@ from flipcluster.special_path import (
     path_length,
     special_path,
     star_audit,
+    star_terms,
     subpath,
     verify_bilipschitz,
 )
@@ -286,14 +288,49 @@ class TestReports:
         c = chain6()
         rng = random.Random(59)
         for _ in range(15):
-            pts = []
-            for _ in range(2):
-                v = rng.choice(list(c.tree.vertices))
-                tree = c.pieces[v].tree
-                eid = rng.randrange(len(tree.edges))
-                off = tree.edges[eid].length * F(rng.randrange(0, 9), 8)
-                lo, hi = c.pieces[v].window
-                h = lo + (hi - lo) * F(rng.randrange(0, 9), 8)
-                pts.append(c.point(v, eid, off, h))
-            for lhs, rhs in star_audit(c, *pts):
+            for lhs, rhs in star_audit(c, grid_point(c, rng), grid_point(c, rng)):
                 assert lhs <= rhs
+
+    def test_star_terms_reuse_the_callers_path_and_profile(self):
+        c = chain3()
+        a = c.point(0, 2, F(2), F(9))
+        b = c.point(2, 0, F(2), F(5))
+        y = c.point(1, 1, F(1), F(6))
+        sp = special_path(c, a, b)
+        assert star_terms(sp, exact_distance(c, a, b)[1]) == star_audit(c, a, b)
+        with pytest.raises(AssertionError, match="vertex geodesic"):
+            star_terms(sp, exact_distance(c, a, y)[1])
+
+
+class TestSupportCalls:
+    """Each endpoint's support set is resolved once per call, and the
+    star audit resolves nothing beyond its two constituent calls."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        supports = Cluster.supports
+
+        def counting(self, pt):
+            calls.append(pt)
+            return supports(self, pt)
+
+        monkeypatch.setattr(Cluster, "supports", counting)
+        return calls
+
+    @pytest.mark.parametrize("fn, expected", [
+        (exact_distance, 2),
+        (special_path, 2),
+        (star_audit, 4),
+    ])
+    def test_calls_per_pair(self, counted, fn, expected):
+        cases = set()
+        for c, seed in ((chain3(), 3), (chain6(), 59)):
+            rng = random.Random(seed)
+            for _ in range(40):
+                x, y = grid_point(c, rng), grid_point(c, rng)
+                cases.add(len(support_route(c, x, y).edges) > 0)
+                counted.clear()
+                fn(c, x, y)
+                assert len(counted) == expected
+        assert cases == {False, True}   # common-support and crossing pairs both ran
