@@ -21,11 +21,13 @@ structural equality is geometric equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import ClusterValidationError, InvalidPointError, SegmentOverflow
 from .jsonutil import dumps_canonical
-from .metric_tree import Line, MetricTree, TreePoint, bridge_raw, line_intersection
+from .metric_tree import (Line, MetricTree, RootedTree, TreePoint, bridge_raw, int_id,
+                          line_intersection)
 from .rational import format_rational, parse_rational
 
 
@@ -33,8 +35,9 @@ class SimplicialTree:
     """The finite tree indexing the pieces; edges are unit, ids positional."""
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
-        self.vertices: tuple[int, ...] = tuple(int(v) for v in vertices)
-        self.edges: tuple[tuple[int, int], ...] = tuple((int(a), int(b)) for a, b in edges)
+        self.vertices: tuple[int, ...] = tuple(int_id(v) for v in vertices)
+        self.edges: tuple[tuple[int, int], ...] = tuple(
+            (int_id(a), int_id(b)) for a, b in edges)
         vs = set(self.vertices)
         if not vs:
             raise ValueError("tree needs at least one vertex")
@@ -67,22 +70,10 @@ class SimplicialTree:
                     stack.append(w)
         if len(seen) != len(self.vertices):
             raise ValueError("tree is not connected")
-        # hop counts and first-edge routing from every vertex
-        self._dist: dict[int, dict[int, int]] = {}
-        self._first: dict[int, dict[int, int]] = {}
-        for r in self.vertices:
-            d = {r: 0}
-            f: dict[int, int] = {}
-            stack = [r]
-            while stack:
-                v = stack.pop()
-                for eid, w in self._adj[v]:
-                    if w not in d:
-                        d[w] = d[v] + 1
-                        f[w] = eid if v == r else f[v]
-                        stack.append(w)
-            self._dist[r] = d
-            self._first[r] = f
+
+    @cached_property
+    def _rooted(self) -> RootedTree:
+        return RootedTree(self._adj, self.vertices[0])
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         return self._adj[v]
@@ -99,19 +90,11 @@ class SimplicialTree:
         raise ValueError(f"vertex {v} not on edge {eid}")
 
     def distance(self, u: int, v: int) -> int:
-        return self._dist[u][v]
+        return self._rooted.distance(u, v)
 
     def path(self, u: int, v: int) -> tuple[list[int], list[int]]:
         """(vertex sequence u..v, edge ids between them)."""
-        verts = [u]
-        eids = []
-        cur = u
-        while cur != v:
-            eid = self._first[cur][v]
-            eids.append(eid)
-            cur = self.other_end(eid, cur)
-            verts.append(cur)
-        return verts, eids
+        return self._rooted.path(u, v)
 
 
 class Piece(NamedTuple):
@@ -457,7 +440,7 @@ def validate(spec: dict) -> Cluster:
             continue
         path = entry["path"]
         orient = entry["orient"]
-        if orient not in (1, -1):
+        if type(orient) is not int or orient not in (1, -1):
             problems.append(("bad-orient", ctx, f"orient must be 1 or -1, got {orient!r}"))
             continue
         try:
@@ -482,8 +465,8 @@ def validate(spec: dict) -> Cluster:
 
 
 def _walk_start(ztree: MetricTree, path, orient: int, ctx: str, problems) -> int | None:
-    if not isinstance(path, list) or not path:
-        problems.append(("bad-line", ctx, "path must be a non-empty edge id list"))
+    if not isinstance(path, list) or not path or any(type(e) is not int for e in path):
+        problems.append(("bad-line", ctx, "path must be a non-empty list of integer edge ids"))
         return None
     first = ztree.edges[path[0]] if 0 <= path[0] < len(ztree.edges) else None
     if first is None:

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .cluster import Cluster, ClusterPoint
 from .errors import SizeCapError
-from .metric_tree import Line, MetricTree, TreePoint
+from .metric_tree import Line, MetricTree, RootedTree, TreePoint
 from .rational import format_rational
 
 
@@ -159,20 +159,9 @@ class MarkedTreeIso:
         return self.nf_b.fedge_point(j, x)
 
 
-def _distance_table(nf: NormalForm) -> dict[tuple[int, int], Fraction]:
-    out = {}
-    for f in nf.features:
-        dist = {f: Fraction(0)}
-        work = [f]
-        while work:
-            v = work.pop()
-            for i, w in nf.adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + nf.fedges[i].length
-                    work.append(w)
-        for g, d in dist.items():
-            out[(f, g)] = d
-    return out
+def _rooted(nf: NormalForm) -> RootedTree:
+    """The feature tree of a normal form, for distances between features."""
+    return RootedTree(nf.adj, nf.features[0], [fe.length for fe in nf.fedges])
 
 
 def _mark_assignments(nf_a: NormalForm, nf_b: NormalForm,
@@ -450,13 +439,10 @@ def verify_good(triple: GoodTriple, sample_pairs: int = 3
                 sorted(pm.iso.vertex_map.values()) != list(nfb.features):
             failures.append((3, f"feature bijection invalid at {v}"))
         else:
-            da = _distance_table(nfa)
-            db = _distance_table(nfb)
-            bad = next(
-                ((f, g) for f in nfa.features for g in nfa.features
-                 if da[(f, g)] != db[(pm.iso.vertex_map[f],
-                                      pm.iso.vertex_map[g])]), None)
-            if bad is not None:
+            ra, rb = _rooted(nfa), _rooted(nfb)
+            vm = pm.iso.vertex_map
+            if any(ra.distance(f, g) != rb.distance(vm[f], vm[g])
+                   for f, g in itertools.combinations(nfa.features, 2)):
                 failures.append((2, f"distances disagree inside piece {v}"))
 
         eids = incident_eids(ca, v)
@@ -584,33 +570,36 @@ def seed_triples(ca: Cluster, cb: Cluster, root: int, root_b: int
 def isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
     """Depth-first good-triple growth over all seeds; deterministic.
 
+    The search keeps its own stack, so its depth is not bound by the
+    interpreter's recursion limit.
+
     Returns a triple covering all of T (then the map is a full isometry)
     or None when every branch dies.
     """
     if len(ca.tree.vertices) != len(cb.tree.vertices):
         return None
 
-    def grow(triple: GoodTriple) -> GoodTriple | None:
-        uset = set(triple.vertices)
-        for eid, (x, y) in enumerate(ca.tree.edges):
-            if (x in uset) != (y in uset):
-                for bigger in extend_choices(triple, eid):
-                    done = grow(bigger)
-                    if done is not None:
-                        return done
-                return None
-        return triple if len(uset) == len(ca.tree.vertices) else None
-
     root = ca.tree.vertices[0]
-    for root_b in cb.tree.vertices:
-        for seeded in seed_triples(ca, cb, root, root_b):
-            done = grow(seeded)
-            if done is not None:
-                ok, cond, detail = verify_good(done)
-                if not ok:
-                    raise AssertionError(
-                        f"search returned a bad triple: condition {cond}, {detail}")
-                return done
+    # one iterator of candidate triples per search depth: the seeds, then
+    # the extensions of each triple over its first frontier edge
+    stack: list[Iterator[GoodTriple]] = [
+        (t for root_b in cb.tree.vertices for t in seed_triples(ca, cb, root, root_b))]
+    while stack:
+        triple = next(stack[-1], None)
+        if triple is None:
+            stack.pop()
+            continue
+        uset = set(triple.vertices)
+        frontier = next((eid for eid, (x, y) in enumerate(ca.tree.edges)
+                         if (x in uset) != (y in uset)), None)
+        if frontier is not None:
+            stack.append(extend_choices(triple, frontier))
+        elif len(uset) == len(ca.tree.vertices):
+            ok, cond, detail = verify_good(triple)
+            if not ok:
+                raise AssertionError(
+                    f"search returned a bad triple: condition {cond}, {detail}")
+            return triple
     return None
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .cluster import Cluster, ClusterPoint, Piece, SimplicialTree, to_spec
-from .metric_tree import Line, MetricTree
+from .metric_tree import Line, MetricTree, RootedTree
 from .rational import format_rational
 
 
@@ -75,46 +75,19 @@ def _random_metric_tree(rng: random.Random, params: GeneratorParams) -> MetricTr
     return MetricTree(edges)
 
 
-def _farthest(tree: MetricTree, src: int) -> tuple[int, Fraction]:
-    dist = {src: Fraction(0)}
-    work = [src]
-    far = (src, Fraction(0))
-    while work:
-        v = work.pop()
-        for eid, w in tree.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + tree.edges[eid].length
-                work.append(w)
-                if (dist[w], -w) > (far[1], -far[0]):
-                    far = (w, dist[w])
-    return far
+def _diameter(tree: MetricTree) -> tuple[list[int], int, Fraction]:
+    """Edge ids of a longest path, its start vertex and its length.
 
+    Two farthest-vertex walks, ties to the lowest id; the path starts at
+    its lower-id end.
+    """
+    def farthest(rt: RootedTree) -> int:
+        return max(rt.depth, key=lambda v: (rt.depth[v], -v))
 
-def _vertex_path_eids(tree: MetricTree, u: int, v: int) -> list[int]:
-    prev: dict[int, tuple[int, int]] = {}
-    work = [u]
-    seen = {u}
-    while work:
-        x = work.pop()
-        for eid, w in tree.neighbors(x):
-            if w not in seen:
-                seen.add(w)
-                prev[w] = (x, eid)
-                work.append(w)
-    eids = []
-    cur = v
-    while cur != u:
-        cur, eid = prev[cur]
-        eids.append(eid)
-    eids.reverse()
-    return eids
-
-
-def _diameter_line(tree: MetricTree, lo: Fraction) -> Line:
-    a, _ = _farthest(tree, tree.vertices[0])
-    b, _ = _farthest(tree, a)
-    a, b = min(a, b), max(a, b)
-    return Line(tree, _vertex_path_eids(tree, a, b), a, lo)
+    a = farthest(tree.rooted_at(tree.vertices[0]))
+    rt = tree.rooted_at(a)
+    b = farthest(rt)
+    return rt.path(min(a, b), max(a, b))[1], min(a, b), rt.depth[b]
 
 
 def generate_cluster(params: GeneratorParams) -> Cluster:
@@ -127,11 +100,13 @@ def generate_cluster(params: GeneratorParams) -> Cluster:
     tree = SimplicialTree(range(n), tedges)
     ztrees = {v: _random_metric_tree(rng, params) for v in range(n)}
     dens = _denominators(params.max_denominator)
+    diameters = {v: _diameter(ztrees[v]) for v in range(n)}
     marks: dict[tuple[int, int], Line] = {}
     for v in range(n):
+        eids, start, _ = diameters[v]
         for eid, _ in tree.neighbors(v):
             base = _rational_in(rng, Fraction(-4), Fraction(4), dens)
-            marks[(v, eid)] = _diameter_line(ztrees[v], base)
+            marks[(v, eid)] = Line(ztrees[v], eids, start, base)
     pieces = {}
     for v in range(n):
         spans = [marks[(w, eid)] for eid, w in tree.neighbors(v)]
@@ -139,8 +114,7 @@ def generate_cluster(params: GeneratorParams) -> Cluster:
             hull_lo = min(line.lo for line in spans)
             hull_hi = max(line.hi for line in spans)
         else:
-            hull_lo, hull_hi = Fraction(0), _farthest(
-                ztrees[v], _farthest(ztrees[v], ztrees[v].vertices[0])[0])[1]
+            hull_lo, hull_hi = Fraction(0), diameters[v][2]
         mid = (hull_lo + hull_hi) / 2
         half = (hull_hi - hull_lo) / 2 * params.slack
         pieces[v] = Piece(ztrees[v], (mid - half, mid + half))

@@ -6,6 +6,15 @@ segments) are exact over ``fractions.Fraction``.  Points are addressed as
 (edge id, offset from the edge's first endpoint) and canonicalized so that
 equal points compare equal: a point sitting on a vertex is always
 represented on the lowest-id edge incident to that vertex.
+
+Routing in both kinds of tree (the metric trees here and the simplicial
+tree indexing the pieces) goes through :class:`RootedTree`: one walk from
+a root records each vertex's parent edge, hop depth and weighted depth,
+and a query climbs from both ends to their meeting vertex, so it costs the
+hop length of its path and no all-pairs table is ever built.  A metric
+tree is rooted lazily, on its first routing query, since most pieces are
+never routed.  Ids are plain ints: a bool, float or string id is rejected
+rather than read as a different vertex or edge.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidPointError, NotOnLineError, SegmentOverflow
 
@@ -41,6 +50,68 @@ class TreeSegment(NamedTuple):
         return abs(self.end - self.start)
 
 
+def int_id(x) -> int:
+    """A vertex or edge id, which must be an int and not a bool."""
+    if type(x) is not int:
+        raise TypeError(f"ids must be integers, got {x!r}")
+    return x
+
+
+class RootedTree:
+    """A tree hung from a root: parent edges, hop depths, weighted depths.
+
+    ``adj`` maps each vertex to its (edge id, neighbor) pairs and
+    ``lengths`` gives edge lengths by id; without it edges are unit and
+    depths are hop counts.  Queries climb from both ends, the deeper end
+    stepping first, so each costs the hop length of its path.
+    """
+
+    def __init__(self, adj: Mapping[int, Iterable[tuple[int, int]]], root: int,
+                 lengths: Sequence[Fraction] | None = None):
+        self.up: dict[int, tuple[int, int]] = {}   # vertex -> (parent edge, parent)
+        self.hops = {root: 0}
+        self.depth = self.hops if lengths is None else {root: Fraction(0)}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for eid, w in adj[v]:
+                if w not in self.hops:
+                    self.up[w] = (eid, v)
+                    self.hops[w] = self.hops[v] + 1
+                    if lengths is not None:
+                        self.depth[w] = self.depth[v] + lengths[eid]
+                    stack.append(w)
+
+    def meet(self, u: int, v: int) -> int:
+        """The vertex where the paths from u and v to the root join."""
+        hops, up = self.hops, self.up
+        while u != v:
+            if hops[u] >= hops[v]:
+                u = up[u][1]
+            else:
+                v = up[v][1]
+        return u
+
+    def _rise(self, u: int, top: int) -> tuple[list[int], list[int]]:
+        verts, eids = [u], []
+        while u != top:
+            eid, u = self.up[u]
+            eids.append(eid)
+            verts.append(u)
+        return verts, eids
+
+    def path(self, u: int, v: int) -> tuple[list[int], list[int]]:
+        """(vertex sequence u..v, edge ids between them)."""
+        m = self.meet(u, v)
+        verts_u, eids_u = self._rise(u, m)
+        verts_v, eids_v = self._rise(v, m)
+        return verts_u + verts_v[-2::-1], eids_u + eids_v[::-1]
+
+    def distance(self, u: int, v: int):
+        d = self.depth
+        return d[u] + d[v] - 2 * d[self.meet(u, v)]
+
+
 class MetricTree:
     """A finite connected acyclic graph with positive rational edge lengths.
 
@@ -56,7 +127,7 @@ class MetricTree:
                 raise ValueError(f"edge {i} is a self-loop at vertex {a}")
             if length <= 0:
                 raise ValueError(f"edge {i} has non-positive length {length}")
-            parsed.append(TreeEdge(int(a), int(b), length))
+            parsed.append(TreeEdge(int_id(a), int_id(b), length))
         if not parsed:
             raise ValueError("a metric tree needs at least one edge")
         self.edges: tuple[TreeEdge, ...] = tuple(parsed)
@@ -95,37 +166,16 @@ class MetricTree:
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in self.vertices if len(self._adj[v]) == 1)
 
+    def rooted_at(self, root: int) -> RootedTree:
+        return RootedTree(self._adj, root, [e.length for e in self.edges])
+
     @cached_property
-    def _routing(self) -> tuple[dict[int, dict[int, Fraction]], dict[int, dict[int, int]]]:
-        # dist[r][v] plus first[r][v] = first edge id on the geodesic r -> v
-        dist: dict[int, dict[int, Fraction]] = {}
-        first: dict[int, dict[int, int]] = {}
-        for root in self.vertices:
-            d = {root: Fraction(0)}
-            f: dict[int, int] = {}
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for eid, w in self._adj[v]:
-                    if w not in d:
-                        d[w] = d[v] + self.edges[eid].length
-                        f[w] = eid if v == root else f[v]
-                        stack.append(w)
-            dist[root] = d
-            first[root] = f
-        return dist, first
+    def _rooted(self) -> RootedTree:
+        return self.rooted_at(self.vertices[0])
 
     def vertex_path_edges(self, u: int, v: int) -> list[int]:
         """Edge ids along the geodesic from u to v, in traversal order."""
-        first = self._routing[1]
-        out: list[int] = []
-        cur = u
-        while cur != v:
-            eid = first[cur][v]
-            out.append(eid)
-            e = self.edges[eid]
-            cur = e.b if cur == e.a else e.a
-        return out
+        return self._rooted.path(u, v)[1]
 
     # -- points ------------------------------------------------------------
 
@@ -165,25 +215,36 @@ class MetricTree:
             return e.b
         return None
 
-    def _exit_costs(self, p: TreePoint) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
-        e = self.edges[p.edge]
-        return (e.a, p.offset), (e.b, e.length - p.offset)
-
     # -- metric ------------------------------------------------------------
+
+    def _lift(self, p: TreePoint) -> tuple[int, Fraction]:
+        """The end of p's edge farther from the root, and p's weighted depth."""
+        rt = self._rooted
+        e = self.edges[p.edge]
+        if rt.hops[e.b] > rt.hops[e.a]:
+            return e.b, rt.depth[e.b] - (e.length - p.offset)
+        return e.a, rt.depth[e.a] - p.offset
+
+    def _meeting(self, p: TreePoint, q: TreePoint
+                 ) -> tuple[int, int, Fraction, Fraction, Fraction]:
+        """For points on different edges: the vertices where the geodesic
+        from p to q leaves p's edge and enters q's, the weighted depths of
+        p and q, and the depth of the geodesic's highest point."""
+        rt = self._rooted
+        cp, dp = self._lift(p)
+        cq, dq = self._lift(q)
+        m = rt.meet(cp, cq)
+        if m == cp:   # q hangs below p's edge: the geodesic descends from p
+            return cp, rt.up[cq][1], dp, dq, dp
+        if m == cq:
+            return rt.up[cp][1], cq, dp, dq, dq
+        return rt.up[cp][1], rt.up[cq][1], dp, dq, rt.depth[m]
 
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
         if p.edge == q.edge:
             return abs(p.offset - q.offset)
-        vd = self._routing[0]
-        best: Fraction | None = None
-        for va, da in self._exit_costs(p):
-            row = vd[va]
-            for vb, db in self._exit_costs(q):
-                t = da + row[vb] + db
-                if best is None or t < best:
-                    best = t
-        assert best is not None
-        return best
+        _, _, dp, dq, dm = self._meeting(p, q)
+        return dp + dq - 2 * dm
 
     def geodesic(self, p: TreePoint, q: TreePoint) -> list[TreeSegment]:
         """The unique geodesic from p to q as directed edge portions.
@@ -194,17 +255,7 @@ class MetricTree:
             return []
         if p.edge == q.edge:
             return [TreeSegment(p.edge, p.offset, q.offset)]
-        vd = self._routing[0]
-        best = None
-        pick = None
-        for va, da in self._exit_costs(p):
-            for vb, db in self._exit_costs(q):
-                t = da + vd[va][vb] + db
-                if best is None or t < best:
-                    best = t
-                    pick = (va, vb)
-        assert pick is not None
-        va, vb = pick
+        va, vb = self._meeting(p, q)[:2]
         segs: list[TreeSegment] = []
         e = self.edges[p.edge]
         exit_off = Fraction(0) if va == e.a else e.length
@@ -237,7 +288,7 @@ class Line:
 
     def __init__(self, tree: MetricTree, edge_path: Iterable[int], start_vertex: int, lo: Fraction | int | str):
         self.tree = tree
-        path = tuple(int(e) for e in edge_path)
+        path = tuple(int_id(e) for e in edge_path)
         if not path:
             raise ValueError("line needs a non-empty edge path")
         if len(set(path)) != len(path):
@@ -246,7 +297,7 @@ class Line:
         spans: dict[int, tuple[Fraction, int]] = {}
         vparams: dict[int, Fraction] = {}
         ends: list[Fraction] = []   # parameter at the far end of each path edge
-        v = int(start_vertex)
+        v = int_id(start_vertex)
         t = lo
         vparams[v] = t
         for eid in path:
@@ -266,7 +317,7 @@ class Line:
             vparams[v] = t
         self.edge_path = path
         self.edge_ends = ends
-        self.start_vertex = int(start_vertex)
+        self.start_vertex = start_vertex
         self.end_vertex = v
         self.lo = lo
         self.hi = t

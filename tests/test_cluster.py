@@ -135,6 +135,31 @@ class TestValidation:
             validate(spec)
         assert any(p[0] == "bad-orient" for p in exc.value.problems)
 
+    def test_rejects_non_integer_ids(self):
+        """Ids that int() would read as another id (a float, a bool, a
+        numeric string) are rejected, not coerced."""
+        def chain3_spec():
+            return to_spec(chain3())
+
+        cases = [
+            (two_piece_spec, ("tree", "vertices"), [0.25, 1]),
+            (two_piece_spec, ("tree", "vertices"), ["0", 1]),
+            (two_piece_spec, ("tree", "vertices"), [0, True]),
+            (two_piece_spec, ("tree", "edges"), [[0, True]]),
+            (two_piece_spec, ("pieces", "0", "tree_edges"), [[0.5, 1, "20"]]),
+            (two_piece_spec, ("pieces", "0", "tree_edges"), [[0, True, "20"]]),
+            (chain3_spec, ("marks", "0:0", "path"), [0, True]),
+            (chain3_spec, ("marks", "0:0", "orient"), True),
+        ]
+        for make, keys, value in cases:
+            spec = make()
+            node = spec
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+            with pytest.raises(ClusterValidationError):
+                validate(spec)
+
     def test_rejects_missing_mark_key(self):
         spec = two_piece_spec()
         del spec["marks"]["1:0"]

@@ -34,6 +34,7 @@ from flipcluster.cluster_iso import (
 )
 from flipcluster.distance_oracle import exact_distance
 from flipcluster.errors import SizeCapError
+from flipcluster.generator import GeneratorParams, planted_pair
 from flipcluster.jsonutil import dumps_canonical
 from flipcluster.metric_tree import Line, MetricTree
 
@@ -322,6 +323,12 @@ class TestIsomorphic:
             d2 = exact_distance(cb, point_image(triple, x),
                                 point_image(triple, y))[0]
             assert d1 == d2
+
+    def test_long_path_pair_runs_on_its_own_stack(self):
+        """The search is deeper than the recursion limit: one level per piece."""
+        ca, cb = planted_pair(GeneratorParams(seed=5, tree_size=(1200, 1200),
+                                              piece_edges=(2, 4), tree_shape="path"))
+        assert isomorphic(ca, cb) is not None
 
     def test_witness_is_deterministic(self):
         blobs = set()

@@ -2,10 +2,14 @@
 
 The reference oracle here is graph shortest-path (Dijkstra over the tree
 with the query points spliced in as extra nodes), which shares no code
-with the routing tables under test.
+with the rooted tree under test; RootedTree itself is checked against a
+plain breadth-first search.
 """
 
 import heapq
+import time
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,7 @@ from flipcluster.metric_tree import (
     Line,
     MetricTree,
     Overlap,
+    RootedTree,
     TreePoint,
     bridge,
     line_intersection,
@@ -159,11 +164,17 @@ def rational(num_range=8, den_range=4):
 
 @st.composite
 def tree_strategy(draw, max_vertices=8):
+    """Random trees with scattered vertex ids and edges drawn in either
+    direction, so the lowest id (the routing root) may sit anywhere and
+    either end of an edge may be its lower end."""
     n = draw(st.integers(2, max_vertices))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
     edges = []
     for v in range(1, n):
-        parent = draw(st.integers(0, v - 1))
-        edges.append((parent, v, draw(rational())))
+        a, b = ids[draw(st.integers(0, v - 1))], ids[v]
+        if draw(st.booleans()):
+            a, b = b, a
+        edges.append((a, b, draw(rational())))
     return MetricTree(edges)
 
 
@@ -211,6 +222,77 @@ class TestMetricProperties:
         tree, (p, q) = tp
         segs = tree.geodesic(p, q)
         assert sum(s.length for s in segs) == tree.distance(p, q)
+
+
+def bfs_path(adj, u, v) -> tuple[list[int], list[int]]:
+    """(vertices, edge ids) from u to v, by breadth-first search from u."""
+    prev = {u: None}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for eid, w in adj[x]:
+            if w not in prev:
+                prev[w] = (eid, x)
+                queue.append(w)
+    verts, eids = [v], []
+    while verts[-1] != u:
+        eid, x = prev[verts[-1]]
+        eids.append(eid)
+        verts.append(x)
+    return verts[::-1], eids[::-1]
+
+
+@st.composite
+def rooted_tree_query(draw):
+    """(adjacency, edge lengths, root, u, v) on a random or path-shaped
+    tree with scattered vertex ids, shuffled edge ids and any root."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    eids = draw(st.permutations(range(n - 1)))
+    path_shaped = draw(st.booleans())
+    adj = {x: [] for x in ids}
+    lengths = [None] * (n - 1)
+    for v in range(1, n):
+        parent = v - 1 if path_shaped else draw(st.integers(0, v - 1))
+        eid = eids[v - 1]
+        lengths[eid] = draw(rational())
+        adj[ids[parent]].append((eid, ids[v]))
+        adj[ids[v]].append((eid, ids[parent]))
+    root, u, v = (draw(st.sampled_from(ids)) for _ in range(3))
+    return adj, lengths, root, u, v
+
+
+class TestRootedTree:
+    @settings(max_examples=200, deadline=None)
+    @given(rooted_tree_query())
+    def test_agrees_with_bfs(self, query):
+        adj, lengths, root, u, v = query
+        verts, eids = bfs_path(adj, u, v)
+        weighted = RootedTree(adj, root, lengths)
+        unit = RootedTree(adj, root)
+        assert weighted.path(u, v) == unit.path(u, v) == (verts, eids)
+        hops_from_root = {x: len(bfs_path(adj, root, x)[1]) for x in verts}
+        assert weighted.meet(u, v) == min(verts, key=hops_from_root.__getitem__)
+        assert weighted.distance(u, v) == sum(lengths[e] for e in eids)
+        assert unit.distance(u, v) == len(eids)
+
+    def test_first_distance_on_a_long_path_is_linear(self):
+        """The first query on a path-shaped piece with 2,000 edges, between
+        its end leaves, roots the tree in linear time and space."""
+        n = 2000
+        tree = MetricTree([(v, v + 1, F(v % 7 + 1, 4)) for v in range(n)])
+        p, q = tree.vertex_point(0), tree.vertex_point(n)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            d = tree.distance(p, q)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == sum(e.length for e in tree.edges)
+        assert elapsed < 1.0
+        assert peak < 8 * 2**20
 
 
 @st.composite
