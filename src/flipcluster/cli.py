@@ -55,6 +55,16 @@ def _parse_point(c, text: str):
         raise UsageError(f"bad point {text!r}: {ex}")
 
 
+def _parse_eps(text: str):
+    try:
+        eps = parse_rational(text)
+    except ValueError as ex:
+        raise UsageError(f"bad --eps: {ex}")
+    if eps <= 0:
+        raise UsageError(f"--eps must be positive, got {text}")
+    return eps
+
+
 class UsageError(Exception):
     pass
 
@@ -93,6 +103,7 @@ def cmd_dist(args) -> int:
     c = _load_cluster(args.file)
     x = _parse_point(c, args.point_a)
     y = _parse_point(c, args.point_b)
+    eps = None if args.eps is None else _parse_eps(args.eps)
     try:
         value, profile = exact_distance(c, x, y)
     except SegmentOverflow as ex:
@@ -110,8 +121,7 @@ def cmd_dist(args) -> int:
             "h": [format_rational(t) for t in profile.h],
         },
     }
-    if args.eps is not None:
-        eps = parse_rational(args.eps)
+    if eps is not None:
         try:
             oracle = DiscretizedOracle(c, eps, cap=args.cap)
         except SizeCapError as ex:

@@ -174,7 +174,7 @@ class Cluster:
 
     def point(self, v: int, edge: int, offset, height) -> ClusterPoint:
         """Build and canonicalize a point from raw coordinates."""
-        if v not in self.pieces:
+        if int_id(v) not in self.pieces:
             raise InvalidPointError(f"no piece at vertex {v}")
         piece = self.pieces[v]
         horizontal = piece.tree.point(edge, Fraction(offset))

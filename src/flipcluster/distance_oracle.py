@@ -41,14 +41,24 @@ most 2*eps per wall plus 2*eps at the ends, so with n+1 pieces traversed
     exact <= discretized <= exact + 4 * eps * (n + 1).
 
 The constant C = 4 is what the agreement criterion checks against.
+
+The graph is built once per oracle, on integers.  Node (v, tree sample
+i, height index j) has the id ``base[v] + i * H_v + j``, so rails and
+rungs are index arithmetic; every weight is scaled to an int by the
+common denominator of all graph weights.  The wall snaps are hoisted:
+the samples around a transferred point depend on the height alone on one
+side and on the tree sample alone on the other.  A query joins its two
+ends to the samples around them, scales those weights and the graph's to
+one common denominator, and runs Dijkstra on Python ints, reaching the
+target through one reserved id past the grid.
 """
 
 from __future__ import annotations
 
-import bisect
-import heapq
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import inf, lcm
 from typing import NamedTuple
 
 from .cluster import Cluster, ClusterPoint, piece_distance, support_route
@@ -176,7 +186,8 @@ class _PieceGrid:
     Tree samples subdivide each edge into the fewest power-of-two parts
     of length <= eps; height samples do the same between breakpoints
     (window ends and twin-range ends), so refining eps by halves only
-    ever adds nodes.
+    ever adds nodes.  Tree samples are numbered in edge order, the first
+    time each point is met, and heights in increasing order.
     """
 
     def __init__(self, c: Cluster, v: int, eps: Fraction):
@@ -184,13 +195,17 @@ class _PieceGrid:
         self.v = v
         self.tree = piece.tree
         self.edge_steps: dict[int, Fraction] = {}
-        self.edge_parts: dict[int, int] = {}
+        self.edge_samples: dict[int, list[int]] = {}   # sample numbers at step * k
+        number: dict[TreePoint, int] = {}
         for eid, e in enumerate(piece.tree.edges):
             parts = 1
             while e.length / parts > eps:
                 parts *= 2
-            self.edge_steps[eid] = e.length / parts
-            self.edge_parts[eid] = parts
+            step = self.edge_steps[eid] = e.length / parts
+            self.edge_samples[eid] = [
+                number.setdefault(piece.tree.point(eid, step * k), len(number))
+                for k in range(parts + 1)]
+        self.points = list(number)
         breaks = {piece.window[0], piece.window[1]}
         for eid, w in c.tree.neighbors(v):
             twin = c.marks[(w, eid)]
@@ -209,46 +224,38 @@ class _PieceGrid:
         self.heights = heights
 
     def node_count(self) -> int:
-        pts = sum(p - 1 for p in self.edge_parts.values()) + len(self.tree.vertices)
-        return pts * len(self.heights)
+        return len(self.points) * len(self.heights)
 
-    def tree_points(self):
-        seen = set()
-        for eid, parts in self.edge_parts.items():
-            step = self.edge_steps[eid]
-            for k in range(parts + 1):
-                tp = self.tree.point(eid, step * k)
-                if tp not in seen:
-                    seen.add(tp)
-                    yield tp
-
-    def tree_neighbors(self, p: TreePoint) -> list[tuple[TreePoint, Fraction]]:
-        """Grid samples adjacent to an arbitrary point on the same edge."""
+    def tree_neighbors(self, p: TreePoint) -> list[tuple[int, Fraction]]:
+        """Numbers of the samples next to a point on the same edge, with
+        their distances to it."""
         step = self.edge_steps[p.edge]
-        k = p.offset / step
-        lo = int(k)
-        out = []
-        for j in {lo, lo + 1}:
-            off = step * j
-            if 0 <= off <= self.tree.edges[p.edge].length:
-                q = self.tree.point(p.edge, off)
-                out.append((q, abs(off - p.offset)))
-        return out
+        row = self.edge_samples[p.edge]
+        lo = int(p.offset / step)
+        return [(row[k], abs(step * k - p.offset))
+                for k in (lo, lo + 1) if k < len(row)]
 
-    def height_neighbors(self, h: Fraction) -> list[tuple[Fraction, Fraction]]:
+    def height_neighbors(self, h: Fraction) -> list[tuple[int, Fraction]]:
+        """Indices of the sample heights next to h, with their distances."""
         hs = self.heights
         if h <= hs[0]:
-            return [(hs[0], hs[0] - h)]
+            return [(0, hs[0] - h)]
         if h >= hs[-1]:
-            return [(hs[-1], h - hs[-1])]
-        i = bisect.bisect_left(hs, h)
+            return [(len(hs) - 1, h - hs[-1])]
+        i = bisect_left(hs, h)
         if hs[i] == h:
-            return [(h, Fraction(0))]
-        return [(hs[i - 1], h - hs[i - 1]), (hs[i], hs[i] - h)]
+            return [(i, Fraction(0))]
+        return [(i - 1, h - hs[i - 1]), (i, hs[i] - h)]
 
 
 class DiscretizedOracle:
-    """Shortest paths on a sampled graph; reusable across query pairs."""
+    """Shortest paths on a sampled graph; reusable across query pairs.
+
+    ``adj`` has one entry per grid node: node (v, tree sample i, height
+    index j) is ``adj[base[v] + i * H_v + j]``, with H_v the number of
+    sample heights of piece v.  Each entry lists (neighbor id, weight)
+    pairs, weights as ints in units of ``1 / den``.
+    """
 
     def __init__(self, c: Cluster, eps: Fraction, cap: int = DEFAULT_NODE_CAP):
         eps = Fraction(eps)
@@ -257,100 +264,141 @@ class DiscretizedOracle:
         self.cluster = c
         self.eps = eps
         self.grids = {v: _PieceGrid(c, v, eps) for v in c.tree.vertices}
-        total = sum(g.node_count() for g in self.grids.values())
+        self.base: dict[int, int] = {}
+        total = 0
+        for v, grid in self.grids.items():
+            self.base[v] = total
+            total += grid.node_count()
         if total > cap:
             raise SizeCapError(
                 f"discretization needs {total} nodes, over the cap of {cap}"
             )
-        self.adj: dict[tuple, list[tuple[tuple, Fraction]]] = {}
-        self._build()
-        self._den = 1
-        for nbrs in self.adj.values():
-            for _, w in nbrs:
-                self._den = lcm(self._den, w.denominator)
+        self.den, self.adj = self._build(total)
 
-    def _edge(self, a, b, w: Fraction):
-        self.adj.setdefault(a, []).append((b, w))
-        self.adj.setdefault(b, []).append((a, w))
-
-    def _build(self):
+    def _build(self, total: int) -> tuple[int, list[list[tuple[int, int]]]]:
+        """The common denominator of all weights, and the adjacency lists."""
         c = self.cluster
-        for v, grid in self.grids.items():
-            pts = list(grid.tree_points())
-            # vertical rails
-            for p in pts:
-                for h1, h2 in zip(grid.heights, grid.heights[1:]):
-                    self._edge((v, p, h1), (v, p, h2), h2 - h1)
-            # horizontal rungs at every height
-            for eid, parts in grid.edge_parts.items():
-                step = grid.edge_steps[eid]
-                for k in range(parts):
-                    a = grid.tree.point(eid, step * k)
-                    b = grid.tree.point(eid, step * (k + 1))
-                    for h in grid.heights:
-                        self._edge((v, a, h), (v, b, h), step)
-            # wall snaps into each neighbor
+        grids, base = self.grids, self.base
+        # wall snaps, hoisted: the tree samples across the wall depend only
+        # on the height index j, the height samples only on the point i
+        walls = []
+        fractions: list[Fraction] = []
+        for v, grid in grids.items():
+            hs = grid.heights
+            fractions.extend(grid.edge_steps.values())
+            fractions.extend(h2 - h1 for h1, h2 in zip(hs, hs[1:]))
             for eid, w in c.tree.neighbors(v):
                 line = c.marks[(v, eid)]
                 twin = c.marks[(w, eid)]
-                wgrid = self.grids[w]
-                for p in pts:
-                    if not line.contains(p):
-                        continue
-                    t = line.coord_of(p)
-                    for h in grid.heights:
-                        if not twin.lo <= h <= twin.hi:
-                            continue
-                        other = ClusterPoint(w, twin.point_at(h), t)
-                        for q, dq in wgrid.tree_neighbors(other.horizontal):
-                            for hh, dh in wgrid.height_neighbors(other.height):
-                                self._edge((v, p, h), (w, q, hh), dq + dh)
+                wgrid = grids[w]
+                rows = [(i, wgrid.height_neighbors(line.coord_of(p)))
+                        for i, p in enumerate(grid.points) if line.contains(p)]
+                cols = [(j, wgrid.tree_neighbors(twin.point_at(hs[j])))
+                        for j in range(bisect_left(hs, twin.lo),
+                                       bisect_right(hs, twin.hi))]
+                for _, nbrs in rows + cols:
+                    fractions.extend(d for _, d in nbrs)
+                walls.append((v, w, rows, cols))
+        den = lcm(*(f.denominator for f in fractions))
 
-    def _attach(self, label: str, pt: ClusterPoint):
-        c = self.cluster
-        for v, (hor, hei) in c.supports(pt).items():
+        def scale(f: Fraction) -> int:
+            return f.numerator * (den // f.denominator)
+
+        adj: list[list[tuple[int, int]]] = [[]] * total   # every id set below
+        for v, grid in grids.items():
+            hs = grid.heights
+            n_h = len(hs)
+            # id steps and weights: vertical rails along one column of
+            # heights, horizontal rungs from each tree sample
+            rails: list[list[tuple[int, int]]] = [[] for _ in hs]
+            for j, (h1, h2) in enumerate(zip(hs, hs[1:])):
+                rise = scale(h2 - h1)
+                rails[j].append((1, rise))
+                rails[j + 1].append((-1, rise))
+            rungs: list[list[tuple[int, int]]] = [[] for _ in grid.points]
+            for eid, row in grid.edge_samples.items():
+                step = scale(grid.edge_steps[eid])
+                for i, k in zip(row, row[1:]):
+                    rungs[i].append(((k - i) * n_h, step))
+                    rungs[k].append(((i - k) * n_h, step))
+            for i, moves in enumerate(rungs):
+                for a, rail in enumerate(rails, base[v] + i * n_h):
+                    adj[a] = [(a + d, weight) for d, weight in moves + rail]
+        for v, w, rows, cols in walls:
+            b, n_h = base[v], len(grids[v].heights)
+            wb, wn_h = base[w], len(grids[w].heights)
+            across = [(j, [(wb + k * wn_h, scale(dq)) for k, dq in nbrs])
+                      for j, nbrs in cols]
+            for i, nbrs in rows:
+                ups = [(k, scale(dh)) for k, dh in nbrs]
+                node = b + i * n_h
+                for j, samples in across:
+                    a = node + j
+                    for start, dq in samples:
+                        for k, dh in ups:
+                            z, weight = start + k, dq + dh
+                            adj[a].append((z, weight))
+                            adj[z].append((a, weight))
+        return den, adj
+
+    def _ends(self, reps: dict[int, tuple[TreePoint, Fraction]]
+              ) -> list[tuple[int, Fraction]]:
+        """Grid nodes next to a point in each of its pieces (its supports),
+        with distances."""
+        out = []
+        for v, (hor, hei) in reps.items():
             grid = self.grids[v]
-            for q, dq in grid.tree_neighbors(hor):
-                for hh, dh in grid.height_neighbors(hei):
-                    self._edge((label,), (v, q, hh), dq + dh)
+            b, n_h = self.base[v], len(grid.heights)
+            for i, dq in grid.tree_neighbors(hor):
+                for j, dh in grid.height_neighbors(hei):
+                    out.append((b + i * n_h + j, dq + dh))
+        return out
 
     def distance(self, x0: ClusterPoint, xn: ClusterPoint) -> Fraction:
-        if self.cluster.same_point(x0, xn):
+        sx, sy = self.cluster.supports(x0), self.cluster.supports(xn)
+        vx, vy = min(sx), min(sy)
+        if vx == vy and sx[vx] == sy[vy]:   # the same canonical point
             return Fraction(0)
-        self._attach("src", x0)
-        self._attach("dst", xn)
-        den = self._den
-        for label in (("src",), ("dst",)):
-            for _, w in self.adj.get(label, ()):
-                den = lcm(den, w.denominator)
-        try:
-            return self._dijkstra(("src",), ("dst",), den)
-        finally:
-            self._detach()
+        src, dst = self._ends(sx), self._ends(sy)
+        den = lcm(self.den, *(w.denominator for _, w in src + dst))
 
-    def _detach(self):
-        for label in (("src",), ("dst",)):
-            for node, w in self.adj.pop(label, []):
-                self.adj[node] = [(n, ww) for n, ww in self.adj[node]
-                                 if n != label]
+        def scaled(ends) -> dict[int, int]:
+            out: dict[int, int] = {}
+            for node, w in ends:
+                d = w.numerator * (den // w.denominator)
+                if d < out.get(node, d + 1):
+                    out[node] = d
+            return out
 
-    def _dijkstra(self, src, dst, den: int) -> Fraction:
-        # scale to integers: comparisons dominate, Fractions are slow in heaps
-        dist = {src: 0}
-        heap = [(0, 0, src)]
-        tick = 1
+        return Fraction(self._dijkstra(scaled(src), scaled(dst), den // self.den), den)
+
+    def _dijkstra(self, src: dict[int, int], dst: dict[int, int], m: int) -> int:
+        """Shortest src-to-dst length, in units of 1/(m * den).
+
+        Graph weights count m each; the target is one reserved id past
+        the grid, pushed from every settled node that dst attaches.
+        """
+        adj = self.adj
+        goal = len(adj)
+        dist = [inf] * goal
+        for node, d in src.items():
+            dist[node] = d
+        heap = [(d, node) for node, d in src.items()]
+        heapify(heap)
         while heap:
-            d, _, node = heapq.heappop(heap)
+            d, node = heappop(heap)
+            if node == goal:
+                return d
             if d > dist[node]:
                 continue
-            if node == dst:
-                return Fraction(d, den)
-            for nxt, w in self.adj[node]:
-                nd = d + int(w * den)
-                if nxt not in dist or nd < dist[nxt]:
+            last = dst.get(node)
+            if last is not None:
+                heappush(heap, (d + last, goal))
+            for nxt, w in adj[node]:
+                nd = d + w * m
+                if nd < dist[nxt]:
                     dist[nxt] = nd
-                    heapq.heappush(heap, (nd, tick, nxt))
-                    tick += 1
+                    heappush(heap, (nd, nxt))
         raise AssertionError("endpoint unreachable in discretization graph")
 
 

@@ -188,7 +188,7 @@ class MetricTree:
 
     def point(self, edge: int, offset: Fraction | int | str) -> TreePoint:
         offset = Fraction(offset)
-        if not 0 <= edge < len(self.edges):
+        if not 0 <= int_id(edge) < len(self.edges):
             raise InvalidPointError(f"edge id {edge} out of range")
         e = self.edges[edge]
         if offset < 0 or offset > e.length:

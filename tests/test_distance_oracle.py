@@ -5,10 +5,17 @@ profile on a rational grid (valid here because every coupling in the
 fixtures has sigma = +1 and integer anchors, so some minimizer is
 integral), and `discretized_distance` runs Dijkstra on a sampled graph
 that can only overshoot, by at most 4 * eps per piece traversed.
+
+The oracle's integer graph is itself checked against `ReferenceGraph`:
+the same samples and edges keyed by (vertex, TreePoint, height) tuples,
+Fraction weights and a plain Fraction Dijkstra.
 """
 
+import heapq
 import itertools
 import random
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,12 +25,15 @@ from flipcluster.cluster import piece_distance, supporting_vertices
 from flipcluster.distance_oracle import (
     CrossingProfile,
     DiscretizedOracle,
+    _PieceGrid,
     crossing_objective,
     default_eps,
     discretized_distance,
     exact_distance,
 )
 from flipcluster.errors import SegmentOverflow, SizeCapError
+from flipcluster.generator import generate_cluster, sample_points
+from flipcluster.suites import ORACLE_CORPUS, _params
 
 F = Fraction
 
@@ -270,3 +280,174 @@ class TestDiscretized:
     def test_default_eps(self):
         assert default_eps(two_piece()) == F(5, 2)
         assert default_eps(chain3()) == F(1, 4)
+
+
+# -- the integer graph against a tuple-keyed Fraction graph -----------------------
+
+
+class ReferenceGraph:
+    """The discretization graph with tuple node keys and Fraction weights.
+
+    Built from each piece's `_PieceGrid` samples and nothing else of the
+    oracle: rails between consecutive heights, rungs between consecutive
+    tree samples, wall snaps from every sample on a mark (at every height
+    in the twin range) to the samples around its transfer, and per query
+    the ends joined to the samples around them.  Dijkstra runs on
+    Fractions directly.
+    """
+
+    def __init__(self, c, eps):
+        self.c = c
+        self.grids = {v: _PieceGrid(c, v, eps) for v in c.tree.vertices}
+        self.adj = {}
+        for v, grid in self.grids.items():
+            pts = list(dict.fromkeys(
+                p for eid in grid.edge_steps for p in self._samples(grid, eid)))
+            for p in pts:
+                for h1, h2 in zip(grid.heights, grid.heights[1:]):
+                    self._edge((v, p, h1), (v, p, h2), h2 - h1)
+            for eid, step in grid.edge_steps.items():
+                row = self._samples(grid, eid)
+                for a, b in zip(row, row[1:]):
+                    for h in grid.heights:
+                        self._edge((v, a, h), (v, b, h), step)
+            for eid, w in c.tree.neighbors(v):
+                line, twin = c.marks[(v, eid)], c.marks[(w, eid)]
+                for p in pts:
+                    if not line.contains(p):
+                        continue
+                    t = line.coord_of(p)
+                    for h in grid.heights:
+                        if twin.lo <= h <= twin.hi:
+                            self._snap((v, p, h), w, twin.point_at(h), t)
+
+    @staticmethod
+    def _samples(grid, eid):
+        step = grid.edge_steps[eid]
+        parts = grid.tree.edges[eid].length / step
+        return [grid.tree.point(eid, step * k) for k in range(int(parts) + 1)]
+
+    def _edge(self, a, b, w):
+        self.adj.setdefault(a, []).append((b, w))
+        self.adj.setdefault(b, []).append((a, w))
+
+    def _snap(self, node, v, hor, hei):
+        """Join node to the samples of piece v around (hor, hei)."""
+        grid = self.grids[v]
+        step = grid.edge_steps[hor.edge]
+        row = self._samples(grid, hor.edge)
+        lo = int(hor.offset / step)
+        near = [(row[k], abs(step * k - hor.offset))
+                for k in (lo, lo + 1) if k < len(row)]
+        hs = grid.heights
+        if hei <= hs[0]:
+            ups = [(hs[0], hs[0] - hei)]
+        elif hei >= hs[-1]:
+            ups = [(hs[-1], hei - hs[-1])]
+        elif hei in hs:
+            ups = [(hei, Fraction(0))]
+        else:
+            i = bisect_left(hs, hei)
+            ups = [(hs[i - 1], hei - hs[i - 1]), (hs[i], hs[i] - hei)]
+        for q, dq in near:
+            for h, dh in ups:
+                self._edge(node, (v, q, h), dq + dh)
+
+    def distance(self, x, y):
+        if self.c.same_point(x, y):
+            return Fraction(0)
+        for label, pt in (("src",), x), (("dst",), y):
+            for v, (hor, hei) in self.c.supports(pt).items():
+                self._snap(label, v, hor, hei)
+        try:
+            dist = {("src",): Fraction(0)}
+            heap = [(Fraction(0), 0, ("src",))]
+            tick = itertools.count(1)
+            while heap:
+                d, _, node = heapq.heappop(heap)
+                if node == ("dst",):
+                    return d
+                if d > dist[node]:
+                    continue
+                for nxt, w in self.adj[node]:
+                    if nxt not in dist or d + w < dist[nxt]:
+                        dist[nxt] = d + w
+                        heapq.heappush(heap, (d + w, next(tick), nxt))
+            raise AssertionError("dst unreachable")
+        finally:
+            for label in (("src",), ("dst",)):
+                for node, _ in self.adj.pop(label):
+                    self.adj[node] = [e for e in self.adj[node] if e[0] != label]
+
+
+def wall_point(c, rng):
+    """A point on a random wall, off the power-of-two grid: it lies in both
+    pieces of the wall's T-edge, and in more where walls meet."""
+    eid = rng.randrange(len(c.tree.edges))
+    v, w = c.tree.edges[eid]
+    line, twin = c.marks[(v, eid)], c.marks[(w, eid)]
+    t = line.lo + line.length * F(rng.randint(0, 24), 24)
+    h = twin.lo + twin.length * F(rng.randint(0, 24), 24)
+    return c.point(v, *line.point_at(t), h)
+
+
+def keyed_edges(oracle):
+    """The oracle's adjacency with ids read back as (v, TreePoint, height)
+    keys and weights as Fractions, each node's edges as a multiset."""
+    keys = [(v, p, h) for v, grid in oracle.grids.items()
+            for p in grid.points for h in grid.heights]
+    assert len(keys) == len(oracle.adj)
+    out = {}
+    for a, nbrs in enumerate(oracle.adj):
+        assert all(type(w) is int for _, w in nbrs)
+        out[keys[a]] = Counter((keys[b], Fraction(w, oracle.den)) for b, w in nbrs)
+    return out
+
+
+REFEREE_INSTANCES = 30
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus():
+    """Seeded ORACLE_CORPUS instances: one, two or three pieces."""
+    return [generate_cluster(_params(ORACLE_CORPUS, 7_000 + i))
+            for i in range(REFEREE_INSTANCES)]
+
+
+def test_integer_graph_equals_reference(oracle_corpus):
+    walls = 0
+    for i, c in enumerate(oracle_corpus):
+        eps = 2 * default_eps(c)   # coarser than the suite's: a quick reference
+        oracle, ref = DiscretizedOracle(c, eps), ReferenceGraph(c, eps)
+        assert keyed_edges(oracle) == {a: Counter(nbrs) for a, nbrs in ref.adj.items()}
+        rng = random.Random(i)
+        on_grid = sample_points(c, rng, 2)
+        off_grid = sample_points(c, rng, 2, denominator=24)
+        pairs = [on_grid, off_grid]
+        if c.tree.edges:
+            wall = wall_point(c, rng)
+            assert len(c.supports(wall)) >= 2
+            walls += 1
+            twin = c.represent_at(wall, max(c.supports(wall)))
+            assert oracle.distance(twin, wall) == 0
+            pairs += [(wall, off_grid[0]), (on_grid[1], wall)]
+        for x, y in pairs:
+            assert oracle.distance(x, y) == ref.distance(x, y)
+    assert walls >= REFEREE_INSTANCES // 2
+
+
+class TestOracleBound:
+    """exact <= approx <= exact + 4 * eps * (n + 1), with both halves used."""
+
+    def test_off_grid_pairs_overshoot_within_bound(self, oracle_corpus):
+        over = 0
+        for i, c in enumerate(oracle_corpus):
+            eps = default_eps(c)
+            oracle = DiscretizedOracle(c, eps)
+            pts = sample_points(c, random.Random(100 + i), 20, denominator=24)
+            for x, y in zip(pts[0::2], pts[1::2]):
+                exact, prof = exact_distance(c, x, y)
+                approx = oracle.distance(x, y)
+                assert exact <= approx <= exact + 4 * eps * (len(prof.edges) + 1)
+                over += approx > exact
+        assert over > 0

@@ -335,6 +335,30 @@ class TestCLI:
         rc, _ = run_cli("dist", path, "nope", "{}")
         assert rc == 2
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "abc"])
+    def test_dist_bad_eps_is_usage_error(self, small_instance, eps):
+        from flipcluster.cluster import point_to_spec
+        c, path = small_instance
+        pts = sample_points(c, random.Random(2), 2)
+        args = [json.dumps(point_to_spec(p)) for p in pts]
+        rc, text = run_cli("dist", path, *args, "--eps", eps)
+        assert rc == 2
+        assert text == ""
+
+    @pytest.mark.parametrize("ids", [{"vertex": False}, {"edge": False}])
+    def test_dist_bool_ids_are_usage_error(self, small_instance, ids):
+        from flipcluster.cluster import point_to_spec
+        c, path = small_instance
+        lo = c.pieces[0].window[0]
+        spec = point_to_spec(c.point(0, 0, 0, lo))
+        assert (spec["vertex"], spec["edge"]) == (0, 0)
+        good = json.dumps(spec)
+        rc, _ = run_cli("dist", path, good, good)
+        assert rc == 0
+        rc, text = run_cli("dist", path, json.dumps({**spec, **ids}), good)
+        assert rc == 2
+        assert text == ""
+
     def test_special_path_lengths_sum(self, small_instance):
         from flipcluster.cluster import point_to_spec
         c, path = small_instance
