@@ -20,6 +20,15 @@ over feature bijections.  The search anchored on a mapped mark follows
 the good-triple growth: fix the images of the carrier's features, then
 backtrack over branch matchings in canonical order.
 
+isomorphic roots T at its first vertex and decides it subtree by
+subtree.  The piece map at w fixes, for each child wall, the target wall,
+the child's image, the pinned mark and the child's height shift; the
+mark map is a bijection, so distinct children go to distinct targets and
+their subtrees are independent problems.  A child takes its first
+extension under which all of its own children solve, memoized on the
+pin, which is the same witness a depth-first search over whole triples
+finds first.  Normal forms and the memo live for one call.
+
 brute_force_iso is the independent referee: it enumerates simplicial
 T-bijections directly and, per vertex, searches raw distance-matrix
 bijections built by its own chain contraction, checking the same wall
@@ -28,6 +37,7 @@ equations at the end.  It shares no search code with the anchored route.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -43,13 +53,6 @@ class FeatureEdge(NamedTuple):
     v: int
     length: Fraction
     chain: tuple[tuple[int, bool], ...]   # raw (eid, traversed a->b) from u
-
-
-class MarkNF(NamedTuple):
-    start: int
-    end: int
-    lo: Fraction
-    hi: Fraction
 
 
 class NormalForm:
@@ -92,17 +95,13 @@ class NormalForm:
                     cur_eid, nxt = (e2, w2) if e1 == chain[-1][0] else (e1, w1)
                 fedges.append(FeatureEdge(f, nxt, pos, tuple(chain)))
         self.fedges = tuple(fedges)
-        self.pair_to_fedge = {}
-        for i, fe in enumerate(self.fedges):
-            self.pair_to_fedge[frozenset((fe.u, fe.v))] = i
+        self.pair_to_fedge = {
+            frozenset((fe.u, fe.v)): i for i, fe in enumerate(self.fedges)}
+        # (feature edge, far end) lists, sorted by edge as they are filled
         self.adj: dict[int, list[tuple[int, int]]] = {f: [] for f in self.features}
         for i, fe in enumerate(self.fedges):
             self.adj[fe.u].append((i, fe.v))
             self.adj[fe.v].append((i, fe.u))
-        for f in self.adj:
-            self.adj[f].sort()
-        self.marks_nf = tuple(
-            MarkNF(m.start_vertex, m.end_vertex, m.lo, m.hi) for m in marks)
 
     def locate(self, p: TreePoint) -> tuple[int, Fraction]:
         """(feature edge index, offset from its u end)."""
@@ -119,17 +118,10 @@ class NormalForm:
             x -= length
         raise ValueError("offset beyond feature edge")
 
-    def feature_point(self, f: int) -> TreePoint:
-        return self.tree.vertex_point(f)
-
     def mark_param_vertices(self, i: int) -> list[tuple[int, Fraction]]:
         """Feature vertices along mark i with their parameters."""
-        line = self.marks[i]
-        out = []
-        for v, t in sorted(line.vertex_params.items(), key=lambda kv: kv[1]):
-            if v in self.adj:
-                out.append((v, t))
-        return out
+        params = sorted(self.marks[i].vertex_params.items(), key=lambda kv: kv[1])
+        return [(v, t) for v, t in params if v in self.adj]
 
 
 class MarkedTreeIso:
@@ -173,44 +165,33 @@ def _mark_assignments(nf_a: NormalForm, nf_b: NormalForm,
     each group of duplicates is permuted; usually every group is a
     singleton and exactly one pairing comes out.
     """
-    want = []
-    for m in nf_a.marks_nf:
-        want.append(frozenset((vertex_map[m.start], vertex_map[m.end])))
     have: dict[frozenset, list[int]] = {}
-    for j, m in enumerate(nf_b.marks_nf):
-        have.setdefault(frozenset((m.start, m.end)), []).append(j)
+    for j, m in enumerate(nf_b.marks):
+        have.setdefault(frozenset((m.start_vertex, m.end_vertex)), []).append(j)
     groups: dict[frozenset, list[int]] = {}
-    for i, key in enumerate(want):
+    for i, m in enumerate(nf_a.marks):
+        key = frozenset((vertex_map[m.start_vertex], vertex_map[m.end_vertex]))
         groups.setdefault(key, []).append(i)
     if any(len(have.get(k, ())) != len(members) for k, members in groups.items()):
-        return
-    if sum(len(members) for members in groups.values()) != len(nf_b.marks_nf):
         return
     keys = sorted(groups, key=lambda k: sorted(k))
     choices = []
     for key in keys:
-        perms = []
-        for perm in itertools.permutations(have[key]):
-            pairing = list(zip(groups[key], perm))
-            if pin and pin[0] in groups[key]:
-                if dict(pairing)[pin[0]] != pin[1]:
-                    continue
-            perms.append(pairing)
+        perms = [list(zip(groups[key], perm))
+                 for perm in itertools.permutations(have[key])]
+        if pin and pin[0] in groups[key]:
+            perms = [pairing for pairing in perms if dict(pairing)[pin[0]] == pin[1]]
         if not perms:
             return
         choices.append(perms)
     for combo in itertools.product(*choices):
-        assignment = [-1] * len(nf_a.marks_nf)
-        for pairing in combo:
-            for i, j in pairing:
-                assignment[i] = j
-        yield tuple(assignment)
+        yield tuple(j for _, j in sorted(itertools.chain(*combo)))
 
 
 def _transform_for(nf_a: NormalForm, nf_b: NormalForm, vertex_map: dict,
                    i: int, j: int) -> tuple[int, Fraction]:
-    ma, mb = nf_a.marks_nf[i], nf_b.marks_nf[j]
-    if vertex_map[ma.start] == mb.start:
+    ma, mb = nf_a.marks[i], nf_b.marks[j]
+    if vertex_map[ma.start_vertex] == mb.start_vertex:
         return (1, mb.lo - ma.lo)
     return (-1, mb.hi + ma.lo)
 
@@ -226,45 +207,55 @@ def marked_tree_extensions(nf_a: NormalForm, nf_b: NormalForm,
     """
     if len(nf_a.features) != len(nf_b.features):
         return
-    if len(nf_a.marks_nf) != len(nf_b.marks_nf):
+    if len(nf_a.marks) != len(nf_b.marks):
         return
     if sorted(fe.length for fe in nf_a.fedges) != \
             sorted(fe.length for fe in nf_b.fedges):
         return
 
-    seeds: list[dict[int, int]] = []
-    if pin is not None:
+    if pin is None:
+        seeds = [{nf_a.features[0]: cand} for cand in nf_b.features]
+    else:
+        # the pinned carrier's features go where the transform sends them
         i, j, sigma, shift = pin
-        mb = nf_b.marks_nf[j]
-        line_b = nf_b.marks[j]
-        ma = nf_a.marks_nf[i]
-        ends = sorted((sigma * ma.lo + shift, sigma * ma.hi + shift))
-        if ends != [mb.lo, mb.hi]:
+        ma, mb = nf_a.marks[i], nf_b.marks[j]
+        if sorted((sigma * ma.lo + shift, sigma * ma.hi + shift)) != [mb.lo, mb.hi]:
             return
         seed: dict[int, int] = {}
-        ok = True
         for v, t in nf_a.mark_param_vertices(i):
             t2 = sigma * t + shift
-            if not mb.lo <= t2 <= mb.hi:
-                ok = False
-                break
-            q = line_b.point_at(t2)
-            qv = nf_b.tree.point_vertex(q)
+            qv = nf_b.tree.point_vertex(mb.point_at(t2)) \
+                if mb.lo <= t2 <= mb.hi else None
             if qv is None or qv not in nf_b.adj:
-                ok = False
-                break
+                return
             seed[v] = qv
-        if ok and len(set(seed.values())) == len(seed):
-            seeds.append(seed)
-    else:
-        root = nf_a.features[0]
-        for cand in nf_b.features:
-            seeds.append({root: cand})
-
+        seeds = [seed]
     for seed in seeds:
-        if len(set(seed.values())) != len(seed):
+        if len(set(seed.values())) == len(seed):
+            yield from _grow(nf_a, nf_b, seed, pin)
+
+
+def _growth_order(nf: NormalForm, mapped: set[int], done: set[int]
+                  ) -> list[tuple[int, int, int]]:
+    """The feature edges still to map, as (mapped end v, edge, far end w).
+
+    Each step takes the lowest mapped vertex with an unmapped edge and
+    its first such edge.  Which source vertices are mapped never depends
+    on the images chosen, so the order is fixed before the search.
+    """
+    mapped, done, heap, order = set(mapped), set(done), sorted(mapped), []
+    while heap:
+        v = heap[0]
+        i, w = next(((i, w) for i, w in nf.adj[v] if i not in done), (None, None))
+        if i is None:
+            heapq.heappop(heap)
             continue
-        yield from _grow(nf_a, nf_b, seed, pin)
+        done.add(i)
+        order.append((v, i, w))
+        if w not in mapped:
+            mapped.add(w)
+            heapq.heappush(heap, w)
+    return order
 
 
 def _grow(nf_a: NormalForm, nf_b: NormalForm, seed: dict[int, int],
@@ -282,63 +273,49 @@ def _grow(nf_a: NormalForm, nf_b: NormalForm, seed: dict[int, int],
                 return
             fedge_used_a.add(i)
             fedge_used_b.add(j)
+    order = _growth_order(nf_a, set(vm), fedge_used_a)
 
-    def frontier():
-        for v in sorted(vm):
-            for i, w in nf_a.adj[v]:
-                if i not in fedge_used_a:
-                    return v, i, w
-        return None
-
-    def search() -> Iterator[MarkedTreeIso]:
-        spot = frontier()
-        if spot is None:
-            if len(vm) != len(nf_a.features):
-                return   # disconnected remainder cannot happen in a tree
-            for assignment in _mark_assignments(nf_a, nf_b, vm,
-                                                None if pin is None
-                                                else (pin[0], pin[1])):
-                transforms = tuple(
-                    _transform_for(nf_a, nf_b, vm, i, j)
-                    for i, j in enumerate(assignment))
-                if pin is not None:
-                    i, j, sigma, shift = pin
-                    if transforms[i] != (sigma, shift):
-                        continue
-                yield MarkedTreeIso(nf_a, nf_b, vm, assignment, transforms)
-            return
-        v, i, w = spot
-        fe = nf_a.fedges[i]
+    def images(depth: int) -> Iterator[None]:
+        """Map the depth-th edge onto each fitting image in turn: the map
+        holds the image while suspended and drops it when resumed."""
+        v, i, w = order[depth]
+        length = nf_a.fedges[i].length
         for jb, wb in nf_b.adj[vm[v]]:
-            if jb in fedge_used_b or nf_b.fedges[jb].length != fe.length:
+            if jb in fedge_used_b or nf_b.fedges[jb].length != length:
                 continue
-            if w in vm or wb in used_b:
-                if vm.get(w) != wb:
-                    continue
-                vm_had = True
-            else:
-                vm_had = False
+            if (w in vm or wb in used_b) and vm.get(w) != wb:
+                continue
+            new = w not in vm
+            fedge_used_b.add(jb)
+            if new:
                 vm[w] = wb
                 used_b.add(wb)
-            fedge_used_a.add(i)
-            fedge_used_b.add(jb)
-            yield from search()
-            fedge_used_a.discard(i)
+            yield
             fedge_used_b.discard(jb)
-            if not vm_had:
+            if new:
                 del vm[w]
                 used_b.discard(wb)
 
-    yield from search()
+    def complete() -> Iterator[MarkedTreeIso]:
+        for assignment in _mark_assignments(nf_a, nf_b, vm, pin and pin[:2]):
+            transforms = tuple(
+                _transform_for(nf_a, nf_b, vm, i, j)
+                for i, j in enumerate(assignment))
+            if pin is None or transforms[pin[0]] == pin[2:]:
+                yield MarkedTreeIso(nf_a, nf_b, vm, assignment, transforms)
 
-
-def marked_tree_extend(nf_a: NormalForm, nf_b: NormalForm,
-                       pin: tuple[int, int, int, Fraction]
-                       ) -> MarkedTreeIso | None:
-    """First extension of the pinned mark map to a full isomorphism."""
-    for iso in marked_tree_extensions(nf_a, nf_b, pin):
-        return iso
-    return None
+    if not order:
+        yield from complete()
+        return
+    # depth first over the edges in order, on an explicit stack of images()
+    levels = [images(0)]
+    while levels:
+        if next(levels[-1], False) is False:
+            levels.pop()
+        elif len(levels) == len(order):
+            yield from complete()
+        else:
+            levels.append(images(len(levels)))
 
 
 # -- good triples over clusters ---------------------------------------------------
@@ -399,12 +376,13 @@ def verify_good(triple: GoodTriple, sample_pairs: int = 3
         return (False, 1, "vertex set outside T")
     inner = [eid for eid, (a, b) in enumerate(ca.tree.edges)
              if a in uset and b in uset]
+    inner_set = set(inner)
     seen = {triple.vertices[0]}
     work = [triple.vertices[0]]
     while work:
         v = work.pop()
         for eid, w in ca.tree.neighbors(v):
-            if eid in inner and w in uset and w not in seen:
+            if eid in inner_set and w in uset and w not in seen:
                 seen.add(w)
                 work.append(w)
     if seen != uset:
@@ -511,96 +489,117 @@ def verify_good(triple: GoodTriple, sample_pairs: int = 3
     return (True, None, None)
 
 
-def try_extend(triple: GoodTriple, eid: int) -> GoodTriple | None:
-    """Grow the triple over a frontier edge; first extension or None."""
-    for bigger in extend_choices(triple, eid):
-        return bigger
-    return None
+def _form(forms: dict, c: Cluster, side: int, v: int) -> NormalForm:
+    """Normal form of piece v on side 0 (source) or 1 (target), built once."""
+    nf = forms.get((side, v))
+    if nf is None:
+        nf = forms[(side, v)] = piece_normal_form(c, v)
+    return nf
 
 
-def extend_choices(triple: GoodTriple, eid: int) -> Iterator[GoodTriple]:
-    ca, cb = triple.ca, triple.cb
-    a, b = ca.tree.edges[eid]
-    uset = set(triple.vertices)
-    if (a in uset) == (b in uset):
-        raise ValueError(f"edge {eid} is not a frontier edge")
-    w, v = (a, b) if a in uset else (b, a)
-    pm_w = triple.phi[w]
+def _wall_key(ca: Cluster, cb: Cluster, w: int, w_b: int, pm_w: PieceMap,
+              eid: int) -> tuple:
+    """Everything the piece map at w fixes across its wall eid:
+    (eid, target wall e_b, image v_b of the far end, sigma, the far
+    piece's height shift, the height shift at w)."""
     iw = incident_eids(ca, w).index(eid)
-    eids_wb = incident_eids(cb, triple.psi[w])
-    e_b = eids_wb[pm_w.iso.mark_map[iw]]
-    v_b = cb.tree.other_end(e_b, triple.psi[w])
+    e_b = incident_eids(cb, w_b)[pm_w.iso.mark_map[iw]]
     sigma, c_v = pm_w.iso.transforms[iw]
-    if sigma != 1:
-        return
+    return eid, e_b, cb.tree.other_end(e_b, w_b), sigma, c_v, pm_w.height_shift
+
+
+def extend_choices(ca: Cluster, cb: Cluster, forms: dict, w: int, w_b: int,
+                   pm_w: PieceMap, eid: int
+                   ) -> Iterator[tuple[int, int, PieceMap]]:
+    """(v_b, e_b, piece map at v) across wall eid = (w, v), in search
+    order, given the map pm_w at w (sent to w_b).  The crossing mark must
+    come across as a translation and v's window must translate onto
+    v_b's; the rest is v's marked-tree isomorphism pinned on the mark."""
+    _, e_b, v_b, sigma, c_v, shift_w = _wall_key(ca, cb, w, w_b, pm_w, eid)
+    v = ca.tree.other_end(eid, w)
     wlo, whi = ca.pieces[v].window
     wlo2, whi2 = cb.pieces[v_b].window
-    if (wlo2, whi2) != (wlo + c_v, whi + c_v):
+    if sigma != 1 or (wlo2, whi2) != (wlo + c_v, whi + c_v):
         return
-    nf_v = piece_normal_form(ca, v)
-    nf_vb = piece_normal_form(cb, v_b)
-    iv = incident_eids(ca, v).index(eid)
-    iv_b = incident_eids(cb, v_b).index(e_b)
-    pin = (iv, iv_b, 1, triple.phi[w].height_shift)
-    for iso in marked_tree_extensions(nf_v, nf_vb, pin):
-        psi = dict(triple.psi)
-        psi[v] = v_b
-        edge_map = dict(triple.edge_map)
-        edge_map[eid] = e_b
-        phi = dict(triple.phi)
-        phi[v] = PieceMap(iso, c_v)
-        yield GoodTriple(ca, cb, tuple(sorted((*triple.vertices, v))),
-                         psi, edge_map, phi)
+    pin = (incident_eids(ca, v).index(eid), incident_eids(cb, v_b).index(e_b),
+           1, shift_w)
+    for iso in marked_tree_extensions(_form(forms, ca, 0, v),
+                                      _form(forms, cb, 1, v_b), pin):
+        yield v_b, e_b, PieceMap(iso, c_v)
 
 
-def seed_triples(ca: Cluster, cb: Cluster, root: int, root_b: int
-                 ) -> Iterator[GoodTriple]:
+def _root_choices(ca: Cluster, cb: Cluster, forms: dict, root: int
+                  ) -> Iterator[tuple[int, None, PieceMap]]:
+    """Piece maps at the root, by image in T' order: (root_b, None, map)."""
     wlo, whi = ca.pieces[root].window
-    wlo2, whi2 = cb.pieces[root_b].window
-    shift = wlo2 - wlo
-    if whi2 - whi != shift:
-        return
-    nf = piece_normal_form(ca, root)
-    nf_b = piece_normal_form(cb, root_b)
-    for iso in marked_tree_extensions(nf, nf_b, None):
-        yield GoodTriple(ca, cb, (root,), {root: root_b}, {},
-                         {root: PieceMap(iso, shift)})
+    for root_b in cb.tree.vertices:
+        wlo2, whi2 = cb.pieces[root_b].window
+        shift = wlo2 - wlo
+        if whi2 - whi != shift:
+            continue
+        for iso in marked_tree_extensions(_form(forms, ca, 0, root),
+                                          _form(forms, cb, 1, root_b)):
+            yield root_b, None, PieceMap(iso, shift)
+
+
+def _solve(ca: Cluster, cb: Cluster, forms: dict, solved: dict, v: int,
+           up: int | None, choices: Iterator) -> Iterator:
+    """Coroutine for the subtree below v: yields (wall key, its coroutine)
+    for each child wall not yet solved, and returns the first (image, piece
+    map) of choices under which every child wall solves, or None."""
+    walls = [eid for eid, _ in ca.tree.neighbors(v) if eid != up]
+    for image, _, pm in choices:
+        for eid in walls:
+            key = _wall_key(ca, cb, v, image, pm, eid)
+            if key not in solved:
+                yield key, _solve(ca, cb, forms, solved, ca.tree.other_end(eid, v),
+                                  eid, extend_choices(ca, cb, forms, v, image, pm, eid))
+            if solved[key] is None:
+                break
+        else:
+            return image, pm
 
 
 def isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
-    """Depth-first good-triple growth over all seeds; deterministic.
-
-    The search keeps its own stack, so its depth is not bound by the
-    interpreter's recursion limit.
-
-    Returns a triple covering all of T (then the map is a full isometry)
-    or None when every branch dies.
-    """
+    """The first isometry in search order as a triple covering all of T,
+    or None.  Each wall key is solved once, by a coroutine on an explicit
+    stack, so depth is not bound by the interpreter's recursion limit."""
     if len(ca.tree.vertices) != len(cb.tree.vertices):
         return None
-
+    # normal forms by (side, vertex); wall key -> map at its far end or None
+    forms, solved = {}, {}
     root = ca.tree.vertices[0]
-    # one iterator of candidate triples per search depth: the seeds, then
-    # the extensions of each triple over its first frontier edge
-    stack: list[Iterator[GoodTriple]] = [
-        (t for root_b in cb.tree.vertices for t in seed_triples(ca, cb, root, root_b))]
-    while stack:
-        triple = next(stack[-1], None)
-        if triple is None:
+    stack = [(None, _solve(ca, cb, forms, solved, root, None,
+                           _root_choices(ca, cb, forms, root)))]
+    while True:
+        key, task = stack[-1]
+        try:
+            stack.append(next(task))
+        except StopIteration as done:
             stack.pop()
-            continue
-        uset = set(triple.vertices)
-        frontier = next((eid for eid, (x, y) in enumerate(ca.tree.edges)
-                         if (x in uset) != (y in uset)), None)
-        if frontier is not None:
-            stack.append(extend_choices(triple, frontier))
-        elif len(uset) == len(ca.tree.vertices):
-            ok, cond, detail = verify_good(triple)
-            if not ok:
-                raise AssertionError(
-                    f"search returned a bad triple: condition {cond}, {detail}")
-            return triple
-    return None
+            if key is None:
+                return done.value and _assemble(ca, cb, root, *done.value, solved)
+            solved[key] = done.value and done.value[1]
+
+
+def _assemble(ca: Cluster, cb: Cluster, root: int, root_b: int,
+              pm: PieceMap, solved: dict) -> GoodTriple:
+    """The full triple, read off the solved walls from the root down."""
+    psi, edge_map, phi = {root: root_b}, {}, {root: pm}
+    work = [root]
+    while work:
+        w = work.pop()
+        for eid, v in ca.tree.neighbors(w):
+            if v not in psi:
+                key = _wall_key(ca, cb, w, psi[w], phi[w], eid)
+                edge_map[eid], psi[v], phi[v] = key[1], key[2], solved[key]
+                work.append(v)
+    triple = GoodTriple(ca, cb, tuple(sorted(psi)), psi, edge_map, phi)
+    ok, cond, detail = verify_good(triple)
+    if not ok:
+        raise AssertionError(
+            f"search returned a bad triple: condition {cond}, {detail}")
+    return triple
 
 
 def witness_to_spec(triple: GoodTriple) -> dict:

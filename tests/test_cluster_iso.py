@@ -5,15 +5,22 @@ so agreement on planted and mutated pairs exercises both.  Planted pairs
 are built by hand: height shifts move a window and the mark parameters
 that read it, tree relabels permute piece ids, and subdivision inserts a
 degree-2 vertex that only the normal form can see through.
+
+reference_isomorphic below is the depth-first search over whole good
+triples that the subtree-by-subtree search must agree with witness for
+witness, on pairs too large for the brute-force referee.
 """
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 from test_cluster import chain3, two_piece, two_piece_spec
 
+from flipcluster import cluster_iso
 from flipcluster.cluster import Cluster, Piece, SimplicialTree, validate
 from flipcluster.cluster_iso import (
     GoodTriple,
@@ -22,19 +29,17 @@ from flipcluster.cluster_iso import (
     PieceMap,
     brute_force_iso,
     extend_choices,
+    incident_eids,
     isomorphic,
-    marked_tree_extend,
     marked_tree_extensions,
     piece_normal_form,
     point_image,
-    seed_triples,
-    try_extend,
     verify_good,
     witness_to_spec,
 )
 from flipcluster.distance_oracle import exact_distance
 from flipcluster.errors import SizeCapError
-from flipcluster.generator import GeneratorParams, planted_pair
+from flipcluster.generator import GeneratorParams, mutated_pair, planted_pair
 from flipcluster.jsonutil import dumps_canonical
 from flipcluster.metric_tree import Line, MetricTree
 
@@ -148,6 +153,75 @@ def reflected_windows() -> tuple[Cluster, Cluster]:
     return validate(sa), validate(sb)
 
 
+def caterpillar(spine: int) -> MetricTree:
+    """A spine of unit edges with a length-2 leaf on every spine vertex;
+    the two spine ends fuse with their leaves, leaving 2*spine - 1 feature
+    edges."""
+    edges = [(i, i + 1, 1) for i in range(spine)]
+    edges += [(i, spine + 1 + i, 2) for i in range(spine + 1)]
+    return MetricTree(edges)
+
+
+# -- reference: depth-first growth of whole good triples --------------------------
+
+
+def ref_seed_triples(ca: Cluster, cb: Cluster, root: int, root_b: int
+                     ) -> Iterator[GoodTriple]:
+    wlo, whi = ca.pieces[root].window
+    wlo2, whi2 = cb.pieces[root_b].window
+    shift = wlo2 - wlo
+    if whi2 - whi != shift:
+        return
+    nf = piece_normal_form(ca, root)
+    nf_b = piece_normal_form(cb, root_b)
+    for iso in marked_tree_extensions(nf, nf_b, None):
+        yield GoodTriple(ca, cb, (root,), {root: root_b}, {},
+                         {root: PieceMap(iso, shift)})
+
+
+def ref_extend(triple: GoodTriple, eid: int) -> Iterator[GoodTriple]:
+    """Every extension of the triple over one frontier edge, each a copy."""
+    ca, cb = triple.ca, triple.cb
+    a, b = ca.tree.edges[eid]
+    w, v = (a, b) if a in triple.psi else (b, a)
+    pm_w = triple.phi[w]
+    iw = incident_eids(ca, w).index(eid)
+    e_b = incident_eids(cb, triple.psi[w])[pm_w.iso.mark_map[iw]]
+    v_b = cb.tree.other_end(e_b, triple.psi[w])
+    sigma, c_v = pm_w.iso.transforms[iw]
+    wlo, whi = ca.pieces[v].window
+    if sigma != 1 or cb.pieces[v_b].window != (wlo + c_v, whi + c_v):
+        return
+    pin = (incident_eids(ca, v).index(eid), incident_eids(cb, v_b).index(e_b),
+           1, pm_w.height_shift)
+    for iso in marked_tree_extensions(piece_normal_form(ca, v),
+                                      piece_normal_form(cb, v_b), pin):
+        yield GoodTriple(ca, cb, tuple(sorted((*triple.vertices, v))),
+                         {**triple.psi, v: v_b}, {**triple.edge_map, eid: e_b},
+                         {**triple.phi, v: PieceMap(iso, c_v)})
+
+
+def reference_isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
+    """First complete triple of the depth-first search that extends over
+    the lowest frontier edge and backtracks over all earlier choices."""
+    if len(ca.tree.vertices) != len(cb.tree.vertices):
+        return None
+    root = ca.tree.vertices[0]
+    stack = [(t for root_b in cb.tree.vertices
+              for t in ref_seed_triples(ca, cb, root, root_b))]
+    while stack:
+        triple = next(stack[-1], None)
+        if triple is None:
+            stack.pop()
+            continue
+        frontier = next((eid for eid, (x, y) in enumerate(ca.tree.edges)
+                         if (x in triple.psi) != (y in triple.psi)), None)
+        if frontier is None:
+            return triple
+        stack.append(ref_extend(triple, frontier))
+    return None
+
+
 def random_cluster_points(c, rng, count):
     pts = []
     for _ in range(count):
@@ -204,7 +278,7 @@ class TestMarkedTreeExtensions:
     def test_pin_picks_reflection(self):
         c = two_piece()
         nf = piece_normal_form(c, 0)
-        iso = marked_tree_extend(nf, nf, (0, 0, -1, F(0)))
+        iso = next(marked_tree_extensions(nf, nf, (0, 0, -1, F(0))), None)
         assert iso is not None
         assert iso.vertex_map == {0: 1, 1: 0}
         assert iso.transforms == ((-1, F(0)),)
@@ -214,47 +288,56 @@ class TestMarkedTreeExtensions:
     def test_pin_with_wrong_shift_fails(self):
         c = two_piece()
         nf = piece_normal_form(c, 0)
-        assert marked_tree_extend(nf, nf, (0, 0, 1, F(1))) is None
+        assert next(marked_tree_extensions(nf, nf, (0, 0, 1, F(1))), None) is None
 
     def test_length_mismatch_fails(self):
         a = NormalForm(MetricTree([(0, 1, 20)]), [])
         b = NormalForm(MetricTree([(0, 1, 21)]), [])
         assert list(marked_tree_extensions(a, b)) == []
 
+    def test_long_caterpillar_runs_on_its_own_stack(self):
+        """One search level per feature edge, far past the recursion limit."""
+        nf = NormalForm(caterpillar(600), [])
+        assert len(nf.fedges) == 1199
+        iso = next(marked_tree_extensions(nf, nf))
+        assert iso.vertex_map == {f: f for f in nf.features}
+
 
 class TestTryExtend:
+    """The one-wall step: extend_choices across a wall of a mapped piece."""
+
     def test_grows_identity_across_wall(self):
         c = two_piece()
-        seed = next(seed_triples(c, c, 0, 0))
-        full = try_extend(seed, 0)
-        assert full is not None
-        assert full.psi == {0: 0, 1: 1}
-        assert full.phi[1].height_shift == 0
+        root = next(ref_seed_triples(c, c, 0, 0)).phi[0]
+        v_b, e_b, pm = next(extend_choices(c, c, {}, 0, 0, root, 0))
+        assert (v_b, e_b) == (1, 0)
+        assert pm.height_shift == 0
+        full = GoodTriple(c, c, (0, 1), {0: 0, 1: 1}, {0: 0}, {0: root, 1: pm})
         assert verify_good(full)[0]
 
     def test_non_frontier_edge_rejected(self):
-        c = two_piece()
-        seed = next(seed_triples(c, c, 0, 0))
-        full = try_extend(seed, 0)
+        # wall 1 joins pieces 1 and 2, so it does not leave piece 0
+        c = chain3()
+        root = next(ref_seed_triples(c, c, 0, 0)).phi[0]
         with pytest.raises(ValueError):
-            list(extend_choices(full, 0))
+            list(extend_choices(c, c, {}, 0, 0, root, 1))
 
     def test_reflected_seed_is_dead_end(self):
-        # the second seed maps the root piece by its tree reflection; the
-        # crossing mark then carries sigma = -1 and no frontier extension
-        # can satisfy the flip equations
+        # the second root map is the piece's tree reflection; the crossing
+        # mark then carries sigma = -1 and no extension can satisfy the
+        # flip equations
         c = two_piece()
-        seeds = list(seed_triples(c, c, 0, 0))
+        seeds = [t.phi[0] for t in ref_seed_triples(c, c, 0, 0)]
         assert len(seeds) == 2
         reflected = next(
-            s for s in seeds if s.phi[0].iso.vertex_map == {0: 1, 1: 0})
-        assert list(extend_choices(reflected, 0)) == []
+            pm for pm in seeds if pm.iso.vertex_map == {0: 1, 1: 0})
+        assert list(extend_choices(c, c, {}, 0, 0, reflected, 0)) == []
 
     def test_window_mismatch_stops_extension(self):
         ca = two_piece()
         cb = mutated_window()
-        seed = next(seed_triples(ca, cb, 0, 0))
-        assert try_extend(seed, 0) is None
+        root = next(ref_seed_triples(ca, cb, 0, 0)).phi[0]
+        assert list(extend_choices(ca, cb, {}, 0, 0, root, 0)) == []
 
 
 class TestIsomorphic:
@@ -337,6 +420,59 @@ class TestIsomorphic:
             blobs.add(dumps_canonical(witness_to_spec(triple)))
         assert len(blobs) == 1
 
+    @pytest.mark.parametrize("seed", range(7))
+    def test_witness_matches_reference_search(self, seed):
+        """Same witness bytes, or the same None, as the whole-triple
+        depth-first search, on planted and mutated pairs of 4-12 pieces."""
+        for n in (4, 6, 8, 10, 12):
+            m = 1 + (seed * 7 + n) % 12
+            params = GeneratorParams(seed=seed, tree_size=(n, n), piece_edges=(m, m))
+            for ca, cb in (planted_pair(params), mutated_pair(params)):
+                fast, ref = isomorphic(ca, cb), reference_isomorphic(ca, cb)
+                assert (fast is None) == (ref is None)
+                if fast is not None:
+                    assert dumps_canonical(witness_to_spec(fast)) == \
+                        dumps_canonical(witness_to_spec(ref))
+
+    def test_witness_matches_reference_on_fixtures(self):
+        for ca, cb in ((chain3(), shifted_chain3()), (chain3(), reversed_chain3()),
+                       (star3(True), star3(True)), (star3(), star3()),
+                       (two_piece(), two_piece_subdivided())):
+            assert dumps_canonical(witness_to_spec(isomorphic(ca, cb))) == \
+                dumps_canonical(witness_to_spec(reference_isomorphic(ca, cb)))
+
+    def test_worst_mutated_pair_builds_each_form_once(self, monkeypatch):
+        """A 14-piece mutated pair the whole-triple search needs 36,852
+        normal forms and 22,218 extension steps to reject."""
+        counts = dict.fromkeys(
+            ("piece_normal_form", "marked_tree_extensions", "extend_choices"), 0)
+        for name in counts:
+            def counting(*args, _fn=getattr(cluster_iso, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cluster_iso, name, counting)
+        ca, cb = mutated_pair(GeneratorParams(seed=1270543689, tree_size=(14, 14),
+                                              piece_edges=(12, 12)))
+        assert isomorphic(ca, cb) is None
+        assert counts["piece_normal_form"] <= 2 * len(ca.tree.vertices)
+        assert counts == {"piece_normal_form": 17, "marked_tree_extensions": 18,
+                          "extend_choices": 30}
+
+    def test_long_path_pair_search_memory(self, monkeypatch):
+        """The search holds one piece map per piece, not a copy per step."""
+        ca, cb = planted_pair(GeneratorParams(seed=5, tree_size=(1200, 1200),
+                                              piece_edges=(2, 4), tree_shape="path"))
+        # the witness check has its own tests and is slow under tracemalloc
+        monkeypatch.setattr(cluster_iso, "verify_good",
+                            lambda triple: (True, None, None))
+        tracemalloc.start()
+        try:
+            assert isomorphic(ca, cb) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, f"search peaked at {peak / 2**20:.1f} MB"
+
     def test_witness_shape(self):
         triple = isomorphic(two_piece(), two_piece())
         w = witness_to_spec(triple)
@@ -348,7 +484,7 @@ class TestIsomorphic:
 class TestVerifyGood:
     def test_partial_seed_passes(self):
         c = chain3()
-        seed = next(seed_triples(c, c, 1, 1))
+        seed = next(ref_seed_triples(c, c, 1, 1))
         ok, cond, detail = verify_good(seed)
         assert (ok, cond, detail) == (True, None, None)
 
@@ -376,7 +512,7 @@ class TestVerifyGood:
 
     def test_swapped_marks_is_condition_5(self):
         c = chain3()
-        seed = next(seed_triples(c, c, 1, 1))
+        seed = next(ref_seed_triples(c, c, 1, 1))
         pm = seed.phi[1]
         scrambled = MarkedTreeIso(pm.iso.nf_a, pm.iso.nf_b,
                                   pm.iso.vertex_map, (1, 0),
