@@ -163,7 +163,8 @@ def _mark_assignments(nf_a: NormalForm, nf_b: NormalForm,
 
     Carriers with coinciding endpoints are interchangeable as lines, so
     each group of duplicates is permuted; usually every group is a
-    singleton and exactly one pairing comes out.
+    singleton and exactly one pairing comes out.  The pinned pair stays
+    fixed and only the rest of its group is permuted.
     """
     have: dict[frozenset, list[int]] = {}
     for j, m in enumerate(nf_b.marks):
@@ -177,13 +178,15 @@ def _mark_assignments(nf_a: NormalForm, nf_b: NormalForm,
     keys = sorted(groups, key=lambda k: sorted(k))
     choices = []
     for key in keys:
-        perms = [list(zip(groups[key], perm))
-                 for perm in itertools.permutations(have[key])]
-        if pin and pin[0] in groups[key]:
-            perms = [pairing for pairing in perms if dict(pairing)[pin[0]] == pin[1]]
-        if not perms:
-            return
-        choices.append(perms)
+        members, targets, fixed = groups[key], have[key], []
+        if pin and pin[0] in members:
+            if pin[1] not in targets:
+                return
+            members = [i for i in members if i != pin[0]]
+            targets = [j for j in targets if j != pin[1]]
+            fixed = [pin]
+        choices.append([fixed + list(zip(members, perm))
+                        for perm in itertools.permutations(targets)])
     for combo in itertools.product(*choices):
         yield tuple(j for _, j in sorted(itertools.chain(*combo)))
 
@@ -358,8 +361,7 @@ def point_image(triple: GoodTriple, x: ClusterPoint) -> ClusterPoint:
                            height + pm.height_shift)
 
 
-def verify_good(triple: GoodTriple, sample_pairs: int = 3
-                ) -> tuple[bool, int | None, str | None]:
+def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
     """Check the five triple conditions; (ok, first failed, detail).
 
     1 U is a subtree and psi embeds it simplicially; 2 the map is
@@ -465,19 +467,16 @@ def verify_good(triple: GoodTriple, sample_pairs: int = 3
             continue
         line_a = ca.marks[(a, eid)]
         twin_a = ca.marks[(b, eid)]
-        corners = [
-            ca.point(a, line_a.point_at(line_a.lo).edge,
-                     line_a.point_at(line_a.lo).offset, twin_a.lo),
-            ca.point(a, line_a.point_at(line_a.hi).edge,
-                     line_a.point_at(line_a.hi).offset, twin_a.hi),
-            ca.point(b, twin_a.point_at(twin_a.lo).edge,
-                     twin_a.point_at(twin_a.lo).offset, line_a.hi),
-        ]
-        pairs = list(itertools.combinations(corners, 2))[:sample_pairs]
-        for x, y in pairs:
+        corners = []
+        for v, line, t, height in ((a, line_a, line_a.lo, twin_a.lo),
+                                   (a, line_a, line_a.hi, twin_a.hi),
+                                   (b, twin_a, twin_a.lo, line_a.hi)):
+            p = line.point_at(t)
+            x = ca.point(v, p.edge, p.offset, height)
+            corners.append((x, point_image(triple, x)))
+        for (x, fx), (y, fy) in itertools.combinations(corners, 2):
             d1 = exact_distance(ca, x, y)[0]
-            d2 = exact_distance(triple.cb, point_image(triple, x),
-                                point_image(triple, y))[0]
+            d2 = exact_distance(cb, fx, fy)[0]
             if d1 != d2:
                 failures.append(
                     (2, f"distance {d1} became {d2} across edge {eid}"))

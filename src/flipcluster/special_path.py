@@ -14,9 +14,11 @@ one.
 The construction is canonical given the vertex geodesic, which is what
 makes the inner segments of long paths independent of the endpoints.
 Paths are never shorter than the exact distance, and the interest is in
-how much longer they can get: verify_bilipschitz measures that ratio
-over sampled pairs, including every contiguous sub-range of segments,
-since those are again special paths between their own endpoints.
+how much longer they can get.  Every contiguous sub-range of segments,
+single segments included, is again a special path between its own
+endpoints; subrange_ratios walks them all with one length check
+(length_ratio), and both the bilipschitz suite and verify_bilipschitz
+take their ratios from that walk.
 star_terms compares a path piece by piece with an optimal crossing
 profile between the same points; a caller that already holds both
 passes them in, and star_audit builds both from the two points.
@@ -25,7 +27,7 @@ passes them in, and star_audit builds both from the two points.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .cluster import (
     Cluster,
@@ -165,14 +167,46 @@ def subpath(sp: SpecialPath, i: int, j: int) -> SpecialPath:
                        segs, sum(s.length for s in segs))
 
 
-def verify_bilipschitz(c: Cluster, pairs: Iterable[tuple[ClusterPoint, ClusterPoint]],
-                       oracle: Callable = exact_distance) -> dict:
+def length_ratio(length: Fraction, d: Fraction
+                 ) -> tuple[Fraction | None, str | None]:
+    """(ratio, problem) of a path of this length between two points at
+    distance d.  A path never beats the distance, and has zero length
+    between coincident points; the problem says which check failed.  The
+    ratio is length/d when both hold and d is positive, else None."""
+    if length < d:
+        return None, f"path of length {length} beats the distance {d}"
+    if d == 0:
+        return None, (None if length == 0 else
+                      f"positive length {length} between coincident points")
+    return length / d, None
+
+
+def subrange_ratios(c: Cluster, sp: SpecialPath, d: Fraction
+                    ) -> Iterator[tuple[SpecialPath, Fraction | None, str | None]]:
+    """(sub-range, ratio, problem) for every contiguous sub-range of sp,
+    single segments included, in order (0, 0), (0, 1), ..., (n, n).
+
+    d is the distance between the ends of sp.  The whole range (0, n)
+    runs between those same points, as the support route represents
+    them, so it reuses d; every other range measures its own ends.
+    """
+    n = len(sp.segments) - 1
+    for lo in range(n + 1):
+        for hi in range(lo, n + 1):
+            sub = subpath(sp, lo, hi)
+            d_sub = d if (lo, hi) == (0, n) else exact_distance(
+                c, sub.segments[0].entry, sub.segments[-1].exit)[0]
+            yield (sub, *length_ratio(sub.length, d_sub))
+
+
+def verify_bilipschitz(c: Cluster, pairs: Iterable[tuple[ClusterPoint, ClusterPoint]]
+                       ) -> dict:
     """Largest path-length/distance ratio over pairs and their sub-ranges.
 
-    Single segments are skipped: pieces embed isometrically, so their
+    Single segments count too; pieces embed isometrically, so their
     ratio is exactly 1.  A zero distance with zero length counts as
     ratio 1.  Pairs whose construction overflows a truncated mark are
-    skipped and counted.
+    skipped and counted.  A failed length check raises AssertionError.
     """
     max_ratio = Fraction(1)
     attaining = None
@@ -185,27 +219,12 @@ def verify_bilipschitz(c: Cluster, pairs: Iterable[tuple[ClusterPoint, ClusterPo
             overflow += 1
             continue
         count += 1
-        n = len(sp.segments) - 1
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                if i == j:
-                    continue
-                sub = subpath(sp, i, j)
-                d = oracle(c, sub.segments[0].entry, sub.segments[-1].exit)[0]
-                if sub.length < d:
-                    raise AssertionError(
-                        f"path of length {sub.length} beats the distance {d}"
-                    )
-                if d == 0:
-                    if sub.length != 0:
-                        raise AssertionError(
-                            f"positive length {sub.length} between coincident points"
-                        )
-                    continue
-                ratio = sub.length / d
-                if ratio > max_ratio:
-                    max_ratio = ratio
-                    attaining = (x, y)
+        for _, ratio, problem in subrange_ratios(c, sp, exact_distance(c, x, y)[0]):
+            if problem is not None:
+                raise AssertionError(problem)
+            if ratio is not None and ratio > max_ratio:
+                max_ratio = ratio
+                attaining = (x, y)
     return {
         "pairs": count,
         "max_ratio": format_rational(max_ratio),

@@ -11,13 +11,14 @@ sequentially; instance order is the merge order.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import time
 from fractions import Fraction
 
 from .cluster import dumps, point_to_spec
-from .cluster_iso import brute_force_iso, isomorphic, point_image, verify_good
+from .cluster_iso import brute_force_iso, isomorphic, point_image
 from .distance_oracle import DiscretizedOracle, default_eps, exact_distance
 from .errors import SizeCapError
 from .generator import (
@@ -31,7 +32,7 @@ from .generator import (
 )
 from .jsonutil import dumps_canonical
 from .rational import format_rational, parse_rational
-from .special_path import special_path, star_terms, subpath
+from .special_path import length_ratio, special_path, star_terms, subrange_ratios
 from .tree_graded import blocks, check_T1_T2, cut_points, graph_of_spec
 
 SCHEMA_VERSION = 1
@@ -66,20 +67,6 @@ def _instance_seed(base: int, index: int) -> int:
     return base * 100_003 + index
 
 
-def _params(template: GeneratorParams, seed: int, **overrides) -> GeneratorParams:
-    fields = {
-        "seed": seed,
-        "tree_size": template.tree_size,
-        "piece_edges": template.piece_edges,
-        "edge_length": template.edge_length,
-        "max_denominator": template.max_denominator,
-        "slack": template.slack,
-        "tree_shape": template.tree_shape,
-    }
-    fields.update(overrides)
-    return GeneratorParams(**fields)
-
-
 class _Recorder:
     def __init__(self):
         self.failures: list[dict] = []
@@ -109,7 +96,7 @@ def suite_metric_axioms(seed: int, sizes: dict) -> dict:
     rec = _Recorder()
     triples_run = 0
     for i in range(sizes["instances"]):
-        params = _params(CORPUS, _instance_seed(seed, i))
+        params = dataclasses.replace(CORPUS, seed=_instance_seed(seed, i))
         c = generate_cluster(params)
         rng = random.Random(params.seed + 1)
         pool = sample_points(c, rng, sizes["pool"])
@@ -155,8 +142,17 @@ def suite_bilipschitz(seed: int, sizes: dict, k_obs: str | None) -> dict:
     max_ratio = Fraction(0)
     attaining = None
     star_checked = pairs_run = subpaths_run = 0
+
+    def note(c, op, a, b, ratio, problem):
+        nonlocal max_ratio, attaining
+        if problem is not None:
+            rec.fail(dumps(c), op, [point_to_spec(a), point_to_spec(b)], problem)
+        elif ratio is not None and ratio > max_ratio:
+            max_ratio = ratio
+            attaining = [point_to_spec(a), point_to_spec(b)]
+
     for i in range(sizes["instances"]):
-        params = _params(CORPUS, _instance_seed(seed, i))
+        params = dataclasses.replace(CORPUS, seed=_instance_seed(seed, i))
         c = generate_cluster(params)
         rng = random.Random(params.seed + 2)
         pts = sample_points(c, rng, 2 * sizes["pairs"])
@@ -165,18 +161,7 @@ def suite_bilipschitz(seed: int, sizes: dict, k_obs: str | None) -> dict:
             pairs_run += 1
             d, prof = exact_distance(c, x, y)
             sp = special_path(c, x, y)
-            if sp.length < d:
-                rec.fail(dumps(c), "special_path",
-                         [point_to_spec(x), point_to_spec(y)],
-                         "path shorter than the distance")
-            if d == 0:
-                if sp.length != 0:
-                    rec.fail(dumps(c), "special_path",
-                             [point_to_spec(x), point_to_spec(y)],
-                             "positive length at distance zero")
-            elif sp.length / d > max_ratio:
-                max_ratio = sp.length / d
-                attaining = [point_to_spec(x), point_to_spec(y)]
+            note(c, "special_path", x, y, *length_ratio(sp.length, d))
             for lhs, rhs in star_terms(sp, prof):
                 star_checked += 1
                 if lhs > rhs:
@@ -185,25 +170,10 @@ def suite_bilipschitz(seed: int, sizes: dict, k_obs: str | None) -> dict:
                              f"triangle chain violated: {lhs} > {rhs}")
             if j >= sizes["subpath_pairs"]:
                 continue
-            n = len(sp.segments) - 1
-            for lo, hi in itertools.combinations_with_replacement(range(n + 1), 2):
-                sub = subpath(sp, lo, hi)
-                a = sub.segments[0].entry
-                b = sub.segments[-1].exit
-                dsub = exact_distance(c, a, b)[0]
+            for sub, ratio, problem in subrange_ratios(c, sp, d):
                 subpaths_run += 1
-                if sub.length < dsub:
-                    rec.fail(dumps(c), "subpath",
-                             [point_to_spec(a), point_to_spec(b)],
-                             "sub-path shorter than the distance")
-                elif dsub == 0:
-                    if sub.length != 0:
-                        rec.fail(dumps(c), "subpath",
-                                 [point_to_spec(a), point_to_spec(b)],
-                                 "positive sub-path at distance zero")
-                elif sub.length / dsub > max_ratio:
-                    max_ratio = sub.length / dsub
-                    attaining = [point_to_spec(a), point_to_spec(b)]
+                note(c, "subpath", sub.segments[0].entry, sub.segments[-1].exit,
+                     ratio, problem)
     if k_obs is not None and max_ratio > parse_rational(k_obs):
         rec.count += 1
         rec.failures.append({
@@ -231,7 +201,7 @@ def suite_oracle_agreement(seed: int, sizes: dict) -> dict:
     histogram = {str(k): 0 for k in range(5)}
     pairs_run = 0
     for i in range(sizes["instances"]):
-        params = _params(ORACLE_CORPUS, _instance_seed(seed, i))
+        params = dataclasses.replace(ORACLE_CORPUS, seed=_instance_seed(seed, i))
         c = generate_cluster(params)
         eps = default_eps(c)
         try:
@@ -270,9 +240,9 @@ def suite_remark_nice(seed: int, sizes: dict) -> dict:
     rec = _Recorder()
     for i in range(sizes["instances"]):
         length = 5 + i % 4
-        params = _params(CORPUS, _instance_seed(seed, i),
-                         tree_size=(length, length), tree_shape="path",
-                         piece_edges=(1, 8))
+        params = dataclasses.replace(CORPUS, seed=_instance_seed(seed, i),
+                                     tree_size=(length, length),
+                                     tree_shape="path", piece_edges=(1, 8))
         c = generate_cluster(params)
         rng = random.Random(params.seed + 4)
         deep = length // 2   # at least two walls from either endpoint piece
@@ -357,7 +327,7 @@ def suite_isomorphism(seed: int, sizes: dict, fault: str | None) -> dict:
     planted_count = sizes["pairs"] // 2
     found = agreements = spots = 0
     for i in range(sizes["pairs"]):
-        params = _params(ISO_CORPUS, _instance_seed(seed, i))
+        params = dataclasses.replace(ISO_CORPUS, seed=_instance_seed(seed, i))
         planted = i < planted_count
         ca, cb = planted_pair(params) if planted else mutated_pair(params)
         if fault == "mutate-planted" and i == 0:
@@ -376,11 +346,6 @@ def suite_isomorphism(seed: int, sizes: dict, fault: str | None) -> dict:
         if triple is None:
             continue
         found += 1
-        ok, cond, detail = verify_good(triple)
-        if not ok:
-            rec.fail(dumps(ca), "verify_good", [dumps(cb)],
-                     f"condition {cond}: {detail}")
-            continue
         rng = random.Random(params.seed + 6)
         pts = sample_points(ca, rng, 2 * sizes["spot_checks"])
         for j in range(sizes["spot_checks"]):

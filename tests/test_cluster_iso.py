@@ -458,6 +458,13 @@ class TestIsomorphic:
         assert counts == {"piece_normal_form": 17, "marked_tree_extensions": 18,
                           "extend_choices": 30}
 
+    def test_rejected_witness_raises(self, monkeypatch):
+        """isomorphic checks its own witness, so callers need not."""
+        monkeypatch.setattr(cluster_iso, "verify_good",
+                            lambda triple: (False, 2, "rejected"))
+        with pytest.raises(AssertionError, match="condition 2, rejected"):
+            isomorphic(chain3(), shifted_chain3())
+
     def test_long_path_pair_search_memory(self, monkeypatch):
         """The search holds one piece map per piece, not a copy per step."""
         ca, cb = planted_pair(GeneratorParams(seed=5, tree_size=(1200, 1200),

@@ -11,6 +11,7 @@ the same samples and edges keyed by (vertex, TreePoint, height) tuples,
 Fraction weights and a plain Fraction Dijkstra.
 """
 
+import dataclasses
 import heapq
 import itertools
 import random
@@ -33,7 +34,7 @@ from flipcluster.distance_oracle import (
 )
 from flipcluster.errors import SegmentOverflow, SizeCapError
 from flipcluster.generator import generate_cluster, sample_points
-from flipcluster.suites import ORACLE_CORPUS, _params
+from flipcluster.suites import ORACLE_CORPUS
 
 F = Fraction
 
@@ -410,7 +411,7 @@ REFEREE_INSTANCES = 30
 @pytest.fixture(scope="module")
 def oracle_corpus():
     """Seeded ORACLE_CORPUS instances: one, two or three pieces."""
-    return [generate_cluster(_params(ORACLE_CORPUS, 7_000 + i))
+    return [generate_cluster(dataclasses.replace(ORACLE_CORPUS, seed=7_000 + i))
             for i in range(REFEREE_INSTANCES)]
 
 

@@ -1,11 +1,14 @@
 """Special path construction, gluing, sub-paths, and audit reports."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from test_cluster import chain3, grid_point, two_piece
 
+import flipcluster.special_path as special_path_module
+from flipcluster import distance_oracle, suites
 from flipcluster.cluster import (
     Cluster,
     ClusterPoint,
@@ -19,12 +22,14 @@ from flipcluster.distance_oracle import exact_distance
 from flipcluster.errors import SegmentOverflow
 from flipcluster.metric_tree import Line, MetricTree
 from flipcluster.special_path import (
+    length_ratio,
     middle_segments,
     path_length,
     special_path,
     star_audit,
     star_terms,
     subpath,
+    subrange_ratios,
     verify_bilipschitz,
 )
 
@@ -199,6 +204,50 @@ class TestSubpaths:
             subpath(sp, 1, 3)
         with pytest.raises(IndexError):
             subpath(sp, -1, 1)
+
+
+class TestSubrangeRatios:
+    def test_length_checks(self):
+        assert length_ratio(F(3), F(2)) == (F(3, 2), None)
+        assert length_ratio(F(0), F(0)) == (None, None)
+        ratio, problem = length_ratio(F(1), F(2))
+        assert ratio is None and "beats the distance" in problem
+        ratio, problem = length_ratio(F(1), F(0))
+        assert ratio is None and "coincident" in problem
+
+    def test_walk_covers_every_range_in_order(self):
+        c = chain3()
+        a = c.point(0, 2, F(2), F(9))
+        b = c.point(2, 0, F(2), F(5))
+        sp = special_path(c, a, b)
+        d = exact_distance(c, a, b)[0]
+        n = len(sp.segments) - 1
+        walked = list(subrange_ratios(c, sp, d))
+        assert [sub for sub, _, _ in walked] == [
+            subpath(sp, i, j)
+            for i, j in itertools.combinations_with_replacement(range(n + 1), 2)]
+        assert all(problem is None for _, _, problem in walked)
+        assert walked[n][1] == sp.length / d   # the whole range reuses d
+        for sub, ratio, _ in walked:
+            if len(sub.segments) == 1:
+                assert ratio in (None, 1)   # pieces embed isometrically
+
+    def test_suite_measures_each_range_once(self, monkeypatch):
+        """One exact_distance per pair, plus one per sub-range other than
+        a walked path's whole range, whose ends are the pair's own points."""
+        calls = []
+
+        def counting(*args, _fn=distance_oracle.exact_distance):
+            calls.append(args)
+            return _fn(*args)
+
+        for module in (suites, special_path_module):
+            monkeypatch.setattr(module, "exact_distance", counting)
+        sizes = {"instances": 3, "pairs": 3, "subpath_pairs": 2}
+        counters = suites.suite_bilipschitz(2, sizes, None)["counters"]
+        walked = sizes["instances"] * sizes["subpath_pairs"]
+        assert counters["subpaths"] > walked   # some walked path crosses a wall
+        assert len(calls) == counters["pairs"] + counters["subpaths"] - walked
 
 
 class TestMiddleSegments:
