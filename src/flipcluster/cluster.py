@@ -108,6 +108,10 @@ class ClusterPoint(NamedTuple):
     height: Fraction
 
 
+# a point's support map: each vertex whose piece holds it, with its representation there
+Supports = dict[int, tuple[TreePoint, Fraction]]
+
+
 class Cluster:
     """Immutable glued space; construct via :func:`validate` for full checks."""
 
@@ -172,8 +176,8 @@ class Cluster:
 
     # -- points --------------------------------------------------------------
 
-    def point(self, v: int, edge: int, offset, height) -> ClusterPoint:
-        """Build and canonicalize a point from raw coordinates."""
+    def resolve(self, v: int, edge: int, offset, height) -> Supports:
+        """Check raw coordinates and return the point's support map."""
         if int_id(v) not in self.pieces:
             raise InvalidPointError(f"no piece at vertex {v}")
         piece = self.pieces[v]
@@ -184,44 +188,34 @@ class Cluster:
             raise InvalidPointError(
                 f"height {height} outside window [{lo}, {hi}] at vertex {v}"
             )
-        return self.canonical(ClusterPoint(v, horizontal, height))
+        return self.supports(ClusterPoint(v, horizontal, height))
 
-    def _wall_steps(self, v: int, horizontal: TreePoint, height: Fraction):
-        """One-wall transfers available from a representation in Q_v."""
-        for eid, w in self.tree.neighbors(v):
-            line = self.marks[(v, eid)]
-            if not line.contains(horizontal):
-                continue
-            twin = self.marks[(w, eid)]
-            if not twin.lo <= height <= twin.hi:
-                continue
-            t = line.coord_of(horizontal)
-            yield eid, w, twin.point_at(height), t
+    def point(self, v: int, edge: int, offset, height) -> ClusterPoint:
+        """Build and canonicalize a point from raw coordinates."""
+        return lowest_point(self.resolve(v, edge, offset, height))
 
-    def supports(self, pt: ClusterPoint) -> dict[int, tuple[TreePoint, Fraction]]:
+    def supports(self, pt: ClusterPoint) -> Supports:
         """Every vertex whose piece contains the point, with its representation.
 
         Wall membership propagates: a point on several walls of one piece
         belongs to every neighbor across those walls, so the support set is
         found by walking transfers until closure.  It is always a subtree
-        of T.
+        of T, so a piece already reached is skipped before its wall is tested.
         """
         reps = {pt.vertex: (pt.horizontal, pt.height)}
         stack = [pt.vertex]
         while stack:
             v = stack.pop()
             h, u = reps[v]
-            for _eid, w, h2, u2 in self._wall_steps(v, h, u):
-                if w not in reps:
-                    reps[w] = (h2, u2)
+            for eid, w in self.tree.neighbors(v):
+                line, twin = self.marks[(v, eid)], self.marks[(w, eid)]
+                if w not in reps and line.contains(h) and twin.lo <= u <= twin.hi:
+                    reps[w] = (twin.point_at(u), line.coord_of(h))
                     stack.append(w)
         return reps
 
     def canonical(self, pt: ClusterPoint) -> ClusterPoint:
-        reps = self.supports(pt)
-        v = min(reps)
-        h, u = reps[v]
-        return ClusterPoint(v, h, u)
+        return lowest_point(self.supports(pt))
 
     def represent_at(self, pt: ClusterPoint, v: int) -> ClusterPoint:
         if pt.vertex == v:
@@ -259,6 +253,12 @@ class Cluster:
 
 
 # -- module-level operations ---------------------------------------------------
+
+
+def lowest_point(reps: Supports) -> ClusterPoint:
+    """The canonical point of a support map: its lowest entry."""
+    v = min(reps)
+    return ClusterPoint(v, *reps[v])
 
 
 def transfer_across_wall(c: Cluster, eid: int, v: int, pt: ClusterPoint) -> ClusterPoint:
@@ -313,8 +313,9 @@ class SupportRoute(NamedTuple):
     end: ClusterPoint
 
 
-def support_route(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SupportRoute:
-    """The route every distance and path between x0 and xn follows.
+def route_between(c: Cluster, sx: Supports, sy: Supports) -> SupportRoute:
+    """The route every distance and path between two points follows,
+    from their support maps sx and sy.
 
     Points with a common support get the lowest common vertex and no
     edges.  Otherwise the supports are disjoint subtrees of T, and the
@@ -322,8 +323,6 @@ def support_route(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SupportRout
     ids): that pair is the bridge between the subtrees, so every
     connecting path crosses the route's walls in order.
     """
-    sx = c.supports(x0)
-    sy = c.supports(xn)
     common = sx.keys() & sy.keys()
     if common:
         a = b = min(common)
@@ -333,6 +332,11 @@ def support_route(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SupportRout
     verts, eids = c.tree.path(a, b)
     return SupportRoute(tuple(verts), tuple(eids),
                         ClusterPoint(a, *sx[a]), ClusterPoint(b, *sy[b]))
+
+
+def support_route(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SupportRoute:
+    """route_between the support maps of x0 and xn."""
+    return route_between(c, c.supports(x0), c.supports(xn))
 
 
 def bass_serre_distance(c: Cluster, x: ClusterPoint, y: ClusterPoint) -> int:

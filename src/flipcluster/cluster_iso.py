@@ -42,7 +42,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .cluster import Cluster, ClusterPoint
+from .cluster import Cluster, ClusterPoint, Supports, lowest_point, route_between
 from .errors import SizeCapError
 from .metric_tree import Line, MetricTree, RootedTree, TreePoint
 from .rational import format_rational
@@ -347,18 +347,22 @@ def piece_normal_form(c: Cluster, v: int) -> NormalForm:
                       [c.marks[(v, eid)] for eid in incident_eids(c, v)])
 
 
-def point_image(triple: GoodTriple, x: ClusterPoint) -> ClusterPoint:
+def image_supports(triple: GoodTriple, reps: Supports) -> Supports:
+    """The cb support map of the image of the point with ca support map reps."""
     # wall points may canonicalize outside the mapped region; the lowest
     # support inside it serves as the working representative
-    reps = triple.ca.supports(x)
     v = min((v for v in reps if v in triple.phi), default=None)
     if v is None:
         raise ValueError("point has no support in the mapped subtree")
     horizontal, height = reps[v]
     pm = triple.phi[v]
     hor = pm.iso.point_image(horizontal)
-    return triple.cb.point(triple.psi[v], hor.edge, hor.offset,
-                           height + pm.height_shift)
+    return triple.cb.resolve(triple.psi[v], hor.edge, hor.offset,
+                             height + pm.height_shift)
+
+
+def point_image(triple: GoodTriple, x: ClusterPoint) -> ClusterPoint:
+    return lowest_point(image_supports(triple, triple.ca.supports(x)))
 
 
 def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
@@ -370,7 +374,7 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
     target piece (window translation, feature bijection); 4 the map is a
     product per piece (well-formed data); 5 marks biject to marks.
     """
-    from .distance_oracle import exact_distance
+    from .distance_oracle import route_distance
 
     ca, cb = triple.ca, triple.cb
     uset = set(triple.vertices)
@@ -472,11 +476,11 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
                                    (a, line_a, line_a.hi, twin_a.hi),
                                    (b, twin_a, twin_a.lo, line_a.hi)):
             p = line.point_at(t)
-            x = ca.point(v, p.edge, p.offset, height)
-            corners.append((x, point_image(triple, x)))
-        for (x, fx), (y, fy) in itertools.combinations(corners, 2):
-            d1 = exact_distance(ca, x, y)[0]
-            d2 = exact_distance(cb, fx, fy)[0]
+            sx = ca.resolve(v, p.edge, p.offset, height)
+            corners.append((sx, image_supports(triple, sx)))
+        for (sx, fx), (sy, fy) in itertools.combinations(corners, 2):
+            d1 = route_distance(ca, route_between(ca, sx, sy))[0]
+            d2 = route_distance(cb, route_between(cb, fx, fy))[0]
             if d1 != d2:
                 failures.append(
                     (2, f"distance {d1} became {d2} across edge {eid}"))

@@ -61,7 +61,7 @@ from heapq import heapify, heappop, heappush
 from math import inf, lcm
 from typing import NamedTuple
 
-from .cluster import Cluster, ClusterPoint, piece_distance, support_route
+from .cluster import Cluster, ClusterPoint, SupportRoute, piece_distance, support_route
 from .errors import InstanceDefect, SizeCapError
 from .metric_tree import TreePoint, line_gate
 from .piecewise_linear import (
@@ -117,13 +117,19 @@ def crossing_objective(c: Cluster, profile: CrossingProfile,
 
 def exact_distance(c: Cluster, x0: ClusterPoint, xn: ClusterPoint
                    ) -> tuple[Fraction, CrossingProfile]:
-    """Exact distance and a minimizing crossing profile.
+    """Exact distance and a minimizing crossing profile."""
+    return route_distance(c, support_route(c, x0, xn))
+
+
+def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingProfile]:
+    """Exact distance and a minimizing crossing profile between the ends
+    of a support route, which are already resolved on it.
 
     The objective decomposes into two independent chains of convex PL
     couplings (horizontal legs couple h_{i-1} with s_i; vertical legs
     couple s_{i-1} with h_i), which the chain eliminator solves exactly.
     """
-    verts, eids, x0, xn = support_route(c, x0, xn)   # ends now resolved on the route
+    verts, eids, x0, xn = route
     n = len(eids)
     if n == 0:
         return piece_distance(c, verts[0], x0, xn), CrossingProfile(verts, (), (), ())

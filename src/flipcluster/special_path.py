@@ -34,10 +34,11 @@ from .cluster import (
     ClusterPoint,
     piece_distance,
     point_to_spec,
+    route_between,
     support_route,
     transfer_across_wall,
 )
-from .distance_oracle import CrossingProfile, exact_distance
+from .distance_oracle import CrossingProfile, exact_distance, route_distance
 from .errors import SegmentOverflow
 from .metric_tree import project_to_line
 from .rational import format_rational
@@ -188,14 +189,16 @@ def subrange_ratios(c: Cluster, sp: SpecialPath, d: Fraction
 
     d is the distance between the ends of sp.  The whole range (0, n)
     runs between those same points, as the support route represents
-    them, so it reuses d; every other range measures its own ends.
+    them, so it reuses d; every other range measures the route between
+    its ends, each segment's entry and exit resolved once per walk.
     """
     n = len(sp.segments) - 1
+    ends = [(c.supports(s.entry), c.supports(s.exit)) for s in sp.segments] if n else []
     for lo in range(n + 1):
         for hi in range(lo, n + 1):
             sub = subpath(sp, lo, hi)
-            d_sub = d if (lo, hi) == (0, n) else exact_distance(
-                c, sub.segments[0].entry, sub.segments[-1].exit)[0]
+            d_sub = d if (lo, hi) == (0, n) else route_distance(
+                c, route_between(c, ends[lo][0], ends[hi][1]))[0]
             yield (sub, *length_ratio(sub.length, d_sub))
 
 

@@ -17,9 +17,9 @@ import random
 import time
 from fractions import Fraction
 
-from .cluster import dumps, point_to_spec
-from .cluster_iso import brute_force_iso, isomorphic, point_image
-from .distance_oracle import DiscretizedOracle, default_eps, exact_distance
+from .cluster import dumps, point_to_spec, route_between
+from .cluster_iso import brute_force_iso, image_supports, isomorphic
+from .distance_oracle import DiscretizedOracle, default_eps, exact_distance, route_distance
 from .errors import SizeCapError
 from .generator import (
     GeneratorParams,
@@ -351,8 +351,10 @@ def suite_isomorphism(seed: int, sizes: dict, fault: str | None) -> dict:
         for j in range(sizes["spot_checks"]):
             x, y = pts[2 * j], pts[2 * j + 1]
             spots += 1
-            if exact_distance(ca, x, y)[0] != exact_distance(
-                    cb, point_image(triple, x), point_image(triple, y))[0]:
+            sx, sy = ca.supports(x), ca.supports(y)
+            fx, fy = image_supports(triple, sx), image_supports(triple, sy)
+            if route_distance(ca, route_between(ca, sx, sy))[0] != \
+                    route_distance(cb, route_between(cb, fx, fy))[0]:
                 rec.fail(dumps(ca), "point_image",
                          [point_to_spec(x), point_to_spec(y)],
                          "witness does not preserve this distance")

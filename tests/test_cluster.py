@@ -12,6 +12,7 @@ from flipcluster.cluster import (
     SimplicialTree,
     bass_serre_distance,
     dumps,
+    lowest_point,
     piece_distance,
     piece_distance_parts,
     support_route,
@@ -26,6 +27,7 @@ from flipcluster.errors import (
     NotOnLineError,
     SegmentOverflow,
 )
+from flipcluster.generator import GeneratorParams, generate_cluster
 from flipcluster.metric_tree import Line, MetricTree
 
 F = Fraction
@@ -199,6 +201,15 @@ class TestPointsAndSupports:
         c = two_piece()
         with pytest.raises(InvalidPointError):
             c.point(0, 0, F(1), F(13))
+        with pytest.raises(InvalidPointError):
+            c.resolve(0, 0, F(1), F(13))
+
+    def test_resolve_is_the_support_map_of_point(self):
+        c = two_piece()
+        reps = c.resolve(1, 0, F(13), F(5))
+        assert sorted(reps) == [0, 1]
+        assert lowest_point(reps) == c.point(1, 0, F(13), F(5))
+        assert reps == c.supports(c.point(1, 0, F(13), F(5)))
 
     def test_represent_at_both_sides(self):
         c = two_piece()
@@ -214,6 +225,76 @@ class TestPointsAndSupports:
         a = ClusterPoint(0, c.pieces[0].tree.point(0, F(13)), F(5))
         b = transfer_across_wall(c, 0, 0, a)
         assert c.same_point(a, b)
+
+
+def reference_supports(c: Cluster, pt: ClusterPoint) -> dict:
+    """The support closure as first written: every wall of a reached piece
+    is tested, reached neighbors included, and a transfer is thrown away
+    when its neighbor turns out to be reached already."""
+
+    def wall_steps(v, horizontal, height):
+        for eid, w in c.tree.neighbors(v):
+            line = c.marks[(v, eid)]
+            if not line.contains(horizontal):
+                continue
+            twin = c.marks[(w, eid)]
+            if not twin.lo <= height <= twin.hi:
+                continue
+            yield eid, w, twin.point_at(height), line.coord_of(horizontal)
+
+    reps = {pt.vertex: (pt.horizontal, pt.height)}
+    stack = [pt.vertex]
+    while stack:
+        v = stack.pop()
+        h, u = reps[v]
+        for _eid, w, h2, u2 in wall_steps(v, h, u):
+            if w not in reps:
+                reps[w] = (h2, u2)
+                stack.append(w)
+    return reps
+
+
+class TestSupportsReferee:
+    """Cluster.supports skips reached pieces before testing their wall;
+    the closure it returns must not change."""
+
+    @staticmethod
+    def probes(c: Cluster, rng: random.Random, den: int):
+        """Wall corners, then k/den points on the marks and in the pieces."""
+        for (v, eid), line in sorted(c.marks.items()):
+            twin = c.marks[(c.tree.other_end(eid, v), eid)]
+            for t in (line.lo, line.hi):
+                for u in (twin.lo, twin.hi):
+                    yield ClusterPoint(v, line.point_at(t), u)
+            t = line.lo + (line.hi - line.lo) * F(rng.randrange(den + 1), den)
+            u = twin.lo + (twin.hi - twin.lo) * F(rng.randrange(den + 1), den)
+            yield ClusterPoint(v, line.point_at(t), u)
+        for v in c.tree.vertices:
+            tree = c.pieces[v].tree
+            lo, hi = c.pieces[v].window
+            for _ in range(4):
+                eid = rng.randrange(len(tree.edges))
+                off = tree.edges[eid].length * F(rng.randrange(den + 1), den)
+                yield ClusterPoint(v, tree.point(eid, off),
+                                   lo + (hi - lo) * F(rng.randrange(den + 1), den))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_map_as_reference(self, seed):
+        c = generate_cluster(GeneratorParams(seed=seed, tree_size=(3, 10),
+                                             piece_edges=(1, 8)))
+        rng = random.Random(seed)
+        multi = non_lowest = 0
+        for den in (8, 24):
+            for pt in self.probes(c, rng, den):
+                want = reference_supports(c, pt)
+                got = c.supports(pt)
+                assert list(got.items()) == list(want.items())
+                multi += len(want) > 1
+                for v in want:   # the same closure from every representation
+                    rep = ClusterPoint(v, *want[v])
+                    non_lowest += v != min(want)
+                    assert c.supports(rep) == reference_supports(c, rep) == want
+        assert multi and non_lowest
 
 
 class TestTransfer:

@@ -13,6 +13,7 @@ witness, on pairs too large for the brute-force referee.
 
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from typing import Iterator
@@ -20,7 +21,7 @@ from typing import Iterator
 import pytest
 from test_cluster import chain3, two_piece, two_piece_spec
 
-from flipcluster import cluster_iso
+from flipcluster import cluster_iso, distance_oracle
 from flipcluster.cluster import Cluster, Piece, SimplicialTree, validate
 from flipcluster.cluster_iso import (
     GoodTriple,
@@ -516,6 +517,42 @@ class TestVerifyGood:
         phi = dict(triple.phi)
         del phi[1]
         assert verify_good(triple._replace(phi=phi))[:2] == (False, 4)
+
+    def test_resolves_each_corner_once_per_side(self, monkeypatch):
+        """Three wall corners per inner edge, each resolved once in ca and
+        once in cb; the corner pairs are measured from those maps."""
+        ca, cb = planted_pair(GeneratorParams(seed=3, tree_size=(7, 7),
+                                              piece_edges=(2, 6)))
+        triple = isomorphic(ca, cb)
+        inner = len(triple.vertices) - 1
+        assert inner > 1
+        calls = []
+        supports = Cluster.supports
+
+        def counting(self, pt):
+            calls.append(pt)
+            return supports(self, pt)
+
+        monkeypatch.setattr(Cluster, "supports", counting)
+        assert verify_good(triple) == (True, None, None)
+        assert len(calls) == 6 * inner
+
+    def test_distance_spot_check_is_condition_2(self, monkeypatch):
+        """A target distance that disagrees on a wall corner pair fails
+        condition 2 through the spot check, not a structural test."""
+        ca, cb = chain3(), shifted_chain3()
+        triple = isomorphic(ca, cb)
+        real = distance_oracle.route_distance
+
+        def skewed(c, route):
+            d, prof = real(c, route)
+            return (d + 1 if c is cb else d), prof
+
+        monkeypatch.setattr(distance_oracle, "route_distance", skewed)
+        ok, cond, detail = verify_good(triple)
+        assert (ok, cond) == (False, 2)
+        m = re.fullmatch(r"distance (\S+) became (\S+) across edge \d+", detail)
+        assert m and F(m[2]) == F(m[1]) + 1
 
     def test_swapped_marks_is_condition_5(self):
         c = chain3()

@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from test_cluster import chain3, two_piece
 
-from flipcluster.cluster import piece_distance, supporting_vertices
+from flipcluster.cluster import piece_distance, route_between, supporting_vertices
 from flipcluster.distance_oracle import (
     CrossingProfile,
     DiscretizedOracle,
@@ -31,9 +31,10 @@ from flipcluster.distance_oracle import (
     default_eps,
     discretized_distance,
     exact_distance,
+    route_distance,
 )
 from flipcluster.errors import SegmentOverflow, SizeCapError
-from flipcluster.generator import generate_cluster, sample_points
+from flipcluster.generator import GeneratorParams, generate_cluster, sample_points
 from flipcluster.suites import ORACLE_CORPUS
 
 F = Fraction
@@ -197,6 +198,20 @@ class TestExactDistance:
         other = c.represent_at(wall, 1)
         far = c.point(1, 0, F(3), F(11))
         assert exact_distance(c, wall, far) == exact_distance(c, other, far)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_route_distance_from_support_maps(self, seed):
+        """Measuring from already-resolved support maps gives exact_distance,
+        whichever support the two points are represented at."""
+        c = generate_cluster(GeneratorParams(seed=seed, tree_size=(3, 8),
+                                             piece_edges=(1, 10)))
+        rng = random.Random(seed)
+        pts = sample_points(c, rng, 8) + [wall_point(c, rng) for _ in range(4)]
+        pts += [c.represent_at(p, max(c.supports(p))) for p in pts]
+        assert any(p.vertex != min(c.supports(p)) for p in pts)
+        for x, y in itertools.combinations(pts, 2):
+            route = route_between(c, c.supports(x), c.supports(y))
+            assert route_distance(c, route) == exact_distance(c, x, y)
 
     def test_metric_axioms_sampled(self):
         c = chain3()

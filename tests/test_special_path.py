@@ -233,21 +233,47 @@ class TestSubrangeRatios:
                 assert ratio in (None, 1)   # pieces embed isometrically
 
     def test_suite_measures_each_range_once(self, monkeypatch):
-        """One exact_distance per pair, plus one per sub-range other than
-        a walked path's whole range, whose ends are the pair's own points."""
+        """One distance per pair, plus one per sub-range other than a walked
+        path's whole range, whose ends are the pair's own points; the walk
+        resolves each segment's entry and exit once, and nothing else."""
         calls = []
 
         def counting(*args, _fn=distance_oracle.exact_distance):
             calls.append(args)
             return _fn(*args)
 
+        def counting_route(*args, _fn=distance_oracle.route_distance):
+            calls.append(args)
+            return _fn(*args)
+
+        closures = []
+        supports = Cluster.supports
+
+        def counting_supports(self, pt):
+            closures.append(pt)
+            return supports(self, pt)
+
+        walks = []
+
+        def walking(c, sp, d, _fn=special_path_module.subrange_ratios):
+            before = len(closures)
+            yield from _fn(c, sp, d)
+            walks.append((len(sp.segments) - 1, len(closures) - before))
+
         for module in (suites, special_path_module):
             monkeypatch.setattr(module, "exact_distance", counting)
+        monkeypatch.setattr(special_path_module, "route_distance", counting_route)
+        monkeypatch.setattr(Cluster, "supports", counting_supports)
+        monkeypatch.setattr(suites, "subrange_ratios", walking)
         sizes = {"instances": 3, "pairs": 3, "subpath_pairs": 2}
         counters = suites.suite_bilipschitz(2, sizes, None)["counters"]
         walked = sizes["instances"] * sizes["subpath_pairs"]
         assert counters["subpaths"] > walked   # some walked path crosses a wall
         assert len(calls) == counters["pairs"] + counters["subpaths"] - walked
+        assert len(walks) == walked
+        assert {n > 0 for n, _ in walks} == {False, True}
+        for n, made in walks:
+            assert made == (2 * (n + 1) if n else 0)
 
 
 class TestMiddleSegments:
