@@ -28,7 +28,7 @@ from .errors import ClusterValidationError, InvalidPointError, SegmentOverflow
 from .jsonutil import dumps_canonical
 from .metric_tree import (Line, MetricTree, RootedTree, TreePoint, bridge_raw, int_id,
                           line_intersection)
-from .rational import format_rational, parse_rational
+from .rational import as_fraction, format_rational, parse_rational
 
 
 class SimplicialTree:
@@ -181,8 +181,8 @@ class Cluster:
         if int_id(v) not in self.pieces:
             raise InvalidPointError(f"no piece at vertex {v}")
         piece = self.pieces[v]
-        horizontal = piece.tree.point(edge, Fraction(offset))
-        height = Fraction(height)
+        horizontal = piece.tree.point(edge, offset)
+        height = as_fraction(height)
         lo, hi = piece.window
         if height < lo or height > hi:
             raise InvalidPointError(
@@ -353,9 +353,18 @@ def _mark_key(v: int, eid: int) -> str:
 def validate(spec: dict) -> Cluster:
     """Parse and fully check an instance dict (the JSON wire format)."""
     problems: list[tuple[str, str, str]] = []
+    parsed: dict[str, Fraction] = {}
 
     def fail():
         raise ClusterValidationError(problems)
+
+    def parse(text) -> Fraction:
+        """parse_rational, once per distinct string; a failure raises and is not kept."""
+        try:
+            return parsed[text]
+        except (KeyError, TypeError):   # TypeError: an unhashable non-string
+            value = parsed[text] = parse_rational(text)
+            return value
 
     if not isinstance(spec, dict) or set(spec) != {"tree", "pieces", "marks"}:
         problems.append(("schema", "top level",
@@ -390,13 +399,13 @@ def validate(spec: dict) -> Cluster:
             problems.append(("schema", ctx, 'expected keys "tree_edges", "height_window"'))
             continue
         try:
-            edges = [(a, b, parse_rational(ln)) for a, b, ln in entry["tree_edges"]]
+            edges = [(a, b, parse(ln)) for a, b, ln in entry["tree_edges"]]
             ztree = MetricTree(edges)
         except (ValueError, TypeError) as ex:
             problems.append(("bad-piece-tree", ctx, str(ex)))
             continue
         try:
-            lo, hi = (parse_rational(s) for s in entry["height_window"])
+            lo, hi = (parse(s) for s in entry["height_window"])
         except (ValueError, TypeError) as ex:
             problems.append(("bad-window", ctx, str(ex)))
             continue
@@ -432,8 +441,8 @@ def validate(spec: dict) -> Cluster:
             continue
         ztree = pieces[v].tree
         try:
-            lo, hi = (parse_rational(s) for s in entry["range"])
-            origin = parse_rational(entry["origin"])
+            lo, hi = (parse(s) for s in entry["range"])
+            origin = parse(entry["origin"])
         except (ValueError, TypeError) as ex:
             problems.append(("bad-rational", ctx, str(ex)))
             continue

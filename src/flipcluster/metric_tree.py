@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidPointError, NotOnLineError, SegmentOverflow
+from .rational import as_fraction
 
 
 class TreeEdge(NamedTuple):
@@ -122,10 +123,10 @@ class MetricTree:
     def __init__(self, edges: Iterable[tuple[int, int, Fraction | int | str]]):
         parsed: list[TreeEdge] = []
         for i, (a, b, length) in enumerate(edges):
-            length = Fraction(length)
+            length = as_fraction(length)
             if a == b:
                 raise ValueError(f"edge {i} is a self-loop at vertex {a}")
-            if length <= 0:
+            if length.numerator <= 0:   # a Fraction has the sign of its numerator
                 raise ValueError(f"edge {i} has non-positive length {length}")
             parsed.append(TreeEdge(int_id(a), int_id(b), length))
         if not parsed:
@@ -187,7 +188,7 @@ class MetricTree:
         return TreePoint(eid, Fraction(0) if e.a == v else e.length)
 
     def point(self, edge: int, offset: Fraction | int | str) -> TreePoint:
-        offset = Fraction(offset)
+        offset = as_fraction(offset)
         if not 0 <= int_id(edge) < len(self.edges):
             raise InvalidPointError(f"edge id {edge} out of range")
         e = self.edges[edge]
@@ -293,7 +294,7 @@ class Line:
             raise ValueError("line needs a non-empty edge path")
         if len(set(path)) != len(path):
             raise ValueError("line edge path repeats an edge")
-        lo = Fraction(lo)
+        lo = as_fraction(lo)
         spans: dict[int, tuple[Fraction, int]] = {}
         vparams: dict[int, Fraction] = {}
         ends: list[Fraction] = []   # parameter at the far end of each path edge
@@ -329,7 +330,7 @@ class Line:
         return self.hi - self.lo
 
     def point_at(self, t: Fraction | int | str) -> TreePoint:
-        t = Fraction(t)
+        t = as_fraction(t)
         if t < self.lo or t > self.hi:
             raise SegmentOverflow(
                 f"parameter {t} outside line range [{self.lo}, {self.hi}]",

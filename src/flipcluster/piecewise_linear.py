@@ -61,7 +61,22 @@ a constant plus |v - clamp_I(u)| in the other coordinate v, so
 backtracking only needs the lowest argmin of f + |x - c|: c clamped
 between the first knots of f whose right slopes reach -1 and 1.
 
-Everything is exact over Fraction.
+The lattice
+-----------
+``minimize_convex_pl`` takes and returns Fractions but eliminates on
+Python ints.  At entry it takes D, the lcm of the denominators of every
+box end, anchor, interval end, pair shift, overlap end, constant and
+intercept, and L, the lcm of the denominators of the Affine slopes (1
+when there are none, as on every route).  Coordinates are scaled by D
+and values by D * L: every input becomes an int, every term's slope an
+int, and the l1 slope of |x - a| becomes L.  No operation divides:
+``add`` merges knots and sums slope-times-run steps, ``inf_conv_abs``
+keeps knots of f or the ends of its output range and continues with
+slopes -L and L, ``pullback`` shifts or reflects knots by an int, and
+both argmins pick a knot or clamp between knots.  So every knot, value
+and slope of the elimination is an int, the arithmetic is exact, and the
+only conversions are the scaling at entry, exact because D and L are
+lcms, and ``Fraction(n, D)`` and ``Fraction(n, D * L)`` at exit.
 """
 
 from __future__ import annotations
@@ -69,13 +84,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from .errors import NonConvexObjective, ObjectiveStructureError
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # -- term types -------------------------------------------------------------
@@ -156,7 +168,7 @@ def _ivl_dist(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
         return lo - x
     if x > hi:
         return x - hi
-    return Fraction(0)
+    return 0
 
 
 def evaluate_terms(terms: Sequence[Term], x: Sequence[Fraction]) -> Fraction:
@@ -190,26 +202,28 @@ class ConvexPL:
     ``knots[i]`` and ``slopes[i]`` the slope between ``knots[i]`` and
     ``knots[i + 1]``.  A single knot encodes a function on a one-point
     domain.  The operations assume convexity, which ``is_convex``
-    certifies.
+    certifies.  The minimizer builds them on ints (see the lattice
+    above); no operation divides, so any exact numbers work.  ``unit``
+    is the slope of the l1 norm in the function's scale.
     """
 
     __slots__ = ("knots", "values", "slopes")
 
-    def __init__(self, knots: tuple[Fraction, ...], values: tuple[Fraction, ...],
-                 slopes: tuple[Fraction, ...]):
+    def __init__(self, knots: tuple[int, ...], values: tuple[int, ...],
+                 slopes: tuple[int, ...]):
         self.knots = knots
         self.values = values
         self.slopes = slopes
 
     @property
-    def lo(self) -> Fraction:
+    def lo(self) -> int:
         return self.knots[0]
 
     @property
-    def hi(self) -> Fraction:
+    def hi(self) -> int:
         return self.knots[-1]
 
-    def __call__(self, x: Fraction) -> Fraction:
+    def __call__(self, x: int) -> int:
         ks = self.knots
         if x < ks[0] or x > ks[-1]:
             raise ValueError(f"{x} outside domain [{ks[0]}, {ks[-1]}]")
@@ -222,20 +236,20 @@ class ConvexPL:
         s = self.slopes
         return all(a <= b for a, b in zip(s, s[1:]))
 
-    def argmin(self) -> tuple[Fraction, Fraction]:
+    def argmin(self) -> tuple[int, int]:
         """(lowest argmin, minimum value): the first knot with right slope >= 0."""
         i = bisect_left(self.slopes, 0)
         return self.knots[i], self.values[i]
 
-    def argmin_plus_abs(self, c: Fraction) -> Fraction:
-        """Lowest argmin of f(x) + |x - c|.
+    def argmin_plus_abs(self, c: int, unit: int = 1) -> int:
+        """Lowest argmin of f(x) + unit * |x - c|.
 
-        Left of c the sum has slope f' - 1 and right of it f' + 1, so the
-        answer is c clamped between the first knots whose right slopes
-        reach -1 and 1.
+        Left of c the sum has slope f' - unit and right of it f' + unit,
+        so the answer is c clamped between the first knots whose right
+        slopes reach -unit and unit.
         """
         ks, s = self.knots, self.slopes
-        return _clamp(c, ks[bisect_left(s, -1)], ks[bisect_left(s, 1)])
+        return _clamp(c, ks[bisect_left(s, -unit)], ks[bisect_left(s, unit)])
 
     def add(self, other: "ConvexPL") -> "ConvexPL":
         """Pointwise sum on the common domain, by a two-pointer merge of the knots."""
@@ -258,35 +272,35 @@ class ConvexPL:
             j += b == y
         return ConvexPL(tuple(ks), tuple(vs), tuple(ss))
 
-    def inf_conv_abs(self, lo: Fraction, hi: Fraction) -> "ConvexPL":
-        """g(y) = min over x in dom(f) of f(x) + |x - y|, on [lo, hi] (lo <= hi).
+    def inf_conv_abs(self, lo: int, hi: int, unit: int = 1) -> "ConvexPL":
+        """g(y) = min over x in dom(f) of f(x) + unit * |x - y|, on [lo, hi] (lo <= hi).
 
-        Pieces before p have slope <= -1 and pieces from q on slope >= 1;
-        g agrees with f on [knots[p], knots[q]] and continues with slope -1
-        to the left and +1 to the right.
+        Pieces before p have slope <= -unit and pieces from q on slope >=
+        unit; g agrees with f on [knots[p], knots[q]] and continues with
+        slope -unit to the left and unit to the right.
         """
         k, v, s = self.knots, self.values, self.slopes
-        p = bisect_right(s, -1)
-        q = bisect_left(s, 1, p)
+        p = bisect_right(s, -unit)
+        q = bisect_left(s, unit, p)
         a = bisect_right(k, lo, p, q + 1)   # kept knots lie strictly inside (lo, hi)
         b = bisect_left(k, hi, a, q + 1)
 
-        def at(y: Fraction, i: int) -> tuple[Fraction, int | Fraction]:
+        def at(y: int, i: int) -> tuple[int, int]:
             """(g(y), slope of g right of y) for the last kept knot i <= y."""
             if i < p:
-                return v[p] + (k[p] - y), -1
+                return v[p] + unit * (k[p] - y), -unit
             if i == q:
-                return v[q] + (y - k[q]), 1
+                return v[q] + unit * (y - k[q]), unit
             return v[i] + s[i] * (y - k[i]), s[i]
 
         v_lo, s_lo = at(lo, a - 1)
         if lo == hi:
             return ConvexPL((lo,), (v_lo,), ())
-        tail = (1,) if b > q else ()
+        tail = (unit,) if b > q else ()
         return ConvexPL((lo, *k[a:b], hi), (v_lo, *v[a:b], at(hi, b - 1)[0]),
                         (s_lo, *s[a:min(b, q)], *tail))
 
-    def pullback(self, sigma: int, shift: Fraction) -> "ConvexPL":
+    def pullback(self, sigma: int, shift: int) -> "ConvexPL":
         """g(x) = f(sigma * x + shift) on the pulled-back domain."""
         if sigma == 1:
             if not shift:
@@ -299,26 +313,80 @@ class ConvexPL:
 # -- chain elimination --------------------------------------------------------
 
 
-def _unary_pl(terms: list[Term], lo: Fraction, hi: Fraction) -> ConvexPL:
-    """Sum of one variable's unary terms on [lo, hi], built from slope changes.
+# a scaled pair term: (var_a, var_b, sigma, shift, the overlap [lo, hi] of a
+# TreePair or None for a PairAbs)
+_Pair = tuple[int, int, int, int, tuple[int, int] | None]
+
+
+class _Lattice(NamedTuple):
+    """An objective scaled onto ints: coordinates times ``scale``, values
+    times ``scale * unit``, so |x - a| has slope ``unit``."""
+
+    scale: int
+    unit: int
+    box: list[tuple[int, int]]
+    const: int
+    # per variable: (linear slope, value at 0, intervals [a, b] whose distances add up)
+    unary: list[tuple[int, int, list[tuple[int, int]]]]
+    pairs: list[_Pair]
+
+
+def _lattice(terms: Sequence[Term], box: Sequence[tuple[Fraction, Fraction]]) -> _Lattice:
+    """The objective on ints, with D and L the lcms of the module docstring."""
+    consts: list[Fraction] = []
+    affines: list[Affine] = []
+    kinks: list[list[tuple[Fraction, Fraction]]] = [[] for _ in box]
+    pairs: list[PairAbs | TreePair] = []
+    qs = [q for ends in box for q in ends]   # every rational that D must scale
+    for t in terms:
+        if isinstance(t, (AbsAnchor, IntervalDist)):
+            ab = (t.anchor, t.anchor) if isinstance(t, AbsAnchor) else (t.lo, t.hi)
+            kinks[t.var].append(ab)
+            qs += ab
+        elif isinstance(t, (PairAbs, TreePair)):
+            pairs.append(t)
+            qs += (t.shift, t.lo, t.hi) if isinstance(t, TreePair) else (t.shift,)
+        elif isinstance(t, Const):
+            consts.append(t.value)
+            qs.append(t.value)
+        elif isinstance(t, Affine):
+            affines.append(t)
+            qs.append(t.intercept)
+        else:
+            raise TypeError(f"unknown term {t!r}")
+    d = lcm(*[q.denominator for q in qs])
+    unit = lcm(*[t.slope.denominator for t in affines])
+
+    def sc(q: Fraction) -> int:
+        return q.numerator * (d // q.denominator)
+
+    unary = [[0, 0, [(sc(a), sc(b)) for a, b in ks]] for ks in kinks]
+    for t in affines:
+        u = unary[t.var]
+        u[0] += t.slope.numerator * (unit // t.slope.denominator)
+        u[1] += sc(t.intercept) * unit
+    return _Lattice(
+        d, unit, [(sc(lo), sc(hi)) for lo, hi in box], sum(map(sc, consts)) * unit, unary,
+        [(t.var_a, t.var_b, t.sigma, sc(t.shift),
+          (sc(t.lo), sc(t.hi)) if isinstance(t, TreePair) else None) for t in pairs])
+
+
+def _unary_pl(lo: int, hi: int, slope: int, value: int, kinks: list[tuple[int, int]],
+              unit: int) -> ConvexPL:
+    """slope * x + value + unit * (sum of dist(x, [a, b]) over kinks) on
+    [lo, hi], built from slope changes.
 
     |x - a| is the distance to [a, a]; the distance to [a, b] has slope
     -1, 0, +1 and gains 1 at each of a and b.
     """
-    value, slope = Fraction(0), Fraction(0)
-    jumps: dict[Fraction, int] = {}
-    for t in terms:
-        if isinstance(t, Affine):
-            value += _frac(t.slope) * lo + _frac(t.intercept)
-            slope += _frac(t.slope)
-            continue
-        a, b = (t.anchor, t.anchor) if isinstance(t, AbsAnchor) else (t.lo, t.hi)
-        a, b = _frac(a), _frac(b)
-        value += _ivl_dist(lo, a, b)
-        slope += -1 if lo < a else 0 if lo < b else 1
+    value += slope * lo
+    jumps: dict[int, int] = {}
+    for a, b in kinks:
+        value += unit * _ivl_dist(lo, a, b)
+        slope += -unit if lo < a else 0 if lo < b else unit
         for k in (a, b):
             if lo < k < hi:
-                jumps[k] = jumps.get(k, 0) + 1
+                jumps[k] = jumps.get(k, 0) + unit
     ks, vs, ss = [lo], [value], []
     for k in sorted(jumps) + ([hi] if lo < hi else []):
         value += slope * (k - ks[-1])
@@ -329,101 +397,98 @@ def _unary_pl(terms: list[Term], lo: Fraction, hi: Fraction) -> ConvexPL:
     return ConvexPL(tuple(ks), tuple(vs), tuple(ss))
 
 
-def _pair_message(pair: PairAbs | TreePair, child: ConvexPL, child_var: int,
-                  parent_lo: Fraction, parent_hi: Fraction) -> ConvexPL:
+def _pair_message(pair: _Pair, child: ConvexPL, child_var: int,
+                  parent_lo: int, parent_hi: int, unit: int) -> ConvexPL:
     """min over the child variable of child + pair(child, parent).
 
     Both pair types are symmetric in x_a and r = sigma * x_b + shift, so
     the child is moved into its own side's coordinate, convolved there,
     and the result read in the parent's coordinate.
     """
-    sig, sh = pair.sigma, _frac(pair.shift)
-    to_a = pair.var_b == child_var
+    _, var_b, sig, sh, overlap = pair
+    to_a = var_b == child_var
     if to_a:
         child = child.pullback(sig, -sig * sh)   # b = sig * (r - shift)
         lo, hi = parent_lo, parent_hi
     else:
         lo, hi = sorted((sig * parent_lo + sh, sig * parent_hi + sh))
-    if isinstance(pair, TreePair):
-        child = child.inf_conv_abs(_frac(pair.lo), _frac(pair.hi))
-    msg = child.inf_conv_abs(lo, hi)
+    if overlap is not None:
+        child = child.inf_conv_abs(*overlap, unit)
+    msg = child.inf_conv_abs(lo, hi, unit)
     return msg if to_a else msg.pullback(sig, sh)
 
 
-def _pair_anchor(pair: PairAbs | TreePair, fixed_var: int, fixed_value: Fraction) -> Fraction:
+def _pair_anchor(pair: _Pair, fixed_var: int, fixed_value: int) -> int:
     """c such that the pair term, its other variable fixed, is a constant plus |x - c|."""
-    sig, sh = pair.sigma, _frac(pair.shift)
-    target = fixed_value if pair.var_a == fixed_var else sig * fixed_value + sh
-    if isinstance(pair, TreePair):
-        target = _clamp(target, _frac(pair.lo), _frac(pair.hi))
-    return sig * (target - sh) if pair.var_a == fixed_var else target
+    var_a, _, sig, sh, overlap = pair
+    target = fixed_value if var_a == fixed_var else sig * fixed_value + sh
+    if overlap is not None:
+        target = _clamp(target, *overlap)
+    return sig * (target - sh) if var_a == fixed_var else target
 
 
 def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Fraction]],
                        ) -> tuple[tuple[Fraction, ...], Fraction]:
     """Exact global minimum of a chain-coupled convex PL objective over a box.
 
-    Returns (argmin, value); the argmin is canonical (lowest coordinates
-    among minimizers under the elimination order).  Raises
+    Returns (argmin, value) as Fractions, eliminated on the integer
+    lattice of the module docstring; the argmin is canonical (lowest
+    coordinates among minimizers under the elimination order).  Raises
     ObjectiveStructureError when pair couplings do not form a forest and
     NonConvexObjective when a TreePair interval is inside out or an
     intermediate value function fails the convexity certificate.
     """
-    n = len(box)
-    box_f = [(_frac(lo), _frac(hi)) for lo, hi in box]
-    for i, (lo, hi) in enumerate(box_f):
+    lat = _lattice(terms, box)
+    d, unit, boxes, pairs = lat.scale, lat.unit, lat.box, lat.pairs
+    n = len(boxes)
+    for i, (lo, hi) in enumerate(boxes):
         if lo > hi:
             raise ValueError(f"empty box for variable {i}")
-    terms = list(terms)
-    const_total = sum((t.value for t in terms if isinstance(t, Const)), Fraction(0))
-    unary_terms: dict[int, list[Term]] = {i: [] for i in range(n)}
-    adj: dict[int, list[tuple[int, Term]]] = {i: [] for i in range(n)}
-    for t in terms:
-        if isinstance(t, (PairAbs, TreePair)):
-            if t.var_a == t.var_b:
-                raise ObjectiveStructureError("pair term couples a variable with itself")
-            if isinstance(t, TreePair) and _frac(t.lo) > _frac(t.hi):
-                raise NonConvexObjective(
-                    f"TreePair interval [{t.lo}, {t.hi}] is inside out; the coupling is not convex"
-                )
-            adj[t.var_a].append((t.var_b, t))
-            adj[t.var_b].append((t.var_a, t))
-        elif not isinstance(t, Const):
-            unary_terms[t.var].append(t)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]   # (other variable, pair index)
+    for k, (a, b, _, _, overlap) in enumerate(pairs):
+        if a == b:
+            raise ObjectiveStructureError("pair term couples a variable with itself")
+        if overlap is not None and overlap[0] > overlap[1]:
+            lo, hi = (Fraction(x, d) for x in overlap)
+            raise NonConvexObjective(
+                f"TreePair interval [{lo}, {hi}] is inside out; the coupling is not convex"
+            )
+        adj[a].append((b, k))
+        adj[b].append((a, k))
 
-    assign: dict[int, Fraction] = {}
-    total = const_total
+    assign: dict[int, int] = {}
+    total = lat.const
     seen: set[int] = set()
     for root in range(n):
         if root in seen:
             continue
         # collect the component and verify it is a tree of couplings
         comp: list[int] = []
-        parent: dict[int, tuple[int, Term] | None] = {root: None}
+        parent: dict[int, tuple[int, int] | None] = {root: None}
         order = [root]
         seen.add(root)
         while order:
             v = order.pop()
             comp.append(v)
-            for w, t in adj[v]:
+            for w, k in adj[v]:
                 if w not in parent:
-                    parent[w] = (v, t)
+                    parent[w] = (v, k)
                     seen.add(w)
                     order.append(w)
-                elif parent[v] is None or parent[v][0] != w or parent[v][1] is not t:
+                elif parent[v] is None or parent[v] != (w, k):
                     raise ObjectiveStructureError(
                         "pair couplings contain a cycle; chain elimination needs a forest"
                     )
         # comp lists every variable after its parent: reversed, leaves come first
-        fn = {v: _unary_pl(unary_terms[v], *box_f[v]) for v in comp}
+        fn = {v: _unary_pl(*boxes[v], *lat.unary[v], unit) for v in comp}
         for v in reversed(comp):
             if not fn[v].is_convex():
                 raise NonConvexObjective(
                     f"value function of variable {v} violates the convexity certificate"
                 )
             if parent[v] is not None:
-                pv, t = parent[v]
-                m = _pair_message(t, fn[v], v, *box_f[pv])
+                pv, k = parent[v]
+                m = _pair_message(pairs[k], fn[v], v, *boxes[pv], unit)
                 if not m.is_convex():
                     raise NonConvexObjective(
                         f"message into variable {pv} violates the convexity certificate"
@@ -434,7 +499,7 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
         total += val
         assign[root] = arg_root
         for w in comp[1:]:   # backtrack downward, parents first
-            v, t = parent[w]
-            assign[w] = fn[w].argmin_plus_abs(_pair_anchor(t, v, assign[v]))
+            v, k = parent[w]
+            assign[w] = fn[w].argmin_plus_abs(_pair_anchor(pairs[k], v, assign[v]), unit)
 
-    return tuple(assign[i] for i in range(n)), total
+    return tuple(Fraction(assign[i], d) for i in range(n)), Fraction(total, d * unit)

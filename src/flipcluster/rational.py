@@ -37,6 +37,11 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def as_fraction(value: Fraction | int | str) -> Fraction:
+    """The value as a Fraction; a Fraction comes back as it is, not rebuilt."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def format_rational(value: Fraction | int) -> str:
     """Render a rational in the canonical interchange form."""
     f = Fraction(value)

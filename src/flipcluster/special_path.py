@@ -144,10 +144,6 @@ def special_path(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SpecialPath:
     return SpecialPath(verts, eids, tuple(segments), total)
 
 
-def path_length(sp: SpecialPath) -> Fraction:
-    return sum((s.length for s in sp.segments), Fraction(0))
-
-
 def middle_segments(sp: SpecialPath) -> list[PathSegment]:
     """Inner segments 2..n-2, which depend only on the vertex geodesic.
 

@@ -162,6 +162,32 @@ class TestValidation:
             with pytest.raises(ClusterValidationError):
                 validate(spec)
 
+    def test_parse_memo_keeps_no_failure(self):
+        # validate parses each distinct string once; a string that fails
+        # must fail again, with its own problem, in every piece that uses it
+        spec = two_piece_spec()
+        for v in ("0", "1"):
+            spec["pieces"][v]["tree_edges"] = [[0, 1, "2/4"]]
+        with pytest.raises(ClusterValidationError) as exc:
+            validate(spec)
+        assert [p[:2] for p in exc.value.problems] == [
+            ("bad-piece-tree", "piece 0"), ("bad-piece-tree", "piece 1")]
+        assert all("not in lowest terms" in p[2] for p in exc.value.problems)
+        # unhashable and non-string values fail the same way, uncached
+        for bad in ([20], 20):
+            spec = two_piece_spec()
+            for v in ("0", "1"):
+                spec["pieces"][v]["tree_edges"] = [[0, 1, bad]]
+            with pytest.raises(ClusterValidationError) as exc:
+                validate(spec)
+            assert [p[0] for p in exc.value.problems] == ["bad-piece-tree"] * 2
+
+    def test_parse_memo_shares_canonical_lengths(self):
+        c = two_piece()
+        lengths = [c.pieces[v].tree.edges[0].length for v in (0, 1)]
+        assert lengths == [F(20), F(20)]
+        assert c.marks[(0, 0)].lo == c.marks[(1, 0)].lo == F(-10)
+
     def test_rejects_missing_mark_key(self):
         spec = two_piece_spec()
         del spec["marks"]["1:0"]

@@ -6,6 +6,7 @@ coordinates come from unary kinks propagated through the pair couplings.
 The oracle enumerates that grid and takes the exact minimum.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -240,12 +241,22 @@ def rationals(lo=-6, hi=6):
     return st.builds(F, st.integers(lo * 2, hi * 2), st.just(2))
 
 
+# denominators that are not powers of two, so the lattice's lcm is not the
+# largest denominator drawn
+OFF_GRID = (3, 5, 6, 7, 12, 24)
+
+
+def off_grid(lo=-6, hi=6):
+    return st.sampled_from(OFF_GRID).flatmap(
+        lambda q: st.builds(F, st.integers(lo * q, hi * q), st.just(q)))
+
+
 @st.composite
-def term_system(draw):
+def term_system(draw, num=rationals, slopes=st.sampled_from([F(-1), F(1), F(2)])):
     n = draw(st.integers(1, 4))
     box = []
     for _ in range(n):
-        a = draw(rationals())
+        a = draw(num())
         w = draw(st.builds(F, st.integers(1, 8), st.just(2)))
         box.append((a, a + w))
     terms = []
@@ -253,11 +264,11 @@ def term_system(draw):
         for _ in range(draw(st.integers(0, 2))):
             kind = draw(st.integers(0, 2))
             if kind == 0:
-                terms.append(AbsAnchor(v, draw(rationals())))
+                terms.append(AbsAnchor(v, draw(num())))
             elif kind == 1:
-                terms.append(Affine(v, draw(st.sampled_from([F(-1), F(1), F(2)])), F(0)))
+                terms.append(Affine(v, draw(slopes), F(0)))
             else:
-                a = draw(rationals())
+                a = draw(num())
                 b = a + draw(st.builds(F, st.integers(0, 4), st.just(1)))
                 terms.append(IntervalDist(v, a, b))
     # couple consecutive variables along a random sub-chain: always a forest
@@ -265,26 +276,41 @@ def term_system(draw):
         if not draw(st.booleans()):
             continue
         sig = draw(st.sampled_from([1, -1]))
-        sh = draw(rationals())
+        sh = draw(num())
         if draw(st.booleans()):
             terms.append(PairAbs(v, v + 1, sig, sh))
         else:
-            lo = draw(rationals())
+            lo = draw(num())
             hi = lo + draw(st.builds(F, st.integers(0, 5), st.just(1)))
             terms.append(TreePair(v, v + 1, sig, sh, lo, hi))
     return terms, box
+
+
+# off-grid ends and anchors, and Affine slopes with denominators
+off_grid_system = term_system(num=off_grid, slopes=st.builds(
+    F, st.integers(-6, 6), st.sampled_from((1,) + OFF_GRID)))
+
+
+def agrees_with_oracle(terms, box):
+    arg, val = minimize_convex_pl(terms, box)
+    assert evaluate_terms(terms, arg) == val
+    for x, (lo, hi) in zip(arg, box):
+        assert lo <= x <= hi
+    assert val == grid_minimize(terms, box)
 
 
 class TestMinimizeAgainstOracle:
     @settings(max_examples=250, deadline=None)
     @given(term_system())
     def test_exact_agreement(self, tb):
-        terms, box = tb
-        arg, val = minimize_convex_pl(terms, box)
-        assert evaluate_terms(terms, arg) == val
-        for x, (lo, hi) in zip(arg, box):
-            assert lo <= x <= hi
-        assert val == grid_minimize(terms, box)
+        agrees_with_oracle(*tb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(off_grid_system)
+    def test_off_grid_lattice(self, tb):
+        # mixed denominators and fractional Affine slopes: the common
+        # denominator and the slope unit can both differ from 1
+        agrees_with_oracle(*tb)
 
 
 # -- the slope-form primitives against their pointwise definitions ------------
@@ -350,19 +376,22 @@ class TestPrimitivesPointwise:
             assert g(y) == brute_inf_conv(f, y)
 
     @settings(max_examples=200, deadline=None)
-    @given(term_system())
+    @given(st.one_of(term_system(), off_grid_system))
     def test_unary_sum(self, tb):
+        # one variable's unary terms, scaled onto the lattice and summed there
         terms, box = tb
         for v, (lo, hi) in enumerate(box):
             mine = [t for t in terms if getattr(t, "var", None) == v]
-            f = pl._unary_pl(mine, lo, hi)
-            assert (f.lo, f.hi) == (lo, hi)
+            lat = pl._lattice([dataclasses.replace(t, var=0) for t in mine], [(lo, hi)])
+            d, unit = lat.scale, lat.unit
+            f = pl._unary_pl(*lat.box[0], *lat.unary[0], unit)
+            assert (f.lo, f.hi) == (lo * d, hi * d)
             assert f.is_convex()
             kinks = {k for t in mine for k in (getattr(t, "anchor", None),
                                                getattr(t, "lo", None), getattr(t, "hi", None))
                      if k is not None and lo <= k <= hi}
-            for x in probes(f.knots, kinks):
-                assert f(x) == evaluate_terms(mine, {v: x})
+            for x in probes([F(k, d) for k in f.knots], kinks):
+                assert f(x * d) == evaluate_terms(mine, {v: x}) * d * unit
 
     @settings(max_examples=200, deadline=None)
     @given(convex_pl(), st.sampled_from([1, -1]), rationals())
@@ -435,8 +464,8 @@ class TestMessageSize:
         sizes = []
         real = pl._pair_message
 
-        def counted(pair, child, child_var, lo, hi):
-            m = real(pair, child, child_var, lo, hi)
+        def counted(pair, child, child_var, *rest):
+            m = real(pair, child, child_var, *rest)
             sizes.append((child_var, len(m.knots)))
             return m
 
@@ -452,3 +481,52 @@ class TestMessageSize:
                 kinks = sum(1 if isinstance(t, AbsAnchor) else 2 for t in terms
                             if isinstance(t, (AbsAnchor, IntervalDist)) and t.var >= w)
                 assert knots <= kinks + 2 * (n - w) + 2, (seed, w)
+
+
+def route_chain(rng, n):
+    """The shape of objective route_distance builds for n crossings:
+    variables s_i, h_i per crossing, anchored at both ends; in each inner
+    piece h_{i-1} meets s_i through a TreePair (overlapping marks) or two
+    anchors and a gap (disjoint marks), and a PairAbs joins s_{i-1} to h_i."""
+
+    def q():
+        return F(rng.randint(-48, 48), rng.choice((1, 2, 3, 4, 8)))
+
+    box = []
+    for _ in range(2 * n):
+        lo = q()
+        box.append((lo, lo + abs(q()) + 1))
+    terms = [AbsAnchor(0, q()), Const(abs(q())), AbsAnchor(1, q())]
+    for i in range(1, n):
+        if rng.random() < 0.5:
+            lo = q()
+            terms.append(TreePair(2 * i - 1, 2 * i, rng.choice((1, -1)), q(), lo, lo + abs(q())))
+        else:
+            terms += [AbsAnchor(2 * i - 1, q()), AbsAnchor(2 * i, q()), Const(abs(q()))]
+        terms.append(PairAbs(2 * (i - 1), 2 * i + 1, 1, F(0)))
+    terms += [AbsAnchor(2 * n - 1, q()), Const(abs(q())), AbsAnchor(2 * (n - 1), q())]
+    return terms, box
+
+
+class TestIntegerKernel:
+    def test_route_systems_build_only_ints(self, monkeypatch):
+        # Fractions come in and go out, but every function the elimination
+        # builds lives on the lattice: int knots, values and slopes.
+        built = []
+        real = ConvexPL.__init__
+
+        def recording(self, knots, values, slopes):
+            real(self, knots, values, slopes)
+            built.append(self)
+
+        monkeypatch.setattr(ConvexPL, "__init__", recording)
+        for seed in range(40):
+            terms, box = route_chain(random.Random(seed), 1 + seed % 8)
+            built.clear()
+            arg, val = minimize_convex_pl(terms, box)
+            assert type(val) is F and all(type(x) is F for x in arg)
+            assert evaluate_terms(terms, arg) == val
+            assert built
+            for f in built:
+                for x in f.knots + f.values + f.slopes:
+                    assert type(x) is int, (seed, f.knots, f.values, f.slopes)
