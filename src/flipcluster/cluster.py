@@ -298,10 +298,6 @@ def piece_distance(c: Cluster, v: int, x: ClusterPoint, y: ClusterPoint) -> Frac
     return dh + dv
 
 
-def supporting_vertices(c: Cluster, x: ClusterPoint) -> tuple[int, ...]:
-    return tuple(sorted(c.supports(x)))
-
-
 class SupportRoute(NamedTuple):
     """The T-path between two points' supports, with both ends resolved:
     ``start`` is the first point represented at ``vertices[0]``, ``end``
@@ -337,10 +333,6 @@ def route_between(c: Cluster, sx: Supports, sy: Supports) -> SupportRoute:
 def support_route(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SupportRoute:
     """route_between the support maps of x0 and xn."""
     return route_between(c, c.supports(x0), c.supports(xn))
-
-
-def bass_serre_distance(c: Cluster, x: ClusterPoint, y: ClusterPoint) -> int:
-    return len(support_route(c, x, y).edges)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -16,18 +16,22 @@ Marked trees are compared in normal form: the feature vertices (leaves,
 branch vertices, mark endpoints) with degree-2 chains fused into single
 weighted edges.  A bijection of feature vertices preserving pairwise
 distances extends uniquely to an isometry of the trees, so searches run
-over feature bijections.  The search anchored on a mapped mark follows
-the good-triple growth: fix the images of the carrier's features, then
-backtrack over branch matchings in canonical order.
+over feature bijections.  The search anchored on a mapped mark fixes
+the images of the carrier's features, then backtracks over the images of
+the other feature edges in canonical order.  It yields feature maps with
+each mark's candidates, the target marks on the image of its carrier;
+marks are paired where their walls are solved.
 
 isomorphic roots T at its first vertex and decides it subtree by
-subtree.  The piece map at w fixes, for each child wall, the target wall,
-the child's image, the pinned mark and the child's height shift; the
-mark map is a bijection, so distinct children go to distinct targets and
-their subtrees are independent problems.  A child takes its first
-extension under which all of its own children solve, memoized on the
-pin, which is the same witness a depth-first search over whole triples
-finds first.  Normal forms and the memo live for one call.
+subtree.  Pairing a mark at w with a target mark fixes the wall key: the
+target wall, the child's image, the pinned mark and the child's height
+shift.  Distinct children go to distinct targets, so their subtrees are
+independent problems, each solved once per wall key.  A piece takes its
+first feature map whose marks pair so that every child wall solves, and
+pairs them greedily, each mark with its first free candidate that
+solves.  Isometries compose, so that is exact (see _solve), and the
+witness is the one a depth-first search over whole triples and every
+pairing finds first.  Normal forms and the memo live for one call.
 
 brute_force_iso is the independent referee: it enumerates simplicial
 T-bijections directly and, per vertex, searches raw distance-matrix
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -71,6 +76,9 @@ class NormalForm:
             feats.add(m.start_vertex)
             feats.add(m.end_vertex)
         self.features = tuple(sorted(feats))
+        self.by_carrier: dict[frozenset, list[int]] = {}   # same ends, same line
+        for i, m in enumerate(self.marks):
+            self.by_carrier.setdefault(frozenset((m.start_vertex, m.end_vertex)), []).append(i)
         fedges: list[FeatureEdge] = []
         self.raw_loc: dict[int, tuple[int, Fraction, bool]] = {}
         used: set[int] = set()
@@ -156,43 +164,19 @@ def _rooted(nf: NormalForm) -> RootedTree:
     return RootedTree(nf.adj, nf.features[0], [fe.length for fe in nf.fedges])
 
 
-def _mark_assignments(nf_a: NormalForm, nf_b: NormalForm,
-                      vertex_map: dict[int, int],
-                      pin: tuple[int, int] | None) -> Iterator[tuple[int, ...]]:
-    """Injective pairings of marks whose carriers correspond under the map.
+Transform = tuple[int, Fraction]   # t -> sigma*t + shift, as (sigma, shift)
 
-    Carriers with coinciding endpoints are interchangeable as lines, so
-    each group of duplicates is permuted; usually every group is a
-    singleton and exactly one pairing comes out.  The pinned pair stays
-    fixed and only the rest of its group is permuted.
-    """
-    have: dict[frozenset, list[int]] = {}
-    for j, m in enumerate(nf_b.marks):
-        have.setdefault(frozenset((m.start_vertex, m.end_vertex)), []).append(j)
-    groups: dict[frozenset, list[int]] = {}
-    for i, m in enumerate(nf_a.marks):
-        key = frozenset((vertex_map[m.start_vertex], vertex_map[m.end_vertex]))
-        groups.setdefault(key, []).append(i)
-    if any(len(have.get(k, ())) != len(members) for k, members in groups.items()):
-        return
-    keys = sorted(groups, key=lambda k: sorted(k))
-    choices = []
-    for key in keys:
-        members, targets, fixed = groups[key], have[key], []
-        if pin and pin[0] in members:
-            if pin[1] not in targets:
-                return
-            members = [i for i in members if i != pin[0]]
-            targets = [j for j in targets if j != pin[1]]
-            fixed = [pin]
-        choices.append([fixed + list(zip(members, perm))
-                        for perm in itertools.permutations(targets)])
-    for combo in itertools.product(*choices):
-        yield tuple(j for _, j in sorted(itertools.chain(*combo)))
+
+class FeatureMap(NamedTuple):
+    """A feature-vertex bijection of marked trees, before marks are paired:
+    candidates[i] lists (j, transform) for each target mark j on the
+    image of mark i's carrier."""
+    vertex_map: dict[int, int]
+    candidates: tuple[tuple[tuple[int, Transform], ...], ...]
 
 
 def _transform_for(nf_a: NormalForm, nf_b: NormalForm, vertex_map: dict,
-                   i: int, j: int) -> tuple[int, Fraction]:
+                   i: int, j: int) -> Transform:
     ma, mb = nf_a.marks[i], nf_b.marks[j]
     if vertex_map[ma.start_vertex] == mb.start_vertex:
         return (1, mb.lo - ma.lo)
@@ -201,8 +185,10 @@ def _transform_for(nf_a: NormalForm, nf_b: NormalForm, vertex_map: dict,
 
 def marked_tree_extensions(nf_a: NormalForm, nf_b: NormalForm,
                            pin: tuple[int, int, int, Fraction] | None = None
-                           ) -> Iterator[MarkedTreeIso]:
-    """All marked-tree isomorphisms, in canonical search order.
+                           ) -> Iterator[FeatureMap]:
+    """Every feature-vertex map of the marked trees with its mark
+    candidates, in canonical search order; pairing the marks is left to
+    the caller.
 
     pin = (mark_i, mark_j, sigma, shift) forces mark_i onto mark_j with
     the given parameter transform; its carrier features are then placed
@@ -262,7 +248,7 @@ def _growth_order(nf: NormalForm, mapped: set[int], done: set[int]
 
 
 def _grow(nf_a: NormalForm, nf_b: NormalForm, seed: dict[int, int],
-          pin) -> Iterator[MarkedTreeIso]:
+          pin) -> Iterator[FeatureMap]:
     vm = dict(seed)
     used_b = set(vm.values())
     fedge_used_a: set[int] = set()
@@ -299,13 +285,23 @@ def _grow(nf_a: NormalForm, nf_b: NormalForm, seed: dict[int, int],
                 del vm[w]
                 used_b.discard(wb)
 
-    def complete() -> Iterator[MarkedTreeIso]:
-        for assignment in _mark_assignments(nf_a, nf_b, vm, pin and pin[:2]):
-            transforms = tuple(
-                _transform_for(nf_a, nf_b, vm, i, j)
-                for i, j in enumerate(assignment))
-            if pin is None or transforms[pin[0]] == pin[2:]:
-                yield MarkedTreeIso(nf_a, nf_b, vm, assignment, transforms)
+    def complete() -> Iterator[FeatureMap]:
+        # nothing when the carriers do not biject or the pin is no candidate;
+        # the pinned mark keeps only its target, which the rest of its group loses
+        carriers = [frozenset((vm[m.start_vertex], vm[m.end_vertex]))
+                    for m in nf_a.marks]
+        if any(len(nf_b.by_carrier.get(k, ())) != n
+               for k, n in Counter(carriers).items()):
+            return
+        cands = [tuple((j, _transform_for(nf_a, nf_b, vm, i, j))
+                       for j in nf_b.by_carrier[k]) for i, k in enumerate(carriers)]
+        if pin is not None:
+            i, j = pin[:2]
+            if (j, pin[2:]) not in cands[i]:
+                return
+            cands = [((j, pin[2:]),) if k == i else tuple(c for c in cs if c[0] != j)
+                     for k, cs in enumerate(cands)]
+        yield FeatureMap(dict(vm), tuple(cands))
 
     if not order:
         yield from complete()
@@ -500,67 +496,87 @@ def _form(forms: dict, c: Cluster, side: int, v: int) -> NormalForm:
     return nf
 
 
-def _wall_key(ca: Cluster, cb: Cluster, w: int, w_b: int, pm_w: PieceMap,
-              eid: int) -> tuple:
-    """Everything the piece map at w fixes across its wall eid:
-    (eid, target wall e_b, image v_b of the far end, sigma, the far
-    piece's height shift, the height shift at w)."""
-    iw = incident_eids(ca, w).index(eid)
-    e_b = incident_eids(cb, w_b)[pm_w.iso.mark_map[iw]]
-    sigma, c_v = pm_w.iso.transforms[iw]
-    return eid, e_b, cb.tree.other_end(e_b, w_b), sigma, c_v, pm_w.height_shift
+def _wall_key(cb: Cluster, w_b: int, eid: int, j: int, transform: Transform,
+              shift_w: Fraction) -> tuple:
+    """Everything pairing the mark of wall eid at w with mark j at w_b,
+    under transform, fixes across the wall: (eid, target wall e_b, image
+    v_b of the far end, sigma, the far piece's height shift, the height
+    shift shift_w at w)."""
+    e_b = incident_eids(cb, w_b)[j]
+    return (eid, e_b, cb.tree.other_end(e_b, w_b), *transform, shift_w)
 
 
-def extend_choices(ca: Cluster, cb: Cluster, forms: dict, w: int, w_b: int,
-                   pm_w: PieceMap, eid: int
-                   ) -> Iterator[tuple[int, int, PieceMap]]:
-    """(v_b, e_b, piece map at v) across wall eid = (w, v), in search
-    order, given the map pm_w at w (sent to w_b).  The crossing mark must
-    come across as a translation and v's window must translate onto
-    v_b's; the rest is v's marked-tree isomorphism pinned on the mark."""
-    _, e_b, v_b, sigma, c_v, shift_w = _wall_key(ca, cb, w, w_b, pm_w, eid)
+def extend_choices(ca: Cluster, cb: Cluster, forms: dict, w: int, key: tuple
+                   ) -> Iterator[tuple[int, Fraction, FeatureMap]]:
+    """(v_b, height shift, feature map at v) across the wall of key, which
+    leaves the mapped piece w for v, in search order.  The crossing mark
+    must come across as a translation and v's window must translate onto
+    v_b's; the rest is v's marked-tree search pinned on the mark."""
+    eid, e_b, v_b, sigma, c_v, shift_w = key
     v = ca.tree.other_end(eid, w)
     wlo, whi = ca.pieces[v].window
-    wlo2, whi2 = cb.pieces[v_b].window
-    if sigma != 1 or (wlo2, whi2) != (wlo + c_v, whi + c_v):
+    if sigma != 1 or cb.pieces[v_b].window != (wlo + c_v, whi + c_v):
         return
     pin = (incident_eids(ca, v).index(eid), incident_eids(cb, v_b).index(e_b),
            1, shift_w)
-    for iso in marked_tree_extensions(_form(forms, ca, 0, v),
-                                      _form(forms, cb, 1, v_b), pin):
-        yield v_b, e_b, PieceMap(iso, c_v)
+    for fm in marked_tree_extensions(_form(forms, ca, 0, v),
+                                     _form(forms, cb, 1, v_b), pin):
+        yield v_b, c_v, fm
 
 
 def _root_choices(ca: Cluster, cb: Cluster, forms: dict, root: int
-                  ) -> Iterator[tuple[int, None, PieceMap]]:
-    """Piece maps at the root, by image in T' order: (root_b, None, map)."""
+                  ) -> Iterator[tuple[int, Fraction, FeatureMap]]:
+    """(root_b, height shift, feature map) at the root, by image in T' order."""
     wlo, whi = ca.pieces[root].window
     for root_b in cb.tree.vertices:
         wlo2, whi2 = cb.pieces[root_b].window
         shift = wlo2 - wlo
         if whi2 - whi != shift:
             continue
-        for iso in marked_tree_extensions(_form(forms, ca, 0, root),
-                                          _form(forms, cb, 1, root_b)):
-            yield root_b, None, PieceMap(iso, shift)
+        for fm in marked_tree_extensions(_form(forms, ca, 0, root),
+                                         _form(forms, cb, 1, root_b)):
+            yield root_b, shift, fm
 
 
 def _solve(ca: Cluster, cb: Cluster, forms: dict, solved: dict, v: int,
            up: int | None, choices: Iterator) -> Iterator:
     """Coroutine for the subtree below v: yields (wall key, its coroutine)
-    for each child wall not yet solved, and returns the first (image, piece
-    map) of choices under which every child wall solves, or None."""
-    walls = [eid for eid, _ in ca.tree.neighbors(v) if eid != up]
-    for image, _, pm in choices:
-        for eid in walls:
-            key = _wall_key(ca, cb, v, image, pm, eid)
-            if key not in solved:
-                yield key, _solve(ca, cb, forms, solved, ca.tree.other_end(eid, v),
-                                  eid, extend_choices(ca, cb, forms, v, image, pm, eid))
-            if solved[key] is None:
+    for each child wall key not yet solved, and returns the first (image,
+    piece map) of choices under which every child wall solves, or None.
+
+    A choice's marks are paired in order, each with its first free
+    candidate whose wall key solves; the up wall's mark keeps its pin.
+    The greedy is exact.  A wall that solves is an isometry of the
+    branches beyond it, and isometries compose (translations of heights
+    compose to translations): if i-j, i-j' and i'-j solve, so does i'-j'.
+    So inside one carrier the walls that solve join source marks to
+    target marks in complete bipartite blocks, greedy stalls only where
+    no pairing exists, and otherwise returns the lexicographically first
+    pairing under which every wall solves.
+    """
+    walls = incident_eids(ca, v)
+    for image, shift, fm in choices:
+        pairs: dict[int, Transform] = {}   # target mark -> transform, by mark
+        for eid, cands in zip(walls, fm.candidates):
+            for j, transform in cands:
+                if j in pairs:
+                    continue
+                if eid != up:
+                    key = _wall_key(cb, image, eid, j, transform, shift)
+                    if key not in solved:
+                        yield key, _solve(ca, cb, forms, solved,
+                                          ca.tree.other_end(eid, v), eid,
+                                          extend_choices(ca, cb, forms, v, key))
+                    if solved[key] is None:
+                        continue
+                pairs[j] = transform
                 break
+            else:
+                break   # mark eid has no candidate left: next feature map
         else:
-            return image, pm
+            iso = MarkedTreeIso(_form(forms, ca, 0, v), _form(forms, cb, 1, image),
+                                fm.vertex_map, tuple(pairs), tuple(pairs.values()))
+            return image, PieceMap(iso, shift)
 
 
 def isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
@@ -592,9 +608,11 @@ def _assemble(ca: Cluster, cb: Cluster, root: int, root_b: int,
     work = [root]
     while work:
         w = work.pop()
-        for eid, v in ca.tree.neighbors(w):
+        iso, shift = phi[w]
+        for i, (eid, v) in enumerate(ca.tree.neighbors(w)):
             if v not in psi:
-                key = _wall_key(ca, cb, w, psi[w], phi[w], eid)
+                key = _wall_key(cb, psi[w], eid, iso.mark_map[i],
+                                iso.transforms[i], shift)
                 edge_map[eid], psi[v], phi[v] = key[1], key[2], solved[key]
                 work.append(v)
     triple = GoodTriple(ca, cb, tuple(sorted(psi)), psi, edge_map, phi)

@@ -17,8 +17,8 @@ Paths are never shorter than the exact distance, and the interest is in
 how much longer they can get.  Every contiguous sub-range of segments,
 single segments included, is again a special path between its own
 endpoints; subrange_ratios walks them all with one length check
-(length_ratio), and both the bilipschitz suite and verify_bilipschitz
-take their ratios from that walk.
+(length_ratio), and the bilipschitz suite takes its ratios from that
+walk.
 star_terms compares a path piece by piece with an optimal crossing
 profile between the same points; a caller that already holds both
 passes them in, and star_audit builds both from the two points.
@@ -27,13 +27,12 @@ passes them in, and star_audit builds both from the two points.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cluster import (
     Cluster,
     ClusterPoint,
     piece_distance,
-    point_to_spec,
     route_between,
     support_route,
     transfer_across_wall,
@@ -41,7 +40,6 @@ from .cluster import (
 from .distance_oracle import CrossingProfile, exact_distance, route_distance
 from .errors import SegmentOverflow
 from .metric_tree import project_to_line
-from .rational import format_rational
 
 
 class PathSegment(NamedTuple):
@@ -144,17 +142,6 @@ def special_path(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SpecialPath:
     return SpecialPath(verts, eids, tuple(segments), total)
 
 
-def middle_segments(sp: SpecialPath) -> list[PathSegment]:
-    """Inner segments 2..n-2, which depend only on the vertex geodesic.
-
-    Empty for paths through fewer than five pieces.
-    """
-    n = len(sp.segments) - 1
-    if n < 4:
-        return []
-    return list(sp.segments[2:n - 1])
-
-
 def subpath(sp: SpecialPath, i: int, j: int) -> SpecialPath:
     """Contiguous sub-range of segments i..j as a path in its own right."""
     if not 0 <= i <= j < len(sp.segments):
@@ -196,41 +183,6 @@ def subrange_ratios(c: Cluster, sp: SpecialPath, d: Fraction
             d_sub = d if (lo, hi) == (0, n) else route_distance(
                 c, route_between(c, ends[lo][0], ends[hi][1]))[0]
             yield (sub, *length_ratio(sub.length, d_sub))
-
-
-def verify_bilipschitz(c: Cluster, pairs: Iterable[tuple[ClusterPoint, ClusterPoint]]
-                       ) -> dict:
-    """Largest path-length/distance ratio over pairs and their sub-ranges.
-
-    Single segments count too; pieces embed isometrically, so their
-    ratio is exactly 1.  A zero distance with zero length counts as
-    ratio 1.  Pairs whose construction overflows a truncated mark are
-    skipped and counted.  A failed length check raises AssertionError.
-    """
-    max_ratio = Fraction(1)
-    attaining = None
-    count = 0
-    overflow = 0
-    for x, y in pairs:
-        try:
-            sp = special_path(c, x, y)
-        except SegmentOverflow:
-            overflow += 1
-            continue
-        count += 1
-        for _, ratio, problem in subrange_ratios(c, sp, exact_distance(c, x, y)[0]):
-            if problem is not None:
-                raise AssertionError(problem)
-            if ratio is not None and ratio > max_ratio:
-                max_ratio = ratio
-                attaining = (x, y)
-    return {
-        "pairs": count,
-        "max_ratio": format_rational(max_ratio),
-        "attaining_pair": None if attaining is None else
-            [point_to_spec(attaining[0]), point_to_spec(attaining[1])],
-        "overflow_count": overflow,
-    }
 
 
 def star_terms(sp: SpecialPath, prof: CrossingProfile) -> list[tuple[Fraction, Fraction]]:

@@ -10,13 +10,11 @@ from flipcluster.cluster import (
     ClusterPoint,
     Piece,
     SimplicialTree,
-    bass_serre_distance,
     dumps,
     lowest_point,
     piece_distance,
     piece_distance_parts,
     support_route,
-    supporting_vertices,
     to_spec,
     transfer_across_wall,
     validate,
@@ -212,13 +210,13 @@ class TestPointsAndSupports:
         c = two_piece()
         # height 11 exceeds the twin mark range [-10, 10]: not a wall point
         p = c.point(1, 0, F(3), F(11))
-        assert supporting_vertices(c, p) == (1,)
+        assert sorted(c.supports(p)) == [1]
         assert p.vertex == 1
 
     def test_wall_point_two_supports_canonical_at_lower(self):
         c = two_piece()
         p = c.point(1, 0, F(13), F(5))  # mark parameter 3, height 5
-        assert supporting_vertices(c, p) == (0, 1)
+        assert sorted(c.supports(p)) == [0, 1]
         assert p.vertex == 0  # canonicalized across the wall
         assert p.height == F(3)
         assert c.marks[(0, 0)].coord_of(p.horizontal) == F(5)
@@ -414,23 +412,25 @@ class TestPieceDistance:
 
 
 class TestBassSerre:
+    """The Bass-Serre distance of two points: the walls on their support route."""
+
     def test_same_piece(self):
         c = chain3()
         a = c.point(1, 1, F(1), F(6))
         b = c.point(1, 2, F(1), F(6))
-        assert bass_serre_distance(c, a, b) == 0
+        assert support_route(c, a, b).edges == ()
 
     def test_adjacent_interiors(self):
         c = chain3()
         a = c.point(0, 2, F(2), F(9))    # off both marks of piece 0
         b = c.point(1, 2, F(1), F(6))    # height 6 not transferable anywhere
-        assert bass_serre_distance(c, a, b) == 1
+        assert len(support_route(c, a, b).edges) == 1
 
     def test_wall_point_counts_for_both(self):
         c = two_piece()
         wall = c.point(0, 0, F(13), F(5))
         interior = c.point(1, 0, F(3), F(11))
-        assert bass_serre_distance(c, wall, interior) == 0
+        assert support_route(c, wall, interior).edges == ()
 
     def test_pseudo_metric_samples(self):
         c = chain3()
@@ -439,9 +439,9 @@ class TestBassSerre:
         for x in pts:
             for y in pts:
                 for z in pts:
-                    dxz = bass_serre_distance(c, x, z)
-                    dyz = bass_serre_distance(c, y, z)
-                    dxy = bass_serre_distance(c, x, y)
+                    dxz = len(support_route(c, x, z).edges)
+                    dyz = len(support_route(c, y, z).edges)
+                    dxy = len(support_route(c, x, y).edges)
                     assert abs(dxz - dyz) <= dxy + 1
 
     def test_support_route_against_brute_force(self):

@@ -166,6 +166,24 @@ def caterpillar(spine: int) -> MetricTree:
 # -- reference: depth-first growth of whole good triples --------------------------
 
 
+def ref_pairings(nf_a: NormalForm, nf_b: NormalForm, fm) -> Iterator[MarkedTreeIso]:
+    """Every injective pairing of a feature map's mark candidates: each
+    group of marks with the same candidates takes every arrangement of
+    them, and the groups combine in every way."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, cands in enumerate(fm.candidates):
+        groups.setdefault(tuple(j for j, _ in cands), []).append(i)
+    per_group = [[list(zip(members, perm))
+                  for perm in itertools.permutations(js, len(members))]
+                 for js, members in groups.items()]
+    for combo in itertools.product(*per_group):
+        pairs = sorted(itertools.chain(*combo))
+        mark_map = tuple(j for _, j in pairs)
+        if len(set(mark_map)) == len(mark_map):
+            yield MarkedTreeIso(nf_a, nf_b, fm.vertex_map, mark_map,
+                                tuple(dict(fm.candidates[i])[j] for i, j in pairs))
+
+
 def ref_seed_triples(ca: Cluster, cb: Cluster, root: int, root_b: int
                      ) -> Iterator[GoodTriple]:
     wlo, whi = ca.pieces[root].window
@@ -175,9 +193,20 @@ def ref_seed_triples(ca: Cluster, cb: Cluster, root: int, root_b: int
         return
     nf = piece_normal_form(ca, root)
     nf_b = piece_normal_form(cb, root_b)
-    for iso in marked_tree_extensions(nf, nf_b, None):
-        yield GoodTriple(ca, cb, (root,), {root: root_b}, {},
-                         {root: PieceMap(iso, shift)})
+    for fm in marked_tree_extensions(nf, nf_b, None):
+        for iso in ref_pairings(nf, nf_b, fm):
+            yield GoodTriple(ca, cb, (root,), {root: root_b}, {},
+                             {root: PieceMap(iso, shift)})
+
+
+def ref_wall_key(triple: GoodTriple, w: int, eid: int) -> tuple:
+    """(eid, e_b, v_b, sigma, c_v, shift at w): what the triple's map at w
+    fixes across its wall eid."""
+    cb, pm_w, w_b = triple.cb, triple.phi[w], triple.psi[w]
+    iw = incident_eids(triple.ca, w).index(eid)
+    e_b = incident_eids(cb, w_b)[pm_w.iso.mark_map[iw]]
+    return (eid, e_b, cb.tree.other_end(e_b, w_b), *pm_w.iso.transforms[iw],
+            pm_w.height_shift)
 
 
 def ref_extend(triple: GoodTriple, eid: int) -> Iterator[GoodTriple]:
@@ -185,26 +214,24 @@ def ref_extend(triple: GoodTriple, eid: int) -> Iterator[GoodTriple]:
     ca, cb = triple.ca, triple.cb
     a, b = ca.tree.edges[eid]
     w, v = (a, b) if a in triple.psi else (b, a)
-    pm_w = triple.phi[w]
-    iw = incident_eids(ca, w).index(eid)
-    e_b = incident_eids(cb, triple.psi[w])[pm_w.iso.mark_map[iw]]
-    v_b = cb.tree.other_end(e_b, triple.psi[w])
-    sigma, c_v = pm_w.iso.transforms[iw]
+    _, e_b, v_b, sigma, c_v, shift_w = ref_wall_key(triple, w, eid)
     wlo, whi = ca.pieces[v].window
     if sigma != 1 or cb.pieces[v_b].window != (wlo + c_v, whi + c_v):
         return
     pin = (incident_eids(ca, v).index(eid), incident_eids(cb, v_b).index(e_b),
-           1, pm_w.height_shift)
-    for iso in marked_tree_extensions(piece_normal_form(ca, v),
-                                      piece_normal_form(cb, v_b), pin):
-        yield GoodTriple(ca, cb, tuple(sorted((*triple.vertices, v))),
-                         {**triple.psi, v: v_b}, {**triple.edge_map, eid: e_b},
-                         {**triple.phi, v: PieceMap(iso, c_v)})
+           1, shift_w)
+    nf, nf_b = piece_normal_form(ca, v), piece_normal_form(cb, v_b)
+    for fm in marked_tree_extensions(nf, nf_b, pin):
+        for iso in ref_pairings(nf, nf_b, fm):
+            yield GoodTriple(ca, cb, tuple(sorted((*triple.vertices, v))),
+                             {**triple.psi, v: v_b}, {**triple.edge_map, eid: e_b},
+                             {**triple.phi, v: PieceMap(iso, c_v)})
 
 
 def reference_isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
     """First complete triple of the depth-first search that extends over
-    the lowest frontier edge and backtracks over all earlier choices."""
+    the lowest frontier edge and backtracks over all earlier choices,
+    every pairing of marks included."""
     if len(ca.tree.vertices) != len(cb.tree.vertices):
         return None
     root = ca.tree.vertices[0]
@@ -263,11 +290,11 @@ class TestMarkedTreeExtensions:
     def test_asymmetric_piece_has_unique_self_iso(self):
         c = chain3()
         nf = piece_normal_form(c, 1)
-        isos = list(marked_tree_extensions(nf, nf))
-        assert len(isos) == 1
-        assert isos[0].vertex_map == {v: v for v in nf.features}
-        assert isos[0].mark_map == (0, 1)
-        assert isos[0].transforms == ((1, F(0)), (1, F(0)))
+        maps = list(marked_tree_extensions(nf, nf))
+        assert len(maps) == 1
+        assert maps[0].vertex_map == {v: v for v in nf.features}
+        # one candidate per mark: the marks lie on different carriers
+        assert maps[0].candidates == (((0, (1, F(0))),), ((1, (1, F(0))),))
 
     def test_unmarked_symmetry_doubles_count(self):
         z = MetricTree([(0, 1, 2), (0, 2, 2)])
@@ -279,10 +306,11 @@ class TestMarkedTreeExtensions:
     def test_pin_picks_reflection(self):
         c = two_piece()
         nf = piece_normal_form(c, 0)
-        iso = next(marked_tree_extensions(nf, nf, (0, 0, -1, F(0))), None)
-        assert iso is not None
-        assert iso.vertex_map == {0: 1, 1: 0}
-        assert iso.transforms == ((-1, F(0)),)
+        fm = next(marked_tree_extensions(nf, nf, (0, 0, -1, F(0))), None)
+        assert fm is not None
+        assert fm.vertex_map == {0: 1, 1: 0}
+        assert fm.candidates == (((0, (-1, F(0))),),)
+        iso = MarkedTreeIso(nf, nf, fm.vertex_map, (0,), ((-1, F(0)),))
         p = nf.tree.point(0, F(3))
         assert iso.point_image(p) == nf.tree.point(0, F(17))
 
@@ -300,45 +328,50 @@ class TestMarkedTreeExtensions:
         """One search level per feature edge, far past the recursion limit."""
         nf = NormalForm(caterpillar(600), [])
         assert len(nf.fedges) == 1199
-        iso = next(marked_tree_extensions(nf, nf))
-        assert iso.vertex_map == {f: f for f in nf.features}
+        fm = next(marked_tree_extensions(nf, nf))
+        assert fm.vertex_map == {f: f for f in nf.features}
 
 
 class TestTryExtend:
-    """The one-wall step: extend_choices across a wall of a mapped piece."""
+    """The one-wall step: extend_choices across the wall key of a mapped piece."""
 
     def test_grows_identity_across_wall(self):
         c = two_piece()
-        root = next(ref_seed_triples(c, c, 0, 0)).phi[0]
-        v_b, e_b, pm = next(extend_choices(c, c, {}, 0, 0, root, 0))
-        assert (v_b, e_b) == (1, 0)
-        assert pm.height_shift == 0
-        full = GoodTriple(c, c, (0, 1), {0: 0, 1: 1}, {0: 0}, {0: root, 1: pm})
+        seed = next(ref_seed_triples(c, c, 0, 0))
+        key = ref_wall_key(seed, 0, 0)
+        v_b, shift, fm = next(extend_choices(c, c, {}, 0, key))
+        assert (v_b, key[1]) == (1, 0)
+        assert shift == 0
+        nf = piece_normal_form(c, 1)
+        pm = PieceMap(next(ref_pairings(nf, nf, fm)), shift)
+        full = GoodTriple(c, c, (0, 1), {0: 0, 1: 1}, {0: 0}, {0: seed.phi[0], 1: pm})
         assert verify_good(full)[0]
 
     def test_non_frontier_edge_rejected(self):
         # wall 1 joins pieces 1 and 2, so it does not leave piece 0
         c = chain3()
-        root = next(ref_seed_triples(c, c, 0, 0)).phi[0]
+        key = ref_wall_key(next(ref_seed_triples(c, c, 0, 0)), 0, 0)
         with pytest.raises(ValueError):
-            list(extend_choices(c, c, {}, 0, 0, root, 1))
+            list(extend_choices(c, c, {}, 0, (1, *key[1:])))
 
     def test_reflected_seed_is_dead_end(self):
         # the second root map is the piece's tree reflection; the crossing
         # mark then carries sigma = -1 and no extension can satisfy the
         # flip equations
         c = two_piece()
-        seeds = [t.phi[0] for t in ref_seed_triples(c, c, 0, 0)]
+        seeds = list(ref_seed_triples(c, c, 0, 0))
         assert len(seeds) == 2
         reflected = next(
-            pm for pm in seeds if pm.iso.vertex_map == {0: 1, 1: 0})
-        assert list(extend_choices(c, c, {}, 0, 0, reflected, 0)) == []
+            t for t in seeds if t.phi[0].iso.vertex_map == {0: 1, 1: 0})
+        key = ref_wall_key(reflected, 0, 0)
+        assert key[3] == -1
+        assert list(extend_choices(c, c, {}, 0, key)) == []
 
     def test_window_mismatch_stops_extension(self):
         ca = two_piece()
         cb = mutated_window()
-        root = next(ref_seed_triples(ca, cb, 0, 0)).phi[0]
-        assert list(extend_choices(ca, cb, {}, 0, 0, root, 0)) == []
+        key = ref_wall_key(next(ref_seed_triples(ca, cb, 0, 0)), 0, 0)
+        assert list(extend_choices(ca, cb, {}, 0, key)) == []
 
 
 class TestIsomorphic:
@@ -445,8 +478,8 @@ class TestIsomorphic:
     def test_worst_mutated_pair_builds_each_form_once(self, monkeypatch):
         """A 14-piece mutated pair the whole-triple search needs 36,852
         normal forms and 22,218 extension steps to reject."""
-        counts = dict.fromkeys(
-            ("piece_normal_form", "marked_tree_extensions", "extend_choices"), 0)
+        counts = dict.fromkeys(("piece_normal_form", "marked_tree_extensions",
+                                "extend_choices", "MarkedTreeIso"), 0)
         for name in counts:
             def counting(*args, _fn=getattr(cluster_iso, name), _name=name):
                 counts[_name] += 1
@@ -456,8 +489,27 @@ class TestIsomorphic:
                                               piece_edges=(12, 12)))
         assert isomorphic(ca, cb) is None
         assert counts["piece_normal_form"] <= 2 * len(ca.tree.vertices)
-        assert counts == {"piece_normal_form": 17, "marked_tree_extensions": 18,
-                          "extend_choices": 30}
+        assert counts == {"piece_normal_form": 17, "marked_tree_extensions": 15,
+                          "extend_choices": 22, "MarkedTreeIso": 6}
+
+    def test_marks_on_one_carrier_pair_where_solved(self, monkeypatch):
+        """The root piece carries 8 marks on one feature edge, so each root
+        feature map has 8! pairings of them; marks pair where their walls
+        are solved, and only returned piece maps are built."""
+        builds = []
+
+        def counting(*args, _cls=MarkedTreeIso):
+            builds.append(args)
+            return _cls(*args)
+
+        monkeypatch.setattr(cluster_iso, "MarkedTreeIso", counting)
+        ca, cb = planted_pair(GeneratorParams(seed=600203567, tree_size=(16, 16),
+                                              piece_edges=(2, 2)))
+        marks = piece_normal_form(ca, ca.tree.vertices[0]).marks
+        assert len(marks) == 8
+        assert len({frozenset((m.start_vertex, m.end_vertex)) for m in marks}) == 1
+        assert isomorphic(ca, cb) is not None
+        assert len(builds) <= len(ca.tree.vertices)
 
     def test_rejected_witness_raises(self, monkeypatch):
         """isomorphic checks its own witness, so callers need not."""

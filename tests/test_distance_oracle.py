@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 from test_cluster import chain3, two_piece
 
-from flipcluster.cluster import piece_distance, route_between, supporting_vertices
+from flipcluster.cluster import piece_distance, route_between
 from flipcluster.distance_oracle import (
     CrossingProfile,
     DiscretizedOracle,
@@ -162,7 +162,7 @@ class TestExactDistance:
         a = c.point(0, 2, F(2), F(9))
         b = c.point(2, 0, F(2), F(-2))
         # b transfers across both walls of the middle piece
-        assert supporting_vertices(c, b) == (0, 1, 2)
+        assert sorted(c.supports(b)) == [0, 1, 2]
         value, prof = exact_distance(c, a, b)
         assert value == 11
         assert prof == CrossingProfile((0,), (), (), ())

@@ -15,6 +15,7 @@ from flipcluster.cluster import (
     Piece,
     SimplicialTree,
     piece_distance,
+    point_to_spec,
     support_route,
     transfer_across_wall,
 )
@@ -23,13 +24,11 @@ from flipcluster.errors import SegmentOverflow
 from flipcluster.metric_tree import Line, MetricTree
 from flipcluster.special_path import (
     length_ratio,
-    middle_segments,
     special_path,
     star_audit,
     star_terms,
     subpath,
     subrange_ratios,
-    verify_bilipschitz,
 )
 
 F = Fraction
@@ -276,18 +275,21 @@ class TestSubrangeRatios:
 
 
 class TestMiddleSegments:
+    """Segments 2..n-2 of a path with segments 0..n, which depend only on
+    the vertex geodesic."""
+
     def test_short_paths_have_none(self):
         c = chain3()
         sp = special_path(c, c.point(0, 2, F(2), F(9)), c.point(2, 0, F(2), F(5)))
-        assert middle_segments(sp) == []
+        assert sp.segments[2:-2] == ()
 
     def test_endpoint_independence(self):
         c = chain6()
         a1 = special_path(c, c.point(0, 0, F(2), F(7)), c.point(5, 0, F(1), F(6)))
         a2 = special_path(c, c.point(0, 0, F(9), F(6)), c.point(5, 0, F(8), F(-7)))
         assert len(a1.segments) == 6
-        assert middle_segments(a1) == middle_segments(a2)
-        assert middle_segments(a1) == list(a1.segments[2:4])
+        assert a1.segments[2:-2] == a2.segments[2:-2]
+        assert len(a1.segments[2:-2]) == 2
         # and the first and last legs do depend on the endpoints
         assert a1.segments[0] != a2.segments[0]
 
@@ -304,7 +306,8 @@ class TestMiddleSegments:
     def test_middle_segment_shape(self):
         c = chain6()
         sp = special_path(c, c.point(0, 0, F(2), F(7)), c.point(5, 0, F(1), F(6)))
-        for seg in middle_segments(sp):
+        assert len(sp.segments[2:-2]) == 2
+        for seg in sp.segments[2:-2]:
             z = c.pieces[seg.vertex].tree
             assert seg.entry.horizontal == z.vertex_point(1)
             assert seg.exit.horizontal == z.vertex_point(3)
@@ -324,26 +327,24 @@ class TestOverflow:
         value, _ = exact_distance(c, x, y)
         assert value > 0
 
-    def test_verify_counts_overflow(self):
-        c = truncated_mark()
-        x = ClusterPoint(0, c.pieces[0].tree.point(1, F(3)), F(5))
-        y = c.point(1, 0, F(2), F(1))
-        report = verify_bilipschitz(c, [(x, y)])
-        assert report == {"pairs": 0, "max_ratio": "1",
-                          "attaining_pair": None, "overflow_count": 1}
-
 
 class TestReports:
-    def test_verify_bilipschitz_frozen(self):
+    def test_subrange_ratios_frozen(self):
+        """The largest path/distance ratio over three pairs and every
+        sub-range of their paths, and the first pair that attains it."""
         c = chain3()
         a = c.point(0, 2, F(2), F(9))
         b = c.point(2, 0, F(2), F(5))
         y = c.point(1, 1, F(1), F(6))
-        report = verify_bilipschitz(c, [(a, b), (a, y), (a, a)])
-        assert report["pairs"] == 3
-        assert report["overflow_count"] == 0
-        assert report["max_ratio"] == "17/14"
-        assert report["attaining_pair"] == [
+        walked = [(x, z, ratio, problem)
+                  for x, z in ((a, b), (a, y), (a, a))
+                  for _, ratio, problem in subrange_ratios(
+                      c, special_path(c, x, z), exact_distance(c, x, z)[0])]
+        assert all(problem is None for *_, problem in walked)
+        top = max(ratio for _, _, ratio, _ in walked if ratio is not None)
+        assert top == F(17, 14)
+        x, z = next((x, z) for x, z, ratio, _ in walked if ratio == top)
+        assert [point_to_spec(x), point_to_spec(z)] == [
             {"vertex": 0, "edge": 2, "offset": "2", "height": "9"},
             {"vertex": 2, "edge": 0, "offset": "2", "height": "5"},
         ]
