@@ -136,8 +136,9 @@ class Cluster:
                 problems.append(
                     ("empty-window", f"vertex {v}", f"height window [{lo}, {hi}] is empty")
                 )
+        vertices = set(self.tree.vertices)
         for v in self.pieces:
-            if v not in set(self.tree.vertices):
+            if v not in vertices:
                 problems.append(("orphan-piece", f"vertex {v}", "piece for a missing vertex"))
         for eid, (a, b) in enumerate(self.tree.edges):
             for v in (a, b):

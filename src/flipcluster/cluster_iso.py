@@ -15,12 +15,13 @@ reported as non-isomorphic (a documented v1 restriction).
 Marked trees are compared in normal form: the feature vertices (leaves,
 branch vertices, mark endpoints) with degree-2 chains fused into single
 weighted edges.  A bijection of feature vertices preserving pairwise
-distances extends uniquely to an isometry of the trees, so searches run
-over feature bijections.  The search anchored on a mapped mark fixes
-the images of the carrier's features, then backtracks over the images of
-the other feature edges in canonical order.  It yields feature maps with
-each mark's candidates, the target marks on the image of its carrier;
-marks are paired where their walls are solved.
+distances, which verify_good reads as sending feature edges onto feature
+edges of the same length, extends uniquely to an isometry of the trees,
+so searches run over feature bijections.  The search anchored on a
+mapped mark fixes the images of the carrier's features, then backtracks
+over the images of the other feature edges in canonical order.  It
+yields feature maps with each mark's candidates, the target marks on the
+image of its carrier; marks are paired where their walls are solved.
 
 isomorphic roots T at its first vertex and decides it subtree by
 subtree.  Pairing a mark at w with a target mark fixes the wall key: the
@@ -49,7 +50,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .cluster import Cluster, ClusterPoint, Supports, lowest_point, route_between
 from .errors import SizeCapError
-from .metric_tree import Line, MetricTree, RootedTree, TreePoint
+from .metric_tree import Line, MetricTree, TreePoint
 from .rational import format_rational
 
 
@@ -159,9 +160,15 @@ class MarkedTreeIso:
         return self.nf_b.fedge_point(j, x)
 
 
-def _rooted(nf: NormalForm) -> RootedTree:
-    """The feature tree of a normal form, for distances between features."""
-    return RootedTree(nf.adj, nf.features[0], [fe.length for fe in nf.fedges])
+def keeps_feature_edges(nf_a: NormalForm, nf_b: NormalForm,
+                        vertex_map: dict[int, int]) -> bool:
+    """Whether a bijection of feature vertices sends every feature edge
+    of nf_a onto a feature edge of nf_b of the same length."""
+    for fe in nf_a.fedges:
+        j = nf_b.pair_to_fedge.get(frozenset((vertex_map[fe.u], vertex_map[fe.v])))
+        if j is None or nf_b.fedges[j].length != fe.length:
+            return False
+    return True
 
 
 Transform = tuple[int, Fraction]   # t -> sigma*t + shift, as (sigma, shift)
@@ -369,25 +376,22 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
     with exact distances on wall corner pairs; 3 each piece maps onto its
     target piece (window translation, feature bijection); 4 the map is a
     product per piece (well-formed data); 5 marks biject to marks.
+
+    Pieces are checked in time linear in their features.  A feature
+    bijection keeps all feature distances iff it keeps feature edges and
+    their lengths (keeps_feature_edges): a feature lies strictly between
+    two others iff their distances add up.  Mark ends are features, so a
+    transform must send each end's parameter to its image vertex's.
     """
     from .distance_oracle import route_distance
 
     ca, cb = triple.ca, triple.cb
     uset = set(triple.vertices)
-    if not uset or any(v not in ca.tree.vertices for v in uset):
+    if not uset or not uset.issubset(ca.tree.vertices):
         return (False, 1, "vertex set outside T")
     inner = [eid for eid, (a, b) in enumerate(ca.tree.edges)
              if a in uset and b in uset]
-    inner_set = set(inner)
-    seen = {triple.vertices[0]}
-    work = [triple.vertices[0]]
-    while work:
-        v = work.pop()
-        for eid, w in ca.tree.neighbors(v):
-            if eid in inner_set and w in uset and w not in seen:
-                seen.add(w)
-                work.append(w)
-    if seen != uset:
+    if len(inner) != len(uset) - 1:   # a forest in T: connected iff |U| - 1 edges
         return (False, 1, "vertex set is not connected in T")
     if len(set(triple.psi.get(v) for v in uset)) != len(uset):
         return (False, 1, "psi is not injective")
@@ -414,16 +418,11 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
         wlo2, whi2 = cb.pieces[triple.psi[v]].window
         if (wlo2, whi2) != (wlo + pm.height_shift, whi + pm.height_shift):
             failures.append((3, f"window of {v} does not translate onto target"))
-        if len(nfa.features) != len(nfb.features) or \
-                sorted(pm.iso.vertex_map) != list(nfa.features) or \
-                sorted(pm.iso.vertex_map.values()) != list(nfb.features):
+        vm = pm.iso.vertex_map
+        if sorted(vm) != list(nfa.features) or sorted(vm.values()) != list(nfb.features):
             failures.append((3, f"feature bijection invalid at {v}"))
-        else:
-            ra, rb = _rooted(nfa), _rooted(nfb)
-            vm = pm.iso.vertex_map
-            if any(ra.distance(f, g) != rb.distance(vm[f], vm[g])
-                   for f, g in itertools.combinations(nfa.features, 2)):
-                failures.append((2, f"distances disagree inside piece {v}"))
+        elif not keeps_feature_edges(nfa, nfb, vm):
+            failures.append((2, f"distances disagree inside piece {v}"))
 
         eids = incident_eids(ca, v)
         eids_b = incident_eids(cb, triple.psi[v])
@@ -435,13 +434,10 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
             line = ca.marks[(v, eid)]
             target = cb.marks[(triple.psi[v], eids_b[pm.iso.mark_map[i]])]
             sigma, shift = pm.iso.transforms[i]
-            for t in (line.lo, line.hi):
-                want = target.point_at(sigma * t + shift) \
-                    if target.lo <= sigma * t + shift <= target.hi else None
-                if want is None or pm.iso.point_image(line.point_at(t)) != want:
-                    failures.append(
-                        (5, f"mark of edge {eid} at {v} maps off its target"))
-                    break
+            if any(target.vertex_params.get(vm.get(end)) != sigma * t + shift
+                   for end, t in ((line.start_vertex, line.lo),
+                                  (line.end_vertex, line.hi))):
+                failures.append((5, f"mark of edge {eid} at {v} maps off its target"))
 
     for eid in inner:
         a, b = ca.tree.edges[eid]

@@ -10,6 +10,7 @@ Expected wall time is one to two minutes, dominated by the bilipschitz
 corpus (50,000 pairs).
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -36,6 +37,8 @@ CONFIG = json.loads(
     .read_text())
 SEED = CONFIG["seed"]
 SIZES = CONFIG["sizes"]
+# sha256(dumps_canonical(strip_timings(run_suite(CONFIG))))
+ACCEPTANCE_GOLDEN = "4e35e96387e0d0140191921a46552b86f7bbcc379445625838753119702edf3e"
 
 
 def _timed(fn, *args):
@@ -151,3 +154,14 @@ def test_determinism_byte_identical():
           f"{len(a)} bytes each, in {t1 + t2:.1f}s")
     assert first["pass"] and second["pass"]
     assert same, "reports differ after stripping timing fields"
+
+
+def test_acceptance_golden_hash():
+    """The full acceptance-size report is pinned byte for byte, as the
+    desk-size one is: refactors of the library must not move it."""
+    report, seconds = _timed(run_suite, CONFIG)
+    digest = hashlib.sha256(
+        dumps_canonical(strip_timings(report)).encode()).hexdigest()
+    print(f"{'PASS' if digest == ACCEPTANCE_GOLDEN else 'FAIL'} acceptance "
+          f"golden hash in {seconds:.1f}s")
+    assert digest == ACCEPTANCE_GOLDEN

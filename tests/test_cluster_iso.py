@@ -9,8 +9,11 @@ degree-2 vertex that only the normal form can see through.
 reference_isomorphic below is the depth-first search over whole good
 triples that the subtree-by-subtree search must agree with witness for
 witness, on pairs too large for the brute-force referee.
+ref_keeps_distances is the all-pairs feature distance comparison that
+verify_good's edge-by-edge check replaced.
 """
 
+import copy
 import itertools
 import random
 import re
@@ -32,6 +35,7 @@ from flipcluster.cluster_iso import (
     extend_choices,
     incident_eids,
     isomorphic,
+    keeps_feature_edges,
     marked_tree_extensions,
     piece_normal_form,
     point_image,
@@ -42,7 +46,7 @@ from flipcluster.distance_oracle import exact_distance
 from flipcluster.errors import SizeCapError
 from flipcluster.generator import GeneratorParams, mutated_pair, planted_pair
 from flipcluster.jsonutil import dumps_canonical
-from flipcluster.metric_tree import Line, MetricTree
+from flipcluster.metric_tree import Line, MetricTree, RootedTree
 
 F = Fraction
 
@@ -250,6 +254,31 @@ def reference_isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
     return None
 
 
+def ref_keeps_distances(nf_a: NormalForm, nf_b: NormalForm,
+                        vertex_map: dict[int, int]) -> bool:
+    """Every pair of features keeps its distance along the feature trees."""
+    ra, rb = (RootedTree(nf.adj, nf.features[0], [fe.length for fe in nf.fedges])
+              for nf in (nf_a, nf_b))
+    return all(ra.distance(f, g) == rb.distance(vertex_map[f], vertex_map[g])
+               for f, g in itertools.combinations(nf_a.features, 2))
+
+
+def corrupted_maps(iso: MarkedTreeIso) -> Iterator[tuple[NormalForm, NormalForm, dict]]:
+    """(nf_a, nf_b, vertex map): the piece map as it is, with its target's
+    first feature edge one longer, and with the images of the first two
+    source features of equal degree swapped."""
+    nf_a, nf_b, vm = iso.nf_a, iso.nf_b, iso.vertex_map
+    yield nf_a, nf_b, vm
+    longer = copy.copy(nf_b)
+    fe = nf_b.fedges[0]
+    longer.fedges = (fe._replace(length=fe.length + 1), *nf_b.fedges[1:])
+    yield nf_a, longer, vm
+    f, g = next(((f, g) for f, g in itertools.combinations(nf_a.features, 2)
+                 if len(nf_a.adj[f]) == len(nf_a.adj[g])), (None, None))
+    if f is not None:
+        yield nf_a, nf_b, {**vm, f: vm[g], g: vm[f]}
+
+
 def random_cluster_points(c, rng, count):
     pts = []
     for _ in range(count):
@@ -372,6 +401,12 @@ class TestTryExtend:
         cb = mutated_window()
         key = ref_wall_key(next(ref_seed_triples(ca, cb, 0, 0)), 0, 0)
         assert list(extend_choices(ca, cb, {}, 0, key)) == []
+
+
+@pytest.fixture(scope="module")
+def path_pair_5000():
+    return planted_pair(GeneratorParams(seed=5, tree_size=(5000, 5000),
+                                        piece_edges=(2, 4), tree_shape="path"))
 
 
 class TestIsomorphic:
@@ -533,6 +568,24 @@ class TestIsomorphic:
             tracemalloc.stop()
         assert peak < 40 * 2**20, f"search peaked at {peak / 2**20:.1f} MB"
 
+    @pytest.mark.acceptance
+    def test_5000_piece_path_pair(self, path_pair_5000):
+        """isomorphic runs verify_good on its witness and raises if it
+        fails; a membership test quadratic in the pieces would stall here."""
+        assert isomorphic(*path_pair_5000) is not None
+
+    @pytest.mark.acceptance
+    def test_5000_piece_path_pair_search_memory(self, path_pair_5000, monkeypatch):
+        monkeypatch.setattr(cluster_iso, "verify_good",
+                            lambda triple: (True, None, None))
+        tracemalloc.start()
+        try:
+            assert isomorphic(*path_pair_5000) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20, f"search peaked at {peak / 2**20:.1f} MB"
+
     def test_witness_shape(self):
         triple = isomorphic(two_piece(), two_piece())
         w = witness_to_spec(triple)
@@ -615,6 +668,77 @@ class TestVerifyGood:
                                   pm.iso.transforms)
         phi = {1: PieceMap(scrambled, pm.height_shift)}
         assert verify_good(seed._replace(phi=phi))[:2] == (False, 5)
+
+    def test_feature_edge_of_other_length_is_condition_2(self):
+        """Leaves 2 and 3 of piece 1 both hang off feature 0, so swapping
+        them keeps adjacency, but their feature edges are 5 and 4 long."""
+        c = chain3()
+        seed = next(ref_seed_triples(c, c, 1, 1))
+        pm = seed.phi[1]
+        swapped = MarkedTreeIso(pm.iso.nf_a, pm.iso.nf_b, {0: 0, 1: 1, 2: 3, 3: 2},
+                                pm.iso.mark_map, pm.iso.transforms)
+        phi = {1: PieceMap(swapped, pm.height_shift)}
+        assert verify_good(seed._replace(phi=phi)) == \
+            (False, 2, "distances disagree inside piece 1")
+
+    @pytest.mark.parametrize("transform", [(-1, F(8)), (1, F(1)), (1, F(3))])
+    def test_mark_end_off_its_image_is_condition_5(self, transform):
+        """Mark 0 of piece 1 runs over [0, 8] through features 1, 0, 2 at
+        0, 3, 8; under the identity map each transform sends its start
+        somewhere other than the parameter of feature 1: onto feature 2,
+        inside an edge, onto feature 0."""
+        c = chain3()
+        seed = next(ref_seed_triples(c, c, 1, 1))
+        pm = seed.phi[1]
+        assert pm.iso.vertex_map == {f: f for f in pm.iso.nf_a.features}
+        moved = MarkedTreeIso(pm.iso.nf_a, pm.iso.nf_b, pm.iso.vertex_map,
+                              pm.iso.mark_map, (transform, *pm.iso.transforms[1:]))
+        phi = {1: PieceMap(moved, pm.height_shift)}
+        assert verify_good(seed._replace(phi=phi)) == \
+            (False, 5, "mark of edge 0 at 1 maps off its target")
+
+
+class TestFeatureEdgeCheck:
+    """keeps_feature_edges against the all-pairs referee, on every piece
+    map of a witness and on corruptions of it."""
+
+    @staticmethod
+    def assert_agree(triple: GoodTriple) -> int:
+        """Agreement on every corrupted map; returns how many fail."""
+        rejected = 0
+        for pm in triple.phi.values():
+            for nf_a, nf_b, vm in corrupted_maps(pm.iso):
+                fast = keeps_feature_edges(nf_a, nf_b, vm)
+                assert fast == ref_keeps_distances(nf_a, nf_b, vm)
+                rejected += not fast
+        return rejected
+
+    @pytest.mark.parametrize("seed", range(7))
+    def test_agrees_on_search_witnesses(self, seed):
+        witnesses = 0
+        for n in (4, 6, 8, 10, 12):
+            m = 1 + (seed * 7 + n) % 12
+            params = GeneratorParams(seed=seed, tree_size=(n, n), piece_edges=(m, m))
+            for ca, cb in (planted_pair(params), mutated_pair(params)):
+                triple = isomorphic(ca, cb)
+                if triple is not None:
+                    witnesses += 1
+                    # each piece's longer target edge must be caught
+                    assert self.assert_agree(triple) >= len(triple.vertices)
+        assert witnesses >= 5
+
+    def test_agrees_on_brute_force_witnesses(self):
+        pairs = [(two_piece(), two_piece()), (chain3(), shifted_chain3()),
+                 (chain3(), reversed_chain3()), (two_piece(), two_piece_subdivided()),
+                 (star3(True), star3(True)), (star3(), star3())]
+        for seed in range(4):
+            params = GeneratorParams(seed=seed, tree_size=(3, 5), piece_edges=(1, 5))
+            pairs += [planted_pair(params), mutated_pair(params)]
+        witnesses = [t for t in (brute_force_iso(ca, cb) for ca, cb in pairs)
+                     if t is not None]
+        assert len(witnesses) >= len(pairs) // 2
+        for triple in witnesses:
+            assert self.assert_agree(triple) >= len(triple.vertices)
 
 
 class TestBruteForce:
