@@ -49,7 +49,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .cluster import Cluster, ClusterPoint, Supports, lowest_point, route_between
-from .errors import SizeCapError
+from .errors import FeatureMapError, SizeCapError
 from .metric_tree import Line, MetricTree, TreePoint
 from .rational import format_rational
 
@@ -148,8 +148,11 @@ class MarkedTreeIso:
         self.transforms = transforms
         self.fedge_map: dict[int, tuple[int, bool]] = {}
         for i, fe in enumerate(nf_a.fedges):
-            pair = frozenset((vertex_map[fe.u], vertex_map[fe.v]))
-            j = nf_b.pair_to_fedge[pair]
+            x, y = vertex_map[fe.u], vertex_map[fe.v]
+            j = nf_b.pair_to_fedge.get(frozenset((x, y)))
+            if j is None:
+                raise FeatureMapError(
+                    f"feature edge {fe.u}-{fe.v} maps to {x}-{y}, not a feature edge")
             self.fedge_map[i] = (j, vertex_map[fe.u] == nf_b.fedges[j].u)
 
     def point_image(self, p: TreePoint) -> TreePoint:
@@ -434,7 +437,7 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
             line = ca.marks[(v, eid)]
             target = cb.marks[(triple.psi[v], eids_b[pm.iso.mark_map[i]])]
             sigma, shift = pm.iso.transforms[i]
-            if any(target.vertex_params.get(vm.get(end)) != sigma * t + shift
+            if any(target.vertex_param(vm.get(end)) != sigma * t + shift
                    for end, t in ((line.start_vertex, line.lo),
                                   (line.end_vertex, line.hi))):
                 failures.append((5, f"mark of edge {eid} at {v} maps off its target"))

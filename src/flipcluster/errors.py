@@ -44,6 +44,10 @@ class ClusterValidationError(FlipClusterError, ValueError):
         super().__init__("instance validation failed:\n" + "\n".join(lines))
 
 
+class FeatureMapError(FlipClusterError, ValueError):
+    """A feature-vertex map of marked trees breaks feature adjacency."""
+
+
 class InstanceDefect(FlipClusterError):
     """A validated-looking instance turned out unusable mid-computation."""
 

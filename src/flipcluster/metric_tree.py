@@ -2,7 +2,9 @@
 
 Vertices are integers, edges carry positive rational lengths, and all
 computations (distances, geodesics, projections, bridges between line
-segments) are exact over ``fractions.Fraction``.  Points are addressed as
+segments) are exact.  Lengths, offsets and line parameters enter and
+leave as ``fractions.Fraction``; inside, a line holds its parameters as
+ints at one scale per line (see :class:`Line`).  Points are addressed as
 (edge id, offset from the edge's first endpoint) and canonicalized so that
 equal points compare equal: a point sitting on a vertex is always
 represented on the lowest-id edge incident to that vertex.
@@ -22,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidPointError, NotOnLineError, SegmentOverflow
@@ -122,24 +125,22 @@ class MetricTree:
 
     def __init__(self, edges: Iterable[tuple[int, int, Fraction | int | str]]):
         parsed: list[TreeEdge] = []
+        # (edge id, neighbor) lists, sorted by edge id as they are filled
+        adj: dict[int, list[tuple[int, int]]] = {}
         for i, (a, b, length) in enumerate(edges):
             length = as_fraction(length)
             if a == b:
                 raise ValueError(f"edge {i} is a self-loop at vertex {a}")
             if length.numerator <= 0:   # a Fraction has the sign of its numerator
                 raise ValueError(f"edge {i} has non-positive length {length}")
-            parsed.append(TreeEdge(int_id(a), int_id(b), length))
+            a, b = int_id(a), int_id(b)
+            parsed.append(TreeEdge(a, b, length))
+            adj.setdefault(a, []).append((i, b))
+            adj.setdefault(b, []).append((i, a))
         if not parsed:
             raise ValueError("a metric tree needs at least one edge")
         self.edges: tuple[TreeEdge, ...] = tuple(parsed)
-
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for i, e in enumerate(self.edges):
-            adj.setdefault(e.a, []).append((i, e.b))
-            adj.setdefault(e.b, []).append((i, e.a))
-        self._adj: dict[int, tuple[tuple[int, int], ...]] = {
-            v: tuple(sorted(n)) for v, n in adj.items()
-        }
+        self._adj = adj
         self.vertices: tuple[int, ...] = tuple(sorted(adj))
         if len(self.vertices) != len(self.edges) + 1:
             raise ValueError("edge set contains a cycle or a parallel edge")
@@ -159,7 +160,7 @@ class MetricTree:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
+    def neighbors(self, v: int) -> list[tuple[int, int]]:
         """(edge id, opposite vertex) pairs, sorted by edge id."""
         return self._adj[v]
 
@@ -196,11 +197,6 @@ class MetricTree:
             raise InvalidPointError(
                 f"offset {offset} outside [0, {e.length}] on edge {edge}"
             )
-        return self._on_edge(edge, offset)
-
-    def _on_edge(self, edge: int, offset: Fraction) -> TreePoint:
-        """Canonical form of a Fraction offset already known to lie on the edge."""
-        e = self.edges[edge]
         if offset == 0:
             return self.vertex_point(e.a)
         if offset == e.length:
@@ -285,6 +281,11 @@ class Line:
     ``start_vertex``; parameters run over [lo, hi] where hi - lo equals the
     carrier length, parameter lo sits at the start vertex, and parameters
     grow along the traversal.
+
+    Inside, a parameter is an int position: its distance from the start
+    vertex times the carrier's scale, the lcm of the denominators of its
+    edge lengths.  ``lo``, ``hi`` and every parameter a method takes or
+    returns are Fractions, converted once at that boundary.
     """
 
     def __init__(self, tree: MetricTree, edge_path: Iterable[int], start_vertex: int, lo: Fraction | int | str):
@@ -295,68 +296,92 @@ class Line:
         if len(set(path)) != len(path):
             raise ValueError("line edge path repeats an edge")
         lo = as_fraction(lo)
-        spans: dict[int, tuple[Fraction, int]] = {}
-        vparams: dict[int, Fraction] = {}
-        ends: list[Fraction] = []   # parameter at the far end of each path edge
         v = int_id(start_vertex)
-        t = lo
-        vparams[v] = t
+        verts, lengths = [v], []   # the vertices along the carrier, the edge lengths
         for eid in path:
             if not 0 <= eid < len(tree.edges):
                 raise ValueError(f"line references missing edge {eid}")
             e = tree.edges[eid]
             if v == e.a:
-                nxt = e.b
+                v = e.b
             elif v == e.b:
-                nxt = e.a
+                v = e.a
             else:
                 raise ValueError(f"line edge path breaks at edge {eid}")
-            spans[eid] = (t, v)
-            t += e.length
-            ends.append(t)
-            v = nxt
-            vparams[v] = t
+            verts.append(v)
+            lengths.append(e.length)
+        scale = lcm(*(ln.denominator for ln in lengths))
+        cuts = [0]   # position of each carrier vertex
+        for ln in lengths:
+            cuts.append(cuts[-1] + ln.numerator * (scale // ln.denominator))
         self.edge_path = path
-        self.edge_ends = ends
         self.start_vertex = start_vertex
         self.end_vertex = v
         self.lo = lo
-        self.hi = t
-        self.edge_spans = spans
-        self.vertex_params = vparams
+        self._lo = (lo.numerator, lo.denominator)
+        self._scale = scale
+        self._verts = verts
+        self._cuts = cuts
+        self._edge_at = {eid: k for k, eid in enumerate(path)}
+        self._vertex_at = {v: k for k, v in enumerate(verts)}
+        self.hi = self._param(cuts[-1])
+
+    def _param(self, pos: int, den: int = 1) -> Fraction:
+        """The parameter at position pos / den."""
+        a, b = self._lo
+        sd = self._scale * den
+        return Fraction(a * sd + b * pos, b * sd)
 
     @property
     def length(self) -> Fraction:
         return self.hi - self.lo
 
+    @property
+    def vertex_params(self) -> dict[int, Fraction]:
+        """Each carrier vertex with its parameter, in carrier order."""
+        return {v: self._param(c) for v, c in zip(self._verts, self._cuts)}
+
+    def vertex_param(self, v: int | None) -> Fraction | None:
+        """The parameter of a carrier vertex; None off the carrier."""
+        k = self._vertex_at.get(v)
+        return None if k is None else self._param(self._cuts[k])
+
     def point_at(self, t: Fraction | int | str) -> TreePoint:
         t = as_fraction(t)
-        if t < self.lo or t > self.hi:
+        a, b = self._lo
+        bq = b * t.denominator
+        x = (t.numerator * b - a * t.denominator) * self._scale   # position times bq
+        cuts = self._cuts
+        if x < 0 or x > cuts[-1] * bq:
             raise SegmentOverflow(
                 f"parameter {t} outside line range [{self.lo}, {self.hi}]",
                 param=t,
             )
-        eid = self.edge_path[bisect_left(self.edge_ends, t)]  # first edge ending at or after t
-        enter_t, enter_v = self.edge_spans[eid]
-        e = self.tree.edges[eid]
-        along = t - enter_t
-        off = along if enter_v == e.a else e.length - along
-        return self.tree._on_edge(eid, off)   # enter_t <= t <= edge end: off is on the edge
+        k = bisect_left(cuts, -(-x // bq), 1) - 1   # first edge ending at or after t
+        along = x - cuts[k] * bq
+        if along == 0:
+            return self.tree.vertex_point(self._verts[k])
+        rest = cuts[k + 1] * bq - x
+        if rest == 0:
+            return self.tree.vertex_point(self._verts[k + 1])
+        eid = self.edge_path[k]
+        forward = self._verts[k] == self.tree.edges[eid].a
+        return TreePoint(eid, Fraction(along if forward else rest, bq * self._scale))
 
     def coord_of(self, p: TreePoint) -> Fraction:
-        span = self.edge_spans.get(p.edge)
-        if span is not None:
-            enter_t, enter_v = span
-            e = self.tree.edges[p.edge]
-            along = p.offset if enter_v == e.a else e.length - p.offset
-            return enter_t + along
-        v = self.tree.point_vertex(p)
-        if v is not None and v in self.vertex_params:
-            return self.vertex_params[v]
-        raise NotOnLineError(f"point {p} not on line")
+        k = self._edge_at.get(p.edge)
+        if k is not None:
+            c, q = p.offset.numerator, p.offset.denominator
+            if self._verts[k] == self.tree.edges[p.edge].a:
+                return self._param(self._cuts[k] * q + c * self._scale, q)
+            return self._param(self._cuts[k + 1] * q - c * self._scale, q)
+        t = self.vertex_param(self.tree.point_vertex(p))
+        if t is None:
+            raise NotOnLineError(f"point {p} not on line")
+        return t
 
     def contains(self, p: TreePoint) -> bool:
-        return p.edge in self.edge_spans or self.tree.point_vertex(p) in self.vertex_params
+        return p.edge in self._edge_at or self.tree.point_vertex(p) in self._vertex_at
 
     @cached_property
     def vertex_gates(self) -> dict[int, tuple[Fraction, Fraction]]:
@@ -446,37 +471,29 @@ class Overlap(NamedTuple):
 
 def line_intersection(l1: Line, l2: Line) -> Overlap | None:
     """The common segment of two lines in one tree, or None if disjoint."""
-    shared = sorted(set(l1.edge_spans) & set(l2.edge_spans))
+    shared = l1._edge_at.keys() & l2._edge_at.keys()
     if shared:
-        sigma: int | None = None
-        shift: Fraction | None = None
-        lo = hi = None
-        total = Fraction(0)
-        for eid in shared:
-            t1, v1 = l1.edge_spans[eid]
-            t2, v2 = l2.edge_spans[eid]
-            ln = l1.tree.edges[eid].length
-            s = 1 if v1 == v2 else -1
-            c = t2 - t1 if s == 1 else t2 + ln + t1
-            if sigma is None:
-                sigma, shift = s, c
-            elif (sigma, shift) != (s, c):
-                raise AssertionError("inconsistent overlap between tree geodesics")
-            lo = t1 if lo is None else min(lo, t1)
-            hi = t1 + ln if hi is None else max(hi, t1 + ln)
-            total += ln
-        assert lo is not None and hi is not None and sigma is not None and shift is not None
-        if hi - lo != total:
+        # the shared edges must be consecutive on l1, and on l2 in the
+        # same or the reverse order, as positions along each carrier
+        first = min(map(l1._edge_at.__getitem__, shared))
+        run = l1.edge_path[first:first + len(shared)]
+        if not shared.issuperset(run):
             raise AssertionError("overlap of tree geodesics is not contiguous")
-        return Overlap(lo, hi, sigma, shift)
-    common = sorted(set(l1.vertex_params) & set(l2.vertex_params))
+        j = l2._edge_at[run[0]]
+        sigma = 1 if l1._verts[first] == l2._verts[j] else -1
+        if any(l2._edge_at[eid] != j + sigma * k for k, eid in enumerate(run)):
+            raise AssertionError("inconsistent overlap between tree geodesics")
+        lo1 = l1._param(l1._cuts[first])
+        hi1 = l1._param(l1._cuts[first + len(run)])
+        at_lo1 = l2._param(l2._cuts[j if sigma == 1 else j + 1])   # l2's parameter there
+        return Overlap(lo1, hi1, sigma, at_lo1 - sigma * lo1)
+    common = l1._vertex_at.keys() & l2._vertex_at.keys()
     if common:
         if len(common) > 1:
             raise AssertionError("two geodesics share vertices but no edge")
-        v = common[0]
-        t1 = l1.vertex_params[v]
-        t2 = l2.vertex_params[v]
-        return Overlap(t1, t1, 1, t2 - t1)
+        (v,) = common
+        t1 = l1.vertex_param(v)
+        return Overlap(t1, t1, 1, l2.vertex_param(v) - t1)
     return None
 
 

@@ -43,7 +43,7 @@ from flipcluster.cluster_iso import (
     witness_to_spec,
 )
 from flipcluster.distance_oracle import exact_distance
-from flipcluster.errors import SizeCapError
+from flipcluster.errors import FeatureMapError, FlipClusterError, SizeCapError
 from flipcluster.generator import GeneratorParams, mutated_pair, planted_pair
 from flipcluster.jsonutil import dumps_canonical
 from flipcluster.metric_tree import Line, MetricTree, RootedTree
@@ -680,6 +680,16 @@ class TestVerifyGood:
         phi = {1: PieceMap(swapped, pm.height_shift)}
         assert verify_good(seed._replace(phi=phi)) == \
             (False, 2, "distances disagree inside piece 1")
+
+    def test_map_breaking_feature_adjacency_is_a_package_error(self):
+        """Piece 1 of chain3 is a star on feature 0; swapping the center
+        with leaf 1 sends the feature edge 0-2 onto the pair 1-2, which no
+        feature edge joins."""
+        nf = piece_normal_form(chain3(), 1)
+        with pytest.raises(FeatureMapError,
+                           match=r"^feature edge 0-2 maps to 1-2, not a feature edge$") as ex:
+            MarkedTreeIso(nf, nf, {0: 1, 1: 0, 2: 2, 3: 3}, (0, 1), ((1, F(0)), (1, F(0))))
+        assert isinstance(ex.value, FlipClusterError) and isinstance(ex.value, ValueError)
 
     @pytest.mark.parametrize("transform", [(-1, F(8)), (1, F(1)), (1, F(3))])
     def test_mark_end_off_its_image_is_condition_5(self, transform):

@@ -295,14 +295,10 @@ class TestRootedTree:
         assert peak < 8 * 2**20
 
 
-@st.composite
-def tree_with_line(draw):
-    tree = draw(tree_strategy())
-    start = draw(st.sampled_from(tree.vertices))
-    path = []
-    used = set()
-    v = start
-    for _ in range(draw(st.integers(1, 4))):
+def walk(tree: MetricTree, start: int, max_edges: int, draw) -> list[int]:
+    """A drawn edge path of 1..max_edges edges from start, never reusing an edge."""
+    path, used, v = [], set(), start
+    for _ in range(draw(st.integers(1, max_edges))):
         options = [(eid, w) for eid, w in tree.neighbors(v) if eid not in used]
         if not options:
             break
@@ -310,22 +306,93 @@ def tree_with_line(draw):
         path.append(eid)
         used.add(eid)
         v = w
-    if not path:
-        eid, w = tree.neighbors(start)[0]
-        path.append(eid)
-    lo = draw(st.integers(-6, 6))
-    return tree, Line(tree, path, start, F(lo))
+    return path or [tree.neighbors(start)[0][0]]
+
+
+def off_scale(lo=-36, hi=36):
+    """Rationals whose denominators (3, 7, 12) differ from the edge lengths'
+    (1 to 4), so a term read at the wrong scale shows."""
+    return st.builds(F, st.integers(lo, hi), st.sampled_from([1, 3, 7, 12]))
+
+
+@st.composite
+def line_on(draw, tree: MetricTree, max_edges=4) -> Line:
+    start = draw(st.sampled_from(tree.vertices))
+    return Line(tree, walk(tree, start, max_edges, draw), start, draw(off_scale()))
+
+
+@st.composite
+def tree_with_line(draw):
+    tree = draw(tree_strategy())
+    return tree, draw(line_on(tree))
+
+
+def ref_spans(line: Line) -> tuple[dict[int, tuple[Fraction, int]], dict[int, Fraction]]:
+    """(edge -> (parameter and vertex where the line enters it), vertex ->
+    parameter), summed edge by edge in Fraction from lo and the carrier."""
+    spans, vparams = {}, {}
+    t, v = line.lo, line.start_vertex
+    vparams[v] = t
+    for eid in line.edge_path:
+        e = line.tree.edges[eid]
+        spans[eid] = (t, v)
+        t += e.length
+        v = e.b if v == e.a else e.a
+        vparams[v] = t
+    return spans, vparams
 
 
 def scan_point_at(line: Line, t: Fraction) -> TreePoint:
     """Reference Line.point_at: the first path edge ending at or after t."""
+    spans, _ = ref_spans(line)
     for eid in line.edge_path:
-        enter_t, enter_v = line.edge_spans[eid]
+        enter_t, enter_v = spans[eid]
         e = line.tree.edges[eid]
         if t <= enter_t + e.length:
             along = t - enter_t
             return line.tree.point(eid, along if enter_v == e.a else e.length - along)
     raise AssertionError(f"parameter {t} beyond the line")
+
+
+def ref_coord_of(line: Line, p: TreePoint) -> Fraction | None:
+    """Reference Line.coord_of, None off the line."""
+    spans, vparams = ref_spans(line)
+    if p.edge in spans:
+        enter_t, enter_v = spans[p.edge]
+        e = line.tree.edges[p.edge]
+        return enter_t + (p.offset if enter_v == e.a else e.length - p.offset)
+    return vparams.get(line.tree.point_vertex(p))
+
+
+def ref_line_intersection(l1: Line, l2: Line) -> Overlap | None:
+    """Reference line_intersection: every shared edge read in Fraction,
+    checked against one (sigma, shift) and summed for contiguity."""
+    spans1, vparams1 = ref_spans(l1)
+    spans2, vparams2 = ref_spans(l2)
+    shared = sorted(set(spans1) & set(spans2))
+    if shared:
+        sigma = shift = lo = hi = None
+        total = F(0)
+        for eid in shared:
+            t1, v1 = spans1[eid]
+            t2, v2 = spans2[eid]
+            ln = l1.tree.edges[eid].length
+            s = 1 if v1 == v2 else -1
+            c = t2 - t1 if s == 1 else t2 + ln + t1
+            if sigma is None:
+                sigma, shift = s, c
+            assert (sigma, shift) == (s, c), "inconsistent overlap between tree geodesics"
+            lo = t1 if lo is None else min(lo, t1)
+            hi = t1 + ln if hi is None else max(hi, t1 + ln)
+            total += ln
+        assert hi - lo == total, "overlap of tree geodesics is not contiguous"
+        return Overlap(lo, hi, sigma, shift)
+    common = sorted(set(vparams1) & set(vparams2))
+    if common:
+        assert len(common) == 1, "two geodesics share vertices but no edge"
+        t1 = vparams1[common[0]]
+        return Overlap(t1, t1, 1, vparams2[common[0]] - t1)
+    return None
 
 
 class TestLine:
@@ -343,11 +410,65 @@ class TestLine:
             ln.coord_of(t.point(3, F(1, 2)))
 
     def test_rejects_broken_path(self):
+        """The walk reports the first edge that fails, whether it breaks
+        the path or is missing from the tree."""
         t = h_tree()
         with pytest.raises(ValueError, match="breaks"):
             Line(t, [0, 3], 0, 0)
         with pytest.raises(ValueError, match="repeats"):
             Line(t, [0, 0], 0, 0)
+        with pytest.raises(ValueError, match=r"^line edge path breaks at edge 3$"):
+            Line(t, [0, 3, 9], 0, 0)
+        with pytest.raises(ValueError, match=r"^line references missing edge 9$"):
+            Line(t, [0, 9, 3], 0, 0)
+        with pytest.raises(ValueError, match=r"^line references missing edge -1$"):
+            Line(t, [-1], 0, 0)
+
+    @pytest.mark.parametrize("t", [F(-5, 12) - F(1, 7), F(17, 6) + F(1, 7),
+                                   F(-5, 12) - F(1, 10**9), F(17, 6) + F(1, 10**9)])
+    def test_point_at_just_outside_overflows(self, t):
+        ln = Line(h_tree(), [0, 2, 3], 0, F(-5, 12))   # lengths 1, 5/4, 1
+        with pytest.raises(SegmentOverflow, match=r"outside line range \[-5/12, 17/6\]") as ex:
+            ln.point_at(t)
+        assert ex.value.param == t
+
+    def test_point_at_takes_int_and_string(self):
+        t = h_tree()
+        ln = Line(t, [0, 1], 0, "-1/3")
+        assert ln.point_at(0) == ln.point_at(F(0)) == t.point(0, F(1, 3))
+        assert ln.point_at("1/6") == t.point(0, F(1, 2))
+        assert ln.point_at("5/3") == t.vertex_point(2)
+        assert ln.point_at(-F(1, 3)) == t.vertex_point(0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree_with_line(), st.lists(off_scale(-60, 60), max_size=6))
+    def test_agrees_with_fraction_reference(self, tl, ts):
+        """Parameters, points and coordinates against ref_spans' Fraction
+        sums, at parameters off the carrier's scale and off the line."""
+        tree, line = tl
+        spans, vparams = ref_spans(line)
+        assert (line.lo, line.hi) == (vparams[line.start_vertex], vparams[line.end_vertex])
+        assert list(line.vertex_params.items()) == list(vparams.items())
+        assert all(line.vertex_param(v) == vparams.get(v) for v in tree.vertices)
+        for t in ts + [line.lo, line.hi]:
+            if line.lo <= t <= line.hi:
+                p = line.point_at(t)
+                assert p == scan_point_at(line, t)
+                assert line.coord_of(p) == t
+            else:
+                with pytest.raises(SegmentOverflow) as ex:
+                    line.point_at(t)
+                assert ex.value.param == t
+        for eid, e in enumerate(tree.edges):
+            for k in (0, 1, 5, 7):
+                p = tree.point(eid, e.length * F(k, 7))
+                ref = ref_coord_of(line, p)
+                assert line.contains(p) == (ref is not None)
+                if ref is None:
+                    with pytest.raises(NotOnLineError):
+                        line.coord_of(p)
+                else:
+                    assert line.coord_of(p) == ref
 
     @settings(max_examples=120, deadline=None)
     @given(tree_with_line(), st.integers(0, 12), st.integers(0, 12))
@@ -370,7 +491,7 @@ class TestLine:
         off = [tree.vertex_point(v) for v in tree.vertices if v not in line.vertex_params]
         for eid, e in enumerate(tree.edges):
             pts = [tree.point(eid, e.length * F(k, 16)) for k in sixteenths]
-            (on if eid in line.edge_spans else off).extend(pts)
+            (on if eid in line.edge_path else off).extend(pts)
         for p in on:
             t = line.coord_of(p)
             assert line.contains(p)
@@ -454,6 +575,32 @@ class TestIntersectionAndBridge:
         t = h_tree()
         assert line_intersection(Line(t, [0], 0, 0), Line(t, [3], 4, 0)) is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(tree_strategy(), st.data())
+    def test_agrees_with_fraction_reference(self, tree, data):
+        l1 = data.draw(line_on(tree))
+        l2 = data.draw(line_on(tree))
+        ov = line_intersection(l1, l2)
+        assert ov == ref_line_intersection(l1, l2)
+        if ov is not None:
+            for s in (ov.lo1, (ov.lo1 + ov.hi1) / 2, ov.hi1):
+                assert l1.point_at(s) == l2.point_at(ov.sigma * s + ov.shift)
+
+    def test_lines_on_unlike_trees_fail_loudly(self):
+        """Two geodesics of one tree always meet in one segment, so the
+        guards show only for lines whose trees disagree on shared edge ids."""
+        path = MetricTree([(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        l1 = Line(path, [0, 1, 2], 0, 0)
+        star = MetricTree([(0, 1, 1), (1, 4, 1), (1, 2, 1)])   # edges 0 and 2 meet at 1
+        with pytest.raises(AssertionError, match="not contiguous"):
+            line_intersection(l1, Line(star, [0, 2], 0, 0))
+        vee = MetricTree([(0, 1, 1), (0, 2, 1), (2, 3, 1)])   # edge 1 hangs off 0
+        with pytest.raises(AssertionError, match="inconsistent"):
+            line_intersection(Line(path, [0, 1], 0, 0), Line(vee, [1, 0], 2, 0))
+        fork = MetricTree([(2, 0, 1), (0, 3, 1), (0, 1, 1)])   # 2 and 3 joined by edges 0, 1
+        with pytest.raises(AssertionError, match="share vertices but no edge"):
+            line_intersection(Line(path, [2], 2, 0), Line(fork, [0, 1], 2, 0))
+
     def test_bridge_disjoint_gap(self):
         t = h_tree()
         l1 = Line(t, [0, 1], 0, 0)
@@ -476,22 +623,7 @@ class TestIntersectionAndBridge:
     @given(tree_with_line(), st.data())
     def test_bridge_is_closest_pair(self, tl, data):
         tree, l1 = tl
-        # draw a second line over the same tree
-        start = data.draw(st.sampled_from(tree.vertices))
-        path = []
-        used = set()
-        v = start
-        for _ in range(data.draw(st.integers(1, 3))):
-            options = [(eid, w) for eid, w in tree.neighbors(v) if eid not in used]
-            if not options:
-                break
-            eid, w = data.draw(st.sampled_from(options))
-            path.append(eid)
-            used.add(eid)
-            v = w
-        if not path:
-            path = [tree.neighbors(start)[0][0]]
-        l2 = Line(tree, path, start, 0)
+        l2 = data.draw(line_on(tree, max_edges=3))   # a second line over the same tree
         try:
             br = bridge(tree, l1, l2)
         except SegmentOverflow:
