@@ -392,8 +392,7 @@ def validate(spec: dict) -> Cluster:
             problems.append(("schema", ctx, 'expected keys "tree_edges", "height_window"'))
             continue
         try:
-            edges = [(a, b, parse(ln)) for a, b, ln in entry["tree_edges"]]
-            ztree = MetricTree(edges)
+            ztree = MetricTree((a, b, parse(ln)) for a, b, ln in entry["tree_edges"])
         except (ValueError, TypeError) as ex:
             problems.append(("bad-piece-tree", ctx, str(ex)))
             continue

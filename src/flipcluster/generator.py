@@ -87,7 +87,7 @@ def _diameter(tree: MetricTree) -> tuple[list[int], int, Fraction]:
     a = farthest(tree.rooted_at(tree.vertices[0]))
     rt = tree.rooted_at(a)
     b = farthest(rt)
-    return rt.path(min(a, b), max(a, b))[1], min(a, b), rt.depth[b]
+    return rt.path(min(a, b), max(a, b))[1], min(a, b), Fraction(rt.depth[b], tree.scale)
 
 
 def generate_cluster(params: GeneratorParams) -> Cluster:

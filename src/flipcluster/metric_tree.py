@@ -1,13 +1,16 @@
 """Finite metric trees with exact rational geometry.
 
 Vertices are integers, edges carry positive rational lengths, and all
-computations (distances, geodesics, projections, bridges between line
-segments) are exact.  Lengths, offsets and line parameters enter and
-leave as ``fractions.Fraction``; inside, a line holds its parameters as
-ints at one scale per line (see :class:`Line`).  Points are addressed as
-(edge id, offset from the edge's first endpoint) and canonicalized so that
-equal points compare equal: a point sitting on a vertex is always
-represented on the lowest-id edge incident to that vertex.
+computations (distances, projections, bridges between line segments) are
+exact.  Lengths, offsets, distances and line parameters enter and leave
+as ``fractions.Fraction``.  Inside, each tree works at one integer scale,
+the lcm of its edge-length denominators: edge lengths, rooted depths,
+gate distances and the parameters of every line on the tree are ints at
+that scale, and a result is converted to one Fraction on its way out.
+Points are addressed as (edge id, offset from the edge's first endpoint)
+and canonicalized so that equal points compare equal: a point sitting on
+a vertex is always represented on the lowest-id edge incident to that
+vertex.
 
 Routing in both kinds of tree (the metric trees here and the simplicial
 tree indexing the pieces) goes through :class:`RootedTree`: one walk from
@@ -42,18 +45,6 @@ class TreePoint(NamedTuple):
     offset: Fraction
 
 
-class TreeSegment(NamedTuple):
-    """A directed portion of a single edge, from offset ``start`` to ``end``."""
-
-    edge: int
-    start: Fraction
-    end: Fraction
-
-    @property
-    def length(self) -> Fraction:
-        return abs(self.end - self.start)
-
-
 def int_id(x) -> int:
     """A vertex or edge id, which must be an int and not a bool."""
     if type(x) is not int:
@@ -65,16 +56,17 @@ class RootedTree:
     """A tree hung from a root: parent edges, hop depths, weighted depths.
 
     ``adj`` maps each vertex to its (edge id, neighbor) pairs and
-    ``lengths`` gives edge lengths by id; without it edges are unit and
-    depths are hop counts.  Queries climb from both ends, the deeper end
-    stepping first, so each costs the hop length of its path.
+    ``lengths`` gives edge lengths by id, as ints (a metric tree passes
+    its lengths at its scale); without it edges are unit and depths are
+    hop counts.  Queries climb from both ends, the deeper end stepping
+    first, so each costs the hop length of its path.
     """
 
     def __init__(self, adj: Mapping[int, Iterable[tuple[int, int]]], root: int,
-                 lengths: Sequence[Fraction] | None = None):
+                 lengths: Sequence[int] | None = None):
         self.up: dict[int, tuple[int, int]] = {}   # vertex -> (parent edge, parent)
         self.hops = {root: 0}
-        self.depth = self.hops if lengths is None else {root: Fraction(0)}
+        self.depth = self.hops if lengths is None else {root: 0}
         stack = [root]
         while stack:
             v = stack.pop()
@@ -121,12 +113,15 @@ class MetricTree:
 
     The edge list order is significant: the index of an edge in the list is
     its stable id, used by :class:`TreePoint` and by serialized instances.
+    ``scale`` is the lcm of the edge-length denominators; the metric runs
+    on each edge's length times the scale, an int.
     """
 
     def __init__(self, edges: Iterable[tuple[int, int, Fraction | int | str]]):
         parsed: list[TreeEdge] = []
         # (edge id, neighbor) lists, sorted by edge id as they are filled
         adj: dict[int, list[tuple[int, int]]] = {}
+        scale = 1
         for i, (a, b, length) in enumerate(edges):
             length = as_fraction(length)
             if a == b:
@@ -135,11 +130,14 @@ class MetricTree:
                 raise ValueError(f"edge {i} has non-positive length {length}")
             a, b = int_id(a), int_id(b)
             parsed.append(TreeEdge(a, b, length))
+            scale = lcm(scale, length.denominator)
             adj.setdefault(a, []).append((i, b))
             adj.setdefault(b, []).append((i, a))
         if not parsed:
             raise ValueError("a metric tree needs at least one edge")
         self.edges: tuple[TreeEdge, ...] = tuple(parsed)
+        self.scale = scale
+        self._units = [e.length.numerator * (scale // e.length.denominator) for e in parsed]
         self._adj = adj
         self.vertices: tuple[int, ...] = tuple(sorted(adj))
         if len(self.vertices) != len(self.edges) + 1:
@@ -169,15 +167,12 @@ class MetricTree:
         return tuple(v for v in self.vertices if len(self._adj[v]) == 1)
 
     def rooted_at(self, root: int) -> RootedTree:
-        return RootedTree(self._adj, root, [e.length for e in self.edges])
+        """The tree hung from root, its depths as ints at the tree's scale."""
+        return RootedTree(self._adj, root, self._units)
 
     @cached_property
     def _rooted(self) -> RootedTree:
         return self.rooted_at(self.vertices[0])
-
-    def vertex_path_edges(self, u: int, v: int) -> list[int]:
-        """Edge ids along the geodesic from u to v, in traversal order."""
-        return self._rooted.path(u, v)[1]
 
     # -- points ------------------------------------------------------------
 
@@ -214,64 +209,37 @@ class MetricTree:
 
     # -- metric ------------------------------------------------------------
 
-    def _lift(self, p: TreePoint) -> tuple[int, Fraction]:
-        """The end of p's edge farther from the root, and p's weighted depth."""
-        rt = self._rooted
-        e = self.edges[p.edge]
-        if rt.hops[e.b] > rt.hops[e.a]:
-            return e.b, rt.depth[e.b] - (e.length - p.offset)
-        return e.a, rt.depth[e.a] - p.offset
-
-    def _meeting(self, p: TreePoint, q: TreePoint
-                 ) -> tuple[int, int, Fraction, Fraction, Fraction]:
-        """For points on different edges: the vertices where the geodesic
-        from p to q leaves p's edge and enters q's, the weighted depths of
-        p and q, and the depth of the geodesic's highest point."""
-        rt = self._rooted
-        cp, dp = self._lift(p)
-        cq, dq = self._lift(q)
-        m = rt.meet(cp, cq)
-        if m == cp:   # q hangs below p's edge: the geodesic descends from p
-            return cp, rt.up[cq][1], dp, dq, dp
-        if m == cq:
-            return rt.up[cp][1], cq, dp, dq, dq
-        return rt.up[cp][1], rt.up[cq][1], dp, dq, rt.depth[m]
-
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
         if p.edge == q.edge:
             return abs(p.offset - q.offset)
-        _, _, dp, dq, dm = self._meeting(p, q)
-        return dp + dq - 2 * dm
-
-    def geodesic(self, p: TreePoint, q: TreePoint) -> list[TreeSegment]:
-        """The unique geodesic from p to q as directed edge portions.
-
-        Zero-length portions are dropped; p == q gives the empty list.
-        """
-        if p == q:
-            return []
-        if p.edge == q.edge:
-            return [TreeSegment(p.edge, p.offset, q.offset)]
-        va, vb = self._meeting(p, q)[:2]
-        segs: list[TreeSegment] = []
-        e = self.edges[p.edge]
-        exit_off = Fraction(0) if va == e.a else e.length
-        if p.offset != exit_off:
-            segs.append(TreeSegment(p.edge, p.offset, exit_off))
-        cur = va
-        for eid in self.vertex_path_edges(va, vb):
-            e = self.edges[eid]
-            if cur == e.a:
-                segs.append(TreeSegment(eid, Fraction(0), e.length))
-                cur = e.b
-            else:
-                segs.append(TreeSegment(eid, e.length, Fraction(0)))
-                cur = e.a
-        e = self.edges[q.edge]
-        enter_off = Fraction(0) if vb == e.a else e.length
-        if enter_off != q.offset:
-            segs.append(TreeSegment(q.edge, enter_off, q.offset))
-        return segs
+        rt, edges, scale = self._rooted, self.edges, self.scale
+        hops, depth = rt.hops, rt.depth
+        # Each point climbs from c, the end of its edge farther from the
+        # root, and sits at weighted depth x / (scale * den), where den is
+        # its offset's denominator.  The offset runs from the edge's end a,
+        # so x is a's depth plus the offset when b is deeper, and minus it
+        # when a is.
+        a, b, _ = edges[p.edge]
+        n, dp = p.offset.numerator, p.offset.denominator
+        if hops[b] > hops[a]:
+            cp, xp = b, depth[a] * dp + n * scale
+        else:
+            cp, xp = a, depth[a] * dp - n * scale
+        a, b, _ = edges[q.edge]
+        n, dq = q.offset.numerator, q.offset.denominator
+        if hops[b] > hops[a]:
+            cq, xq = b, depth[a] * dq + n * scale
+        else:
+            cq, xq = a, depth[a] * dq - n * scale
+        xp, xq = xp * dq, xq * dp   # both over scale * dp * dq
+        m = rt.meet(cp, cq)
+        if m == cp:   # q hangs below p's edge: the geodesic descends from p
+            x = xq - xp
+        elif m == cq:
+            x = xp - xq
+        else:
+            x = xp + xq - 2 * depth[m] * dp * dq
+        return Fraction(x, scale * dp * dq)
 
 
 class Line:
@@ -283,9 +251,9 @@ class Line:
     grow along the traversal.
 
     Inside, a parameter is an int position: its distance from the start
-    vertex times the carrier's scale, the lcm of the denominators of its
-    edge lengths.  ``lo``, ``hi`` and every parameter a method takes or
-    returns are Fractions, converted once at that boundary.
+    vertex times the tree's scale, which every line on the tree shares.
+    ``lo``, ``hi`` and every parameter a method takes or returns are
+    Fractions, converted once at that boundary.
     """
 
     def __init__(self, tree: MetricTree, edge_path: Iterable[int], start_vertex: int, lo: Fraction | int | str):
@@ -297,7 +265,8 @@ class Line:
             raise ValueError("line edge path repeats an edge")
         lo = as_fraction(lo)
         v = int_id(start_vertex)
-        verts, lengths = [v], []   # the vertices along the carrier, the edge lengths
+        verts, cuts = [v], [0]   # each carrier vertex and its position
+        units = tree._units
         for eid in path:
             if not 0 <= eid < len(tree.edges):
                 raise ValueError(f"line references missing edge {eid}")
@@ -309,17 +278,12 @@ class Line:
             else:
                 raise ValueError(f"line edge path breaks at edge {eid}")
             verts.append(v)
-            lengths.append(e.length)
-        scale = lcm(*(ln.denominator for ln in lengths))
-        cuts = [0]   # position of each carrier vertex
-        for ln in lengths:
-            cuts.append(cuts[-1] + ln.numerator * (scale // ln.denominator))
+            cuts.append(cuts[-1] + units[eid])
         self.edge_path = path
         self.start_vertex = start_vertex
         self.end_vertex = v
         self.lo = lo
         self._lo = (lo.numerator, lo.denominator)
-        self._scale = scale
         self._verts = verts
         self._cuts = cuts
         self._edge_at = {eid: k for k, eid in enumerate(path)}
@@ -329,7 +293,7 @@ class Line:
     def _param(self, pos: int, den: int = 1) -> Fraction:
         """The parameter at position pos / den."""
         a, b = self._lo
-        sd = self._scale * den
+        sd = self.tree.scale * den
         return Fraction(a * sd + b * pos, b * sd)
 
     @property
@@ -350,7 +314,8 @@ class Line:
         t = as_fraction(t)
         a, b = self._lo
         bq = b * t.denominator
-        x = (t.numerator * b - a * t.denominator) * self._scale   # position times bq
+        scale = self.tree.scale
+        x = (t.numerator * b - a * t.denominator) * scale   # position times bq
         cuts = self._cuts
         if x < 0 or x > cuts[-1] * bq:
             raise SegmentOverflow(
@@ -366,15 +331,16 @@ class Line:
             return self.tree.vertex_point(self._verts[k + 1])
         eid = self.edge_path[k]
         forward = self._verts[k] == self.tree.edges[eid].a
-        return TreePoint(eid, Fraction(along if forward else rest, bq * self._scale))
+        return TreePoint(eid, Fraction(along if forward else rest, bq * scale))
 
     def coord_of(self, p: TreePoint) -> Fraction:
         k = self._edge_at.get(p.edge)
         if k is not None:
             c, q = p.offset.numerator, p.offset.denominator
+            cs = c * self.tree.scale
             if self._verts[k] == self.tree.edges[p.edge].a:
-                return self._param(self._cuts[k] * q + c * self._scale, q)
-            return self._param(self._cuts[k + 1] * q - c * self._scale, q)
+                return self._param(self._cuts[k] * q + cs, q)
+            return self._param(self._cuts[k + 1] * q - cs, q)
         t = self.vertex_param(self.tree.point_vertex(p))
         if t is None:
             raise NotOnLineError(f"point {p} not on line")
@@ -384,23 +350,23 @@ class Line:
         return p.edge in self._edge_at or self.tree.point_vertex(p) in self._vertex_at
 
     @cached_property
-    def vertex_gates(self) -> dict[int, tuple[Fraction, Fraction]]:
-        """For every tree vertex: (parameter of its gate on the line, distance).
+    def vertex_gates(self) -> dict[int, tuple[Fraction, int]]:
+        """For every tree vertex: (parameter of its gate on the line, distance
+        as an int at the tree's scale).
 
         The gate of a point is the unique entry point of geodesics from it
         into the line, so distances to line points decompose as
         d(v, line(t)) = dist + |t - gate parameter|.
         """
-        gates: dict[int, tuple[Fraction, Fraction]] = {
-            v: (t, Fraction(0)) for v, t in self.vertex_params.items()
-        }
-        stack = list(self.vertex_params)
+        gates = {v: (t, 0) for v, t in self.vertex_params.items()}
+        units = self.tree._units
+        stack = list(gates)
         while stack:
             v = stack.pop()
             g, d = gates[v]
             for eid, w in self.tree.neighbors(v):
                 if w not in gates:
-                    gates[w] = (g, d + self.tree.edges[eid].length)
+                    gates[w] = (g, d + units[eid])
                     stack.append(w)
         return gates
 
@@ -424,19 +390,22 @@ def line_gate(tree: MetricTree, p: TreePoint, line: Line) -> tuple[Fraction, Fra
 
     Distances from p to line points decompose as dist + |t - parameter|.
     """
-    try:
+    if p.edge in line._edge_at:
         return line.coord_of(p), Fraction(0)
-    except NotOnLineError:
-        pass
-    e = tree.edges[p.edge]
+    # p lies off the carrier's edges, or on one of its vertices, whose gate
+    # is itself at distance 0
+    a, b, _ = tree.edges[p.edge]
     gates = line.vertex_gates
-    ga, da = gates[e.a]
-    gb, db = gates[e.b]
-    via_a = da + p.offset
-    via_b = db + (e.length - p.offset)
+    ga, da = gates[a]
+    gb, db = gates[b]
+    # both routes over scale * den: through a, and back along the edge through b
+    n, den = p.offset.numerator, p.offset.denominator
+    ns = n * tree.scale
+    via_a = da * den + ns
+    via_b = (db + tree._units[p.edge]) * den - ns
     if via_a <= via_b:
-        return ga, via_a
-    return gb, via_b
+        return ga, Fraction(via_a, tree.scale * den)
+    return gb, Fraction(via_b, tree.scale * den)
 
 
 def project_to_line(tree: MetricTree, p: TreePoint, line: Line) -> Projection:

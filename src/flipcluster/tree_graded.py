@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 
 
 class GraphEdge(NamedTuple):
@@ -228,65 +228,11 @@ def check_T1_T2(g: FiniteGraph, pieces: Sequence[Iterable[int]]) -> dict:
     }
 
 
-def block_of(g: FiniteGraph, s: Iterable[int]) -> tuple:
-    """Locate the unique block containing a connected vertex set.
-
-    Returns ("ok", block) when all induced edges live in one block, or
-    ("split", cut_vertex) when they span several, in which case some cut
-    vertex of s sits between them.  A single vertex maps to its lowest
-    incident block.
-    """
-    sset = set(s)
-    if not sset or not sset <= set(g.vertices):
-        raise ValueError("vertex set must be a nonempty subset of the graph")
-    if len(sset) > 1:
-        seen = {min(sset)}
-        work = [min(sset)]
-        while work:
-            v = work.pop()
-            for _, w in g.adjacency(v):
-                if w in sset and w not in seen:
-                    seen.add(w)
-                    work.append(w)
-        if seen != sset:
-            raise ValueError("vertex set does not induce a connected subgraph")
-    dec = blocks(g)
-    if len(sset) == 1:
-        v = next(iter(sset))
-        for i, b in enumerate(dec.blocks):
-            if v in b:
-                return ("ok", dec.blocks[i])
-        raise AssertionError("blocks failed to cover a vertex")
-    hit = set()
-    for e in g.edges:
-        if e.a in sset and e.b in sset:
-            # two blocks share at most one vertex, so the block holding
-            # both endpoints is unique
-            for i, b in enumerate(dec.blocks):
-                if e.a in b and e.b in b:
-                    hit.add(i)
-                    break
-    hit = sorted(hit)
-    if len(hit) == 1:
-        return ("ok", dec.blocks[hit[0]])
-    for v in sorted(sset):
-        if sum(1 for i in hit if v in dec.blocks[i]) >= 2:
-            return ("split", v)
-    raise AssertionError("multiple blocks without a shared cut vertex")
-
-
 def graph_of_spec(spec: dict) -> FiniteGraph:
     if set(spec) != {"vertices", "edges"}:
         raise ValueError("graph spec must have exactly vertices and edges")
     edges = [(a, b, parse_rational(length)) for a, b, length in spec["edges"]]
     return FiniteGraph(spec["vertices"], edges)
-
-
-def graph_to_spec(g: FiniteGraph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [[e.a, e.b, format_rational(e.length)] for e in g.edges],
-    }
 
 
 def decomposition_to_spec(dec: BlockDecomposition) -> dict:

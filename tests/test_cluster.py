@@ -180,6 +180,27 @@ class TestValidation:
                 validate(spec)
             assert [p[0] for p in exc.value.problems] == ["bad-piece-tree"] * 2
 
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1]], "not enough values to unpack (expected 3, got 2)"),
+        ([[0, 1, "20", "1"]], "too many values to unpack (expected 3)"),
+        ([[0, 1, "40/2"]], "non-canonical rational '40/2': not in lowest terms"),
+        ([[0, 0, "20"]], "edge 0 is a self-loop at vertex 0"),
+        ([[0, 1, "10"], [1, 2]], "not enough values to unpack (expected 3, got 2)"),
+        ([[0, 1, "10"], [1, 1, "10"]], "edge 1 is a self-loop at vertex 1"),
+        ([[0, 1, "10"], [1, 2, "2/4"]], "non-canonical rational '2/4': not in lowest terms"),
+        (20, "'int' object is not iterable"),
+        # the edges are parsed as the tree reads them, so of two faulty
+        # edges the first is reported
+        ([[0, 0, "20"], [1, 2, "2/4"]], "edge 0 is a self-loop at vertex 0"),
+    ])
+    def test_malformed_piece_edge_record(self, edges, message):
+        """A malformed edge entry yields one bad-piece-tree record, word for word."""
+        spec = two_piece_spec()
+        spec["pieces"]["0"]["tree_edges"] = edges
+        with pytest.raises(ClusterValidationError) as exc:
+            validate(spec)
+        assert exc.value.problems == [("bad-piece-tree", "piece 0", message)]
+
     def test_parse_memo_shares_canonical_lengths(self):
         c = two_piece()
         lengths = [c.pieces[v].tree.edges[0].length for v in (0, 1)]

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flipcluster.errors import InvalidPointError, NotOnLineError, SegmentOverflow
+from flipcluster.generator import _diameter
 from flipcluster.metric_tree import (
     Line,
     MetricTree,
@@ -23,6 +24,7 @@ from flipcluster.metric_tree import (
     RootedTree,
     TreePoint,
     bridge,
+    line_gate,
     line_intersection,
     project_to_line,
 )
@@ -142,18 +144,9 @@ class TestPointsAndDistance:
         pts = [t.point(e, off) for e in range(5) for off in (F(0), F(1, 3), F(2, 3))]
         for p in pts:
             for q in pts:
-                assert t.distance(p, q) == dijkstra_point_distance(t, p, q)
-
-    def test_geodesic_structure(self):
-        t = h_tree()
-        p = t.point(0, F(1, 2))
-        q = t.point(4, F(1, 2))
-        segs = t.geodesic(p, q)
-        assert sum(s.length for s in segs) == t.distance(p, q)
-        assert segs[0].edge == p.edge and segs[0].start == p.offset
-        assert segs[-1].edge == q.edge and segs[-1].end == q.offset
-        assert all(s.length > 0 for s in segs)
-        assert t.geodesic(p, p) == []
+                d = t.distance(p, q)
+                assert type(d) is Fraction   # on the same edge and across edges
+                assert d == dijkstra_point_distance(t, p, q)
 
 
 def rational(num_range=8, den_range=4):
@@ -178,14 +171,24 @@ def tree_strategy(draw, max_vertices=8):
     return MetricTree(edges)
 
 
+def off_scale_point(draw, tree: MetricTree, eid: int) -> TreePoint:
+    """A point on edge eid at an offset whose denominator (7, 11 or 13) is
+    prime to every edge length's (1 to 4), so it sits off the tree's scale."""
+    den = draw(st.sampled_from([7, 11, 13]))
+    return tree.point(eid, F(draw(st.integers(0, int(tree.edges[eid].length * den))), den))
+
+
 @st.composite
 def tree_with_points(draw, k=2):
     tree = draw(tree_strategy())
     pts = []
     for _ in range(k):
         eid = draw(st.integers(0, len(tree.edges) - 1))
-        num = draw(st.integers(0, 12))
-        pts.append(tree.point(eid, tree.edges[eid].length * F(num, 12)))
+        if draw(st.booleans()):
+            pts.append(off_scale_point(draw, tree, eid))
+        else:
+            num = draw(st.integers(0, 12))
+            pts.append(tree.point(eid, tree.edges[eid].length * F(num, 12)))
     return tree, pts
 
 
@@ -194,7 +197,9 @@ class TestMetricProperties:
     @given(tree_with_points(k=2))
     def test_agrees_with_dijkstra(self, tp):
         tree, (p, q) = tp
-        assert tree.distance(p, q) == dijkstra_point_distance(tree, p, q)
+        d = tree.distance(p, q)
+        assert type(d) is Fraction
+        assert d == dijkstra_point_distance(tree, p, q)
 
     @settings(max_examples=100, deadline=None)
     @given(tree_with_points(k=3))
@@ -215,13 +220,6 @@ class TestMetricProperties:
         s2 = d(x, z) + d(y, w)
         s3 = d(x, w) + d(y, z)
         assert s1 <= max(s2, s3)
-
-    @settings(max_examples=100, deadline=None)
-    @given(tree_with_points(k=2))
-    def test_geodesic_length(self, tp):
-        tree, (p, q) = tp
-        segs = tree.geodesic(p, q)
-        assert sum(s.length for s in segs) == tree.distance(p, q)
 
 
 def bfs_path(adj, u, v) -> tuple[list[int], list[int]]:
@@ -255,7 +253,7 @@ def rooted_tree_query(draw):
     for v in range(1, n):
         parent = v - 1 if path_shaped else draw(st.integers(0, v - 1))
         eid = eids[v - 1]
-        lengths[eid] = draw(rational())
+        lengths[eid] = draw(st.integers(1, 24))   # a metric tree's lengths at its scale
         adj[ids[parent]].append((eid, ids[v]))
         adj[ids[v]].append((eid, ids[parent]))
     root, u, v = (draw(st.sampled_from(ids)) for _ in range(3))
@@ -293,6 +291,19 @@ class TestRootedTree:
         assert d == sum(e.length for e in tree.edges)
         assert elapsed < 1.0
         assert peak < 8 * 2**20
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree_strategy())
+    def test_diameter_length(self, tree):
+        """generator._diameter reads its length off int depths; it must be
+        the Fraction sum of its path's edge lengths, and no pair of
+        vertices may lie farther apart."""
+        eids, start, length = _diameter(tree)
+        assert type(length) is Fraction
+        assert length == sum(tree.edges[eid].length for eid in eids)
+        assert Line(tree, eids, start, 0).hi == length
+        assert length == max(dijkstra_point_distance(tree, tree.vertex_point(u), tree.vertex_point(v))
+                             for u in tree.vertices for v in tree.vertices)
 
 
 def walk(tree: MetricTree, start: int, max_edges: int, draw) -> list[int]:
@@ -471,17 +482,23 @@ class TestLine:
                     assert line.coord_of(p) == ref
 
     @settings(max_examples=120, deadline=None)
-    @given(tree_with_line(), st.integers(0, 12), st.integers(0, 12))
-    def test_roundtrip_and_gates(self, tl, a, b):
+    @given(tree_with_line(), st.integers(0, 12),
+           st.lists(st.integers(0, 12), min_size=1, max_size=4), st.data())
+    def test_roundtrip_and_gates(self, tl, a, bs, data):
+        """dist(p, line(u)) = d + |u - g| with (g, d) = line_gate(tree, p,
+        line), against Dijkstra, from every vertex and from a point off the
+        tree's scale on every edge."""
         tree, line = tl
         t = line.lo + line.length * F(a, 12)
         assert line.coord_of(line.point_at(t)) == t
-        # gate identity against the plain metric
-        u = line.lo + line.length * F(b, 12)
-        for v in tree.vertices:
-            g, d = line.vertex_gates[v]
-            assert tree.distance(tree.vertex_point(v), line.point_at(u)) == d + abs(u - g)
-
+        pts = [tree.vertex_point(v) for v in tree.vertices]
+        pts += [off_scale_point(data.draw, tree, eid) for eid in range(len(tree.edges))]
+        for p in pts:
+            g, d = line_gate(tree, p, line)
+            assert type(d) is Fraction
+            for b in bs:
+                u = line.lo + line.length * F(b, 12)
+                assert dijkstra_point_distance(tree, p, line.point_at(u)) == d + abs(u - g)
 
     @settings(max_examples=120, deadline=None)
     @given(tree_with_line(), st.lists(st.integers(1, 15), max_size=4))

@@ -9,13 +9,11 @@ import pytest
 from flipcluster.tree_graded import (
     BlockDecomposition,
     FiniteGraph,
-    block_of,
     blocks,
     check_T1_T2,
     cut_points,
     decomposition_to_spec,
     graph_of_spec,
-    graph_to_spec,
     simple_cycles,
 )
 
@@ -106,10 +104,12 @@ class TestValidation:
 
     def test_spec_roundtrip(self):
         g = theta_pendant()
-        spec = graph_to_spec(g)
-        assert spec["edges"][1] == [0, 1, "2"]
+        spec = {"vertices": [0, 1, 2],
+                "edges": [[0, 1, "1"], [0, 1, "2"], [0, 1, "3"], [1, 2, "1"]]}
         again = graph_of_spec(spec)
-        assert graph_to_spec(again) == spec
+        assert again.vertices == g.vertices
+        assert again.edges == g.edges
+        assert [type(e.length) for e in again.edges] == [Fraction] * 4
 
     def test_spec_strict_keys(self):
         with pytest.raises(ValueError):
@@ -258,24 +258,35 @@ class TestCheckT1T2:
         assert not report["t1_ok"]
 
 
+def holders(g: FiniteGraph, s: set) -> list[tuple]:
+    """The blocks of g that contain the vertex set s, in block order."""
+    return [b for b in blocks(g).blocks if s <= set(b)]
+
+
 class TestBlockOf:
+    """The block holding a vertex set, read off ``blocks(g)``."""
+
     def test_cycle_edge(self):
         g = two_triangles()
-        assert block_of(g, {3, 4}) == ("ok", (2, 3, 4))
+        assert holders(g, {3, 4}) == [(2, 3, 4)]
 
     def test_singleton_lowest(self):
         g = two_triangles()
-        assert block_of(g, {2}) == ("ok", (0, 1, 2))
-        assert block_of(g, {4}) == ("ok", (2, 3, 4))
+        assert holders(g, {2})[0] == (0, 1, 2)
+        assert holders(g, {4}) == [(2, 3, 4)]
 
     def test_split_witness(self):
         g = two_triangles()
-        assert block_of(g, {1, 2, 3}) == ("split", 2)
+        dec = blocks(g)
+        assert holders(g, {1, 2, 3}) == []
+        assert 2 in dec.cut_vertices
+        assert holders(g, {1, 2}) == [(0, 1, 2)] and holders(g, {2, 3}) == [(2, 3, 4)]
 
     def test_rejects_disconnected_set(self):
+        """Blocks are connected, so no block holds a set that is not."""
         g = path5()
-        with pytest.raises(ValueError):
-            block_of(g, {0, 4})
+        assert holders(g, {0, 4}) == []
+        assert blocks(g).blocks == ((0, 1), (1, 2), (2, 3), (3, 4))
 
     def test_agrees_with_containment(self):
         rng = random.Random(37)
@@ -290,14 +301,20 @@ class TestBlockOf:
                 if not frontier:
                     break
                 s.add(rng.choice(frontier))
-            verdict = block_of(g, s)
-            holders = [b for b in dec.blocks if s <= set(b)]
-            if verdict[0] == "ok" and len(s) > 1:
-                assert holders == [verdict[1]]
-            elif verdict[0] == "split":
-                assert not holders
-                assert verdict[1] in s
-                assert verdict[1] in dec.cut_vertices
+            held = holders(g, s)
+            # blocks meet in at most one vertex, so a set of two or more
+            # sits in at most one; otherwise its induced edges spread over
+            # several blocks, two of which meet at a cut vertex of s
+            edge_blocks = {b for e in g.edges if e.a in s and e.b in s
+                           for b in dec.blocks if e.a in b and e.b in b}
+            if len(s) == 1:
+                assert held
+            elif held:
+                assert len(held) == 1 and edge_blocks == set(held)
+            else:
+                assert len(edge_blocks) >= 2
+                assert any(sum(v in b for b in edge_blocks) >= 2
+                           for v in s & set(dec.cut_vertices))
 
 
 class TestSpecOutput:
