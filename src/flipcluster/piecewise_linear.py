@@ -65,18 +65,15 @@ The lattice
 -----------
 ``minimize_convex_pl`` takes and returns Fractions but eliminates on
 Python ints.  At entry it takes D, the lcm of the denominators of every
-box end, anchor, interval end, pair shift, overlap end, constant and
-intercept, and L, the lcm of the denominators of the Affine slopes (1
-when there are none, as on every route).  Coordinates are scaled by D
-and values by D * L: every input becomes an int, every term's slope an
-int, and the l1 slope of |x - a| becomes L.  No operation divides:
-``add`` merges knots and sums slope-times-run steps, ``inf_conv_abs``
-keeps knots of f or the ends of its output range and continues with
-slopes -L and L, ``pullback`` shifts or reflects knots by an int, and
-both argmins pick a knot or clamp between knots.  So every knot, value
-and slope of the elimination is an int, the arithmetic is exact, and the
-only conversions are the scaling at entry, exact because D and L are
-lcms, and ``Fraction(n, D)`` and ``Fraction(n, D * L)`` at exit.
+box end, anchor, pair shift, overlap end and constant, and scales
+coordinates and values by D: every input becomes an int and |x - a|
+keeps its slopes -1 and 1.  No operation divides: ``add`` merges knots
+and sums slope-times-run steps, ``inf_conv_abs`` keeps knots of f or the
+ends of its output range and continues with slopes -1 and 1, ``pullback``
+shifts or reflects knots by an int, and both argmins pick a knot or clamp
+between knots.  So every knot, value and slope is an int, the arithmetic
+is exact, and the only conversions are the scaling at entry, exact
+because D is an lcm, and ``Fraction(n, D)`` at exit.
 """
 
 from __future__ import annotations
@@ -99,29 +96,11 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Affine:
-    """slope * x_var + intercept"""
-
-    var: int
-    slope: Fraction
-    intercept: Fraction = Fraction(0)
-
-
-@dataclass(frozen=True)
 class AbsAnchor:
     """|x_var - anchor|"""
 
     var: int
     anchor: Fraction
-
-
-@dataclass(frozen=True)
-class IntervalDist:
-    """distance from x_var to the interval [lo, hi]"""
-
-    var: int
-    lo: Fraction
-    hi: Fraction
 
 
 @dataclass(frozen=True)
@@ -156,7 +135,7 @@ class TreePair:
     hi: Fraction
 
 
-Term = Const | Affine | AbsAnchor | IntervalDist | PairAbs | TreePair
+Term = Const | AbsAnchor | PairAbs | TreePair
 
 
 def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
@@ -176,12 +155,8 @@ def evaluate_terms(terms: Sequence[Term], x: Sequence[Fraction]) -> Fraction:
     for t in terms:
         if isinstance(t, Const):
             total += t.value
-        elif isinstance(t, Affine):
-            total += t.slope * x[t.var] + t.intercept
         elif isinstance(t, AbsAnchor):
             total += abs(x[t.var] - t.anchor)
-        elif isinstance(t, IntervalDist):
-            total += _ivl_dist(x[t.var], t.lo, t.hi)
         elif isinstance(t, PairAbs):
             total += abs(x[t.var_a] - t.sigma * x[t.var_b] - t.shift)
         elif isinstance(t, TreePair):
@@ -203,8 +178,7 @@ class ConvexPL:
     ``knots[i + 1]``.  A single knot encodes a function on a one-point
     domain.  The operations assume convexity, which ``is_convex``
     certifies.  The minimizer builds them on ints (see the lattice
-    above); no operation divides, so any exact numbers work.  ``unit``
-    is the slope of the l1 norm in the function's scale.
+    above); no operation divides, so any exact numbers work.
     """
 
     __slots__ = ("knots", "values", "slopes")
@@ -241,15 +215,15 @@ class ConvexPL:
         i = bisect_left(self.slopes, 0)
         return self.knots[i], self.values[i]
 
-    def argmin_plus_abs(self, c: int, unit: int = 1) -> int:
-        """Lowest argmin of f(x) + unit * |x - c|.
+    def argmin_plus_abs(self, c: int) -> int:
+        """Lowest argmin of f(x) + |x - c|.
 
-        Left of c the sum has slope f' - unit and right of it f' + unit,
-        so the answer is c clamped between the first knots whose right
-        slopes reach -unit and unit.
+        Left of c the sum has slope f' - 1 and right of it f' + 1, so the
+        answer is c clamped between the first knots whose right slopes
+        reach -1 and 1.
         """
         ks, s = self.knots, self.slopes
-        return _clamp(c, ks[bisect_left(s, -unit)], ks[bisect_left(s, unit)])
+        return _clamp(c, ks[bisect_left(s, -1)], ks[bisect_left(s, 1)])
 
     def add(self, other: "ConvexPL") -> "ConvexPL":
         """Pointwise sum on the common domain, by a two-pointer merge of the knots."""
@@ -272,31 +246,31 @@ class ConvexPL:
             j += b == y
         return ConvexPL(tuple(ks), tuple(vs), tuple(ss))
 
-    def inf_conv_abs(self, lo: int, hi: int, unit: int = 1) -> "ConvexPL":
-        """g(y) = min over x in dom(f) of f(x) + unit * |x - y|, on [lo, hi] (lo <= hi).
+    def inf_conv_abs(self, lo: int, hi: int) -> "ConvexPL":
+        """g(y) = min over x in dom(f) of f(x) + |x - y|, on [lo, hi] (lo <= hi).
 
-        Pieces before p have slope <= -unit and pieces from q on slope >=
-        unit; g agrees with f on [knots[p], knots[q]] and continues with
-        slope -unit to the left and unit to the right.
+        Pieces before p have slope <= -1 and pieces from q on slope >= 1;
+        g agrees with f on [knots[p], knots[q]] and continues with slope
+        -1 to the left and 1 to the right.
         """
         k, v, s = self.knots, self.values, self.slopes
-        p = bisect_right(s, -unit)
-        q = bisect_left(s, unit, p)
+        p = bisect_right(s, -1)
+        q = bisect_left(s, 1, p)
         a = bisect_right(k, lo, p, q + 1)   # kept knots lie strictly inside (lo, hi)
         b = bisect_left(k, hi, a, q + 1)
 
         def at(y: int, i: int) -> tuple[int, int]:
             """(g(y), slope of g right of y) for the last kept knot i <= y."""
             if i < p:
-                return v[p] + unit * (k[p] - y), -unit
+                return v[p] + k[p] - y, -1
             if i == q:
-                return v[q] + unit * (y - k[q]), unit
+                return v[q] + y - k[q], 1
             return v[i] + s[i] * (y - k[i]), s[i]
 
         v_lo, s_lo = at(lo, a - 1)
         if lo == hi:
             return ConvexPL((lo,), (v_lo,), ())
-        tail = (unit,) if b > q else ()
+        tail = (1,) if b > q else ()
         return ConvexPL((lo, *k[a:b], hi), (v_lo, *v[a:b], at(hi, b - 1)[0]),
                         (s_lo, *s[a:min(b, q)], *tail))
 
@@ -319,74 +293,65 @@ _Pair = tuple[int, int, int, int, tuple[int, int] | None]
 
 
 class _Lattice(NamedTuple):
-    """An objective scaled onto ints: coordinates times ``scale``, values
-    times ``scale * unit``, so |x - a| has slope ``unit``."""
+    """An objective scaled onto ints: coordinates and values times ``scale``."""
 
     scale: int
-    unit: int
     box: list[tuple[int, int]]
     const: int
-    # per variable: (linear slope, value at 0, intervals [a, b] whose distances add up)
-    unary: list[tuple[int, int, list[tuple[int, int]]]]
+    anchors: list[list[int]]   # per variable: the anchors a whose |x - a| add up
     pairs: list[_Pair]
 
 
 def _lattice(terms: Sequence[Term], box: Sequence[tuple[Fraction, Fraction]]) -> _Lattice:
-    """The objective on ints, with D and L the lcms of the module docstring."""
+    """The objective on ints, with D the lcm of the module docstring."""
+    n = len(box)
     consts: list[Fraction] = []
-    affines: list[Affine] = []
-    kinks: list[list[tuple[Fraction, Fraction]]] = [[] for _ in box]
+    anchors: list[list[Fraction]] = [[] for _ in box]
     pairs: list[PairAbs | TreePair] = []
     qs = [q for ends in box for q in ends]   # every rational that D must scale
     for t in terms:
-        if isinstance(t, (AbsAnchor, IntervalDist)):
-            ab = (t.anchor, t.anchor) if isinstance(t, AbsAnchor) else (t.lo, t.hi)
-            kinks[t.var].append(ab)
-            qs += ab
+        if isinstance(t, AbsAnchor):
+            if not 0 <= t.var < n:
+                raise ObjectiveStructureError(f"{t!r} names a variable outside [0, {n})")
+            anchors[t.var].append(t.anchor)
+            qs.append(t.anchor)
         elif isinstance(t, (PairAbs, TreePair)):
+            if not (0 <= t.var_a < n and 0 <= t.var_b < n and t.var_a != t.var_b
+                    and t.sigma in (1, -1)):
+                raise ObjectiveStructureError(
+                    f"{t!r} needs two distinct variables in [0, {n}) and sigma 1 or -1")
             pairs.append(t)
             qs += (t.shift, t.lo, t.hi) if isinstance(t, TreePair) else (t.shift,)
         elif isinstance(t, Const):
             consts.append(t.value)
             qs.append(t.value)
-        elif isinstance(t, Affine):
-            affines.append(t)
-            qs.append(t.intercept)
         else:
             raise TypeError(f"unknown term {t!r}")
     d = lcm(*[q.denominator for q in qs])
-    unit = lcm(*[t.slope.denominator for t in affines])
 
     def sc(q: Fraction) -> int:
         return q.numerator * (d // q.denominator)
 
-    unary = [[0, 0, [(sc(a), sc(b)) for a, b in ks]] for ks in kinks]
-    for t in affines:
-        u = unary[t.var]
-        u[0] += t.slope.numerator * (unit // t.slope.denominator)
-        u[1] += sc(t.intercept) * unit
     return _Lattice(
-        d, unit, [(sc(lo), sc(hi)) for lo, hi in box], sum(map(sc, consts)) * unit, unary,
+        d, [(sc(lo), sc(hi)) for lo, hi in box], sum(map(sc, consts)),
+        [[sc(a) for a in ks] for ks in anchors],
         [(t.var_a, t.var_b, t.sigma, sc(t.shift),
           (sc(t.lo), sc(t.hi)) if isinstance(t, TreePair) else None) for t in pairs])
 
 
-def _unary_pl(lo: int, hi: int, slope: int, value: int, kinks: list[tuple[int, int]],
-              unit: int) -> ConvexPL:
-    """slope * x + value + unit * (sum of dist(x, [a, b]) over kinks) on
-    [lo, hi], built from slope changes.
+def _unary_pl(lo: int, hi: int, anchors: list[int]) -> ConvexPL:
+    """The sum of |x - a| over anchors on [lo, hi], built from slope changes.
 
-    |x - a| is the distance to [a, a]; the distance to [a, b] has slope
-    -1, 0, +1 and gains 1 at each of a and b.
+    Each |x - a| starts at slope -1 if a is right of lo and 1 otherwise,
+    and gains 2 at a when a lies inside (lo, hi).
     """
-    value += slope * lo
+    value = slope = 0
     jumps: dict[int, int] = {}
-    for a, b in kinks:
-        value += unit * _ivl_dist(lo, a, b)
-        slope += -unit if lo < a else 0 if lo < b else unit
-        for k in (a, b):
-            if lo < k < hi:
-                jumps[k] = jumps.get(k, 0) + unit
+    for a in anchors:
+        value += abs(a - lo)
+        slope += -1 if lo < a else 1
+        if lo < a < hi:
+            jumps[a] = jumps.get(a, 0) + 2
     ks, vs, ss = [lo], [value], []
     for k in sorted(jumps) + ([hi] if lo < hi else []):
         value += slope * (k - ks[-1])
@@ -398,7 +363,7 @@ def _unary_pl(lo: int, hi: int, slope: int, value: int, kinks: list[tuple[int, i
 
 
 def _pair_message(pair: _Pair, child: ConvexPL, child_var: int,
-                  parent_lo: int, parent_hi: int, unit: int) -> ConvexPL:
+                  parent_lo: int, parent_hi: int) -> ConvexPL:
     """min over the child variable of child + pair(child, parent).
 
     Both pair types are symmetric in x_a and r = sigma * x_b + shift, so
@@ -413,8 +378,8 @@ def _pair_message(pair: _Pair, child: ConvexPL, child_var: int,
     else:
         lo, hi = sorted((sig * parent_lo + sh, sig * parent_hi + sh))
     if overlap is not None:
-        child = child.inf_conv_abs(*overlap, unit)
-    msg = child.inf_conv_abs(lo, hi, unit)
+        child = child.inf_conv_abs(*overlap)
+    msg = child.inf_conv_abs(lo, hi)
     return msg if to_a else msg.pullback(sig, sh)
 
 
@@ -434,20 +399,20 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
     Returns (argmin, value) as Fractions, eliminated on the integer
     lattice of the module docstring; the argmin is canonical (lowest
     coordinates among minimizers under the elimination order).  Raises
-    ObjectiveStructureError when pair couplings do not form a forest and
-    NonConvexObjective when a TreePair interval is inside out or an
-    intermediate value function fails the convexity certificate.
+    ObjectiveStructureError when a term names a variable outside the box,
+    a pair couples a variable with itself or has sigma other than 1 or -1,
+    or the couplings do not form a forest; NonConvexObjective when a
+    TreePair interval is inside out or an intermediate value function
+    fails the convexity certificate; TypeError for an unknown term.
     """
     lat = _lattice(terms, box)
-    d, unit, boxes, pairs = lat.scale, lat.unit, lat.box, lat.pairs
+    d, boxes, pairs = lat.scale, lat.box, lat.pairs
     n = len(boxes)
     for i, (lo, hi) in enumerate(boxes):
         if lo > hi:
             raise ValueError(f"empty box for variable {i}")
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]   # (other variable, pair index)
     for k, (a, b, _, _, overlap) in enumerate(pairs):
-        if a == b:
-            raise ObjectiveStructureError("pair term couples a variable with itself")
         if overlap is not None and overlap[0] > overlap[1]:
             lo, hi = (Fraction(x, d) for x in overlap)
             raise NonConvexObjective(
@@ -480,7 +445,7 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
                         "pair couplings contain a cycle; chain elimination needs a forest"
                     )
         # comp lists every variable after its parent: reversed, leaves come first
-        fn = {v: _unary_pl(*boxes[v], *lat.unary[v], unit) for v in comp}
+        fn = {v: _unary_pl(*boxes[v], lat.anchors[v]) for v in comp}
         for v in reversed(comp):
             if not fn[v].is_convex():
                 raise NonConvexObjective(
@@ -488,7 +453,7 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
                 )
             if parent[v] is not None:
                 pv, k = parent[v]
-                m = _pair_message(pairs[k], fn[v], v, *boxes[pv], unit)
+                m = _pair_message(pairs[k], fn[v], v, *boxes[pv])
                 if not m.is_convex():
                     raise NonConvexObjective(
                         f"message into variable {pv} violates the convexity certificate"
@@ -500,6 +465,6 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
         assign[root] = arg_root
         for w in comp[1:]:   # backtrack downward, parents first
             v, k = parent[w]
-            assign[w] = fn[w].argmin_plus_abs(_pair_anchor(pairs[k], v, assign[v]), unit)
+            assign[w] = fn[w].argmin_plus_abs(_pair_anchor(pairs[k], v, assign[v]))
 
-    return tuple(Fraction(assign[i], d) for i in range(n)), Fraction(total, d * unit)
+    return tuple(Fraction(assign[i], d) for i in range(n)), Fraction(total, d)

@@ -18,9 +18,7 @@ import flipcluster.piecewise_linear as pl
 from flipcluster.errors import NonConvexObjective, ObjectiveStructureError
 from flipcluster.piecewise_linear import (
     AbsAnchor,
-    Affine,
     Const,
-    IntervalDist,
     ConvexPL,
     PairAbs,
     TreePair,
@@ -42,8 +40,6 @@ def grid_minimize(terms, box):
     for t in terms:
         if isinstance(t, AbsAnchor):
             cands[t.var].add(F(t.anchor))
-        elif isinstance(t, IntervalDist):
-            cands[t.var] |= {F(t.lo), F(t.hi)}
         elif isinstance(t, TreePair):
             cands[t.var_a] |= {F(t.lo), F(t.hi)}
             cands[t.var_b] |= {
@@ -157,12 +153,6 @@ class TestMinimizeFrozen:
         arg, val = minimize_convex_pl([AbsAnchor(0, F(3))], [(F(0), F(10))])
         assert (arg, val) == ((F(3),), F(0))
 
-    def test_affine_picks_corner(self):
-        arg, val = minimize_convex_pl([Affine(0, F(2), F(1))], [(F(1), F(5))])
-        assert (arg, val) == ((F(1),), F(3))
-        arg, val = minimize_convex_pl([Affine(0, F(-2), F(0))], [(F(1), F(5))])
-        assert (arg, val) == ((F(5),), F(-10))
-
     def test_separable(self):
         arg, val = minimize_convex_pl(
             [AbsAnchor(0, F(3)), AbsAnchor(1, F(5)), Const(F(2))],
@@ -230,6 +220,29 @@ class TestStructureGuards:
         with pytest.raises(ObjectiveStructureError):
             minimize_convex_pl([PairAbs(0, 0, 1, F(0))], [(F(0), F(1))])
 
+    @pytest.mark.parametrize("terms", [
+        [PairAbs(0, 1, 2, F(0)), AbsAnchor(0, F(3))],   # pullback would read sigma 2 as -1
+        [AbsAnchor(-1, F(3))],   # a list index would take the last variable
+        [AbsAnchor(2, F(3))],
+        [PairAbs(0, 2, 1, F(0))],
+    ])
+    def test_term_outside_the_structure_rejected(self, terms):
+        with pytest.raises(ObjectiveStructureError):
+            minimize_convex_pl(terms, [(F(0), F(10))] * 2)
+
+    def test_unknown_term_rejected(self):
+        # a linear term: neither the minimizer nor the referee has a branch for it
+        @dataclasses.dataclass(frozen=True)
+        class Slope:
+            var: int
+            slope: Fraction
+
+        terms = [AbsAnchor(0, F(1)), Slope(0, F(2))]
+        with pytest.raises(TypeError):
+            minimize_convex_pl(terms, [(F(0), F(1))])
+        with pytest.raises(TypeError):
+            evaluate_terms(terms, [F(0)])
+
     def test_inverted_interval_trips_certificate(self):
         # an inside-out overlap interval makes the coupling non-convex
         terms = [TreePair(0, 1, 1, F(0), F(2), F(1))]
@@ -252,7 +265,7 @@ def off_grid(lo=-6, hi=6):
 
 
 @st.composite
-def term_system(draw, num=rationals, slopes=st.sampled_from([F(-1), F(1), F(2)])):
+def term_system(draw, num=rationals):
     n = draw(st.integers(1, 4))
     box = []
     for _ in range(n):
@@ -262,15 +275,7 @@ def term_system(draw, num=rationals, slopes=st.sampled_from([F(-1), F(1), F(2)])
     terms = []
     for v in range(n):
         for _ in range(draw(st.integers(0, 2))):
-            kind = draw(st.integers(0, 2))
-            if kind == 0:
-                terms.append(AbsAnchor(v, draw(num())))
-            elif kind == 1:
-                terms.append(Affine(v, draw(slopes), F(0)))
-            else:
-                a = draw(num())
-                b = a + draw(st.builds(F, st.integers(0, 4), st.just(1)))
-                terms.append(IntervalDist(v, a, b))
+            terms.append(AbsAnchor(v, draw(num())))
     # couple consecutive variables along a random sub-chain: always a forest
     for v in range(n - 1):
         if not draw(st.booleans()):
@@ -286,9 +291,8 @@ def term_system(draw, num=rationals, slopes=st.sampled_from([F(-1), F(1), F(2)])
     return terms, box
 
 
-# off-grid ends and anchors, and Affine slopes with denominators
-off_grid_system = term_system(num=off_grid, slopes=st.builds(
-    F, st.integers(-6, 6), st.sampled_from((1,) + OFF_GRID)))
+# off-grid box ends, anchors, shifts and overlaps
+off_grid_system = term_system(num=off_grid)
 
 
 def agrees_with_oracle(terms, box):
@@ -308,8 +312,7 @@ class TestMinimizeAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(off_grid_system)
     def test_off_grid_lattice(self, tb):
-        # mixed denominators and fractional Affine slopes: the common
-        # denominator and the slope unit can both differ from 1
+        # mixed denominators: D, their lcm, can exceed each one drawn
         agrees_with_oracle(*tb)
 
 
@@ -383,15 +386,13 @@ class TestPrimitivesPointwise:
         for v, (lo, hi) in enumerate(box):
             mine = [t for t in terms if getattr(t, "var", None) == v]
             lat = pl._lattice([dataclasses.replace(t, var=0) for t in mine], [(lo, hi)])
-            d, unit = lat.scale, lat.unit
-            f = pl._unary_pl(*lat.box[0], *lat.unary[0], unit)
+            d = lat.scale
+            f = pl._unary_pl(*lat.box[0], lat.anchors[0])
             assert (f.lo, f.hi) == (lo * d, hi * d)
             assert f.is_convex()
-            kinks = {k for t in mine for k in (getattr(t, "anchor", None),
-                                               getattr(t, "lo", None), getattr(t, "hi", None))
-                     if k is not None and lo <= k <= hi}
+            kinks = {t.anchor for t in mine if lo <= t.anchor <= hi}
             for x in probes([F(k, d) for k in f.knots], kinks):
-                assert f(x * d) == evaluate_terms(mine, {v: x}) * d * unit
+                assert f(x * d) == evaluate_terms(mine, {v: x}) * d
 
     @settings(max_examples=200, deadline=None)
     @given(convex_pl(), st.sampled_from([1, -1]), rationals())
@@ -430,21 +431,14 @@ class TestTreePairIdentity:
 
 
 def random_chain(rng, n):
-    """Unary terms on each of n variables, couplings i -- i + 1 in random
+    """Anchors on each of n variables, couplings i -- i + 1 in random
     orientation, so the elimination rooted at 0 runs down the chain."""
     terms, box = [], []
     for i in range(n):
         lo = F(rng.randint(-8, 0))
         box.append((lo, lo + rng.randint(4, 16)))
         for _ in range(rng.randint(0, 2)):
-            kind = rng.randrange(3)
-            if kind == 0:
-                terms.append(AbsAnchor(i, F(rng.randint(-16, 16), 2)))
-            elif kind == 1:
-                terms.append(Affine(i, F(rng.randint(-3, 3), 4)))
-            else:
-                a = F(rng.randint(-16, 16), 2)
-                terms.append(IntervalDist(i, a, a + F(rng.randint(0, 6), 2)))
+            terms.append(AbsAnchor(i, F(rng.randint(-16, 16), 2)))
     for i in range(n - 1):
         a, b = (i, i + 1) if rng.random() < 0.5 else (i + 1, i)
         sig, sh = rng.choice([1, -1]), F(rng.randint(-6, 6), 3)
@@ -458,7 +452,7 @@ def random_chain(rng, n):
 
 class TestMessageSize:
     def test_chain_messages_stay_small(self, monkeypatch):
-        # A message keeps only kinks: the unary kinks it summarizes, one
+        # A message keeps only kinks: the anchors it summarizes, one
         # per side for each variable's box or overlap ends, and its own
         # two ends.  Extra knots (sampled points, crossings) break this.
         sizes = []
@@ -478,8 +472,7 @@ class TestMessageSize:
             assert evaluate_terms(terms, arg) == val
             assert len(sizes) == n - 1
             for w, knots in sizes:
-                kinks = sum(1 if isinstance(t, AbsAnchor) else 2 for t in terms
-                            if isinstance(t, (AbsAnchor, IntervalDist)) and t.var >= w)
+                kinks = sum(1 for t in terms if isinstance(t, AbsAnchor) and t.var >= w)
                 assert knots <= kinks + 2 * (n - w) + 2, (seed, w)
 
 
