@@ -32,6 +32,12 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_overflow(ex: SegmentOverflow, out: str | None) -> int:
+    param = None if ex.param is None else format_rational(ex.param)
+    _emit({"error": "segment-overflow", "edge": ex.edge, "param": param}, out)
+    return 1
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -107,10 +113,7 @@ def cmd_dist(args) -> int:
     try:
         value, profile = exact_distance(c, x, y)
     except SegmentOverflow as ex:
-        param = None if ex.param is None else format_rational(ex.param)
-        _emit({"error": "segment-overflow", "edge": ex.edge, "param": param},
-              args.out)
-        return 1
+        return _emit_overflow(ex, args.out)
     payload = {
         "exact": format_rational(value),
         "crossings": len(profile.edges),
@@ -139,10 +142,7 @@ def cmd_special_path(args) -> int:
     try:
         sp = special_path(c, x, y)
     except SegmentOverflow as ex:
-        param = None if ex.param is None else format_rational(ex.param)
-        _emit({"error": "segment-overflow", "edge": ex.edge, "param": param},
-              args.out)
-        return 1
+        return _emit_overflow(ex, args.out)
     payload = {
         "vertices": list(sp.vertices),
         "edges": list(sp.edges),
@@ -185,7 +185,7 @@ def cmd_iso(args) -> int:
 
 def cmd_suite(args) -> int:
     config = _load_json(args.config) if args.config else {}
-    if args.seed is not None:
+    if args.seed is not None and isinstance(config, dict):   # run_suite rejects the rest
         config["seed"] = args.seed
     try:
         report = run_suite(config)

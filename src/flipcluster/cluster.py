@@ -26,8 +26,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import ClusterValidationError, InvalidPointError, SegmentOverflow
 from .jsonutil import dumps_canonical
-from .metric_tree import (Line, MetricTree, RootedTree, TreePoint, bridge_raw, int_id,
-                          line_intersection)
+from .metric_tree import (Bridge, Line, MetricTree, Overlap, RootedTree, TreePoint, bridge,
+                          int_id, line_intersection)
 from .rational import as_fraction, format_rational, parse_rational
 
 
@@ -78,9 +78,6 @@ class SimplicialTree:
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def other_end(self, eid: int, v: int) -> int:
         a, b = self.edges[eid]
         if v == a:
@@ -120,7 +117,7 @@ class Cluster:
         self.tree = tree
         self.pieces = dict(pieces)
         self.marks = dict(marks)
-        self._relations: dict[tuple[int, int, int], tuple] = {}
+        self._relations: dict[tuple[int, int, int], Overlap | Bridge] = {}
         problems = self._check()
         if problems:
             raise ClusterValidationError(problems)
@@ -232,23 +229,20 @@ class Cluster:
 
     # -- relations between marks (used by path and distance code) -------------
 
-    def mark_relation(self, v: int, e1: int, e2: int):
-        """How two mark lines of one piece sit relative to each other.
-
-        Returns ("overlap", Overlap) for intersecting carriers, else
-        ("disjoint", Bridge).  Computed without overflow guards; callers
-        that care about truncated ends must check them.
+    def mark_relation(self, v: int, e1: int, e2: int) -> Overlap | Bridge:
+        """How two mark lines of one piece sit relative to each other: their
+        Overlap when the carriers intersect, else the Bridge between them.
+        Computed without overflow guards; callers that care about
+        truncated ends must check them.
         """
         key = (v, e1, e2)
         if key in self._relations:
             return self._relations[key]
         l1 = self.marks[(v, e1)]
         l2 = self.marks[(v, e2)]
-        ov = line_intersection(l1, l2)
-        if ov is not None:
-            rel = ("overlap", ov)
-        else:
-            rel = ("disjoint", bridge_raw(self.pieces[v].tree, l1, l2))
+        rel = line_intersection(l1, l2)
+        if rel is None:
+            rel = bridge(self.pieces[v].tree, l1, l2)
         self._relations[key] = rel
         return rel
 

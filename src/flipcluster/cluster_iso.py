@@ -48,7 +48,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .cluster import Cluster, ClusterPoint, Supports, lowest_point, route_between
+from .cluster import Cluster, Supports, route_between
 from .errors import FeatureMapError, SizeCapError
 from .metric_tree import Line, MetricTree, TreePoint
 from .rational import format_rational
@@ -365,10 +365,6 @@ def image_supports(triple: GoodTriple, reps: Supports) -> Supports:
     hor = pm.iso.point_image(horizontal)
     return triple.cb.resolve(triple.psi[v], hor.edge, hor.offset,
                              height + pm.height_shift)
-
-
-def point_image(triple: GoodTriple, x: ClusterPoint) -> ClusterPoint:
-    return lowest_point(image_supports(triple, triple.ca.supports(x)))
 
 
 def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:

@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 from .cluster import Cluster, ClusterPoint, SupportRoute, piece_distance, support_route
 from .errors import InstanceDefect, SizeCapError
-from .metric_tree import TreePoint, line_gate
+from .metric_tree import Overlap, TreePoint, line_gate
 from .piecewise_linear import (
     AbsAnchor,
     Const,
@@ -154,17 +154,15 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
         rel = c.mark_relation(v, eids[i - 1], eids[i])
         var_entry = 2 * (i - 1) + 1   # h_{i-1}, parameter on mark(v, e_{i-1})
         var_exit = 2 * i              # s_i, parameter on mark(v, e_i)
-        if rel[0] == "overlap":
-            ov = rel[1]
+        if isinstance(rel, Overlap):
             # r = A-parameter reached by the B-point: invert q = sigma*t + shift
-            terms.append(TreePair(var_entry, var_exit, ov.sigma,
-                                  -ov.sigma * ov.shift, ov.lo1, ov.hi1))
+            terms.append(TreePair(var_entry, var_exit, rel.sigma,
+                                  -rel.sigma * rel.shift, rel.lo1, rel.hi1))
         else:
-            br = rel[1]
-            terms.append(AbsAnchor(var_entry, br.param_p))
-            terms.append(AbsAnchor(var_exit, br.param_q))
-            if br.gap:
-                terms.append(Const(br.gap))
+            terms.append(AbsAnchor(var_entry, rel.param_p))
+            terms.append(AbsAnchor(var_exit, rel.param_q))
+            if rel.gap:
+                terms.append(Const(rel.gap))
         terms.append(PairAbs(2 * (i - 1), 2 * i + 1, 1, Fraction(0)))
 
     g, dn = line_gate(c.pieces[verts[n]].tree, xn.horizontal, c.marks[(verts[n], eids[n - 1])])
@@ -406,11 +404,6 @@ class DiscretizedOracle:
                     dist[nxt] = nd
                     heappush(heap, (nd, nxt))
         raise AssertionError("endpoint unreachable in discretization graph")
-
-
-def discretized_distance(c: Cluster, x0: ClusterPoint, xn: ClusterPoint,
-                         eps: Fraction, cap: int = DEFAULT_NODE_CAP) -> Fraction:
-    return DiscretizedOracle(c, eps, cap).distance(x0, xn)
 
 
 def default_eps(c: Cluster) -> Fraction:

@@ -162,10 +162,6 @@ class MetricTree:
         """(edge id, opposite vertex) pairs, sorted by edge id."""
         return self._adj[v]
 
-    @property
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if len(self._adj[v]) == 1)
-
     def rooted_at(self, root: int) -> RootedTree:
         """The tree hung from root, its depths as ints at the tree's scale."""
         return RootedTree(self._adj, root, self._units)
@@ -474,38 +470,15 @@ class Bridge(NamedTuple):
     gap: Fraction
 
 
-def bridge_raw(tree: MetricTree, l1: Line, l2: Line) -> Bridge:
-    """Closest pair between two lines, with no overflow guard.
+def bridge(tree: MetricTree, l1: Line, l2: Line) -> Bridge:
+    """Closest pair between two disjoint lines, with no overflow guard.
 
-    Intersecting lines share a segment (possibly a point); the midpoint of
-    that segment is returned on both sides, which pins a single canonical
-    witness.  Disjoint lines have a unique closest pair, found by gating:
-    every point of one line reaches the other through the same gate, so
-    the result is exact even when a foot sits on a truncated end.
+    Disjoint lines have a unique closest pair, found by gating: every
+    point of one line reaches the other through the same gate, so the
+    result is exact even when a foot sits on a truncated end.
     """
-    inter = line_intersection(l1, l2)
-    if inter is not None:
-        m1 = (inter.lo1 + inter.hi1) / 2
-        m2 = inter.sigma * m1 + inter.shift
-        pt = l1.point_at(m1)
-        return Bridge(pt, pt, m1, m2, Fraction(0))
     anchor = l2.point_at(l2.lo)
     p_param, _ = line_gate(tree, anchor, l1)
     p_foot = l1.point_at(p_param)
     q_param, gap = line_gate(tree, p_foot, l2)
     return Bridge(p_foot, l2.point_at(q_param), p_param, q_param, gap)
-
-
-def bridge(tree: MetricTree, l1: Line, l2: Line) -> Bridge:
-    """Closest pair between two lines; raises SegmentOverflow when a foot
-    of a positive-gap bridge sits on an end the tree continues past, since
-    extending the carrier could then move the bridge."""
-    br = bridge_raw(tree, l1, l2)
-    if br.gap > 0:
-        for line, param in ((l1, br.param_p), (l2, br.param_q)):
-            if line.extendable_end(param):
-                raise SegmentOverflow(
-                    f"bridge foot at parameter {param} hits an extendable end",
-                    param=param,
-                )
-    return br

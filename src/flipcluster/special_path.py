@@ -39,7 +39,7 @@ from .cluster import (
 )
 from .distance_oracle import CrossingProfile, exact_distance, route_distance
 from .errors import SegmentOverflow
-from .metric_tree import project_to_line
+from .metric_tree import Overlap, project_to_line
 
 
 class PathSegment(NamedTuple):
@@ -85,39 +85,32 @@ def special_path(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SpecialPath:
     p: list = [None] * (n + 1)
     q: list = [None] * (n + 1)
 
-    p[0] = x0.horizontal
-    try:
-        q[0] = project_to_line(c.pieces[verts[0]].tree, p[0],
-                               c.marks[(verts[0], eids[0])]).foot
-    except SegmentOverflow as exc:
-        raise SegmentOverflow(str(exc), edge=eids[0], param=exc.param) from exc
-    q[n] = xn.horizontal
-    try:
-        p[n] = project_to_line(c.pieces[verts[n]].tree, q[n],
-                               c.marks[(verts[n], eids[n - 1])]).foot
-    except SegmentOverflow as exc:
-        raise SegmentOverflow(str(exc), edge=eids[n - 1], param=exc.param) from exc
+    p[0], q[n] = x0.horizontal, xn.horizontal
+    # each end piece projects its endpoint onto the one mark it crosses
+    for i, eid, end, feet in ((0, eids[0], p[0], q), (n, eids[n - 1], q[n], p)):
+        try:
+            feet[i] = project_to_line(c.pieces[verts[i]].tree, end,
+                                      c.marks[(verts[i], eid)]).foot
+        except SegmentOverflow as exc:
+            raise SegmentOverflow(str(exc), edge=eid, param=exc.param) from exc
 
     for i in range(1, n):
         enter = c.marks[(verts[i], eids[i - 1])]
-        leave = c.marks[(verts[i], eids[i])]
         rel = c.mark_relation(verts[i], eids[i - 1], eids[i])
-        if rel[0] == "overlap":
-            ov = rel[1]
-            mid = (ov.lo1 + ov.hi1) / 2
-            p[i] = enter.point_at(mid)
-            q[i] = leave.point_at(ov.sigma * mid + ov.shift)
-        else:
-            br = rel[1]
-            for line, param, eid in ((enter, br.param_p, eids[i - 1]),
-                                     (leave, br.param_q, eids[i])):
-                if br.gap > 0 and line.extendable_end(param):
-                    raise SegmentOverflow(
-                        f"bridge foot at parameter {param} hits an extendable"
-                        f" mark end in piece {verts[i]}",
-                        edge=eid, param=param,
-                    )
-            p[i], q[i] = br.p, br.q
+        if isinstance(rel, Overlap):
+            # both marks meet the overlap midpoint at one tree point
+            p[i] = q[i] = enter.point_at((rel.lo1 + rel.hi1) / 2)
+            continue
+        leave = c.marks[(verts[i], eids[i])]
+        for line, param, eid in ((enter, rel.param_p, eids[i - 1]),
+                                 (leave, rel.param_q, eids[i])):
+            if rel.gap > 0 and line.extendable_end(param):
+                raise SegmentOverflow(
+                    f"bridge foot at parameter {param} hits an extendable"
+                    f" mark end in piece {verts[i]}",
+                    edge=eid, param=param,
+                )
+        p[i], q[i] = rel.p, rel.q
 
     t: list = [None] * (n + 1)
     u: list = [None] * (n + 1)

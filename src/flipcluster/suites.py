@@ -369,20 +369,36 @@ def suite_isomorphism(seed: int, sizes: dict, fault: str | None) -> dict:
 
 
 def run_suite(config: dict) -> dict:
-    """Execute the configured suites; deterministic apart from timings."""
+    """Execute the configured suites; deterministic apart from timings.
+    A malformed config raises ValueError before any suite runs."""
+    if not isinstance(config, dict):
+        raise ValueError("config must be an object")
     known = {"seed", "suites", "sizes", "k_obs", "fault"}
     unknown = set(config) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     seed = config.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ValueError("seed must be an integer")
     names = config.get("suites", list(SUITE_NAMES))
+    if not isinstance(names, list):
+        raise ValueError("suites must be a list")
     bad = [n for n in names if n not in SUITE_NAMES]
     if bad:
         raise ValueError(f"unknown suites: {bad}")
     sizes_cfg = config.get("sizes", {})
+    if not isinstance(sizes_cfg, dict):
+        raise ValueError("sizes must be an object")
+    for name, sizes in sizes_cfg.items():
+        if name not in DESK_SIZES:
+            raise ValueError(f"sizes for an unknown suite {name!r}")
+        if not (isinstance(sizes, dict) and sizes.keys() <= DESK_SIZES[name].keys()
+                and all(type(n) is int and n >= 0 for n in sizes.values())):
+            raise ValueError(f"sizes of {name} must map some of "
+                             f"{sorted(DESK_SIZES[name])} to non-negative integers")
     k_obs = config.get("k_obs")
+    if k_obs is not None:
+        parse_rational(k_obs)   # a canonical rational string, or ValueError
     fault = config.get("fault")
     if fault not in (None, "mutate-planted"):
         raise ValueError(f"unknown fault flag {fault!r}")

@@ -25,7 +25,7 @@ import pytest
 from test_cluster import chain3, two_piece, two_piece_spec
 
 from flipcluster import cluster_iso, distance_oracle
-from flipcluster.cluster import Cluster, Piece, SimplicialTree, validate
+from flipcluster.cluster import Cluster, Piece, SimplicialTree, lowest_point, validate
 from flipcluster.cluster_iso import (
     GoodTriple,
     MarkedTreeIso,
@@ -33,12 +33,12 @@ from flipcluster.cluster_iso import (
     PieceMap,
     brute_force_iso,
     extend_choices,
+    image_supports,
     incident_eids,
     isomorphic,
     keeps_feature_edges,
     marked_tree_extensions,
     piece_normal_form,
-    point_image,
     verify_good,
     witness_to_spec,
 )
@@ -437,7 +437,7 @@ class TestIsomorphic:
         triple = isomorphic(ca, cb)
         assert triple is not None
         x = ca.point(1, 0, F(14), F(3))
-        assert point_image(triple, x) == cb.point(1, 1, F(4), F(3))
+        assert lowest_point(image_supports(triple, ca.supports(x))) == cb.point(1, 1, F(4), F(3))
 
     def test_crossed_mark_pairing_backtracks(self):
         c = star3(long_leg=True)
@@ -472,8 +472,8 @@ class TestIsomorphic:
         pts = random_cluster_points(ca, rng, 8)
         for x, y in itertools.combinations(pts, 2):
             d1 = exact_distance(ca, x, y)[0]
-            d2 = exact_distance(cb, point_image(triple, x),
-                                point_image(triple, y))[0]
+            fx, fy = (lowest_point(image_supports(triple, ca.supports(p))) for p in (x, y))
+            d2 = exact_distance(cb, fx, fy)[0]
             assert d1 == d2
 
     def test_long_path_pair_runs_on_its_own_stack(self):

@@ -3,8 +3,8 @@
 Two cross-checking routes: `grid_profile_min` brute-forces the crossing
 profile on a rational grid (valid here because every coupling in the
 fixtures has sigma = +1 and integer anchors, so some minimizer is
-integral), and `discretized_distance` runs Dijkstra on a sampled graph
-that can only overshoot, by at most 4 * eps per piece traversed.
+integral), and `DiscretizedOracle` runs Dijkstra on a sampled graph that
+can only overshoot, by at most 4 * eps per piece traversed.
 
 The oracle's integer graph is itself checked against `ReferenceGraph`:
 the same samples and edges keyed by (vertex, TreePoint, height) tuples,
@@ -29,7 +29,6 @@ from flipcluster.distance_oracle import (
     _PieceGrid,
     crossing_objective,
     default_eps,
-    discretized_distance,
     exact_distance,
     route_distance,
 )
@@ -258,15 +257,15 @@ class TestDiscretized:
         a = c.point(0, 0, F(13, 3), F(1, 3))
         b = c.point(0, 0, F(37, 5), F(-7, 2))
         want = piece_distance(c, 0, a, b)
-        assert discretized_distance(c, a, b, F(5, 2)) == want
+        assert DiscretizedOracle(c, F(5, 2)).distance(a, b) == want
 
     def test_crossing_within_bound_and_monotone(self):
         c = two_piece()
         x0 = c.point(0, 0, F(13), F(11))
         xn = c.point(1, 0, F(15), F(11))
         exact = F(14)
-        coarse = discretized_distance(c, x0, xn, F(1, 2))
-        fine = discretized_distance(c, x0, xn, F(1, 4))
+        coarse = DiscretizedOracle(c, F(1, 2)).distance(x0, xn)
+        fine = DiscretizedOracle(c, F(1, 4)).distance(x0, xn)
         for val, eps in ((coarse, F(1, 2)), (fine, F(1, 4))):
             assert exact <= val <= exact + 4 * eps * 2
         assert fine <= coarse
@@ -276,7 +275,7 @@ class TestDiscretized:
         x0 = c.point(0, 0, F(13), F(11))
         xn = c.point(1, 0, F(15), F(11))
         # integer minimizer and integer grid: the optimal crossing is a node
-        assert discretized_distance(c, x0, xn, F(1)) == 14
+        assert DiscretizedOracle(c, F(1)).distance(x0, xn) == 14
 
     def test_chain3_agreement(self):
         c = chain3()

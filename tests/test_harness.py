@@ -220,8 +220,22 @@ class TestRunSuite:
         {"seed": "5"},
         {"suites": ["metric"]},
         {"fault": "drop-tables"},
+        [],
+        {"suites": "tree-graded"},
+        {"sizes": 3},
+        {"suites": [], "sizes": {"metric-axioms": 3}},
+        {"suites": [], "sizes": {"metric-axiom": {"instances": 2}}},
+        {"suites": [], "sizes": {"metric-axioms": {"instance": 2}}},
+        {"suites": [], "sizes": {"metric-axioms": {"instances": "2"}}},
+        {"suites": [], "sizes": {"metric-axioms": {"instances": True}}},
+        {"suites": [], "sizes": {"isomorphism": {"pairs": -3}}},
+        {"suites": [], "seed": True},
+        {"suites": [], "k_obs": 5},
+        {"suites": [], "k_obs": "6/2"},
     ])
     def test_rejects_bad_config(self, config):
+        """Each malformed config is refused before any suite runs, whether
+        or not the suite it concerns is selected."""
         with pytest.raises(ValueError):
             run_suite(config)
 
@@ -372,6 +386,16 @@ class TestCLI:
         assert total == parse_rational(payload["length"])
         assert len(payload["vertices"]) == len(payload["segments"])
 
+    def test_special_path_overflow_exits_one(self, tmp_path):
+        from test_special_path import truncated_bridge
+        path = tmp_path / "c.json"
+        path.write_text(dumps_canonical(to_spec(truncated_bridge())))
+        a, b = (json.dumps({"vertex": v, "edge": 0, "offset": "3", "height": "7"})
+                for v in (0, 2))
+        rc, text = run_cli("special-path", str(path), a, b)
+        assert rc == 1
+        assert text == dumps_canonical({"error": "segment-overflow", "edge": 1, "param": "0"})
+
     def test_blocks(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({
@@ -437,6 +461,12 @@ class TestCLI:
         rc, _ = run_cli("suite", "--config", str(cfg))
         assert rc == 2
 
+    def test_suite_malformed_config_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        rc, text = run_cli("suite", "--config", str(cfg), "--seed", "1")
+        assert (rc, text) == (2, "")
+
     def test_no_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
@@ -480,3 +510,42 @@ class TestBenchTracedNames:
                 if not callable(obj):
                     missing.append(f"{module}.{qualname}")
         assert missing == []
+
+
+class TestNoTestOnlyHelpers:
+    # the PL minimizer's referee: tests check minimize_convex_pl against it
+    ALLOWED = {"evaluate_terms"}
+
+    def test_every_public_definition_has_a_program_caller(self):
+        """Each public top-level function and class in src/, and each public
+        method of such a class, is named somewhere in src/ or bench/.  A
+        name counts as a Name, an Attribute or an import, and in bench/
+        also as a dotted part of a string, which is how the traced run
+        names what it wraps; src/'s strings are messages and report labels."""
+        import ast
+        used, defined = set(), {}
+        for top in ("src", "bench"):
+            for path in sorted((REPO / top).rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Name):
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        used.add(node.attr)
+                    elif isinstance(node, ast.alias):
+                        used.update(node.name.split("."))
+                        used.add(node.asname)
+                    elif (top == "bench" and isinstance(node, ast.Constant)
+                          and isinstance(node.value, str)):
+                        used.update(node.value.split("."))
+                if top == "src":
+                    for node in tree.body:
+                        members = node.body if isinstance(node, ast.ClassDef) else []
+                        for d in [node, *members]:
+                            if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                                    and not d.name.startswith("_")):
+                                defined[d.name] = f"{path.name}:{d.lineno}"
+        assert "special_path" in defined and "TRACED" in used   # both trees were read
+        unused = {name: where for name, where in defined.items()
+                  if name not in used and name not in self.ALLOWED}
+        assert unused == {}

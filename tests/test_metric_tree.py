@@ -13,7 +13,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flipcluster.errors import InvalidPointError, NotOnLineError, SegmentOverflow
 from flipcluster.generator import _diameter
@@ -103,10 +103,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MetricTree([])
 
-    def test_leaves_and_degree(self):
+    def test_degree(self):
         t = tripod()
-        assert t.leaves == (1, 2, 3)
-        assert t.degree(0) == 3
+        assert [t.degree(v) for v in t.vertices] == [3, 1, 1, 1]
 
     def test_point_validation(self):
         t = tripod()
@@ -306,11 +305,13 @@ class TestRootedTree:
                              for u in tree.vertices for v in tree.vertices)
 
 
-def walk(tree: MetricTree, start: int, max_edges: int, draw) -> list[int]:
-    """A drawn edge path of 1..max_edges edges from start, never reusing an edge."""
+def walk(tree: MetricTree, start: int, max_edges: int, draw, avoid=()) -> list[int]:
+    """A drawn edge path of 1..max_edges edges from start, never reusing an
+    edge or stepping onto a vertex in avoid; start needs a neighbor outside
+    avoid."""
     path, used, v = [], set(), start
     for _ in range(draw(st.integers(1, max_edges))):
-        options = [(eid, w) for eid, w in tree.neighbors(v) if eid not in used]
+        options = [(eid, w) for eid, w in tree.neighbors(v) if eid not in used and w not in avoid]
         if not options:
             break
         eid, w = draw(st.sampled_from(options))
@@ -626,25 +627,19 @@ class TestIntersectionAndBridge:
         assert (br.param_p, br.param_q, br.gap) == (F(1), F(1), F(5, 4))
         assert br.p == t.vertex_point(1) and br.q == t.vertex_point(3)
 
-    def test_bridge_intersecting_midpoint(self):
-        t = h_tree()
-        l1 = Line(t, [0, 1], 0, 0)
-        l3 = Line(t, [1, 2], 2, 0)
-        br = bridge(t, l1, l3)
-        assert br.gap == 0
-        assert br.param_p == F(3, 2)
-        assert br.param_q == F(1, 2)
-        assert br.p == br.q == t.point(1, F(1, 2))
-
     @settings(max_examples=100, deadline=None)
     @given(tree_with_line(), st.data())
     def test_bridge_is_closest_pair(self, tl, data):
         tree, l1 = tl
-        l2 = data.draw(line_on(tree, max_edges=3))   # a second line over the same tree
-        try:
-            br = bridge(tree, l1, l2)
-        except SegmentOverflow:
-            return
+        # a second line over the same tree, on vertices off the first
+        on = l1.vertex_params.keys()
+        starts = [v for v in tree.vertices
+                  if v not in on and any(w not in on for _, w in tree.neighbors(v))]
+        assume(starts)
+        start = data.draw(st.sampled_from(starts))
+        l2 = Line(tree, walk(tree, start, 3, data.draw, avoid=on), start, data.draw(off_scale()))
+        assert line_intersection(l1, l2) is None
+        br = bridge(tree, l1, l2)
         best = min(
             tree.distance(l1.point_at(s), l2.point_at(u))
             for s in l1.vertex_params.values()

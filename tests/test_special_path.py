@@ -72,6 +72,25 @@ def truncated_mark() -> Cluster:
     return Cluster(t, pieces, marks)
 
 
+def truncated_bridge() -> Cluster:
+    """Three pieces; the middle one is chain6's H tree, but its second mark
+    stops at the branch vertex 3, which the tree continues past, so a foot
+    of the gap-2 bridge between its marks sits on an extendable end.
+    Heights outside the marks' ranges keep a point on one piece."""
+    t = SimplicialTree([0, 1, 2], [(0, 1), (1, 2)])
+    pieces = {}
+    marks = {}
+    for v, eid in ((0, 0), (2, 1)):
+        z = MetricTree([(0, 1, 10)])
+        pieces[v] = Piece(z, (F(-8), F(8)))
+        marks[(v, eid)] = Line(z, [0], 0, F(-5))        # range [-5, 5]
+    z = MetricTree([(0, 1, 2), (1, 2, 3), (1, 3, 2), (4, 3, 3), (3, 5, 2)])
+    pieces[1] = Piece(z, (F(-8), F(8)))
+    marks[(1, 0)] = Line(z, [0, 1], 0, F(-2))           # carrier 0-1-2, [-2, 3]
+    marks[(1, 1)] = Line(z, [3], 4, F(-3))              # carrier 4-3, [-3, 0]
+    return Cluster(t, pieces, marks)
+
+
 class TestConstruction:
     def test_same_piece_is_geodesic(self):
         c = chain3()
@@ -326,6 +345,14 @@ class TestOverflow:
         # the exact oracle is gate-based and does not care
         value, _ = exact_distance(c, x, y)
         assert value > 0
+
+    def test_bridge_overflow_tagged(self):
+        c = truncated_bridge()
+        x, y = c.point(0, 0, F(3), F(7)), c.point(2, 0, F(3), F(7))
+        assert support_route(c, x, y).vertices == (0, 1, 2)
+        with pytest.raises(SegmentOverflow) as exc:
+            special_path(c, x, y)
+        assert (exc.value.edge, exc.value.param) == (1, 0)
 
 
 class TestReports:
