@@ -204,12 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a random instance as JSON")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--config", help="JSON file with generator parameter overrides")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("validate", help="check an instance file")
     p.add_argument("file")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("dist", help="exact distance between two points")
@@ -218,33 +216,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("point_b")
     p.add_argument("--eps", help="also run the discretized oracle at this eps")
     p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("special-path", help="canonical path between two points")
     p.add_argument("file")
     p.add_argument("point_a")
     p.add_argument("point_b")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_special_path)
 
     p = sub.add_parser("blocks", help="block decomposition of a graph file")
     p.add_argument("file")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("iso", help="isometry search between two instances")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("suite", help="run verification suites")
     p.add_argument("--config", help="JSON suite configuration")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_suite)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

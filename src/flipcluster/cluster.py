@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple
 from .errors import ClusterValidationError, InvalidPointError, SegmentOverflow
 from .jsonutil import dumps_canonical
 from .metric_tree import (Bridge, Line, MetricTree, Overlap, RootedTree, TreePoint, bridge,
-                          int_id, line_intersection)
+                          connected, int_id, line_intersection)
 from .rational import as_fraction, format_rational, parse_rational
 
 
@@ -59,16 +59,7 @@ class SimplicialTree:
         self._adj = {v: tuple(sorted(n)) for v, n in adj.items()}
         if len(self.edges) != len(self.vertices) - 1:
             raise ValueError("vertex/edge counts do not form a tree")
-        root = self.vertices[0]
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for _, w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
+        if not connected(self._adj):
             raise ValueError("tree is not connected")
 
     @cached_property
@@ -342,9 +333,6 @@ def validate(spec: dict) -> Cluster:
     problems: list[tuple[str, str, str]] = []
     parsed: dict[str, Fraction] = {}
 
-    def fail():
-        raise ClusterValidationError(problems)
-
     def parse(text) -> Fraction:
         """parse_rational, once per distinct string; a failure raises and is not kept."""
         try:
@@ -354,31 +342,24 @@ def validate(spec: dict) -> Cluster:
             return value
 
     if not isinstance(spec, dict) or set(spec) != {"tree", "pieces", "marks"}:
-        problems.append(("schema", "top level",
-                         'expected exactly the keys "tree", "pieces", "marks"'))
-        fail()
+        raise ClusterValidationError([("schema", "top level",
+                                       'expected exactly the keys "tree", "pieces", "marks"')])
     tree_spec = spec["tree"]
     if not isinstance(tree_spec, dict) or set(tree_spec) != {"vertices", "edges"}:
-        problems.append(("schema", "tree", 'expected keys "vertices", "edges"'))
-        fail()
+        raise ClusterValidationError([("schema", "tree", 'expected keys "vertices", "edges"')])
     try:
         tree = SimplicialTree(tree_spec["vertices"], tree_spec["edges"])
     except (ValueError, TypeError) as ex:
-        problems.append(("bad-tree", "tree", str(ex)))
-        fail()
+        raise ClusterValidationError([("bad-tree", "tree", str(ex))])
 
     pieces: dict[int, Piece] = {}
     piece_spec = spec["pieces"]
     if not isinstance(piece_spec, dict):
-        problems.append(("schema", "pieces", "expected an object"))
-        fail()
+        raise ClusterValidationError([("schema", "pieces", "expected an object")])
     expected = {str(v) for v in tree.vertices}
     if set(piece_spec) != expected:
-        problems.append(
-            ("schema", "pieces",
-             f"piece keys {sorted(piece_spec)} do not match tree vertices")
-        )
-        fail()
+        raise ClusterValidationError([
+            ("schema", "pieces", f"piece keys {sorted(piece_spec)} do not match tree vertices")])
     for v in tree.vertices:
         entry = piece_spec[str(v)]
         ctx = f"piece {v}"
@@ -397,24 +378,21 @@ def validate(spec: dict) -> Cluster:
             continue
         pieces[v] = Piece(ztree, (lo, hi))
     if problems:
-        fail()
+        raise ClusterValidationError(problems)
 
     marks: dict[tuple[int, int], Line] = {}
     mark_spec = spec["marks"]
     if not isinstance(mark_spec, dict):
-        problems.append(("schema", "marks", "expected an object"))
-        fail()
+        raise ClusterValidationError([("schema", "marks", "expected an object")])
     expected_keys = {
         _mark_key(v, eid)
         for eid, (a, b) in enumerate(tree.edges)
         for v in (a, b)
     }
     if set(mark_spec) != expected_keys:
-        problems.append(
+        raise ClusterValidationError([
             ("schema", "marks",
-             f"mark keys do not match tree incidences (want {sorted(expected_keys)})")
-        )
-        fail()
+             f"mark keys do not match tree incidences (want {sorted(expected_keys)})")])
     for key in sorted(mark_spec):
         entry = mark_spec[key]
         ctx = f"mark {key}"
@@ -458,7 +436,7 @@ def validate(spec: dict) -> Cluster:
             continue
         marks[(v, eid)] = line
     if problems:
-        fail()
+        raise ClusterValidationError(problems)
 
     return Cluster(tree, pieces, marks)
 

@@ -163,17 +163,6 @@ class MarkedTreeIso:
         return self.nf_b.fedge_point(j, x)
 
 
-def keeps_feature_edges(nf_a: NormalForm, nf_b: NormalForm,
-                        vertex_map: dict[int, int]) -> bool:
-    """Whether a bijection of feature vertices sends every feature edge
-    of nf_a onto a feature edge of nf_b of the same length."""
-    for fe in nf_a.fedges:
-        j = nf_b.pair_to_fedge.get(frozenset((vertex_map[fe.u], vertex_map[fe.v])))
-        if j is None or nf_b.fedges[j].length != fe.length:
-            return False
-    return True
-
-
 Transform = tuple[int, Fraction]   # t -> sigma*t + shift, as (sigma, shift)
 
 
@@ -377,10 +366,11 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
     product per piece (well-formed data); 5 marks biject to marks.
 
     Pieces are checked in time linear in their features.  A feature
-    bijection keeps all feature distances iff it keeps feature edges and
-    their lengths (keeps_feature_edges): a feature lies strictly between
-    two others iff their distances add up.  Mark ends are features, so a
-    transform must send each end's parameter to its image vertex's.
+    bijection keeps all feature distances iff it keeps feature edges (the
+    piece map's fedge_map) and their lengths: a feature lies strictly
+    between two others iff their distances add up.  Mark ends are
+    features, so a transform must send each end's parameter to its image
+    vertex's.
     """
     from .distance_oracle import route_distance
 
@@ -420,7 +410,8 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
         vm = pm.iso.vertex_map
         if sorted(vm) != list(nfa.features) or sorted(vm.values()) != list(nfb.features):
             failures.append((3, f"feature bijection invalid at {v}"))
-        elif not keeps_feature_edges(nfa, nfb, vm):
+        elif any(nfb.fedges[j].length != nfa.fedges[i].length
+                 for i, (j, _) in pm.iso.fedge_map.items()):
             failures.append((2, f"distances disagree inside piece {v}"))
 
         eids = incident_eids(ca, v)

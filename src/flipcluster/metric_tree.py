@@ -18,8 +18,10 @@ a root records each vertex's parent edge, hop depth and weighted depth,
 and a query climbs from both ends to their meeting vertex, so it costs the
 hop length of its path and no all-pairs table is ever built.  A metric
 tree is rooted lazily, on its first routing query, since most pieces are
-never routed.  Ids are plain ints: a bool, float or string id is rejected
-rather than read as a different vertex or edge.
+never routed; tree and graph constructors check connectivity with
+:func:`connected`, a bare walk that records nothing.  Ids are plain
+ints: a bool, float or string id is rejected rather than read as a
+different vertex or edge.
 """
 
 from __future__ import annotations
@@ -50,6 +52,20 @@ def int_id(x) -> int:
     if type(x) is not int:
         raise TypeError(f"ids must be integers, got {x!r}")
     return x
+
+
+def connected(adj: Mapping[int, Iterable[tuple[int, int]]]) -> bool:
+    """Whether a walk over the (edge id, neighbor) lists of ``adj`` from any
+    one vertex reaches every vertex."""
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for _, w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
 
 
 class RootedTree:
@@ -142,15 +158,7 @@ class MetricTree:
         self.vertices: tuple[int, ...] = tuple(sorted(adj))
         if len(self.vertices) != len(self.edges) + 1:
             raise ValueError("edge set contains a cycle or a parallel edge")
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for _, w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
+        if not connected(adj):
             raise ValueError("edge set is not connected")
 
     # -- structure ---------------------------------------------------------
@@ -291,10 +299,6 @@ class Line:
         a, b = self._lo
         sd = self.tree.scale * den
         return Fraction(a * sd + b * pos, b * sd)
-
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
 
     @property
     def vertex_params(self) -> dict[int, Fraction]:

@@ -189,14 +189,6 @@ class ConvexPL:
         self.values = values
         self.slopes = slopes
 
-    @property
-    def lo(self) -> int:
-        return self.knots[0]
-
-    @property
-    def hi(self) -> int:
-        return self.knots[-1]
-
     def __call__(self, x: int) -> int:
         ks = self.knots
         if x < ks[0] or x > ks[-1]:

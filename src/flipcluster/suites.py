@@ -36,17 +36,9 @@ from .special_path import length_ratio, special_path, star_terms, subrange_ratio
 from .tree_graded import blocks, check_T1_T2, cut_points, graph_of_spec
 
 SCHEMA_VERSION = 1
-SUITE_NAMES = (
-    "metric-axioms",
-    "bilipschitz",
-    "oracle-agreement",
-    "remark-nice",
-    "tree-graded",
-    "isomorphism",
-)
 MAX_REPROS = 3
 
-# desk-scale defaults; the acceptance run overrides these from its config
+# desk-scale defaults, in run order; the acceptance run overrides these from its config
 DESK_SIZES = {
     "metric-axioms": {"instances": 30, "triples": 10, "pool": 6},
     "bilipschitz": {"instances": 30, "pairs": 10, "subpath_pairs": 3},
@@ -55,6 +47,7 @@ DESK_SIZES = {
     "tree-graded": {"graphs": 50, "max_vertices": 8},
     "isomorphism": {"pairs": 20, "spot_checks": 20},
 }
+SUITE_NAMES = tuple(DESK_SIZES)
 
 CORPUS = GeneratorParams(seed=0, tree_size=(1, 8), piece_edges=(1, 40))
 ORACLE_CORPUS = GeneratorParams(seed=0, tree_size=(1, 3), piece_edges=(1, 3),
@@ -81,6 +74,9 @@ class _Recorder:
                 "inputs": inputs,
                 "detail": detail,
             })
+
+    def report(self, counters: dict) -> dict:
+        return {"pass": self.count == 0, "counters": counters, "failures": self.failures}
 
 
 def _floor_point_in(c, rng, v):
@@ -129,12 +125,8 @@ def suite_metric_axioms(seed: int, sizes: dict) -> dict:
                 rec.fail(dumps(c), "exact_distance",
                          [point_to_spec(pool[x]) for x in (a, b, k)],
                          "triangle inequality violated")
-    return {
-        "pass": rec.count == 0,
-        "counters": {"instances": sizes["instances"], "triples": triples_run,
-                     "violations": rec.count},
-        "failures": rec.failures,
-    }
+    return rec.report({"instances": sizes["instances"], "triples": triples_run,
+                       "violations": rec.count})
 
 
 def suite_bilipschitz(seed: int, sizes: dict, k_obs: str | None) -> dict:
@@ -182,18 +174,14 @@ def suite_bilipschitz(seed: int, sizes: dict, k_obs: str | None) -> dict:
             "inputs": attaining,
             "detail": f"observed ratio {format_rational(max_ratio)} exceeds {k_obs}",
         })
-    return {
-        "pass": rec.count == 0,
-        "counters": {
-            "instances": sizes["instances"],
-            "pairs": pairs_run,
-            "subpaths": subpaths_run,
-            "star_terms": star_checked,
-            "max_ratio": format_rational(max_ratio),
-            "attaining_pair": attaining,
-        },
-        "failures": rec.failures,
-    }
+    return rec.report({
+        "instances": sizes["instances"],
+        "pairs": pairs_run,
+        "subpaths": subpaths_run,
+        "star_terms": star_checked,
+        "max_ratio": format_rational(max_ratio),
+        "attaining_pair": attaining,
+    })
 
 
 def suite_oracle_agreement(seed: int, sizes: dict) -> dict:
@@ -228,12 +216,8 @@ def suite_oracle_agreement(seed: int, sizes: dict) -> dict:
                 continue
             ratio = (approx - exact) / (eps * (crossings + 1))
             histogram[str(min(int(ratio), 4))] += 1
-    return {
-        "pass": rec.count == 0,
-        "counters": {"instances": sizes["instances"], "pairs": pairs_run,
-                     "deviation_histogram": histogram},
-        "failures": rec.failures,
-    }
+    return rec.report({"instances": sizes["instances"], "pairs": pairs_run,
+                       "deviation_histogram": histogram})
 
 
 def suite_remark_nice(seed: int, sizes: dict) -> dict:
@@ -259,11 +243,7 @@ def suite_remark_nice(seed: int, sizes: dict) -> dict:
             rec.fail(dumps(c), "special_path",
                      [point_to_spec(seg_a.entry), point_to_spec(seg_b.entry)],
                      f"deep segment at piece {deep} depends on the endpoints")
-    return {
-        "pass": rec.count == 0,
-        "counters": {"instances": sizes["instances"]},
-        "failures": rec.failures,
-    }
+    return rec.report({"instances": sizes["instances"]})
 
 
 def _reference_blocks(g) -> set[frozenset]:
@@ -315,11 +295,7 @@ def suite_tree_graded(seed: int, sizes: dict) -> dict:
         if multi != cut_points(g):
             rec.fail(dumps_canonical(spec), "cut_points", [],
                      "cut vertices do not match multi-block vertices")
-    return {
-        "pass": rec.count == 0,
-        "counters": {"graphs": sizes["graphs"]},
-        "failures": rec.failures,
-    }
+    return rec.report({"graphs": sizes["graphs"]})
 
 
 def suite_isomorphism(seed: int, sizes: dict, fault: str | None) -> dict:
@@ -359,13 +335,9 @@ def suite_isomorphism(seed: int, sizes: dict, fault: str | None) -> dict:
                          [point_to_spec(x), point_to_spec(y)],
                          "witness does not preserve this distance")
                 break
-    return {
-        "pass": rec.count == 0,
-        "counters": {"pairs": sizes["pairs"], "planted": planted_count,
-                     "witnesses": found, "agreements": agreements,
-                     "spot_checks": spots},
-        "failures": rec.failures,
-    }
+    return rec.report({"pairs": sizes["pairs"], "planted": planted_count,
+                       "witnesses": found, "agreements": agreements,
+                       "spot_checks": spots})
 
 
 def run_suite(config: dict) -> dict:
@@ -403,6 +375,14 @@ def run_suite(config: dict) -> dict:
     if fault not in (None, "mutate-planted"):
         raise ValueError(f"unknown fault flag {fault!r}")
 
+    suites = {
+        "metric-axioms": lambda sizes: suite_metric_axioms(seed, sizes),
+        "bilipschitz": lambda sizes: suite_bilipschitz(seed, sizes, k_obs),
+        "oracle-agreement": lambda sizes: suite_oracle_agreement(seed, sizes),
+        "remark-nice": lambda sizes: suite_remark_nice(seed, sizes),
+        "tree-graded": lambda sizes: suite_tree_graded(seed, sizes),
+        "isomorphism": lambda sizes: suite_isomorphism(seed, sizes, fault),
+    }
     report = {"schema_version": SCHEMA_VERSION, "seed": seed, "suites": {}}
     overall = True
     total0 = time.perf_counter()
@@ -412,18 +392,7 @@ def run_suite(config: dict) -> dict:
         sizes = dict(DESK_SIZES[name])
         sizes.update(sizes_cfg.get(name, {}))
         t0 = time.perf_counter()
-        if name == "metric-axioms":
-            result = suite_metric_axioms(seed, sizes)
-        elif name == "bilipschitz":
-            result = suite_bilipschitz(seed, sizes, k_obs)
-        elif name == "oracle-agreement":
-            result = suite_oracle_agreement(seed, sizes)
-        elif name == "remark-nice":
-            result = suite_remark_nice(seed, sizes)
-        elif name == "tree-graded":
-            result = suite_tree_graded(seed, sizes)
-        else:
-            result = suite_isomorphism(seed, sizes, fault)
+        result = suites[name](sizes)
         result["seconds"] = round(time.perf_counter() - t0, 3)
         report["suites"][name] = result
         overall = overall and result["pass"]

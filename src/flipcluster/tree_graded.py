@@ -1,10 +1,11 @@
 """Cut vertices, blocks, and piece-cover axioms for finite metric graphs.
 
-Standalone utility over weighted graphs (parallel edges allowed, loops
-not): cut_points by direct removal, blocks by the edge-stack DFS, and a
-two-axiom check for candidate piece covers.  The axioms are the finite
-analogs of tree-graded pieces: distinct pieces meet in at most one
-vertex, and every simple cycle stays inside a single piece.  Note the
+Over weighted graphs (parallel edges allowed, loops not): cut_points by
+direct removal, blocks by the edge-stack DFS, and a two-axiom check for
+candidate piece covers.  Both connectivity checks, the constructor's
+and cut_points', walk with metric_tree's connected.  The axioms are the
+finite analogs of tree-graded pieces: distinct pieces meet in at most
+one vertex, and every simple cycle stays inside a single piece.  Note the
 second axiom really quantifies over cycles, not blocks: a theta graph
 covered by its three cycles passes it while no piece contains the whole
 block.
@@ -18,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
+from .metric_tree import connected
 from .rational import parse_rational
 
 
@@ -52,15 +54,7 @@ class FiniteGraph:
             self._adj[e.b].append((eid, e.a))
         for v in self._adj:
             self._adj[v].sort()
-        seen = {self.vertices[0]}
-        work = [self.vertices[0]]
-        while work:
-            v = work.pop()
-            for _, w in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    work.append(w)
-        if seen != vset:
+        if not connected(self._adj):
             raise ValueError("graph is not connected")
 
     def adjacency(self, v: int) -> list[tuple[int, int]]:
@@ -71,18 +65,9 @@ def cut_points(g: FiniteGraph) -> tuple[int, ...]:
     """Vertices whose removal disconnects the graph, by trying each one."""
     out = []
     for v in g.vertices:
-        rest = [w for w in g.vertices if w != v]
-        if len(rest) <= 1:
-            continue
-        seen = {rest[0]}
-        work = [rest[0]]
-        while work:
-            u = work.pop()
-            for _, w in g.adjacency(u):
-                if w != v and w not in seen:
-                    seen.add(w)
-                    work.append(w)
-        if len(seen) != len(rest):
+        rest = {w: [(eid, x) for eid, x in g.adjacency(w) if x != v]
+                for w in g.vertices if w != v}
+        if len(rest) > 1 and not connected(rest):
             out.append(v)
     return tuple(sorted(out))
 

@@ -95,7 +95,8 @@ class TestValidation:
     def test_two_piece_valid(self):
         c = two_piece()
         assert c.tree.edges == ((0, 1),)
-        assert c.marks[(0, 0)].length == 20
+        line = c.marks[(0, 0)]
+        assert line.hi - line.lo == 20
 
     def test_window_range_mismatch(self):
         spec = two_piece_spec()
@@ -105,6 +106,52 @@ class TestValidation:
         codes = {p[0] for p in exc.value.problems}
         assert "window-range-mismatch" in codes
         assert any("edge 0" in p[1] for p in exc.value.problems)
+
+    @pytest.mark.parametrize("defect, problem", [
+        ("drop-piece", ("missing-piece", "vertex 2", "no piece assigned")),
+        ("orphan-piece", ("orphan-piece", "vertex 7", "piece for a missing vertex")),
+        ("drop-mark", ("missing-mark", "edge 1 at vertex 2", "no mark line")),
+        ("off-edge-mark", ("dangling-mark", "mark 2:0", "edge not incident to vertex")),
+        ("missing-edge-mark", ("dangling-mark", "mark 5:9", "edge not incident to vertex")),
+        ("foreign-line", ("foreign-line", "mark 2:1", "line lives in another piece's tree")),
+        ("empty-window", ("empty-window", "vertex 2", "height window [5, 5] is empty")),
+    ])
+    def test_cluster_check_problem(self, defect, problem):
+        """Each structural defect of chain3 yields exactly its one problem."""
+        c = chain3()
+        pieces, marks = dict(c.pieces), dict(c.marks)
+        z2 = pieces[2].tree
+        if defect == "drop-piece":
+            del pieces[2]
+        elif defect == "orphan-piece":
+            pieces[7] = Piece(MetricTree([(0, 1, 1)]), (F(0), F(1)))
+        elif defect == "drop-mark":
+            del marks[(2, 1)]
+        elif defect == "off-edge-mark":
+            marks[(2, 0)] = Line(z2, [0], 0, F(-1))
+        elif defect == "missing-edge-mark":
+            marks[(5, 9)] = Line(z2, [0], 0, F(-1))
+        elif defect == "foreign-line":
+            marks[(2, 1)] = Line(MetricTree(z2.edges), [0], 0, F(-1))
+        else:
+            pieces[2] = Piece(z2, (F(5), F(5)))
+        with pytest.raises(ClusterValidationError) as exc:
+            Cluster(c.tree, pieces, marks)
+        assert exc.value.problems == [problem]
+
+    def test_rejects_disconnected_tree(self):
+        """A triangle beside an isolated vertex has the edge count of a tree."""
+        spec = two_piece_spec()
+        spec["tree"] = {"vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 0]]}
+        with pytest.raises(ClusterValidationError) as exc:
+            validate(spec)
+        assert exc.value.problems == [("bad-tree", "tree", "tree is not connected")]
+
+    def test_empty_windows_through_validate(self):
+        with pytest.raises(ClusterValidationError) as exc:
+            validate(two_piece_spec(window=("12", "-12")))
+        assert exc.value.problems == [
+            ("empty-window", f"vertex {v}", "height window [12, -12] is empty") for v in (0, 1)]
 
     def test_rejects_noncanonical_rationals(self):
         for bad in ("5/10", "5/1", "5/0", "+3", "3.5"):
@@ -413,10 +460,10 @@ class TestPieceDistance:
         line = c.marks[(1, 0)]
         twin = c.marks[(0, 0)]
         for _ in range(40):
-            t1 = line.lo + line.length * F(rng.randrange(0, 9), 8)
-            t2 = line.lo + line.length * F(rng.randrange(0, 9), 8)
-            u1 = twin.lo + twin.length * F(rng.randrange(0, 9), 8)
-            u2 = twin.lo + twin.length * F(rng.randrange(0, 9), 8)
+            t1 = line.lo + (line.hi - line.lo) * F(rng.randrange(0, 9), 8)
+            t2 = line.lo + (line.hi - line.lo) * F(rng.randrange(0, 9), 8)
+            u1 = twin.lo + (twin.hi - twin.lo) * F(rng.randrange(0, 9), 8)
+            u2 = twin.lo + (twin.hi - twin.lo) * F(rng.randrange(0, 9), 8)
             a = ClusterPoint(1, line.point_at(t1), u1)
             b = ClusterPoint(1, line.point_at(t2), u2)
             dh, dv = piece_distance_parts(c, 1, a, b)

@@ -9,8 +9,9 @@ degree-2 vertex that only the normal form can see through.
 reference_isomorphic below is the depth-first search over whole good
 triples that the subtree-by-subtree search must agree with witness for
 witness, on pairs too large for the brute-force referee.
-ref_keeps_distances is the all-pairs feature distance comparison that
-verify_good's edge-by-edge check replaced.
+ref_keeps_distances compares the distances of all feature pairs.
+verify_good's in-piece check, which compares the lengths of the feature
+edges a piece map pairs up (its fedge_map), is tested against it.
 """
 
 import copy
@@ -36,7 +37,6 @@ from flipcluster.cluster_iso import (
     image_supports,
     incident_eids,
     isomorphic,
-    keeps_feature_edges,
     marked_tree_extensions,
     piece_normal_form,
     verify_good,
@@ -709,18 +709,33 @@ class TestVerifyGood:
 
 
 class TestFeatureEdgeCheck:
-    """keeps_feature_edges against the all-pairs referee, on every piece
-    map of a witness and on corruptions of it."""
+    """verify_good's in-piece distance check against the all-pairs referee,
+    on every piece map of a witness and on corruptions of it."""
 
     @staticmethod
-    def assert_agree(triple: GoodTriple) -> int:
+    def keeps_distances(triple: GoodTriple, v: int, nf_a: NormalForm,
+                        nf_b: NormalForm, vm: dict) -> bool:
+        """Whether verify_good, run on the one-piece triple at v with the
+        given map, passes the distances inside piece v.  A map that sends a
+        feature edge off the feature edges is rejected as it is built."""
+        pm = triple.phi[v]
+        try:
+            iso = MarkedTreeIso(nf_a, nf_b, vm, pm.iso.mark_map, pm.iso.transforms)
+        except FeatureMapError:
+            return False
+        one = GoodTriple(triple.ca, triple.cb, (v,), {v: triple.psi[v]}, {},
+                         {v: PieceMap(iso, pm.height_shift)})
+        return verify_good(one) != (False, 2, f"distances disagree inside piece {v}")
+
+    @classmethod
+    def assert_agree(cls, triple: GoodTriple) -> int:
         """Agreement on every corrupted map; returns how many fail."""
         rejected = 0
-        for pm in triple.phi.values():
+        for v, pm in triple.phi.items():
             for nf_a, nf_b, vm in corrupted_maps(pm.iso):
-                fast = keeps_feature_edges(nf_a, nf_b, vm)
-                assert fast == ref_keeps_distances(nf_a, nf_b, vm)
-                rejected += not fast
+                kept = cls.keeps_distances(triple, v, nf_a, nf_b, vm)
+                assert kept == ref_keeps_distances(nf_a, nf_b, vm)
+                rejected += not kept
         return rejected
 
     @pytest.mark.parametrize("seed", range(7))

@@ -243,8 +243,8 @@ class TestExactDistance:
                     for i, e in enumerate(eids):
                         line = c.marks[(verts[i], e)]
                         twin = c.marks[(verts[i + 1], e)]
-                        s.append(line.lo + line.length * F(rng.randrange(0, 9), 8))
-                        h.append(twin.lo + twin.length * F(rng.randrange(0, 9), 8))
+                        s.append(line.lo + (line.hi - line.lo) * F(rng.randrange(0, 9), 8))
+                        h.append(twin.lo + (twin.hi - twin.lo) * F(rng.randrange(0, 9), 8))
                     cand = CrossingProfile(verts, eids, tuple(s), tuple(h))
                     assert crossing_objective(c, cand, x, y) >= value
 
@@ -401,8 +401,8 @@ def wall_point(c, rng):
     eid = rng.randrange(len(c.tree.edges))
     v, w = c.tree.edges[eid]
     line, twin = c.marks[(v, eid)], c.marks[(w, eid)]
-    t = line.lo + line.length * F(rng.randint(0, 24), 24)
-    h = twin.lo + twin.length * F(rng.randint(0, 24), 24)
+    t = line.lo + (line.hi - line.lo) * F(rng.randint(0, 24), 24)
+    h = twin.lo + (twin.hi - twin.lo) * F(rng.randint(0, 24), 24)
     return c.point(v, *line.point_at(t), h)
 
 

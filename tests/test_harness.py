@@ -467,6 +467,43 @@ class TestCLI:
         rc, text = run_cli("suite", "--config", str(cfg), "--seed", "1")
         assert (rc, text) == (2, "")
 
+    # each subcommand's arguments; the capitalized ones name files and
+    # points the test makes
+    OUT_ARGS = {
+        "generate": ["--seed", "3"],
+        "validate": ["INST"],
+        "dist": ["INST", "A", "B"],
+        "special-path": ["INST", "A", "B"],
+        "blocks": ["GRAPH"],
+        "iso": ["INST", "INST"],
+        "suite": ["--config", "SUITE"],
+    }
+
+    def test_out_covers_every_subcommand(self):
+        usage = cli.build_parser().format_usage()
+        assert "{" + ",".join(self.OUT_ARGS) + "}" in usage
+
+    @pytest.mark.parametrize("command", list(OUT_ARGS))
+    def test_out_writes_what_stdout_gets(self, command, small_instance, tmp_path):
+        from flipcluster.cluster import point_to_spec
+        c, inst = small_instance
+        graph, suite = tmp_path / "g.json", tmp_path / "cfg.json"
+        graph.write_text(json.dumps({"vertices": [0, 1, 2],
+                                     "edges": [[0, 1, "1"], [1, 2, "1"], [2, 0, "1"]]}))
+        suite.write_text(json.dumps(dict(TINY_SUITE, suites=["tree-graded"])))
+        a, b = (json.dumps(point_to_spec(p)) for p in sample_points(c, random.Random(1), 2))
+        made = {"INST": inst, "GRAPH": str(graph), "SUITE": str(suite), "A": a, "B": b}
+        argv = [command, *(made.get(arg, arg) for arg in self.OUT_ARGS[command])]
+        rc, text = run_cli(*argv)
+        assert rc == 0 and text
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--out", str(out)) == (0, "")
+        if command == "suite":   # its timing fields differ from run to run
+            text, written = (strip_timings(json.loads(t)) for t in (text, out.read_text()))
+            assert written == text
+        else:
+            assert out.read_text() == text
+
     def test_no_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

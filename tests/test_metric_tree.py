@@ -490,7 +490,7 @@ class TestLine:
         line), against Dijkstra, from every vertex and from a point off the
         tree's scale on every edge."""
         tree, line = tl
-        t = line.lo + line.length * F(a, 12)
+        t = line.lo + (line.hi - line.lo) * F(a, 12)
         assert line.coord_of(line.point_at(t)) == t
         pts = [tree.vertex_point(v) for v in tree.vertices]
         pts += [off_scale_point(data.draw, tree, eid) for eid in range(len(tree.edges))]
@@ -498,7 +498,7 @@ class TestLine:
             g, d = line_gate(tree, p, line)
             assert type(d) is Fraction
             for b in bs:
-                u = line.lo + line.length * F(b, 12)
+                u = line.lo + (line.hi - line.lo) * F(b, 12)
                 assert dijkstra_point_distance(tree, p, line.point_at(u)) == d + abs(u - g)
 
     @settings(max_examples=120, deadline=None)

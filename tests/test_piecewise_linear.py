@@ -121,7 +121,7 @@ class TestPLFunction:
     def test_compose_affine_reflection(self):
         f = abs_pl(F(0), F(3), F(1))
         g = f.pullback(-1, F(3))  # g(x) = f(3 - x)
-        assert (g.lo, g.hi) == (F(0), F(3))
+        assert (g.knots[0], g.knots[-1]) == (F(0), F(3))
         assert g(F(2)) == 0
         assert g(F(0)) == 2
         assert g.slopes == (F(-1), F(1))
@@ -349,7 +349,7 @@ def probes(*knot_sets):
 def brute_inf_conv(f, y):
     """min over x of f(x) + |x - y|: attained at a knot of f or at the
     point of dom(f) nearest to y."""
-    xs = list(f.knots) + [_clamp(y, f.lo, f.hi)]
+    xs = list(f.knots) + [_clamp(y, f.knots[0], f.knots[-1])]
     return min(f(x) + abs(x - y) for x in xs)
 
 
@@ -358,7 +358,7 @@ class TestPrimitivesPointwise:
     @given(st.data())
     def test_add(self, data):
         f = data.draw(convex_pl())
-        g = data.draw(convex_pl(domain=(f.lo, f.hi)))
+        g = data.draw(convex_pl(domain=(f.knots[0], f.knots[-1])))
         h = f.add(g)
         assert h.is_convex()
         assert set(h.knots) <= set(f.knots) | set(g.knots)
@@ -370,7 +370,7 @@ class TestPrimitivesPointwise:
     def test_inf_conv_abs(self, f, lo, width):
         hi = lo + width
         g = f.inf_conv_abs(lo, hi)
-        assert (g.lo, g.hi) == (lo, hi)
+        assert (g.knots[0], g.knots[-1]) == (lo, hi)
         assert g.is_convex()
         assert all(-1 <= s <= 1 for s in g.slopes)
         inside = [x for x in f.knots if lo <= x <= hi]
@@ -388,7 +388,7 @@ class TestPrimitivesPointwise:
             lat = pl._lattice([dataclasses.replace(t, var=0) for t in mine], [(lo, hi)])
             d = lat.scale
             f = pl._unary_pl(*lat.box[0], lat.anchors[0])
-            assert (f.lo, f.hi) == (lo * d, hi * d)
+            assert (f.knots[0], f.knots[-1]) == (lo * d, hi * d)
             assert f.is_convex()
             kinks = {t.anchor for t in mine if lo <= t.anchor <= hi}
             for x in probes([F(k, d) for k in f.knots], kinks):
@@ -398,7 +398,8 @@ class TestPrimitivesPointwise:
     @given(convex_pl(), st.sampled_from([1, -1]), rationals())
     def test_pullback(self, f, sigma, shift):
         g = f.pullback(sigma, shift)
-        assert sorted({sigma * g.lo + shift, sigma * g.hi + shift}) == sorted({f.lo, f.hi})
+        ends = {sigma * g.knots[0] + shift, sigma * g.knots[-1] + shift}
+        assert sorted(ends) == sorted({f.knots[0], f.knots[-1]})
         assert g.is_convex()
         for x in probes(g.knots):
             assert g(x) == f(sigma * x + shift)
@@ -407,7 +408,7 @@ class TestPrimitivesPointwise:
     @given(convex_pl(), rationals())
     def test_argmin_plus_abs(self, f, c):
         x = f.argmin_plus_abs(c)
-        cands = sorted(set(f.knots) | {_clamp(c, f.lo, f.hi)})
+        cands = sorted(set(f.knots) | {_clamp(c, f.knots[0], f.knots[-1])})
         best = min(f(k) + abs(k - c) for k in cands)
         assert f(x) + abs(x - c) == best
         assert all(f(k) + abs(k - c) > best for k in cands if k < x)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,10 @@ from flipcluster.cluster import (
     support_route,
     transfer_across_wall,
 )
-from flipcluster.distance_oracle import exact_distance
-from flipcluster.errors import SegmentOverflow
-from flipcluster.metric_tree import Line, MetricTree
+from flipcluster.distance_oracle import DiscretizedOracle, default_eps, exact_distance
+from flipcluster.errors import SegmentOverflow, SizeCapError
+from flipcluster.generator import GeneratorParams, generate_cluster, sample_points
+from flipcluster.metric_tree import Bridge, Line, MetricTree
 from flipcluster.special_path import (
     length_ratio,
     special_path,
@@ -436,3 +438,67 @@ class TestSupportCalls:
                 fn(c, x, y)
                 assert len(counted) == expected
         assert cases == {False, True}   # common-support and crossing pairs both ran
+
+
+def remarked_cluster(seed: int) -> Cluster:
+    """A generated cluster re-marked with random vertex-to-vertex carriers,
+    each in a random orientation, its windows recomputed as the generator
+    does (the hull of the incoming mark ranges, slack 2).  Generated marks
+    are all diameter paths in one direction, so only re-marked instances
+    reach disjoint marks, reversed overlaps and one-point overlaps."""
+    rng = random.Random(seed)
+    c = generate_cluster(GeneratorParams(seed=seed, tree_size=(2, 5), piece_edges=(2, 6)))
+    marks = {}
+    for v, eid in sorted(c.marks):
+        tree = c.pieces[v].tree
+        a, b = rng.sample(tree.vertices, 2)
+        path = tree.rooted_at(a).path(a, b)[1]
+        marks[(v, eid)] = Line(tree, path, a, F(rng.randint(-32, 32), 8))
+    pieces = {}
+    for v, piece in c.pieces.items():
+        spans = [marks[(w, eid)] for eid, w in c.tree.neighbors(v)]
+        lo, hi = min(line.lo for line in spans), max(line.hi for line in spans)
+        mid, half = (lo + hi) / 2, hi - lo   # half the hull's width, times 2
+        pieces[v] = Piece(piece.tree, (mid - half, mid + half))
+    return Cluster(c.tree, pieces, marks)
+
+
+class TestRemarkedCorpus:
+    """The grid oracle's bound, special path lengths and the star audit on
+    mark pairs the generator never draws."""
+
+    def test_cross_checks(self):
+        seen = Counter()
+        for seed in range(200):
+            c = remarked_cluster(seed)
+            for v in c.tree.vertices:
+                eids = [eid for eid, _ in c.tree.neighbors(v)]
+                for e1, e2 in itertools.combinations(eids, 2):
+                    rel = c.mark_relation(v, e1, e2)
+                    if isinstance(rel, Bridge):
+                        seen["bridge"] += 1
+                    else:
+                        seen["reversed"] += rel.sigma == -1
+                        seen["one-point"] += rel.lo1 == rel.hi1
+            eps = default_eps(c)
+            try:
+                oracle = DiscretizedOracle(c, eps, cap=20_000)
+            except SizeCapError:
+                oracle = None
+            pts = sample_points(c, random.Random(seed), 8)
+            for x, y in zip(pts[::2], pts[1::2]):
+                d, profile = exact_distance(c, x, y)
+                if oracle is not None:
+                    seen["oracle"] += 1
+                    approx = oracle.distance(x, y)
+                    assert d <= approx <= d + 4 * eps * (len(profile.edges) + 1)
+                try:
+                    sp = special_path(c, x, y)
+                except SegmentOverflow:
+                    continue
+                seen["special"] += 1
+                assert sp.length >= d
+                assert all(lhs <= rhs for lhs, rhs in star_audit(c, x, y))
+        # every relation kind occurs, and both checks ran on a good share
+        assert min(seen[k] for k in ("bridge", "reversed", "one-point")) > 0
+        assert seen["oracle"] >= 200 and seen["special"] >= 400
