@@ -42,14 +42,20 @@ most 2*eps per wall plus 2*eps at the ends, so with n+1 pieces traversed
 
 The constant C = 4 is what the agreement criterion checks against.
 
-The graph is built once per oracle, on integers.  Node (v, tree sample
-i, height index j) has the id ``base[v] + i * H_v + j``, so rails and
-rungs are index arithmetic; every weight is scaled to an int by the
-common denominator of all graph weights.  The wall snaps are hoisted:
-the samples around a transferred point depend on the height alone on one
-side and on the tree sample alone on the other.  A query joins its two
-ends to the samples around them, scales those weights and the graph's to
-one common denominator, and runs Dijkstra on Python ints, reaching the
+The graph is built once per oracle, on integers over one denominator
+``den``, fixed before any sample exists: the lcm of each piece tree's
+scale, each edge step and height step, each height breakpoint and each
+mark's lo.  The part counts come first, so the node count is known, and
+an oversized grid refused, before any sample list is made.  Every
+sample offset, height and line parameter is then an int over den, and
+den is the unit of every weight.  Node (v, tree sample i, height index
+j) has the id ``base[v] + i * H_v + j``, so rails and rungs are index
+arithmetic.  The wall snaps are hoisted: the samples around a
+transferred point depend on the height alone on one side and on the
+tree sample alone on the other, and both are found on ints from the
+mark's carrier positions.  A query lifts its two ends to ints over
+``den * m``, with m the lcm of their denominators, joins them to the
+samples around them, and runs Dijkstra on Python ints, reaching the
 target through one reserved id past the grid.
 """
 
@@ -63,7 +69,7 @@ from typing import NamedTuple
 
 from .cluster import Cluster, ClusterPoint, SupportRoute, piece_distance, support_route
 from .errors import InstanceDefect, SizeCapError
-from .metric_tree import Overlap, TreePoint, line_gate
+from .metric_tree import Line, Overlap, TreePoint, line_gate
 from .piecewise_linear import (
     AbsAnchor,
     Const,
@@ -184,72 +190,141 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
 # -- discretized cross-oracle ----------------------------------------------------
 
 
+def _split(length: Fraction, eps: Fraction) -> tuple[int, Fraction]:
+    """The fewest power-of-two parts of length <= eps, and their length."""
+    r = length / eps
+    parts = 1 << (-(-r.numerator // r.denominator) - 1).bit_length()
+    return parts, length / parts
+
+
+def _lift(f: Fraction, den: int) -> int:
+    """f times den, an int when f's denominator divides den."""
+    return f.numerator * (den // f.denominator)
+
+
 class _PieceGrid:
-    """Power-of-two sample grid of one piece.
+    """Power-of-two sample grid of one piece, on ints over one denominator.
 
     Tree samples subdivide each edge into the fewest power-of-two parts
     of length <= eps; height samples do the same between breakpoints
     (window ends and twin-range ends), so refining eps by halves only
-    ever adds nodes.  Tree samples are numbered in edge order, the first
-    time each point is met, and heights in increasing order.
+    ever adds nodes.  The constructor only counts parts, which fixes the
+    node count and the denominators a sample can have; ``sample(den)``
+    then places every sample as an int over ``den``, the oracle's one
+    common denominator.  Edge e's samples sit at ``k * steps[e]`` from
+    its end a and have numbers ``rows[e][k]``, given in edge order the
+    first time each point is met; ``heights`` is a sorted int list.
     """
 
     def __init__(self, c: Cluster, v: int, eps: Fraction):
         piece = c.pieces[v]
-        self.v = v
         self.tree = piece.tree
-        self.edge_steps: dict[int, Fraction] = {}
-        self.edge_samples: dict[int, list[int]] = {}   # sample numbers at step * k
-        number: dict[TreePoint, int] = {}
-        for eid, e in enumerate(piece.tree.edges):
-            parts = 1
-            while e.length / parts > eps:
-                parts *= 2
-            step = self.edge_steps[eid] = e.length / parts
-            self.edge_samples[eid] = [
-                number.setdefault(piece.tree.point(eid, step * k), len(number))
-                for k in range(parts + 1)]
-        self.points = list(number)
-        breaks = {piece.window[0], piece.window[1]}
+        self.splits = [_split(e.length, eps) for e in self.tree.edges]
+        self.count = len(self.tree.vertices) + sum(parts - 1 for parts, _ in self.splits)
+        lo, hi = piece.window
+        breaks = {lo, hi}
         for eid, w in c.tree.neighbors(v):
             twin = c.marks[(w, eid)]
             breaks.add(twin.lo)
             breaks.add(twin.hi)
-        bs = sorted(b for b in breaks if piece.window[0] <= b <= piece.window[1])
-        heights: list[Fraction] = [bs[0]]
-        for a, b in zip(bs, bs[1:]):
-            if a == b:
-                continue
-            parts = 1
-            while (b - a) / parts > eps:
-                parts *= 2
-            step = (b - a) / parts
-            heights.extend(a + step * k for k in range(1, parts + 1))
-        self.heights = heights
+        bs = sorted(b for b in breaks if lo <= b <= hi)
+        self.gaps = [(a, *_split(b - a, eps)) for a, b in zip(bs, bs[1:])]
 
     def node_count(self) -> int:
-        return len(self.points) * len(self.heights)
+        return self.count * (1 + sum(parts for _, parts, _ in self.gaps))
 
-    def tree_neighbors(self, p: TreePoint) -> list[tuple[int, Fraction]]:
-        """Numbers of the samples next to a point on the same edge, with
-        their distances to it."""
-        step = self.edge_steps[p.edge]
-        row = self.edge_samples[p.edge]
-        lo = int(p.offset / step)
-        return [(row[k], abs(step * k - p.offset))
-                for k in (lo, lo + 1) if k < len(row)]
+    def denominators(self):
+        """Every denominator of this piece's sample offsets and heights,
+        and of its line positions."""
+        yield self.tree.scale
+        for _, step in self.splits:
+            yield step.denominator
+        for a, _, step in self.gaps:
+            yield a.denominator
+            yield step.denominator
 
-    def height_neighbors(self, h: Fraction) -> list[tuple[int, Fraction]]:
-        """Indices of the sample heights next to h, with their distances."""
+    def sample(self, den: int) -> None:
+        """Place the samples, as ints over den."""
+        self.den = den
+        number: dict[int, int] = {}   # tree vertex -> sample number
+        n = 0
+        self.rows: list[list[int]] = []
+        self.steps: list[int] = []
+        for e, (parts, step) in zip(self.tree.edges, self.splits):
+            if e.a not in number:
+                number[e.a] = n
+                n += 1
+            row = [number[e.a], *range(n, n + parts - 1)]
+            n += parts - 1
+            if e.b not in number:
+                number[e.b] = n
+                n += 1
+            row.append(number[e.b])
+            self.rows.append(row)
+            self.steps.append(_lift(step, den))
+        hs = [_lift(self.gaps[0][0], den)]
+        for a, parts, step in self.gaps:
+            a, step = _lift(a, den), _lift(step, den)
+            hs.extend(range(a + step, a + step * parts + 1, step))
+        self.heights = hs
+
+    def tree_neighbors(self, eid: int, offset: int, m: int = 1) -> list[tuple[int, int]]:
+        """Numbers of the samples of edge eid next to the point at offset
+        / (den * m) from its end a, with their distances in that unit."""
+        step = self.steps[eid] * m
+        row = self.rows[eid]
+        k = offset // step
+        return [(row[i], abs(step * i - offset)) for i in (k, k + 1) if i < len(row)]
+
+    def height_neighbors(self, h: int, m: int = 1) -> list[tuple[int, int]]:
+        """Indices of the sample heights next to h / (den * m), with their
+        distances in that unit."""
         hs = self.heights
-        if h <= hs[0]:
-            return [(0, hs[0] - h)]
-        if h >= hs[-1]:
-            return [(len(hs) - 1, h - hs[-1])]
-        i = bisect_left(hs, h)
-        if hs[i] == h:
-            return [(i, Fraction(0))]
-        return [(i - 1, h - hs[i - 1]), (i, hs[i] - h)]
+        if h <= hs[0] * m:
+            return [(0, hs[0] * m - h)]
+        if h >= hs[-1] * m:
+            return [(len(hs) - 1, h - hs[-1] * m)]
+        i = bisect_left(hs, -(-h // m))
+        if hs[i] * m == h:
+            return [(i, 0)]
+        return [(i - 1, h - hs[i - 1] * m), (i, hs[i] * m - h)]
+
+    def line_samples(self, line: Line) -> dict[int, int]:
+        """Each sample on a line of this piece, with its parameter times den."""
+        unit = self.den // self.tree.scale
+        t0 = _lift(line.lo, self.den)
+        edges, verts, cuts = self.tree.edges, line._verts, line._cuts
+        out: dict[int, int] = {}
+        for k, eid in enumerate(line.edge_path):
+            row, step = self.rows[eid], self.steps[eid]
+            if verts[k] == edges[eid].a:
+                start = t0 + cuts[k] * unit
+            else:
+                start, step = t0 + cuts[k + 1] * unit, -step
+            out.update(zip(row, range(start, start + step * len(row), step)))
+        return out
+
+    def line_neighbors(self, line: Line, params: list[int]) -> list[list[tuple[int, int]]]:
+        """For each parameter of a line of this piece (times den), the
+        samples next to its point, as tree_neighbors gives them.  A point
+        on a vertex lies on the vertex's lowest-id edge."""
+        unit = self.den // self.tree.scale
+        t0 = _lift(line.lo, self.den)
+        edges, verts = self.tree.edges, line._verts
+        cuts = [cut * unit for cut in line._cuts]
+        out = []
+        for t in params:
+            x = t - t0
+            k = bisect_left(cuts, x, 1) - 1   # first carrier edge ending at or after x
+            if x in (cuts[k], cuts[k + 1]):
+                u = verts[k] if x == cuts[k] else verts[k + 1]
+                eid, _ = self.tree.neighbors(u)[0]
+                offset = 0 if edges[eid].a == u else self.steps[eid] * (len(self.rows[eid]) - 1)
+            else:
+                eid = line.edge_path[k]
+                offset = x - cuts[k] if verts[k] == edges[eid].a else cuts[k + 1] - x
+            out.append(self.tree_neighbors(eid, offset))
+        return out
 
 
 class DiscretizedOracle:
@@ -277,37 +352,16 @@ class DiscretizedOracle:
             raise SizeCapError(
                 f"discretization needs {total} nodes, over the cap of {cap}"
             )
-        self.den, self.adj = self._build(total)
+        self.den = lcm(*(d for grid in self.grids.values() for d in grid.denominators()),
+                       *(line.lo.denominator for line in c.marks.values()))
+        for grid in self.grids.values():
+            grid.sample(self.den)
+        self.adj = self._build(total)
 
-    def _build(self, total: int) -> tuple[int, list[list[tuple[int, int]]]]:
-        """The common denominator of all weights, and the adjacency lists."""
+    def _build(self, total: int) -> list[list[tuple[int, int]]]:
+        """The adjacency lists."""
         c = self.cluster
         grids, base = self.grids, self.base
-        # wall snaps, hoisted: the tree samples across the wall depend only
-        # on the height index j, the height samples only on the point i
-        walls = []
-        fractions: list[Fraction] = []
-        for v, grid in grids.items():
-            hs = grid.heights
-            fractions.extend(grid.edge_steps.values())
-            fractions.extend(h2 - h1 for h1, h2 in zip(hs, hs[1:]))
-            for eid, w in c.tree.neighbors(v):
-                line = c.marks[(v, eid)]
-                twin = c.marks[(w, eid)]
-                wgrid = grids[w]
-                rows = [(i, wgrid.height_neighbors(line.coord_of(p)))
-                        for i, p in enumerate(grid.points) if line.contains(p)]
-                cols = [(j, wgrid.tree_neighbors(twin.point_at(hs[j])))
-                        for j in range(bisect_left(hs, twin.lo),
-                                       bisect_right(hs, twin.hi))]
-                for _, nbrs in rows + cols:
-                    fractions.extend(d for _, d in nbrs)
-                walls.append((v, w, rows, cols))
-        den = lcm(*(f.denominator for f in fractions))
-
-        def scale(f: Fraction) -> int:
-            return f.numerator * (den // f.denominator)
-
         adj: list[list[tuple[int, int]]] = [[]] * total   # every id set below
         for v, grid in grids.items():
             hs = grid.heights
@@ -316,46 +370,54 @@ class DiscretizedOracle:
             # heights, horizontal rungs from each tree sample
             rails: list[list[tuple[int, int]]] = [[] for _ in hs]
             for j, (h1, h2) in enumerate(zip(hs, hs[1:])):
-                rise = scale(h2 - h1)
-                rails[j].append((1, rise))
-                rails[j + 1].append((-1, rise))
-            rungs: list[list[tuple[int, int]]] = [[] for _ in grid.points]
-            for eid, row in grid.edge_samples.items():
-                step = scale(grid.edge_steps[eid])
+                rails[j].append((1, h2 - h1))
+                rails[j + 1].append((-1, h2 - h1))
+            rungs: list[list[tuple[int, int]]] = [[] for _ in range(grid.count)]
+            for row, step in zip(grid.rows, grid.steps):
                 for i, k in zip(row, row[1:]):
                     rungs[i].append(((k - i) * n_h, step))
                     rungs[k].append(((i - k) * n_h, step))
             for i, moves in enumerate(rungs):
                 for a, rail in enumerate(rails, base[v] + i * n_h):
                     adj[a] = [(a + d, weight) for d, weight in moves + rail]
-        for v, w, rows, cols in walls:
-            b, n_h = base[v], len(grids[v].heights)
-            wb, wn_h = base[w], len(grids[w].heights)
-            across = [(j, [(wb + k * wn_h, scale(dq)) for k, dq in nbrs])
-                      for j, nbrs in cols]
-            for i, nbrs in rows:
-                ups = [(k, scale(dh)) for k, dh in nbrs]
-                node = b + i * n_h
-                for j, samples in across:
-                    a = node + j
-                    for start, dq in samples:
-                        for k, dh in ups:
-                            z, weight = start + k, dq + dh
-                            adj[a].append((z, weight))
-                            adj[z].append((a, weight))
-        return den, adj
+        # wall snaps, hoisted: the tree samples across the wall depend only
+        # on the height index j, the height samples only on the sample i
+        for v, grid in grids.items():
+            hs = grid.heights
+            b, n_h = base[v], len(hs)
+            for eid, w in c.tree.neighbors(v):
+                twin, wgrid = c.marks[(w, eid)], grids[w]
+                wb, wn_h = base[w], len(wgrid.heights)
+                js = range(bisect_left(hs, _lift(twin.lo, self.den)),
+                           bisect_right(hs, _lift(twin.hi, self.den)))
+                across = [(j, [(wb + k * wn_h, dq) for k, dq in nbrs])
+                          for j, nbrs in zip(js, wgrid.line_neighbors(twin, hs[js.start:js.stop]))]
+                for i, t in grid.line_samples(c.marks[(v, eid)]).items():
+                    ups = wgrid.height_neighbors(t)
+                    node = b + i * n_h
+                    for j, samples in across:
+                        a = node + j
+                        for start, dq in samples:
+                            for k, dh in ups:
+                                z, weight = start + k, dq + dh
+                                adj[a].append((z, weight))
+                                adj[z].append((a, weight))
+        return adj
 
-    def _ends(self, reps: dict[int, tuple[TreePoint, Fraction]]
-              ) -> list[tuple[int, Fraction]]:
+    def _ends(self, reps: dict[int, tuple[TreePoint, Fraction]], m: int) -> dict[int, int]:
         """Grid nodes next to a point in each of its pieces (its supports),
-        with distances."""
-        out = []
+        with the least distance to each in units of 1 / (den * m)."""
+        dm = self.den * m
+        out: dict[int, int] = {}
         for v, (hor, hei) in reps.items():
             grid = self.grids[v]
             b, n_h = self.base[v], len(grid.heights)
-            for i, dq in grid.tree_neighbors(hor):
-                for j, dh in grid.height_neighbors(hei):
-                    out.append((b + i * n_h + j, dq + dh))
+            ups = grid.height_neighbors(_lift(hei, dm), m)
+            for i, dq in grid.tree_neighbors(hor.edge, _lift(hor.offset, dm), m):
+                for j, dh in ups:
+                    node, d = b + i * n_h + j, dq + dh
+                    if d < out.get(node, d + 1):
+                        out[node] = d
         return out
 
     def distance(self, x0: ClusterPoint, xn: ClusterPoint) -> Fraction:
@@ -363,18 +425,10 @@ class DiscretizedOracle:
         vx, vy = min(sx), min(sy)
         if vx == vy and sx[vx] == sy[vy]:   # the same canonical point
             return Fraction(0)
-        src, dst = self._ends(sx), self._ends(sy)
-        den = lcm(self.den, *(w.denominator for _, w in src + dst))
-
-        def scaled(ends) -> dict[int, int]:
-            out: dict[int, int] = {}
-            for node, w in ends:
-                d = w.numerator * (den // w.denominator)
-                if d < out.get(node, d + 1):
-                    out[node] = d
-            return out
-
-        return Fraction(self._dijkstra(scaled(src), scaled(dst), den // self.den), den)
+        # one multiplier lifts every end offset and height to an int over den * m
+        m = lcm(*(f.denominator for reps in (sx, sy)
+                  for hor, hei in reps.values() for f in (hor.offset, hei)))
+        return Fraction(self._dijkstra(self._ends(sx, m), self._ends(sy, m), m), self.den * m)
 
     def _dijkstra(self, src: dict[int, int], dst: dict[int, int], m: int) -> int:
         """Shortest src-to-dst length, in units of 1/(m * den).

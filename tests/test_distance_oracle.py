@@ -7,14 +7,16 @@ integral), and `DiscretizedOracle` runs Dijkstra on a sampled graph that
 can only overshoot, by at most 4 * eps per piece traversed.
 
 The oracle's integer graph is itself checked against `ReferenceGraph`:
-the same samples and edges keyed by (vertex, TreePoint, height) tuples,
-Fraction weights and a plain Fraction Dijkstra.
+the same grid sampled on its own with Fractions, edges keyed by (vertex,
+TreePoint, height) tuples, Fraction weights and a plain Fraction Dijkstra.
 """
 
 import dataclasses
 import heapq
 import itertools
 import random
+import time
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +28,6 @@ from flipcluster.cluster import piece_distance, route_between
 from flipcluster.distance_oracle import (
     CrossingProfile,
     DiscretizedOracle,
-    _PieceGrid,
     crossing_objective,
     default_eps,
     exact_distance,
@@ -292,6 +293,22 @@ class TestDiscretized:
         with pytest.raises(SizeCapError):
             DiscretizedOracle(two_piece(), F(1, 64), cap=100)
 
+    def test_cap_refuses_before_sampling(self):
+        # 2**45 parts per edge: the refusal comes from the part counts, so
+        # its time and memory do not grow with 1 / eps
+        c = two_piece()
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(SizeCapError, match="nodes, over the cap of 100$"):
+                DiscretizedOracle(c, F(1, 2**40), cap=100)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1
+        assert peak < 2**20
+
     def test_default_eps(self):
         assert default_eps(two_piece()) == F(5, 2)
         assert default_eps(chain3()) == F(1, 4)
@@ -303,28 +320,46 @@ class TestDiscretized:
 class ReferenceGraph:
     """The discretization graph with tuple node keys and Fraction weights.
 
-    Built from each piece's `_PieceGrid` samples and nothing else of the
-    oracle: rails between consecutive heights, rungs between consecutive
-    tree samples, wall snaps from every sample on a mark (at every height
-    in the twin range) to the samples around its transfer, and per query
-    the ends joined to the samples around them.  Dijkstra runs on
-    Fractions directly.
+    Samples each piece on its own, with Fractions: every edge and every
+    height gap between breakpoints (window ends and twin-range ends) in
+    the fewest power-of-two parts of length <= eps.  Rails join
+    consecutive heights, rungs consecutive tree samples, wall snaps join
+    every sample on a mark (at every height in the twin range) to the
+    samples around its transfer, and per query the ends are joined to the
+    samples around them.  Dijkstra runs on Fractions directly.
     """
 
     def __init__(self, c, eps):
         self.c = c
-        self.grids = {v: _PieceGrid(c, v, eps) for v in c.tree.vertices}
+        self.rows = {}      # (v, edge id) -> (step, tree samples at step * k)
+        self.heights = {}   # v -> sample heights, increasing
+        for v in c.tree.vertices:
+            piece = c.pieces[v]
+            for eid, e in enumerate(piece.tree.edges):
+                step, parts = self._split(e.length, eps)
+                self.rows[(v, eid)] = (step, [piece.tree.point(eid, step * k)
+                                              for k in range(parts + 1)])
+            ends = {t for eid, w in c.tree.neighbors(v)
+                    for t in (c.marks[(w, eid)].lo, c.marks[(w, eid)].hi)}
+            bs = sorted(ends | set(piece.window))
+            hs = [bs[0]]
+            for a, b in zip(bs, bs[1:]):
+                step, parts = self._split(b - a, eps)
+                hs.extend(a + step * k for k in range(1, parts + 1))
+            self.heights[v] = hs
         self.adj = {}
-        for v, grid in self.grids.items():
+        for v in c.tree.vertices:
+            hs = self.heights[v]
+            n_edges = len(c.pieces[v].tree.edges)
             pts = list(dict.fromkeys(
-                p for eid in grid.edge_steps for p in self._samples(grid, eid)))
+                p for eid in range(n_edges) for p in self.rows[(v, eid)][1]))
             for p in pts:
-                for h1, h2 in zip(grid.heights, grid.heights[1:]):
+                for h1, h2 in zip(hs, hs[1:]):
                     self._edge((v, p, h1), (v, p, h2), h2 - h1)
-            for eid, step in grid.edge_steps.items():
-                row = self._samples(grid, eid)
+            for eid in range(n_edges):
+                step, row = self.rows[(v, eid)]
                 for a, b in zip(row, row[1:]):
-                    for h in grid.heights:
+                    for h in hs:
                         self._edge((v, a, h), (v, b, h), step)
             for eid, w in c.tree.neighbors(v):
                 line, twin = c.marks[(v, eid)], c.marks[(w, eid)]
@@ -332,15 +367,16 @@ class ReferenceGraph:
                     if not line.contains(p):
                         continue
                     t = line.coord_of(p)
-                    for h in grid.heights:
+                    for h in hs:
                         if twin.lo <= h <= twin.hi:
                             self._snap((v, p, h), w, twin.point_at(h), t)
 
     @staticmethod
-    def _samples(grid, eid):
-        step = grid.edge_steps[eid]
-        parts = grid.tree.edges[eid].length / step
-        return [grid.tree.point(eid, step * k) for k in range(int(parts) + 1)]
+    def _split(length, eps):
+        parts = 1
+        while length / parts > eps:
+            parts *= 2
+        return length / parts, parts
 
     def _edge(self, a, b, w):
         self.adj.setdefault(a, []).append((b, w))
@@ -348,13 +384,11 @@ class ReferenceGraph:
 
     def _snap(self, node, v, hor, hei):
         """Join node to the samples of piece v around (hor, hei)."""
-        grid = self.grids[v]
-        step = grid.edge_steps[hor.edge]
-        row = self._samples(grid, hor.edge)
+        step, row = self.rows[(v, hor.edge)]
         lo = int(hor.offset / step)
         near = [(row[k], abs(step * k - hor.offset))
                 for k in (lo, lo + 1) if k < len(row)]
-        hs = grid.heights
+        hs = self.heights[v]
         if hei <= hs[0]:
             ups = [(hs[0], hs[0] - hei)]
         elif hei >= hs[-1]:
@@ -395,22 +429,33 @@ class ReferenceGraph:
                     self.adj[node] = [e for e in self.adj[node] if e[0] != label]
 
 
-def wall_point(c, rng):
+def wall_point(c, rng, denominator=24):
     """A point on a random wall, off the power-of-two grid: it lies in both
     pieces of the wall's T-edge, and in more where walls meet."""
     eid = rng.randrange(len(c.tree.edges))
     v, w = c.tree.edges[eid]
     line, twin = c.marks[(v, eid)], c.marks[(w, eid)]
-    t = line.lo + (line.hi - line.lo) * F(rng.randint(0, 24), 24)
-    h = twin.lo + (twin.hi - twin.lo) * F(rng.randint(0, 24), 24)
+    t = line.lo + (line.hi - line.lo) * F(rng.randint(0, denominator), denominator)
+    h = twin.lo + (twin.hi - twin.lo) * F(rng.randint(0, denominator), denominator)
     return c.point(v, *line.point_at(t), h)
 
 
 def keyed_edges(oracle):
     """The oracle's adjacency with ids read back as (v, TreePoint, height)
-    keys and weights as Fractions, each node's edges as a multiset."""
-    keys = [(v, p, h) for v, grid in oracle.grids.items()
-            for p in grid.points for h in grid.heights]
+    keys and weights as Fractions, each node's edges as a multiset.
+
+    A sample's point is read off its edge row and offset over ``den``; a
+    vertex sample reached from two edges must read back as one point."""
+    keys = []
+    for v, grid in oracle.grids.items():
+        points = {}
+        for eid, (row, step) in enumerate(zip(grid.rows, grid.steps)):
+            for k, i in enumerate(row):
+                p = grid.tree.point(eid, F(k * step, oracle.den))
+                assert points.setdefault(i, p) == p
+        assert sorted(points) == list(range(len(points)))
+        keys += [(v, points[i], F(h, oracle.den))
+                 for i in range(len(points)) for h in grid.heights]
     assert len(keys) == len(oracle.adj)
     out = {}
     for a, nbrs in enumerate(oracle.adj):
@@ -446,6 +491,12 @@ def test_integer_graph_equals_reference(oracle_corpus):
             twin = c.represent_at(wall, max(c.supports(wall)))
             assert oracle.distance(twin, wall) == 0
             pairs += [(wall, off_grid[0]), (on_grid[1], wall)]
+        # denominators prime to den: the ends lift to ints over den * m, m > 1
+        coprime = [*sample_points(c, rng, 1, denominator=7),
+                   *sample_points(c, rng, 1, denominator=11)]
+        pairs.append(coprime)
+        if c.tree.edges:
+            pairs += [(wall_point(c, rng, 7), coprime[1]), (coprime[0], wall_point(c, rng, 11))]
         for x, y in pairs:
             assert oracle.distance(x, y) == ref.distance(x, y)
     assert walls >= REFEREE_INSTANCES // 2

@@ -359,6 +359,16 @@ class TestCLI:
         assert rc == 2
         assert text == ""
 
+    def test_dist_oversized_grid_is_usage_error(self, small_instance):
+        # a 2**-40 grid is refused from its node count, before any sampling
+        from flipcluster.cluster import point_to_spec
+        c, path = small_instance
+        pts = sample_points(c, random.Random(2), 2)
+        args = [json.dumps(point_to_spec(p)) for p in pts]
+        rc, text = run_cli("dist", path, *args, "--eps", "1/1099511627776", "--cap", "100")
+        assert rc == 2
+        assert text == ""
+
     @pytest.mark.parametrize("ids", [{"vertex": False}, {"edge": False}])
     def test_dist_bool_ids_are_usage_error(self, small_instance, ids):
         from flipcluster.cluster import point_to_spec
