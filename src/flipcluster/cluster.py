@@ -16,6 +16,12 @@ isometrically in the glued space.
 
 Points are canonicalized at their lowest supporting vertex so that
 structural equality is geometric equality.
+
+Coordinates enter and leave as Fractions.  Inside, the point checks run
+on ints: resolve compares a height with its window by cross-multiplying,
+and the support walk tests wall membership on the carrier's int
+positions and lifts the height onto the twin mark at that mark's scale,
+building Fractions only for the representations it returns.
 """
 
 from __future__ import annotations
@@ -173,7 +179,8 @@ class Cluster:
         horizontal = piece.tree.point(edge, offset)
         height = as_fraction(height)
         lo, hi = piece.window
-        if height < lo or height > hi:
+        n, d = height.numerator, height.denominator
+        if n * lo.denominator < lo.numerator * d or n * hi.denominator > hi.numerator * d:
             raise InvalidPointError(
                 f"height {height} outside window [{lo}, {hi}] at vertex {v}"
             )
@@ -190,15 +197,22 @@ class Cluster:
         belongs to every neighbor across those walls, so the support set is
         found by walking transfers until closure.  It is always a subtree
         of T, so a piece already reached is skipped before its wall is tested.
+        The wall test runs on ints: the point lies on the mark's carrier
+        when its edge does or its vertex is a carrier vertex, and its height
+        must lift onto the twin mark.
         """
         reps = {pt.vertex: (pt.horizontal, pt.height)}
         stack = [pt.vertex]
         while stack:
             v = stack.pop()
             h, u = reps[v]
+            on = self.pieces[v].tree.point_vertex(h)
             for eid, w in self.tree.neighbors(v):
+                if w in reps:
+                    continue
                 line, twin = self.marks[(v, eid)], self.marks[(w, eid)]
-                if w not in reps and line.contains(h) and twin.lo <= u <= twin.hi:
+                if (h.edge in line._edge_at or on in line._vertex_at) \
+                        and twin._lift(u) is not None:
                     reps[w] = (twin.point_at(u), line.coord_of(h))
                     stack.append(w)
         return reps
@@ -259,7 +273,7 @@ def transfer_across_wall(c: Cluster, eid: int, v: int, pt: ClusterPoint) -> Clus
     line = c.marks[(v, eid)]
     t = line.coord_of(pt.horizontal)  # NotOnLineError if off the wall
     twin = c.marks[(w, eid)]
-    if not twin.lo <= pt.height <= twin.hi:
+    if twin._lift(pt.height) is None:
         raise SegmentOverflow(
             f"height {pt.height} outside the twin mark range "
             f"[{twin.lo}, {twin.hi}] on edge {eid}",

@@ -22,6 +22,11 @@ mapped mark fixes the images of the carrier's features, then backtracks
 over the images of the other feature edges in canonical order.  It
 yields feature maps with each mark's candidates, the target marks on the
 image of its carrier; marks are paired where their walls are solved.
+Feature chains are summed in the tree's int units, with one Fraction
+built for each feature edge's length; locating a point on a feature
+edge, or the point at an offset along one, works on those ints and
+builds one Fraction for its result.  Lengths, shifts and parameters
+cross the module's boundary as Fractions.
 
 isomorphic roots T at its first vertex and decides it subtree by
 subtree.  Pairing a mark at w with a target mark fixes the wall key: the
@@ -81,29 +86,34 @@ class NormalForm:
         for i, m in enumerate(self.marks):
             self.by_carrier.setdefault(frozenset((m.start_vertex, m.end_vertex)), []).append(i)
         fedges: list[FeatureEdge] = []
-        self.raw_loc: dict[int, tuple[int, Fraction, bool]] = {}
-        used: set[int] = set()
+        spans: list[int] = []   # each feature edge's length, as an int at the tree's scale
+        # raw edge -> (feature edge, distance of the raw edge's start along
+        # it as an int at the tree's scale, whether the chain runs a->b)
+        raw_loc: dict[int, tuple[int, int, bool]] = {}
+        edges, units, neighbors = tree.edges, tree._units, tree.neighbors
         for f in self.features:
-            for eid, w in tree.neighbors(f):
-                if eid in used:
+            for eid, w in neighbors(f):
+                if eid in raw_loc:
                     continue
                 chain = []
-                pos = Fraction(0)
+                pos = 0
                 cur, cur_eid = f, eid
                 nxt = w
                 while True:
-                    fwd = tree.edges[cur_eid].a == cur
+                    fwd = edges[cur_eid].a == cur
                     chain.append((cur_eid, fwd))
-                    self.raw_loc[cur_eid] = (len(fedges), pos, fwd)
-                    used.add(cur_eid)
-                    pos += tree.edges[cur_eid].length
+                    raw_loc[cur_eid] = (len(fedges), pos, fwd)
+                    pos += units[cur_eid]
                     if nxt in feats:
                         break
-                    (e1, w1), (e2, w2) = tree.neighbors(nxt)
+                    (e1, w1), (e2, w2) = neighbors(nxt)
                     cur = nxt
-                    cur_eid, nxt = (e2, w2) if e1 == chain[-1][0] else (e1, w1)
-                fedges.append(FeatureEdge(f, nxt, pos, tuple(chain)))
+                    cur_eid, nxt = (e2, w2) if e1 == cur_eid else (e1, w1)
+                fedges.append(FeatureEdge(f, nxt, Fraction(pos, tree.scale), tuple(chain)))
+                spans.append(pos)
+        self.raw_loc = raw_loc
         self.fedges = tuple(fedges)
+        self.spans = sorted(spans)
         self.pair_to_fedge = {
             frozenset((fe.u, fe.v)): i for i, fe in enumerate(self.fedges)}
         # (feature edge, far end) lists, sorted by edge as they are filled
@@ -115,22 +125,28 @@ class NormalForm:
     def locate(self, p: TreePoint) -> tuple[int, Fraction]:
         """(feature edge index, offset from its u end)."""
         fidx, base, fwd = self.raw_loc[p.edge]
-        length = self.tree.edges[p.edge].length
-        return fidx, base + (p.offset if fwd else length - p.offset)
+        scale = self.tree.scale
+        n, d = p.offset.numerator, p.offset.denominator
+        along = n * scale if fwd else self.tree._units[p.edge] * d - n * scale
+        return fidx, Fraction(base * d + along, scale * d)
 
     def fedge_point(self, fidx: int, x: Fraction) -> TreePoint:
-        fe = self.fedges[fidx]
-        for eid, fwd in fe.chain:
-            length = self.tree.edges[eid].length
-            if x <= length:
-                return self.tree.point(eid, x if fwd else length - x)
-            x -= length
+        """The point at offset x along feature edge fidx from its u end."""
+        tree = self.tree
+        units, scale, d = tree._units, tree.scale, x.denominator
+        rest = x.numerator * scale   # x times scale * d, left to walk
+        for eid, fwd in self.fedges[fidx].chain:
+            span = units[eid] * d
+            if rest <= span:
+                return tree.point(eid, Fraction(rest if fwd else span - rest, scale * d))
+            rest -= span
         raise ValueError("offset beyond feature edge")
 
     def mark_param_vertices(self, i: int) -> list[tuple[int, Fraction]]:
-        """Feature vertices along mark i with their parameters."""
-        params = sorted(self.marks[i].vertex_params.items(), key=lambda kv: kv[1])
-        return [(v, t) for v, t in params if v in self.adj]
+        """Feature vertices along mark i with their parameters, in carrier
+        order, which is parameter order."""
+        m = self.marks[i]
+        return [(v, m._param(c)) for v, c in zip(m._verts, m._cuts) if v in self.adj]
 
 
 class MarkedTreeIso:
@@ -197,8 +213,8 @@ def marked_tree_extensions(nf_a: NormalForm, nf_b: NormalForm,
         return
     if len(nf_a.marks) != len(nf_b.marks):
         return
-    if sorted(fe.length for fe in nf_a.fedges) != \
-            sorted(fe.length for fe in nf_b.fedges):
+    sa, sb = nf_a.tree.scale, nf_b.tree.scale
+    if [n * sb for n in nf_a.spans] != [n * sa for n in nf_b.spans]:
         return
 
     if pin is None:
@@ -213,7 +229,7 @@ def marked_tree_extensions(nf_a: NormalForm, nf_b: NormalForm,
         for v, t in nf_a.mark_param_vertices(i):
             t2 = sigma * t + shift
             qv = nf_b.tree.point_vertex(mb.point_at(t2)) \
-                if mb.lo <= t2 <= mb.hi else None
+                if mb._lift(t2) is not None else None
             if qv is None or qv not in nf_b.adj:
                 return
             seed[v] = qv
@@ -424,9 +440,9 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
             line = ca.marks[(v, eid)]
             target = cb.marks[(triple.psi[v], eids_b[pm.iso.mark_map[i]])]
             sigma, shift = pm.iso.transforms[i]
-            if any(target.vertex_param(vm.get(end)) != sigma * t + shift
-                   for end, t in ((line.start_vertex, line.lo),
-                                  (line.end_vertex, line.hi))):
+            if not all(target._at_vertex(sigma * t + shift, vm.get(end))
+                       for end, t in ((line.start_vertex, line.lo),
+                                      (line.end_vertex, line.hi))):
                 failures.append((5, f"mark of edge {eid} at {v} maps off its target"))
 
     for eid in inner:

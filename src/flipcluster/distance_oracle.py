@@ -64,7 +64,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import inf, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .cluster import Cluster, ClusterPoint, SupportRoute, piece_distance, support_route
@@ -356,6 +356,10 @@ class DiscretizedOracle:
                        *(line.lo.denominator for line in c.marks.values()))
         for grid in self.grids.values():
             grid.sample(self.den)
+        # no weight exceeds a piece's longest tree step plus its height span,
+        # so every path in the grid is shorter than this, in units of 1 / den
+        self.path_bound = total * max(max(g.steps) + g.heights[-1] - g.heights[0]
+                                      for g in self.grids.values())
         self.adj = self._build(total)
 
     def _build(self, total: int) -> list[list[tuple[int, int]]]:
@@ -434,11 +438,13 @@ class DiscretizedOracle:
         """Shortest src-to-dst length, in units of 1/(m * den).
 
         Graph weights count m each; the target is one reserved id past
-        the grid, pushed from every settled node that dst attaches.
+        the grid, pushed from every settled node that dst attaches.  A node
+        not reached yet holds the longest attachment plus the grid's path
+        bound, which no path reaches.
         """
         adj = self.adj
         goal = len(adj)
-        dist = [inf] * goal
+        dist = [max(src.values()) + self.path_bound * m] * goal
         for node, d in src.items():
             dist[node] = d
         heap = [(d, node) for node, d in src.items()]

@@ -7,6 +7,8 @@ as ``fractions.Fraction``.  Inside, each tree works at one integer scale,
 the lcm of its edge-length denominators: edge lengths, rooted depths,
 gate distances and the parameters of every line on the tree are ints at
 that scale, and a result is converted to one Fraction on its way out.
+A point's offset is checked against its edge's length, and a line
+parameter against the line's range, by cross-multiplying ints.
 Points are addressed as (edge id, offset from the edge's first endpoint)
 and canonicalized so that equal points compare equal: a point sitting on
 a vertex is always represented on the lowest-id edge incident to that
@@ -34,6 +36,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidPointError, NotOnLineError, SegmentOverflow
 from .rational import as_fraction
+
+
+_ZERO = Fraction(0)   # the offset of every point at its edge's end a
 
 
 class TreeEdge(NamedTuple):
@@ -185,30 +190,32 @@ class MetricTree:
             raise InvalidPointError(f"vertex {v} not in tree")
         eid, _ = self._adj[v][0]
         e = self.edges[eid]
-        return TreePoint(eid, Fraction(0) if e.a == v else e.length)
+        return TreePoint(eid, _ZERO if e.a == v else e.length)
 
     def point(self, edge: int, offset: Fraction | int | str) -> TreePoint:
         offset = as_fraction(offset)
         if not 0 <= int_id(edge) < len(self.edges):
             raise InvalidPointError(f"edge id {edge} out of range")
-        e = self.edges[edge]
-        if offset < 0 or offset > e.length:
+        # offset n/d against the edge's units/scale, both over scale * d
+        n, d = offset.numerator, offset.denominator
+        ns, ld = n * self.scale, self._units[edge] * d
+        if n < 0 or ns > ld:
             raise InvalidPointError(
-                f"offset {offset} outside [0, {e.length}] on edge {edge}"
+                f"offset {offset} outside [0, {self.edges[edge].length}] on edge {edge}"
             )
-        if offset == 0:
-            return self.vertex_point(e.a)
-        if offset == e.length:
-            return self.vertex_point(e.b)
+        if n == 0:
+            return self.vertex_point(self.edges[edge].a)
+        if ns == ld:
+            return self.vertex_point(self.edges[edge].b)
         return TreePoint(edge, offset)
 
     def point_vertex(self, p: TreePoint) -> int | None:
         """The vertex a point sits on, or None for edge-interior points."""
-        e = self.edges[p.edge]
-        if p.offset == 0:
-            return e.a
-        if p.offset == e.length:
-            return e.b
+        n = p.offset.numerator
+        if n == 0:
+            return self.edges[p.edge].a
+        if n * self.scale == self._units[p.edge] * p.offset.denominator:
+            return self.edges[p.edge].b
         return None
 
     # -- metric ------------------------------------------------------------
@@ -310,18 +317,32 @@ class Line:
         k = self._vertex_at.get(v)
         return None if k is None else self._param(self._cuts[k])
 
+    def _lift(self, t: Fraction) -> tuple[int, int] | None:
+        """(x, bq) for parameter t, or None when t is outside [lo, hi]: b
+        and q are the denominators of lo and t, and x is t's position times
+        bq.  point_at and the support walk's wall test share this check."""
+        a, b = self._lo
+        q = t.denominator
+        bq = b * q
+        x = (t.numerator * b - a * q) * self.tree.scale
+        return (x, bq) if 0 <= x <= self._cuts[-1] * bq else None
+
+    def _at_vertex(self, t: Fraction, v: int | None) -> bool:
+        """Whether t is the parameter of carrier vertex v, on ints."""
+        k = self._vertex_at.get(v)
+        lifted = self._lift(t)
+        return k is not None and lifted is not None and lifted[0] == self._cuts[k] * lifted[1]
+
     def point_at(self, t: Fraction | int | str) -> TreePoint:
         t = as_fraction(t)
-        a, b = self._lo
-        bq = b * t.denominator
-        scale = self.tree.scale
-        x = (t.numerator * b - a * t.denominator) * scale   # position times bq
-        cuts = self._cuts
-        if x < 0 or x > cuts[-1] * bq:
+        lifted = self._lift(t)
+        if lifted is None:
             raise SegmentOverflow(
                 f"parameter {t} outside line range [{self.lo}, {self.hi}]",
                 param=t,
             )
+        x, bq = lifted
+        cuts = self._cuts
         k = bisect_left(cuts, -(-x // bq), 1) - 1   # first edge ending at or after t
         along = x - cuts[k] * bq
         if along == 0:
@@ -331,7 +352,7 @@ class Line:
             return self.tree.vertex_point(self._verts[k + 1])
         eid = self.edge_path[k]
         forward = self._verts[k] == self.tree.edges[eid].a
-        return TreePoint(eid, Fraction(along if forward else rest, bq * scale))
+        return TreePoint(eid, Fraction(along if forward else rest, bq * self.tree.scale))
 
     def coord_of(self, p: TreePoint) -> Fraction:
         k = self._edge_at.get(p.edge)
@@ -345,9 +366,6 @@ class Line:
         if t is None:
             raise NotOnLineError(f"point {p} not on line")
         return t
-
-    def contains(self, p: TreePoint) -> bool:
-        return p.edge in self._edge_at or self.tree.point_vertex(p) in self._vertex_at
 
     @cached_property
     def vertex_gates(self) -> dict[int, tuple[Fraction, int]]:

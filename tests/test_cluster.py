@@ -296,6 +296,41 @@ class TestPointsAndSupports:
         with pytest.raises(InvalidPointError):
             c.resolve(0, 0, F(1), F(13))
 
+    def test_resolve_boundaries_against_fraction_reference(self):
+        """Offsets at 0 and the edge length and 1/(13 * scale) either side,
+        heights at each window end and each twin range end and just either
+        side of them: resolve gives the Fraction reference's support map or
+        its message."""
+        c = generate_cluster(GeneratorParams(seed=3, tree_size=(4, 6), piece_edges=(2, 6)))
+        assert any(p.tree.scale > 1 for p in c.pieces.values())
+        assert any(lo.denominator > 1 for lo, _ in (p.window for p in c.pieces.values()))
+        multi = 0
+        for v in c.tree.vertices:
+            tree = c.pieces[v].tree
+            lo, hi = c.pieces[v].window
+            tiny = F(1, 13 * tree.scale)
+            ends = {lo, hi} | {t for eid, w in c.tree.neighbors(v)
+                               for t in (c.marks[(w, eid)].lo, c.marks[(w, eid)].hi)}
+            heights = sorted({h + k * F(1, 13 * h.denominator) for h in ends for k in (-1, 0, 1)})
+            for eid, e in enumerate(tree.edges):
+                for off in (F(0), e.length, -tiny, tiny, e.length - tiny, e.length + tiny):
+                    for h in heights:
+                        if not 0 <= off <= e.length:
+                            want = f"offset {off} outside [0, {e.length}] on edge {eid}"
+                        elif not lo <= h <= hi:
+                            want = f"height {h} outside window [{lo}, {hi}] at vertex {v}"
+                        else:
+                            want = reference_supports(
+                                c, ClusterPoint(v, tree.point(eid, off), h))
+                            got = c.resolve(v, eid, off, h)
+                            assert list(got.items()) == list(want.items())
+                            multi += len(got) > 1
+                            continue
+                        with pytest.raises(InvalidPointError) as exc:
+                            c.resolve(v, eid, off, h)
+                        assert str(exc.value) == want
+        assert multi
+
     def test_resolve_is_the_support_map_of_point(self):
         c = two_piece()
         reps = c.resolve(1, 0, F(13), F(5))
@@ -319,15 +354,24 @@ class TestPointsAndSupports:
         assert c.same_point(a, b)
 
 
+def on_carrier(line: Line, p) -> bool:
+    """Wall membership on Fractions: p's edge is on the line's carrier, or
+    p sits on a carrier vertex."""
+    e = line.tree.edges[p.edge]
+    ends = [v for v, off in ((e.a, F(0)), (e.b, e.length)) if p.offset == off]
+    return p.edge in line.edge_path or any(v in line.vertex_params for v in ends)
+
+
 def reference_supports(c: Cluster, pt: ClusterPoint) -> dict:
     """The support closure as first written: every wall of a reached piece
-    is tested, reached neighbors included, and a transfer is thrown away
-    when its neighbor turns out to be reached already."""
+    is tested (with on_carrier and the twin's Fraction range), reached
+    neighbors included, and a transfer is thrown away when its neighbor
+    turns out to be reached already."""
 
     def wall_steps(v, horizontal, height):
         for eid, w in c.tree.neighbors(v):
             line = c.marks[(v, eid)]
-            if not line.contains(horizontal):
+            if not on_carrier(line, horizontal):
                 continue
             twin = c.marks[(w, eid)]
             if not twin.lo <= height <= twin.hi:
@@ -376,7 +420,8 @@ class TestSupportsReferee:
                                              piece_edges=(1, 8)))
         rng = random.Random(seed)
         multi = non_lowest = 0
-        for den in (8, 24):
+        # 7, 11 and 13 are prime to every piece scale and window denominator
+        for den in (8, 24, 7, 11, 13):
             for pt in self.probes(c, rng, den):
                 want = reference_supports(c, pt)
                 got = c.supports(pt)

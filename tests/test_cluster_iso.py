@@ -46,7 +46,7 @@ from flipcluster.distance_oracle import exact_distance
 from flipcluster.errors import FeatureMapError, FlipClusterError, SizeCapError
 from flipcluster.generator import GeneratorParams, mutated_pair, planted_pair
 from flipcluster.jsonutil import dumps_canonical
-from flipcluster.metric_tree import Line, MetricTree, RootedTree
+from flipcluster.metric_tree import Line, MetricTree, RootedTree, TreePoint
 
 F = Fraction
 
@@ -292,7 +292,73 @@ def random_cluster_points(c, rng, count):
     return pts
 
 
+def ref_chain_sums(nf: NormalForm) -> list[tuple[Fraction, dict[int, Fraction]]]:
+    """Each feature edge's length and the offset of each raw edge's start
+    along it, as Fraction sums over its chain."""
+    out = []
+    for fe in nf.fedges:
+        pos, starts = F(0), {}
+        for eid, _ in fe.chain:
+            starts[eid] = pos
+            pos += nf.tree.edges[eid].length
+        out.append((pos, starts))
+    return out
+
+
+def ref_fedge_point(nf: NormalForm, fidx: int, x: Fraction) -> TreePoint:
+    """The point at offset x from the u end, by Fraction subtraction along
+    the chain, canonical at a vertex."""
+    for eid, fwd in nf.fedges[fidx].chain:
+        e = nf.tree.edges[eid]
+        if x <= e.length:
+            off = x if fwd else e.length - x
+            if off in (0, e.length):
+                return nf.tree.vertex_point(e.a if off == 0 else e.b)
+            return TreePoint(eid, off)
+        x -= e.length
+    raise AssertionError("offset beyond feature edge")
+
+
+def ref_point_image(iso: MarkedTreeIso, p: TreePoint) -> TreePoint:
+    sums_a, sums_b = ref_chain_sums(iso.nf_a), ref_chain_sums(iso.nf_b)
+    fidx = next(i for i, (_, starts) in enumerate(sums_a) if p.edge in starts)
+    e = iso.nf_a.tree.edges[p.edge]
+    fwd = dict(iso.nf_a.fedges[fidx].chain)[p.edge]
+    x = sums_a[fidx][1][p.edge] + (p.offset if fwd else e.length - p.offset)
+    j, same = iso.fedge_map[fidx]
+    return ref_fedge_point(iso.nf_b, j, x if same else sums_b[j][0] - x)
+
+
+def off_scale_points(tree: MetricTree) -> list[TreePoint]:
+    """Every vertex, and points on every edge at offsets with denominators
+    7, 11 and 13, prime to the generator's scales."""
+    pts = [tree.vertex_point(v) for v in tree.vertices]
+    for eid, e in enumerate(tree.edges):
+        pts += [tree.point(eid, e.length * F(k, q)) for q, k in ((7, 3), (11, 1), (13, 12))]
+    return pts
+
+
 class TestNormalForm:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chain_sums_against_fraction_resum(self, seed):
+        """Feature-edge lengths, locate and fedge_point against Fraction
+        sums over each chain."""
+        ca, _ = planted_pair(GeneratorParams(seed=seed, tree_size=(6, 6), piece_edges=(6, 10)))
+        chains = 0
+        for v in ca.tree.vertices:
+            nf = piece_normal_form(ca, v)
+            sums = ref_chain_sums(nf)
+            assert [fe.length for fe in nf.fedges] == [length for length, _ in sums]
+            chains += any(len(fe.chain) > 1 for fe in nf.fedges)
+            for p in off_scale_points(nf.tree):
+                fidx, x = nf.locate(p)
+                _, starts = sums[fidx]
+                e = nf.tree.edges[p.edge]
+                fwd = dict(nf.fedges[fidx].chain)[p.edge]
+                assert x == starts[p.edge] + (p.offset if fwd else e.length - p.offset)
+                assert nf.fedge_point(fidx, x) == ref_fedge_point(nf, fidx, x) == p
+        assert chains
+
     def test_degree_two_vertex_fuses(self):
         z = MetricTree([(0, 1, 2), (1, 2, 3)])
         nf = NormalForm(z, [])
@@ -463,6 +529,22 @@ class TestIsomorphic:
         ca, cb = reflected_windows()
         assert isomorphic(ca, cb) is None
         assert brute_force_iso(ca, cb) is None
+
+    def test_point_image_against_fraction_resum(self):
+        """point_image on planted witnesses and on a subdivided pair, at
+        every vertex and at off-scale points, against Fraction chain sums;
+        feature edges are met in both orientations."""
+        pairs = [(two_piece(), two_piece_subdivided()), (chain3(), reversed_chain3())]
+        pairs += [planted_pair(GeneratorParams(seed=s, tree_size=(5, 5), piece_edges=(4, 9)))
+                  for s in range(4)]
+        sides = set()
+        for ca, cb in pairs:
+            triple = isomorphic(ca, cb)
+            for v, pm in triple.phi.items():
+                sides.update(same for _, same in pm.iso.fedge_map.values())
+                for p in off_scale_points(ca.pieces[v].tree):
+                    assert pm.iso.point_image(p) == ref_point_image(pm.iso, p)
+        assert sides == {True, False}
 
     def test_distances_preserved_on_samples(self):
         ca = chain3()

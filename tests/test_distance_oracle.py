@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from test_cluster import chain3, two_piece
+from test_cluster import chain3, on_carrier, two_piece
 
 from flipcluster.cluster import piece_distance, route_between
 from flipcluster.distance_oracle import (
@@ -364,7 +364,7 @@ class ReferenceGraph:
             for eid, w in c.tree.neighbors(v):
                 line, twin = c.marks[(v, eid)], c.marks[(w, eid)]
                 for p in pts:
-                    if not line.contains(p):
+                    if not on_carrier(line, p):
                         continue
                     t = line.coord_of(p)
                     for h in hs:
@@ -472,6 +472,15 @@ def oracle_corpus():
     """Seeded ORACLE_CORPUS instances: one, two or three pieces."""
     return [generate_cluster(dataclasses.replace(ORACLE_CORPUS, seed=7_000 + i))
             for i in range(REFEREE_INSTANCES)]
+
+
+def test_path_bound_exceeds_every_path(oracle_corpus):
+    """Dijkstra's unreached mark: every weight is at most the heaviest, so a
+    simple path through all the nodes stays below the oracle's bound."""
+    for c in oracle_corpus:
+        oracle = DiscretizedOracle(c, 2 * default_eps(c))
+        heaviest = max(weight for nbrs in oracle.adj for _, weight in nbrs)
+        assert heaviest * (len(oracle.adj) - 1) < oracle.path_bound
 
 
 def test_integer_graph_equals_reference(oracle_corpus):

@@ -596,3 +596,36 @@ class TestNoTestOnlyHelpers:
         unused = {name: where for name, where in defined.items()
                   if name not in used and name not in self.ALLOWED}
         assert unused == {}
+
+
+class TestNoFloats:
+    FORBIDDEN = {"float", "inf", "nan"}
+
+    @staticmethod
+    def float_tokens(path: Path) -> list[str]:
+        """Float or imaginary literals, and the names float, inf and nan,
+        as tokens of the file's code; strings and comments do not count."""
+        import ast
+        import io
+        import tokenize
+        found = []
+        for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if tok.type == tokenize.NUMBER and not isinstance(ast.literal_eval(tok.string), int):
+                found.append(f"{path.name}:{tok.start[0]} literal {tok.string}")
+            elif tok.type == tokenize.NAME and tok.string in TestNoFloats.FORBIDDEN:
+                found.append(f"{path.name}:{tok.start[0]} name {tok.string}")
+        return found
+
+    def test_library_code_has_no_floats(self):
+        """The library computes on ints and Fractions only."""
+        paths = sorted((REPO / "src" / "flipcluster").glob("*.py"))
+        assert paths
+        assert [t for path in paths for t in self.float_tokens(path)] == []
+
+    def test_scan_sees_floats(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text('from math import inf\nx = [inf] * 3\ny = 1.5 + 2e3 + 3j + 0x1F\n'
+                          'z = float("nan")  # float inf\ns = "1.5 inf"\n')
+        assert self.float_tokens(sample) == [
+            "sample.py:1 name inf", "sample.py:2 name inf", "sample.py:3 literal 1.5",
+            "sample.py:3 literal 2e3", "sample.py:3 literal 3j", "sample.py:4 name float"]

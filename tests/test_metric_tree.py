@@ -117,7 +117,42 @@ class TestConstruction:
             t.point(9, 0)
 
 
+def ref_point(tree: MetricTree, eid: int, off: Fraction) -> TreePoint | str:
+    """MetricTree.point on Fractions: the canonical point, or the message
+    of the InvalidPointError it raises."""
+    e = tree.edges[eid]
+    if off < 0 or off > e.length:
+        return f"offset {off} outside [0, {e.length}] on edge {eid}"
+    if off in (0, e.length):
+        v = e.a if off == 0 else e.b
+        first = min(i for i, f in enumerate(tree.edges) if v in (f.a, f.b))
+        return TreePoint(first, F(0) if tree.edges[first].a == v else tree.edges[first].length)
+    return TreePoint(eid, off)
+
+
 class TestPointsAndDistance:
+    @pytest.mark.parametrize("tree", [h_tree(), MetricTree(
+        [(0, 1, F(3, 2)), (1, 2, F(7, 8)), (1, 3, 5), (3, 4, F(1, 4))])])
+    def test_point_boundaries_against_fraction_reference(self, tree):
+        """Offsets 0 and the edge length, 1/(13 * scale) either side of
+        each, and off-scale interior offsets: the int range and vertex
+        tests give the Fraction reference's point, vertex or message."""
+        assert tree.scale > 1
+        tiny = F(1, 13 * tree.scale)
+        for eid, e in enumerate(tree.edges):
+            for off in (F(0), e.length, -tiny, tiny, e.length - tiny, e.length + tiny,
+                        e.length * F(5, 11), e.length * F(6, 7)):
+                want = ref_point(tree, eid, off)
+                if isinstance(want, str):
+                    with pytest.raises(InvalidPointError) as exc:
+                        tree.point(eid, off)
+                    assert str(exc.value) == want
+                    continue
+                assert tree.point(eid, off) == want
+                ends = {F(0): e.a, e.length: e.b}
+                assert tree.point_vertex(TreePoint(eid, off)) == ends.get(off)
+                assert tree.point_vertex(want) == ends.get(off)
+
     def test_vertex_point_canonical(self):
         t = tripod()
         # vertex 0 sits on edges 0, 1, 2; the lowest edge id wins
@@ -373,7 +408,8 @@ def ref_coord_of(line: Line, p: TreePoint) -> Fraction | None:
         enter_t, enter_v = spans[p.edge]
         e = line.tree.edges[p.edge]
         return enter_t + (p.offset if enter_v == e.a else e.length - p.offset)
-    return vparams.get(line.tree.point_vertex(p))
+    e = line.tree.edges[p.edge]
+    return vparams.get(e.a if p.offset == 0 else e.b if p.offset == e.length else None)
 
 
 def ref_line_intersection(l1: Line, l2: Line) -> Overlap | None:
@@ -475,7 +511,6 @@ class TestLine:
             for k in (0, 1, 5, 7):
                 p = tree.point(eid, e.length * F(k, 7))
                 ref = ref_coord_of(line, p)
-                assert line.contains(p) == (ref is not None)
                 if ref is None:
                     with pytest.raises(NotOnLineError):
                         line.coord_of(p)
@@ -512,10 +547,8 @@ class TestLine:
             (on if eid in line.edge_path else off).extend(pts)
         for p in on:
             t = line.coord_of(p)
-            assert line.contains(p)
             assert line.point_at(t) == p == scan_point_at(line, t)
         for p in off:
-            assert not line.contains(p)
             with pytest.raises(NotOnLineError):
                 line.coord_of(p)
 
@@ -561,7 +594,7 @@ class TestProjection:
             return
         cands = list(line.vertex_params.values())
         best = min(tree.distance(p, line.point_at(t)) for t in cands)
-        if line.contains(p):
+        if ref_coord_of(line, p) is not None:
             assert pr.dist == 0
         else:
             assert pr.dist == best
