@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from flipcluster import cli
+from flipcluster import cli, suites
 from flipcluster.cluster import to_spec, validate
 from flipcluster.cluster_iso import brute_force_iso, isomorphic
 from flipcluster.generator import (
@@ -250,6 +250,23 @@ class TestRunSuite:
         assert "non-isomorphic" in failures[0]["detail"]
         # the repro embeds a loadable instance
         validate(json.loads(failures[0]["instance"]))
+
+    def test_isomorphism_spot_checks_cross_walls(self, monkeypatch):
+        """verify_good proves the isometry across walls without measuring
+        it, so the suite's spot checks are the glued-metric check on each
+        witness: at desk size some of the routes they measure cross walls."""
+        walls = []
+
+        def counting(c, sx, sy, _real=suites.route_between):
+            route = _real(c, sx, sy)
+            walls.append(len(route.edges))
+            return route
+
+        monkeypatch.setattr(suites, "route_between", counting)
+        report = run_suite({"seed": 42, "suites": ["isomorphism"]})
+        assert report["pass"] is True
+        assert len(walls) == 2 * report["suites"]["isomorphism"]["counters"]["spot_checks"]
+        assert max(walls) >= 1, "no spot-check route crosses a wall"
 
 
 def run_cli(*argv):
