@@ -1,15 +1,15 @@
 """Canonical piecewise paths through bridge feet, with quality audits.
 
-A special path between two points follows their support route in T
-(``cluster.support_route``, the same route ``exact_distance`` minimizes
-over), starting and ending at the endpoints as the route represents
-them.  Inside each intermediate piece it runs between the two mark
-lines of the traversed walls, entering and leaving at the feet of the
-bridge between those lines (the midpoint of their overlap when they
-intersect).  End pieces project the endpoint onto the single mark line
-instead.  Crossing heights are then forced by the flip rule: the height
-carried into a piece is the mark parameter left behind in the previous
-one.
+A special path follows a support route in T (``route_path``, as
+``route_distance`` measures one; ``special_path`` first resolves two
+points with ``cluster.support_route``), starting and ending at the
+endpoints as the route represents them.  Inside each intermediate piece
+it runs between the two mark lines of the traversed walls, entering and
+leaving at the feet of the bridge between those lines (the midpoint of
+their overlap when they intersect).  End pieces project the endpoint
+onto the single mark line instead.  Crossing heights are then forced by
+the flip rule: the height carried into a piece is the mark parameter
+left behind in the previous one.
 
 The construction is canonical given the vertex geodesic, which is what
 makes the inner segments of long paths independent of the endpoints.
@@ -21,7 +21,7 @@ endpoints; subrange_ratios walks them all with one length check
 walk.
 star_terms compares a path piece by piece with an optimal crossing
 profile between the same points; a caller that already holds both
-passes them in, and star_audit builds both from the two points.
+passes them in, and star_audit builds both along one support route.
 """
 
 from __future__ import annotations
@@ -32,12 +32,13 @@ from typing import Iterator, NamedTuple
 from .cluster import (
     Cluster,
     ClusterPoint,
+    SupportRoute,
     piece_distance,
     route_between,
     support_route,
     transfer_across_wall,
 )
-from .distance_oracle import CrossingProfile, exact_distance, route_distance
+from .distance_oracle import CrossingProfile, route_distance
 from .errors import SegmentOverflow
 from .metric_tree import Overlap, project_to_line
 
@@ -66,7 +67,13 @@ def _segment(c: Cluster, y: ClusterPoint, z: ClusterPoint) -> PathSegment:
 
 
 def special_path(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SpecialPath:
-    """Build the special path from x0 to xn.
+    """Build the special path from x0 to xn."""
+    return route_path(c, support_route(c, x0, xn))
+
+
+def route_path(c: Cluster, route: SupportRoute) -> SpecialPath:
+    """Build the special path between the ends of a support route, which
+    are already resolved on it.
 
     Wall endpoints have several supporting vertices; the path follows
     their support route, so it never starts with an avoidable crossing.
@@ -76,7 +83,7 @@ def special_path(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SpecialPath:
     that the piece tree continues past: a longer mark could move the
     foot, so the truncation is not innocent there.
     """
-    verts, eids, x0, xn = support_route(c, x0, xn)   # ends now resolved on the route
+    verts, eids, x0, xn = route
     n = len(eids)
     if n == 0:
         seg = _segment(c, x0, xn)
@@ -204,5 +211,6 @@ def star_terms(sp: SpecialPath, prof: CrossingProfile) -> list[tuple[Fraction, F
 
 def star_audit(c: Cluster, x0: ClusterPoint, xn: ClusterPoint
                ) -> list[tuple[Fraction, Fraction]]:
-    """star_terms of the special path and an optimal profile from x0 to xn."""
-    return star_terms(special_path(c, x0, xn), exact_distance(c, x0, xn)[1])
+    """star_terms of the special path and an optimal profile, on one route."""
+    route = support_route(c, x0, xn)
+    return star_terms(route_path(c, route), route_distance(c, route)[1])

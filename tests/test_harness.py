@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from flipcluster import cli, suites
-from flipcluster.cluster import to_spec, validate
+from flipcluster.cluster import Cluster, to_spec, validate
 from flipcluster.cluster_iso import brute_force_iso, isomorphic
 from flipcluster.generator import (
     GeneratorParams,
@@ -267,6 +267,35 @@ class TestRunSuite:
         assert report["pass"] is True
         assert len(walls) == 2 * report["suites"]["isomorphism"]["counters"]["spot_checks"]
         assert max(walls) >= 1, "no spot-check route crosses a wall"
+
+    def test_metric_axioms_resolves_each_point_once(self, monkeypatch):
+        """Beyond what sample_points resolves itself, the metric-axioms suite
+        resolves each pool point once and routes every ordered pair, self
+        pairs included, from those supports."""
+        closures, sampled, routes = [], [], []
+
+        def counting_supports(self, pt, _real=Cluster.supports):
+            closures.append(pt)
+            return _real(self, pt)
+
+        def sampling(*args, _real=suites.sample_points):
+            before = len(closures)
+            pts = _real(*args)
+            sampled.append(len(closures) - before)
+            return pts
+
+        def routing(c, sx, sy, _real=suites.route_between):
+            routes.append((sx, sy))
+            return _real(c, sx, sy)
+
+        monkeypatch.setattr(Cluster, "supports", counting_supports)
+        monkeypatch.setattr(suites, "sample_points", sampling)
+        monkeypatch.setattr(suites, "route_between", routing)
+        sizes = {"instances": 3, "triples": 4, "pool": 5}
+        assert suites.suite_metric_axioms(7, sizes)["pass"] is True
+        assert len(sampled) == sizes["instances"] and min(sampled) >= sizes["pool"]
+        assert len(closures) - sum(sampled) == sizes["instances"] * sizes["pool"]
+        assert len(routes) == sizes["instances"] * sizes["pool"] ** 2
 
 
 def run_cli(*argv):

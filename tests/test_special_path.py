@@ -17,6 +17,7 @@ from flipcluster.cluster import (
     SimplicialTree,
     piece_distance,
     point_to_spec,
+    route_between,
     support_route,
     transfer_across_wall,
 )
@@ -26,6 +27,7 @@ from flipcluster.generator import GeneratorParams, generate_cluster, sample_poin
 from flipcluster.metric_tree import Bridge, Line, MetricTree
 from flipcluster.special_path import (
     length_ratio,
+    route_path,
     special_path,
     star_audit,
     star_terms,
@@ -254,7 +256,8 @@ class TestSubrangeRatios:
     def test_suite_measures_each_range_once(self, monkeypatch):
         """One distance per pair, plus one per sub-range other than a walked
         path's whole range, whose ends are the pair's own points; the walk
-        resolves each segment's entry and exit once, and nothing else."""
+        resolves each segment's entry and exit once, and outside the walk
+        the suite resolves each point of a pair once."""
         calls = []
 
         def counting(*args, _fn=distance_oracle.exact_distance):
@@ -279,11 +282,20 @@ class TestSubrangeRatios:
             yield from _fn(c, sp, d)
             walks.append((len(sp.segments) - 1, len(closures) - before))
 
+        sampled = []
+
+        def sampling(*args, _fn=suites.sample_points):
+            before = len(closures)
+            pts = _fn(*args)
+            sampled.append(len(closures) - before)
+            return pts
+
+        monkeypatch.setattr(suites, "exact_distance", counting)
         for module in (suites, special_path_module):
-            monkeypatch.setattr(module, "exact_distance", counting)
-        monkeypatch.setattr(special_path_module, "route_distance", counting_route)
+            monkeypatch.setattr(module, "route_distance", counting_route)
         monkeypatch.setattr(Cluster, "supports", counting_supports)
         monkeypatch.setattr(suites, "subrange_ratios", walking)
+        monkeypatch.setattr(suites, "sample_points", sampling)
         sizes = {"instances": 3, "pairs": 3, "subpath_pairs": 2}
         counters = suites.suite_bilipschitz(2, sizes, None)["counters"]
         walked = sizes["instances"] * sizes["subpath_pairs"]
@@ -293,6 +305,8 @@ class TestSubrangeRatios:
         assert {n > 0 for n, _ in walks} == {False, True}
         for n, made in walks:
             assert made == (2 * (n + 1) if n else 0)
+        outside = len(closures) - sum(sampled) - sum(made for _, made in walks)
+        assert outside == 2 * counters["pairs"]
 
 
 class TestMiddleSegments:
@@ -344,6 +358,9 @@ class TestOverflow:
         with pytest.raises(SegmentOverflow) as exc:
             special_path(c, x, y)
         assert exc.value.edge == 0
+        with pytest.raises(SegmentOverflow) as got:
+            route_path(c, support_route(c, x, y))
+        assert (got.value.edge, got.value.param) == (exc.value.edge, exc.value.param)
         # the exact oracle is gate-based and does not care
         value, _ = exact_distance(c, x, y)
         assert value > 0
@@ -352,9 +369,11 @@ class TestOverflow:
         c = truncated_bridge()
         x, y = c.point(0, 0, F(3), F(7)), c.point(2, 0, F(3), F(7))
         assert support_route(c, x, y).vertices == (0, 1, 2)
-        with pytest.raises(SegmentOverflow) as exc:
-            special_path(c, x, y)
-        assert (exc.value.edge, exc.value.param) == (1, 0)
+        for build in (lambda: special_path(c, x, y),
+                      lambda: route_path(c, support_route(c, x, y))):
+            with pytest.raises(SegmentOverflow) as exc:
+                build()
+            assert (exc.value.edge, exc.value.param) == (1, 0)
 
 
 class TestReports:
@@ -407,8 +426,8 @@ class TestReports:
 
 
 class TestSupportCalls:
-    """Each endpoint's support set is resolved once per call, and the
-    star audit resolves nothing beyond its two constituent calls."""
+    """Each endpoint's support set is resolved once per call: the star
+    audit takes its path and its profile along one support route."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -425,7 +444,7 @@ class TestSupportCalls:
     @pytest.mark.parametrize("fn, expected", [
         (exact_distance, 2),
         (special_path, 2),
-        (star_audit, 4),
+        (star_audit, 2),
     ])
     def test_calls_per_pair(self, counted, fn, expected):
         cases = set()
@@ -464,8 +483,9 @@ def remarked_cluster(seed: int) -> Cluster:
 
 
 class TestRemarkedCorpus:
-    """The grid oracle's bound, special path lengths and the star audit on
-    mark pairs the generator never draws."""
+    """The grid oracle's bound, special path lengths, the star audit, and
+    route_path on a route built from support maps against special_path,
+    on mark pairs the generator never draws."""
 
     def test_cross_checks(self):
         seen = Counter()
@@ -492,13 +512,19 @@ class TestRemarkedCorpus:
                     seen["oracle"] += 1
                     approx = oracle.distance(x, y)
                     assert d <= approx <= d + 4 * eps * (len(profile.edges) + 1)
+                route = route_between(c, c.supports(x), c.supports(y))
                 try:
                     sp = special_path(c, x, y)
-                except SegmentOverflow:
+                except SegmentOverflow as exc:
+                    seen["overflow"] += 1
+                    with pytest.raises(SegmentOverflow) as got:
+                        route_path(c, route)
+                    assert (got.value.edge, got.value.param) == (exc.edge, exc.param)
                     continue
                 seen["special"] += 1
+                assert route_path(c, route) == sp
                 assert sp.length >= d
                 assert all(lhs <= rhs for lhs, rhs in star_audit(c, x, y))
-        # every relation kind occurs, and both checks ran on a good share
-        assert min(seen[k] for k in ("bridge", "reversed", "one-point")) > 0
+        # every relation kind and an overflow occur, and both checks ran on a good share
+        assert min(seen[k] for k in ("bridge", "reversed", "one-point", "overflow")) > 0
         assert seen["oracle"] >= 200 and seen["special"] >= 400
