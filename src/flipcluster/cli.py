@@ -1,7 +1,7 @@
 """Command line front end: every construct is independently invocable.
 
 Exit codes: 0 success, 1 a checked property failed (invalid instance,
-failed suite, overflowing path), 2 usage or parse errors.  All output is
+failed suite), 2 usage or parse errors.  All output is
 canonical JSON on stdout; diagnostics go to stderr.
 """
 
@@ -14,7 +14,7 @@ import sys
 from .cluster import point_of_spec, point_to_spec, validate
 from .cluster_iso import isomorphic, witness_to_spec
 from .distance_oracle import DEFAULT_NODE_CAP, DiscretizedOracle, exact_distance
-from .errors import ClusterValidationError, SegmentOverflow, SizeCapError
+from .errors import ClusterValidationError, SizeCapError
 from .generator import GeneratorParams, generate
 from .jsonutil import dumps_canonical
 from .rational import format_rational, parse_rational
@@ -30,12 +30,6 @@ def _emit(payload: dict, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_overflow(ex: SegmentOverflow, out: str | None) -> int:
-    param = None if ex.param is None else format_rational(ex.param)
-    _emit({"error": "segment-overflow", "edge": ex.edge, "param": param}, out)
-    return 1
 
 
 def _load_json(path: str):
@@ -110,10 +104,7 @@ def cmd_dist(args) -> int:
     x = _parse_point(c, args.point_a)
     y = _parse_point(c, args.point_b)
     eps = None if args.eps is None else _parse_eps(args.eps)
-    try:
-        value, profile = exact_distance(c, x, y)
-    except SegmentOverflow as ex:
-        return _emit_overflow(ex, args.out)
+    value, profile = exact_distance(c, x, y)
     payload = {
         "exact": format_rational(value),
         "crossings": len(profile.edges),
@@ -139,10 +130,7 @@ def cmd_special_path(args) -> int:
     c = _load_cluster(args.file)
     x = _parse_point(c, args.point_a)
     y = _parse_point(c, args.point_b)
-    try:
-        sp = special_path(c, x, y)
-    except SegmentOverflow as ex:
-        return _emit_overflow(ex, args.out)
+    sp = special_path(c, x, y)
     payload = {
         "vertices": list(sp.vertices),
         "edges": list(sp.edges),

@@ -8,9 +8,12 @@ mark(v,e) x W glued to mark(w,e) x W by swapping the two coordinates:
 
     (mark(v,e)(t), u)  ~  (mark(w,e)(u), t)
 
-Validation enforces the window/range compatibility that makes every such
-identification total: the parameter range of mark(v,e) must fit inside
-the height window of w, and vice versa.  Under that rule every wall
+Validation enforces two rules.  A mark's carrier runs from a leaf of
+Z_v to a leaf: it is the finite form of a line in the tree, a geodesic
+that never ends, so no foot of a projection or a bridge onto it sits on
+a truncated end; any other carrier is a non-maximal mark.  And the
+parameter range of mark(v,e) must fit inside the height window of w,
+and vice versa, which makes every wall identification total: every wall
 point transfers, transfer is an involution, and each piece embeds
 isometrically in the glued space.
 
@@ -141,7 +144,7 @@ class Cluster:
                         ("missing-mark", f"edge {eid} at vertex {v}", "no mark line")
                     )
         for (v, eid), line in self.marks.items():
-            if eid >= len(self.tree.edges) or v not in (self.tree.edges[eid]):
+            if not 0 <= eid < len(self.tree.edges) or v not in self.tree.edges[eid]:
                 problems.append(
                     ("dangling-mark", f"mark {v}:{eid}", "edge not incident to vertex")
                 )
@@ -149,6 +152,13 @@ class Cluster:
             if v in self.pieces and line.tree is not self.pieces[v].tree:
                 problems.append(
                     ("foreign-line", f"mark {v}:{eid}", "line lives in another piece's tree")
+                )
+            elif line.tree.degree(line.start_vertex) != 1 \
+                    or line.tree.degree(line.end_vertex) != 1:
+                problems.append(
+                    ("non-maximal-mark", f"mark {v}:{eid}",
+                     f"carrier from vertex {line.start_vertex} to vertex {line.end_vertex}"
+                     " does not run leaf to leaf")
                 )
         if problems:
             return problems
@@ -237,8 +247,6 @@ class Cluster:
     def mark_relation(self, v: int, e1: int, e2: int) -> Overlap | Bridge:
         """How two mark lines of one piece sit relative to each other: their
         Overlap when the carriers intersect, else the Bridge between them.
-        Computed without overflow guards; callers that care about
-        truncated ends must check them.
         """
         key = (v, e1, e2)
         if key in self._relations:

@@ -10,11 +10,9 @@ class FlipClusterError(Exception):
 class SegmentOverflow(FlipClusterError):
     """A computation ran off the end of a finite line segment.
 
-    Raised when a parameter lies outside a line's range, when a height is
-    not transferable across a wall, or when a projection/bridge foot lands
-    on a segment endpoint that the ambient tree continues past (so a longer
-    segment could move the foot).  Carries enough context for a generator
-    to grow the offending segment.
+    Raised when a parameter lies outside a line's range, or when a height
+    is not transferable across a wall.  Carries the offending parameter,
+    and the T-edge of the wall when there is one.
     """
 
     def __init__(self, message: str, *, edge: object = None, param: object = None):

@@ -2,9 +2,9 @@
 
 Every operation draws from one random.Random seeded explicitly, so a
 seed pins the full output byte for byte.  Mark carriers are diameter
-paths of their piece trees; those end at leaves, so projections onto
-them always clamp legally and special paths between generated points
-cannot overflow.  Windows pad the hull of the incoming mark ranges by
+paths of their piece trees; a diameter ends at two leaves, so every
+generated carrier runs leaf to leaf, as cluster validation requires of
+all marks.  Windows pad the hull of the incoming mark ranges by
 the slack factor, which keeps every mutation used here validity-safe.
 """
 

@@ -388,20 +388,6 @@ class Line:
                     stack.append(w)
         return gates
 
-    def extendable_end(self, t: Fraction) -> bool:
-        """Whether the tree continues past the carrier endpoint at parameter t."""
-        if t == self.lo:
-            return self.tree.degree(self.start_vertex) >= 2
-        if t == self.hi:
-            return self.tree.degree(self.end_vertex) >= 2
-        return False
-
-
-class Projection(NamedTuple):
-    foot: TreePoint
-    param: Fraction
-    dist: Fraction
-
 
 def line_gate(tree: MetricTree, p: TreePoint, line: Line) -> tuple[Fraction, Fraction]:
     """(parameter of the closest line point to p, distance), never raising.
@@ -426,21 +412,9 @@ def line_gate(tree: MetricTree, p: TreePoint, line: Line) -> tuple[Fraction, Fra
     return gb, Fraction(via_b, tree.scale * den)
 
 
-def project_to_line(tree: MetricTree, p: TreePoint, line: Line) -> Projection:
-    """Closest point of the line to p, with its parameter and the distance.
-
-    Raises SegmentOverflow when the foot lands on a carrier endpoint that
-    the tree continues past while the distance is positive: a longer
-    segment might then move the foot, which callers that truncate
-    bi-infinite lines need to know about.
-    """
-    param, dist = line_gate(tree, p, line)
-    if dist > 0 and line.extendable_end(param):
-        raise SegmentOverflow(
-            f"projection foot at parameter {param} hits an extendable end of the line",
-            param=param,
-        )
-    return Projection(line.point_at(param), param, dist)
+def project_to_line(tree: MetricTree, p: TreePoint, line: Line) -> TreePoint:
+    """The closest point of the line to p: its foot at the gate parameter."""
+    return line.point_at(line_gate(tree, p, line)[0])
 
 
 class Overlap(NamedTuple):
@@ -493,11 +467,10 @@ class Bridge(NamedTuple):
 
 
 def bridge(tree: MetricTree, l1: Line, l2: Line) -> Bridge:
-    """Closest pair between two disjoint lines, with no overflow guard.
+    """Closest pair between two disjoint lines.
 
     Disjoint lines have a unique closest pair, found by gating: every
-    point of one line reaches the other through the same gate, so the
-    result is exact even when a foot sits on a truncated end.
+    point of one line reaches the other through the same gate.
     """
     anchor = l2.point_at(l2.lo)
     p_param, _ = line_gate(tree, anchor, l1)

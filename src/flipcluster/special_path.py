@@ -39,7 +39,6 @@ from .cluster import (
     transfer_across_wall,
 )
 from .distance_oracle import CrossingProfile, route_distance
-from .errors import SegmentOverflow
 from .metric_tree import Overlap, project_to_line
 
 
@@ -78,10 +77,10 @@ def route_path(c: Cluster, route: SupportRoute) -> SpecialPath:
     Wall endpoints have several supporting vertices; the path follows
     their support route, so it never starts with an avoidable crossing.
 
-    Raises SegmentOverflow, tagged with the offending T-edge, when a
-    projection or bridge foot with positive distance lands on a mark end
-    that the piece tree continues past: a longer mark could move the
-    foot, so the truncation is not innocent there.
+    Raises no SegmentOverflow on a validated cluster.  Every parameter
+    it hands to a mark is that mark's coord_of, a gate parameter or an
+    overlap midpoint, all inside the mark's range; and every mark runs
+    leaf to leaf, so no projection or bridge foot sits on a truncated end.
     """
     verts, eids, x0, xn = route
     n = len(eids)
@@ -95,11 +94,7 @@ def route_path(c: Cluster, route: SupportRoute) -> SpecialPath:
     p[0], q[n] = x0.horizontal, xn.horizontal
     # each end piece projects its endpoint onto the one mark it crosses
     for i, eid, end, feet in ((0, eids[0], p[0], q), (n, eids[n - 1], q[n], p)):
-        try:
-            feet[i] = project_to_line(c.pieces[verts[i]].tree, end,
-                                      c.marks[(verts[i], eid)]).foot
-        except SegmentOverflow as exc:
-            raise SegmentOverflow(str(exc), edge=eid, param=exc.param) from exc
+        feet[i] = project_to_line(c.pieces[verts[i]].tree, end, c.marks[(verts[i], eid)])
 
     for i in range(1, n):
         enter = c.marks[(verts[i], eids[i - 1])]
@@ -107,17 +102,8 @@ def route_path(c: Cluster, route: SupportRoute) -> SpecialPath:
         if isinstance(rel, Overlap):
             # both marks meet the overlap midpoint at one tree point
             p[i] = q[i] = enter.point_at((rel.lo1 + rel.hi1) / 2)
-            continue
-        leave = c.marks[(verts[i], eids[i])]
-        for line, param, eid in ((enter, rel.param_p, eids[i - 1]),
-                                 (leave, rel.param_q, eids[i])):
-            if rel.gap > 0 and line.extendable_end(param):
-                raise SegmentOverflow(
-                    f"bridge foot at parameter {param} hits an extendable"
-                    f" mark end in piece {verts[i]}",
-                    edge=eid, param=param,
-                )
-        p[i], q[i] = rel.p, rel.q
+        else:
+            p[i], q[i] = rel.p, rel.q
 
     t: list = [None] * (n + 1)
     u: list = [None] * (n + 1)

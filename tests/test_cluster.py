@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,6 +62,23 @@ def two_piece() -> Cluster:
     return validate(two_piece_spec())
 
 
+def unchecked_spec(tree: SimplicialTree, pieces: dict, marks: dict) -> dict:
+    """The wire form of Cluster arguments, built without validating them,
+    for instances that validation must refuse."""
+    return to_spec(SimpleNamespace(tree=tree, pieces=pieces, marks=marks))
+
+
+def h_piece_pair(line_args) -> tuple[SimplicialTree, dict, dict]:
+    """Cluster arguments for two pieces: piece 0 is an H tree (leaves 0,
+    2, 4, 5, inner vertices 1 and 3) marked by Line(tree, *line_args),
+    piece 1 a single edge marked end to end."""
+    h = MetricTree([(0, 1, 2), (1, 2, 3), (1, 3, 2), (4, 3, 3), (3, 5, 2)])
+    seg = MetricTree([(0, 1, 10)])
+    pieces = {0: Piece(h, (F(-20), F(20))), 1: Piece(seg, (F(-20), F(20)))}
+    marks = {(0, 0): Line(h, *line_args), (1, 0): Line(seg, [0], 0, F(0))}
+    return SimplicialTree([0, 1], [(0, 1)]), pieces, marks
+
+
 def chain3() -> Cluster:
     """Three pieces along a path; the middle piece's marks share an edge."""
     t = SimplicialTree([0, 1, 2], [(0, 1), (1, 2)])
@@ -115,6 +133,8 @@ class TestValidation:
         ("missing-edge-mark", ("dangling-mark", "mark 5:9", "edge not incident to vertex")),
         ("foreign-line", ("foreign-line", "mark 2:1", "line lives in another piece's tree")),
         ("empty-window", ("empty-window", "vertex 2", "height window [5, 5] is empty")),
+        # edges[-1] would read the last T-edge, (1, 2)
+        ("negative-edge-mark", ("dangling-mark", "mark 2:-1", "edge not incident to vertex")),
     ])
     def test_cluster_check_problem(self, defect, problem):
         """Each structural defect of chain3 yields exactly its one problem."""
@@ -131,6 +151,8 @@ class TestValidation:
             marks[(2, 0)] = Line(z2, [0], 0, F(-1))
         elif defect == "missing-edge-mark":
             marks[(5, 9)] = Line(z2, [0], 0, F(-1))
+        elif defect == "negative-edge-mark":
+            marks[(2, -1)] = Line(z2, [0], 0, F(-1))
         elif defect == "foreign-line":
             marks[(2, 1)] = Line(MetricTree(z2.edges), [0], 0, F(-1))
         else:
@@ -138,6 +160,31 @@ class TestValidation:
         with pytest.raises(ClusterValidationError) as exc:
             Cluster(c.tree, pieces, marks)
         assert exc.value.problems == [problem]
+
+    @pytest.mark.parametrize("path, start, end", [
+        ([1], 1, 2),   # the start is inner
+        ([0], 0, 1),   # the end is inner
+        ([2], 1, 3),   # both are
+    ])
+    def test_rejects_non_maximal_mark(self, path, start, end):
+        """A carrier with an inner end yields one non-maximal-mark record,
+        from Cluster and from validate alike."""
+        args = h_piece_pair((path, start, F(0)))
+        want = [("non-maximal-mark", "mark 0:0",
+                 f"carrier from vertex {start} to vertex {end} does not run leaf to leaf")]
+        with pytest.raises(ClusterValidationError) as exc:
+            Cluster(*args)
+        assert exc.value.problems == want
+        with pytest.raises(ClusterValidationError) as exc:
+            validate(unchecked_spec(*args))
+        assert exc.value.problems == want
+
+    def test_accepts_leaf_to_leaf_marks(self):
+        """A carrier across the H tree's rung, and a one-edge piece's only
+        edge, both run leaf to leaf."""
+        c = Cluster(*h_piece_pair(([0, 2, 3], 0, F(0))))
+        assert validate(to_spec(c)).marks.keys() == {(0, 0), (1, 0)}
+        assert c.marks[(1, 0)].edge_path == (0,)
 
     def test_rejects_disconnected_tree(self):
         """A triangle beside an isolated vertex has the edge count of a tree."""

@@ -442,15 +442,26 @@ class TestCLI:
         assert total == parse_rational(payload["length"])
         assert len(payload["vertices"]) == len(payload["segments"])
 
-    def test_special_path_overflow_exits_one(self, tmp_path):
+    def test_non_maximal_instance_is_rejected(self, tmp_path, capsys):
+        """A carrier that stops at an inner vertex fails validate, and the
+        geometry verbs refuse the file as they load it."""
+        from test_cluster import unchecked_spec
         from test_special_path import truncated_bridge
         path = tmp_path / "c.json"
-        path.write_text(dumps_canonical(to_spec(truncated_bridge())))
+        path.write_text(dumps_canonical(unchecked_spec(*truncated_bridge())))
+        rc, text = run_cli("validate", str(path))
+        assert rc == 1
+        assert json.loads(text) == {"valid": False, "problems": [
+            "instance validation failed:",
+            "[non-maximal-mark] mark 1:1: carrier from vertex 4 to vertex 3"
+            " does not run leaf to leaf"]}
         a, b = (json.dumps({"vertex": v, "edge": 0, "offset": "3", "height": "7"})
                 for v in (0, 2))
-        rc, text = run_cli("special-path", str(path), a, b)
-        assert rc == 1
-        assert text == dumps_canonical({"error": "segment-overflow", "edge": 1, "param": "0"})
+        capsys.readouterr()
+        for verb in ("special-path", "dist"):
+            rc, text = run_cli(verb, str(path), a, b)
+            assert (rc, text) == (2, "")
+            assert "non-maximal-mark" in capsys.readouterr().err
 
     def test_blocks(self, tmp_path):
         g = tmp_path / "g.json"
@@ -675,3 +686,49 @@ class TestNoFloats:
         assert self.float_tokens(sample) == [
             "sample.py:1 name inf", "sample.py:2 name inf", "sample.py:3 literal 1.5",
             "sample.py:3 literal 2e3", "sample.py:3 literal 3j", "sample.py:4 name float"]
+
+
+class TestNoTruncationGuards:
+    """Every mark runs leaf to leaf, so a foot never sits on a truncated
+    end: SegmentOverflow is for parameters outside a line's range, raised
+    where a parameter is read on a line, and nowhere else."""
+
+    ALLOWED = {"Line.point_at", "transfer_across_wall"}
+
+    @staticmethod
+    def overflow_raisers(path: Path) -> list[str]:
+        """The qualified names of the functions that raise SegmentOverflow."""
+        import ast
+        found = []
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = scope + (child.name,)
+                elif isinstance(child, ast.Raise) and child.exc is not None:
+                    exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                    if isinstance(exc, ast.Name) and exc.id == "SegmentOverflow":
+                        found.append(".".join(scope))
+                visit(child, inner)
+
+        visit(ast.parse(path.read_text()), ())
+        return found
+
+    def test_overflow_raised_only_for_out_of_range_parameters(self):
+        paths = sorted((REPO / "src" / "flipcluster").glob("*.py"))
+        raisers = {name for path in paths for name in self.overflow_raisers(path)}
+        assert raisers == self.ALLOWED
+
+    def test_no_extendable_ends(self):
+        hits = [f"{path.name}:{k}" for path in sorted((REPO / "src").rglob("*.py"))
+                for k, line in enumerate(path.read_text().splitlines(), 1)
+                if "extendable" in line.lower()]
+        assert hits == []
+
+    def test_scan_sees_raisers(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text("class Line:\n    def point_at(self):\n        raise SegmentOverflow('x')\n"
+                          "def project():\n    if 1:\n        raise SegmentOverflow\n"
+                          "def other():\n    raise ValueError('SegmentOverflow')\n")
+        assert self.overflow_raisers(sample) == ["Line.point_at", "project"]

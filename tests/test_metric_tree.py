@@ -557,50 +557,64 @@ class TestProjection:
     def test_on_line_point(self):
         t = h_tree()
         ln = Line(t, [0, 1], 0, 0)
-        pr = project_to_line(t, t.point(1, F(1, 2)), ln)
-        assert pr.dist == 0 and pr.param == F(3, 2)
+        p = t.point(1, F(1, 2))
+        assert line_gate(t, p, ln) == (F(3, 2), 0)
+        assert project_to_line(t, p, ln) == p
 
     def test_off_line_from_interior_vertex(self):
         t = h_tree()
         ln = Line(t, [0, 1], 0, 0)
-        pr = project_to_line(t, t.vertex_point(4), ln)
-        assert (pr.param, pr.dist) == (F(1), F(9, 4))
-        pr2 = project_to_line(t, t.point(2, F(1, 2)), ln)
-        assert (pr2.param, pr2.dist) == (F(1), F(1, 2))
+        assert line_gate(t, t.vertex_point(4), ln) == (F(1), F(9, 4))
+        assert line_gate(t, t.point(2, F(1, 2)), ln) == (F(1), F(1, 2))
+        assert project_to_line(t, t.vertex_point(4), ln) == t.vertex_point(1)
+
+    @staticmethod
+    def _assert_exact_inner_foot(tree, line, v, end):
+        """The foot of vertex v on a carrier that stops at the inner vertex
+        `end` is that end, at positive distance, and it is the closest
+        carrier point."""
+        assert tree.degree(end) > 1
+        p = tree.vertex_point(v)
+        param, dist = line_gate(tree, p, line)
+        assert param == line.hi and dist > 0
+        assert project_to_line(tree, p, line) == tree.vertex_point(end)
+        assert dist == tree.distance(p, tree.vertex_point(end)) == min(
+            tree.distance(p, line.point_at(u)) for u in line.vertex_params.values())
 
     def test_overflow_at_extendable_end(self):
+        """A point beyond an inner carrier end no longer overflows: its
+        foot is that end, exactly."""
         t = h_tree()
-        short = Line(t, [0], 0, 0)  # ends at vertex 1, which has degree 3
-        with pytest.raises(SegmentOverflow):
-            project_to_line(t, t.vertex_point(4), short)
+        short = Line(t, [0], 0, 0)   # ends at vertex 1, which has degree 3
+        self._assert_exact_inner_foot(t, short, 4, 1)
 
     def test_no_overflow_at_leaf_end(self):
         t = tripod()
-        ln = Line(t, [0], 1, 0)  # leaf 1 to center 0; center end extendable
-        pr = project_to_line(t, t.point(0, F(1, 2)), ln)
-        assert pr.dist == 0
-        with pytest.raises(SegmentOverflow):
-            project_to_line(t, t.vertex_point(2), ln)
+        ln = Line(t, [0], 1, 0)   # leaf 1 to the center 0
+        p = t.point(0, F(1, 2))
+        assert line_gate(t, p, ln)[1] == 0
+        assert project_to_line(t, p, ln) == p
+        self._assert_exact_inner_foot(t, ln, 2, 0)
 
     @settings(max_examples=120, deadline=None)
     @given(tree_with_line(), st.integers(0, 30))
     def test_projection_minimizes(self, tl, sel):
+        """Every drawn point, including those whose foot is a truncated
+        carrier end, against the brute-force minimum over carrier vertices."""
         tree, line = tl
         eid = sel % len(tree.edges)
         p = tree.point(eid, tree.edges[eid].length * F(sel % 7, 7))
-        try:
-            pr = project_to_line(tree, p, line)
-        except SegmentOverflow:
-            return
+        param, dist = line_gate(tree, p, line)
         cands = list(line.vertex_params.values())
         best = min(tree.distance(p, line.point_at(t)) for t in cands)
         if ref_coord_of(line, p) is not None:
-            assert pr.dist == 0
+            assert dist == 0
         else:
-            assert pr.dist == best
+            assert dist == best
+        assert project_to_line(tree, p, line) == line.point_at(param)
         # the gate identity must hold through the reported foot
         for t in cands:
-            assert tree.distance(p, line.point_at(t)) == pr.dist + abs(t - pr.param)
+            assert tree.distance(p, line.point_at(t)) == dist + abs(t - param)
 
 
 class TestIntersectionAndBridge:

@@ -12,7 +12,6 @@ import flipcluster.special_path as special_path_module
 from flipcluster import distance_oracle, suites
 from flipcluster.cluster import (
     Cluster,
-    ClusterPoint,
     Piece,
     SimplicialTree,
     piece_distance,
@@ -22,7 +21,7 @@ from flipcluster.cluster import (
     transfer_across_wall,
 )
 from flipcluster.distance_oracle import DiscretizedOracle, default_eps, exact_distance
-from flipcluster.errors import SegmentOverflow, SizeCapError
+from flipcluster.errors import ClusterValidationError, SizeCapError
 from flipcluster.generator import GeneratorParams, generate_cluster, sample_points
 from flipcluster.metric_tree import Bridge, Line, MetricTree
 from flipcluster.special_path import (
@@ -62,9 +61,9 @@ def chain6() -> Cluster:
     return Cluster(t, pieces, marks)
 
 
-def truncated_mark() -> Cluster:
-    """Piece 0's mark covers only half its tree, so projections from the
-    other half hit an extendable end."""
+def truncated_mark() -> tuple[SimplicialTree, dict, dict]:
+    """Cluster arguments where piece 0's mark covers only half its tree:
+    the carrier stops at the inner vertex 1, and validation refuses it."""
     t = SimplicialTree([0, 1], [(0, 1)])
     z0 = MetricTree([(0, 1, 10), (1, 2, 10)])
     z1 = MetricTree([(0, 1, 10)])
@@ -73,14 +72,13 @@ def truncated_mark() -> Cluster:
         (0, 0): Line(z0, [0], 0, F(-10)),   # range [-10, 0], stops at vertex 1
         (1, 0): Line(z1, [0], 0, F(-5)),    # range [-5, 5]
     }
-    return Cluster(t, pieces, marks)
+    return t, pieces, marks
 
 
-def truncated_bridge() -> Cluster:
-    """Three pieces; the middle one is chain6's H tree, but its second mark
-    stops at the branch vertex 3, which the tree continues past, so a foot
-    of the gap-2 bridge between its marks sits on an extendable end.
-    Heights outside the marks' ranges keep a point on one piece."""
+def truncated_bridge() -> tuple[SimplicialTree, dict, dict]:
+    """Cluster arguments for three pieces; the middle one is chain6's H
+    tree, but its second mark stops at the branch vertex 3, which the tree
+    continues past, so validation refuses it."""
     t = SimplicialTree([0, 1, 2], [(0, 1), (1, 2)])
     pieces = {}
     marks = {}
@@ -92,7 +90,7 @@ def truncated_bridge() -> Cluster:
     pieces[1] = Piece(z, (F(-8), F(8)))
     marks[(1, 0)] = Line(z, [0, 1], 0, F(-2))           # carrier 0-1-2, [-2, 3]
     marks[(1, 1)] = Line(z, [3], 4, F(-3))              # carrier 4-3, [-3, 0]
-    return Cluster(t, pieces, marks)
+    return t, pieces, marks
 
 
 class TestConstruction:
@@ -350,30 +348,15 @@ class TestMiddleSegments:
             assert seg.length == 2
 
 
-class TestOverflow:
-    def test_projection_overflow_tagged(self):
-        c = truncated_mark()
-        x = ClusterPoint(0, c.pieces[0].tree.point(1, F(3)), F(5))
-        y = c.point(1, 0, F(2), F(1))
-        with pytest.raises(SegmentOverflow) as exc:
-            special_path(c, x, y)
-        assert exc.value.edge == 0
-        with pytest.raises(SegmentOverflow) as got:
-            route_path(c, support_route(c, x, y))
-        assert (got.value.edge, got.value.param) == (exc.value.edge, exc.value.param)
-        # the exact oracle is gate-based and does not care
-        value, _ = exact_distance(c, x, y)
-        assert value > 0
-
-    def test_bridge_overflow_tagged(self):
-        c = truncated_bridge()
-        x, y = c.point(0, 0, F(3), F(7)), c.point(2, 0, F(3), F(7))
-        assert support_route(c, x, y).vertices == (0, 1, 2)
-        for build in (lambda: special_path(c, x, y),
-                      lambda: route_path(c, support_route(c, x, y))):
-            with pytest.raises(SegmentOverflow) as exc:
-                build()
-            assert (exc.value.edge, exc.value.param) == (1, 0)
+class TestTruncatedCarriers:
+    @pytest.mark.parametrize("build, mark", [(truncated_mark, "mark 0:0"),
+                                             (truncated_bridge, "mark 1:1")])
+    def test_rejected(self, build, mark):
+        """A carrier that stops at an inner vertex is not a mark: no special
+        path is ever built on one."""
+        with pytest.raises(ClusterValidationError) as exc:
+            Cluster(*build())
+        assert [p[:2] for p in exc.value.problems] == [("non-maximal-mark", mark)]
 
 
 class TestReports:
@@ -459,18 +442,19 @@ class TestSupportCalls:
         assert cases == {False, True}   # common-support and crossing pairs both ran
 
 
-def remarked_cluster(seed: int) -> Cluster:
-    """A generated cluster re-marked with random vertex-to-vertex carriers,
-    each in a random orientation, its windows recomputed as the generator
-    does (the hull of the incoming mark ranges, slack 2).  Generated marks
-    are all diameter paths in one direction, so only re-marked instances
-    reach disjoint marks, reversed overlaps and one-point overlaps."""
+def remarked_cluster(seed: int, piece_edges: tuple[int, int] = (2, 6)) -> Cluster:
+    """A generated cluster re-marked with random leaf-to-leaf carriers,
+    each between two distinct leaves in a random orientation, its windows
+    recomputed as the generator does (the hull of the incoming mark
+    ranges, slack 2).  Generated marks are all diameter paths in one
+    direction, so only re-marked instances reach disjoint marks, reversed
+    overlaps and one-point overlaps."""
     rng = random.Random(seed)
-    c = generate_cluster(GeneratorParams(seed=seed, tree_size=(2, 5), piece_edges=(2, 6)))
+    c = generate_cluster(GeneratorParams(seed=seed, tree_size=(2, 5), piece_edges=piece_edges))
     marks = {}
     for v, eid in sorted(c.marks):
         tree = c.pieces[v].tree
-        a, b = rng.sample(tree.vertices, 2)
+        a, b = rng.sample([u for u in tree.vertices if tree.degree(u) == 1], 2)
         path = tree.rooted_at(a).path(a, b)[1]
         marks[(v, eid)] = Line(tree, path, a, F(rng.randint(-32, 32), 8))
     pieces = {}
@@ -482,49 +466,69 @@ def remarked_cluster(seed: int) -> Cluster:
     return Cluster(c.tree, pieces, marks)
 
 
+def relation_kinds(rel) -> set[str]:
+    """The census names of one mark relation."""
+    if isinstance(rel, Bridge):
+        return {"bridge"}
+    return {kind for kind, hit in (("reversed", rel.sigma == -1),
+                                   ("one-point", rel.lo1 == rel.hi1)) if hit}
+
+
+def cross_check(c: Cluster, seed: int, seen: Counter, oracle=None) -> None:
+    """Special path, star audit and route_path on a route built from
+    support maps, for 4 sampled pairs, and the grid oracle's bound when
+    an oracle is given.  Counts every mark relation of the instance under
+    its kind, and every checked pair under the kinds its route passes
+    through, prefixed "route-"."""
+    for v in c.tree.vertices:
+        eids = [eid for eid, _ in c.tree.neighbors(v)]
+        for e1, e2 in itertools.combinations(eids, 2):
+            seen.update(relation_kinds(c.mark_relation(v, e1, e2)))
+    pts = sample_points(c, random.Random(seed), 8)
+    for x, y in zip(pts[::2], pts[1::2]):
+        seen["pair"] += 1
+        d, profile = exact_distance(c, x, y)
+        if oracle is not None:
+            seen["oracle"] += 1
+            approx = oracle.distance(x, y)
+            assert d <= approx <= d + 4 * oracle.eps * (len(profile.edges) + 1)
+        route = route_between(c, c.supports(x), c.supports(y))
+        sp = special_path(c, x, y)
+        seen["special"] += 1
+        assert route_path(c, route) == sp
+        assert sp.length >= d
+        assert all(lhs <= rhs for lhs, rhs in star_audit(c, x, y))
+        verts, eids = route.vertices, route.edges
+        seen.update("route-" + kind for kind in set().union(*(
+            relation_kinds(c.mark_relation(verts[i], eids[i - 1], eids[i]))
+            for i in range(1, len(eids)))))
+
+
 class TestRemarkedCorpus:
     """The grid oracle's bound, special path lengths, the star audit, and
     route_path on a route built from support maps against special_path,
-    on mark pairs the generator never draws."""
+    on mark pairs the generator never draws.  Every carrier runs leaf to
+    leaf, so every sampled pair gets its path and its audit."""
 
     def test_cross_checks(self):
+        """Small pieces, so enough grids fit the oracle's cap."""
         seen = Counter()
-        for seed in range(200):
+        for seed in range(400):
             c = remarked_cluster(seed)
-            for v in c.tree.vertices:
-                eids = [eid for eid, _ in c.tree.neighbors(v)]
-                for e1, e2 in itertools.combinations(eids, 2):
-                    rel = c.mark_relation(v, e1, e2)
-                    if isinstance(rel, Bridge):
-                        seen["bridge"] += 1
-                    else:
-                        seen["reversed"] += rel.sigma == -1
-                        seen["one-point"] += rel.lo1 == rel.hi1
-            eps = default_eps(c)
             try:
-                oracle = DiscretizedOracle(c, eps, cap=20_000)
+                oracle = DiscretizedOracle(c, default_eps(c), cap=20_000)
             except SizeCapError:
                 oracle = None
-            pts = sample_points(c, random.Random(seed), 8)
-            for x, y in zip(pts[::2], pts[1::2]):
-                d, profile = exact_distance(c, x, y)
-                if oracle is not None:
-                    seen["oracle"] += 1
-                    approx = oracle.distance(x, y)
-                    assert d <= approx <= d + 4 * eps * (len(profile.edges) + 1)
-                route = route_between(c, c.supports(x), c.supports(y))
-                try:
-                    sp = special_path(c, x, y)
-                except SegmentOverflow as exc:
-                    seen["overflow"] += 1
-                    with pytest.raises(SegmentOverflow) as got:
-                        route_path(c, route)
-                    assert (got.value.edge, got.value.param) == (exc.edge, exc.param)
-                    continue
-                seen["special"] += 1
-                assert route_path(c, route) == sp
-                assert sp.length >= d
-                assert all(lhs <= rhs for lhs, rhs in star_audit(c, x, y))
-        # every relation kind and an overflow occur, and both checks ran on a good share
-        assert min(seen[k] for k in ("bridge", "reversed", "one-point", "overflow")) > 0
-        assert seen["oracle"] >= 200 and seen["special"] >= 400
+            cross_check(c, seed, seen, oracle)
+        assert min(seen[k] for k in ("bridge", "reversed", "one-point")) > 0
+        assert seen["special"] == seen["pair"] == 1600
+        assert seen["oracle"] >= 200
+
+    def test_cross_checks_large_pieces(self):
+        """Larger pieces, where disjoint leaf-to-leaf carriers are common
+        enough that sampled routes pass through bridged pieces."""
+        seen = Counter()
+        for seed in range(200):
+            cross_check(remarked_cluster(seed, piece_edges=(6, 14)), seed, seen)
+        assert seen["special"] == seen["pair"] == 800
+        assert min(seen[k] for k in ("route-bridge", "route-reversed", "route-one-point")) > 0
