@@ -144,7 +144,8 @@ class Cluster:
                         ("missing-mark", f"edge {eid} at vertex {v}", "no mark line")
                     )
         for (v, eid), line in self.marks.items():
-            if not 0 <= eid < len(self.tree.edges) or v not in self.tree.edges[eid]:
+            if type(eid) is not int or not 0 <= eid < len(self.tree.edges) \
+                    or v not in self.tree.edges[eid]:
                 problems.append(
                     ("dangling-mark", f"mark {v}:{eid}", "edge not incident to vertex")
                 )
@@ -357,11 +358,10 @@ def validate(spec: dict) -> Cluster:
 
     def parse(text) -> Fraction:
         """parse_rational, once per distinct string; a failure raises and is not kept."""
-        try:
+        if type(text) is str and text in parsed:   # the type test keeps unhashables out
             return parsed[text]
-        except (KeyError, TypeError):   # TypeError: an unhashable non-string
-            value = parsed[text] = parse_rational(text)
-            return value
+        value = parsed[text] = parse_rational(text)
+        return value
 
     if not isinstance(spec, dict) or set(spec) != {"tree", "pieces", "marks"}:
         raise ClusterValidationError([("schema", "top level",
@@ -389,7 +389,10 @@ def validate(spec: dict) -> Cluster:
             problems.append(("schema", ctx, 'expected keys "tree_edges", "height_window"'))
             continue
         try:
-            ztree = MetricTree((a, b, parse(ln)) for a, b, ln in entry["tree_edges"])
+            # the memo is read inline, as parse reads it, and parse runs on a miss
+            ztree = MetricTree(
+                (a, b, parsed[ln] if type(ln) is str and ln in parsed else parse(ln))
+                for a, b, ln in entry["tree_edges"])
         except (ValueError, TypeError) as ex:
             problems.append(("bad-piece-tree", ctx, str(ex)))
             continue
@@ -467,22 +470,23 @@ def _walk_start(ztree: MetricTree, path, orient: int, ctx: str, problems) -> int
     if not isinstance(path, list) or not path or any(type(e) is not int for e in path):
         problems.append(("bad-line", ctx, "path must be a non-empty list of integer edge ids"))
         return None
-    first = ztree.edges[path[0]] if 0 <= path[0] < len(ztree.edges) else None
+    ends = ztree._ends
+    first = ends[path[0]] if 0 <= path[0] < len(ends) else None
     if first is None:
         problems.append(("bad-line", ctx, f"path references missing edge {path[0]}"))
         return None
     if len(path) == 1:
-        return first.a if orient == 1 else first.b
-    second = ztree.edges[path[1]] if 0 <= path[1] < len(ztree.edges) else None
+        return first[0] if orient == 1 else first[1]
+    second = ends[path[1]] if 0 <= path[1] < len(ends) else None
     if second is None:
         problems.append(("bad-line", ctx, f"path references missing edge {path[1]}"))
         return None
-    shared = {first.a, first.b} & {second.a, second.b}
+    shared = set(first) & set(second)
     if len(shared) != 1:
         problems.append(("bad-line", ctx, "first two path edges do not chain"))
         return None
-    start = (first.a if first.b in shared else first.b)
-    derived = 1 if start == first.a else -1
+    start = first[0] if first[1] in shared else first[1]
+    derived = 1 if start == first[0] else -1
     if derived != orient:
         problems.append(
             ("bad-orient", ctx, f"orient {orient} contradicts the edge walk ({derived})")
@@ -501,18 +505,19 @@ def to_spec(c: Cluster) -> dict:
     for v in sorted(c.pieces):
         ztree, (lo, hi) = c.pieces[v]
         pieces[str(v)] = {
-            "tree_edges": [[e.a, e.b, format_rational(e.length)] for e in ztree.edges],
+            "tree_edges": [[a, b, format_rational(length)]
+                           for (a, b), length in zip(ztree._ends, ztree._lengths)],
             "height_window": [format_rational(lo), format_rational(hi)],
         }
     marks = {}
     for v, eid in sorted(c.marks):
         line = c.marks[(v, eid)]
-        first = line.tree.edges[line.edge_path[0]]
+        a, _ = line.tree._ends[line.edge_path[0]]
         marks[_mark_key(v, eid)] = {
             "path": list(line.edge_path),
             "range": [format_rational(line.lo), format_rational(line.hi)],
             "origin": format_rational(line.lo),
-            "orient": 1 if line.start_vertex == first.a else -1,
+            "orient": 1 if line.start_vertex == a else -1,
         }
     return {"tree": tree, "pieces": pieces, "marks": marks}
 

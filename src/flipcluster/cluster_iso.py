@@ -90,7 +90,7 @@ class NormalForm:
         # raw edge -> (feature edge, distance of the raw edge's start along
         # it as an int at the tree's scale, whether the chain runs a->b)
         raw_loc: dict[int, tuple[int, int, bool]] = {}
-        edges, units, neighbors = tree.edges, tree._units, tree.neighbors
+        ends, units, neighbors = tree._ends, tree._units, tree.neighbors
         for f in self.features:
             for eid, w in neighbors(f):
                 if eid in raw_loc:
@@ -100,7 +100,7 @@ class NormalForm:
                 cur, cur_eid = f, eid
                 nxt = w
                 while True:
-                    fwd = edges[cur_eid].a == cur
+                    fwd = ends[cur_eid][0] == cur
                     chain.append((cur_eid, fwd))
                     raw_loc[cur_eid] = (len(fedges), pos, fwd)
                     pos += units[cur_eid]
@@ -638,7 +638,8 @@ def _contracted(tree: MetricTree, marks: Sequence[Line]):
     for m in marks:
         keep.add(m.start_vertex)
         keep.add(m.end_vertex)
-    edges = {eid: (e.a, e.b, e.length) for eid, e in enumerate(tree.edges)}
+    edges = {eid: (a, b, length)
+             for eid, ((a, b), length) in enumerate(zip(tree._ends, tree._lengths))}
     changed = True
     while changed:
         changed = False

@@ -219,7 +219,7 @@ class _PieceGrid:
     def __init__(self, c: Cluster, v: int, eps: Fraction):
         piece = c.pieces[v]
         self.tree = piece.tree
-        self.splits = [_split(e.length, eps) for e in self.tree.edges]
+        self.splits = [_split(length, eps) for length in self.tree._lengths]
         self.count = len(self.tree.vertices) + sum(parts - 1 for parts, _ in self.splits)
         lo, hi = piece.window
         breaks = {lo, hi}
@@ -250,16 +250,16 @@ class _PieceGrid:
         n = 0
         self.rows: list[list[int]] = []
         self.steps: list[int] = []
-        for e, (parts, step) in zip(self.tree.edges, self.splits):
-            if e.a not in number:
-                number[e.a] = n
+        for (a, b), (parts, step) in zip(self.tree._ends, self.splits):
+            if a not in number:
+                number[a] = n
                 n += 1
-            row = [number[e.a], *range(n, n + parts - 1)]
+            row = [number[a], *range(n, n + parts - 1)]
             n += parts - 1
-            if e.b not in number:
-                number[e.b] = n
+            if b not in number:
+                number[b] = n
                 n += 1
-            row.append(number[e.b])
+            row.append(number[b])
             self.rows.append(row)
             self.steps.append(_lift(step, den))
         hs = [_lift(self.gaps[0][0], den)]
@@ -293,11 +293,11 @@ class _PieceGrid:
         """Each sample on a line of this piece, with its parameter times den."""
         unit = self.den // self.tree.scale
         t0 = _lift(line.lo, self.den)
-        edges, verts, cuts = self.tree.edges, line._verts, line._cuts
+        ends, verts, cuts = self.tree._ends, line._verts, line._cuts
         out: dict[int, int] = {}
         for k, eid in enumerate(line.edge_path):
             row, step = self.rows[eid], self.steps[eid]
-            if verts[k] == edges[eid].a:
+            if verts[k] == ends[eid][0]:
                 start = t0 + cuts[k] * unit
             else:
                 start, step = t0 + cuts[k + 1] * unit, -step
@@ -310,7 +310,7 @@ class _PieceGrid:
         on a vertex lies on the vertex's lowest-id edge."""
         unit = self.den // self.tree.scale
         t0 = _lift(line.lo, self.den)
-        edges, verts = self.tree.edges, line._verts
+        ends, verts = self.tree._ends, line._verts
         cuts = [cut * unit for cut in line._cuts]
         out = []
         for t in params:
@@ -319,10 +319,10 @@ class _PieceGrid:
             if x in (cuts[k], cuts[k + 1]):
                 u = verts[k] if x == cuts[k] else verts[k + 1]
                 eid, _ = self.tree.neighbors(u)[0]
-                offset = 0 if edges[eid].a == u else self.steps[eid] * (len(self.rows[eid]) - 1)
+                offset = 0 if ends[eid][0] == u else self.steps[eid] * (len(self.rows[eid]) - 1)
             else:
                 eid = line.edge_path[k]
-                offset = x - cuts[k] if verts[k] == edges[eid].a else cuts[k + 1] - x
+                offset = x - cuts[k] if verts[k] == ends[eid][0] else cuts[k + 1] - x
             out.append(self.tree_neighbors(eid, offset))
         return out
 
@@ -468,5 +468,5 @@ class DiscretizedOracle:
 
 def default_eps(c: Cluster) -> Fraction:
     """1/8 of the shortest edge over all pieces."""
-    m = min(e.length for p in c.pieces.values() for e in p.tree.edges)
+    m = min(length for p in c.pieces.values() for length in p.tree._lengths)
     return m / 8

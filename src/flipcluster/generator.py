@@ -133,9 +133,8 @@ def sample_points(c: Cluster, rng: random.Random, count: int,
     for _ in range(count):
         v = rng.choice(verts)
         tree = c.pieces[v].tree
-        eid = rng.randrange(len(tree.edges))
-        off = tree.edges[eid].length * \
-            Fraction(rng.randint(0, denominator), denominator)
+        eid = rng.randrange(len(tree._ends))
+        off = tree._lengths[eid] * Fraction(rng.randint(0, denominator), denominator)
         lo, hi = c.pieces[v].window
         h = lo + (hi - lo) * Fraction(rng.randint(0, denominator), denominator)
         pts.append(c.point(v, eid, off, h))
@@ -164,13 +163,13 @@ def _relabeled(c: Cluster, rng: random.Random,
         ztree = c.pieces[v].tree
         zverts = list(ztree.vertices)
         pv = dict(zip(zverts, rng.sample(zverts, len(zverts))))
-        order = list(range(len(ztree.edges)))
+        order = list(range(len(ztree._ends)))
         rng.shuffle(order)
         zperm[v] = pv
         zemap[v] = {old: new for new, old in enumerate(order)}
+        ends, lengths = ztree._ends, ztree._lengths
         ztrees2[v] = MetricTree(
-            [(pv[ztree.edges[old].a], pv[ztree.edges[old].b],
-              ztree.edges[old].length) for old in order])
+            [(pv[ends[old][0]], pv[ends[old][1]], lengths[old]) for old in order])
 
     pieces2 = {}
     for v in tverts:
@@ -202,7 +201,7 @@ def shrink_edge(c: Cluster, v: int, k: int) -> Cluster:
     """Copy with edge k of piece v shortened; ranges shrink with their
     carriers, so the result always validates."""
     ztree = c.pieces[v].tree
-    edges = [(e.a, e.b, e.length) for e in ztree.edges]
+    edges = [(a, b, length) for (a, b), length in zip(ztree._ends, ztree._lengths)]
     a, b, length = edges[k]
     edges[k] = (a, b, length - min(Fraction(1), length / 2))
     ztree2 = MetricTree(edges)
@@ -250,7 +249,7 @@ def mutated_pair(params: GeneratorParams) -> tuple[Cluster, Cluster]:
     if kind == "slide-mark" and not any(key[0] == v for key in cb.marks):
         kind = "widen-window"   # a lone piece has no marks to slide
     if kind == "shrink-edge":
-        k = rng.randrange(len(cb.pieces[v].tree.edges))
+        k = rng.randrange(len(cb.pieces[v].tree._ends))
         return ca, shrink_edge(cb, v, k)
     if kind == "widen-window":
         return ca, widen_window(cb, v)

@@ -9,6 +9,11 @@ gate distances and the parameters of every line on the tree are ints at
 that scale, and a result is converted to one Fraction on its way out.
 A point's offset is checked against its edge's length, and a line
 parameter against the line's range, by cross-multiplying ints.
+A tree keeps its edges as columns indexed by edge id, filled in one pass
+over the edge list: the ends, the Fraction lengths and the int lengths
+at the scale.  The package reads only the columns; the public tuple of
+:class:`TreeEdge` is a view built on its first read, so validating an
+instance and querying it builds no per-edge object.
 Points are addressed as (edge id, offset from the edge's first endpoint)
 and canonicalized so that equal points compare equal: a point sitting on
 a vertex is always represented on the lowest-id edge incident to that
@@ -136,35 +141,59 @@ class MetricTree:
     its stable id, used by :class:`TreePoint` and by serialized instances.
     ``scale`` is the lcm of the edge-length denominators; the metric runs
     on each edge's length times the scale, an int.
+
+    Edges are kept as columns indexed by edge id, all filled by the
+    constructor's one pass over the edge list: ``_ends`` holds the (a, b)
+    pairs, ``_lengths`` the Fraction lengths and ``_units`` the lengths at
+    the tree's scale.  Code in this package reads only the columns;
+    ``edges``, the tuple of :class:`TreeEdge`, is a view built the first
+    time it is read and kept from then on.
     """
 
     def __init__(self, edges: Iterable[tuple[int, int, Fraction | int | str]]):
-        parsed: list[TreeEdge] = []
+        ends: list[tuple[int, int]] = []
+        lengths: list[Fraction] = []
+        ratios: list[tuple[int, int]] = []   # each length's (numerator, denominator)
         # (edge id, neighbor) lists, sorted by edge id as they are filled
         adj: dict[int, list[tuple[int, int]]] = {}
-        scale = 1
+        # the edges are consumed one at a time, so of two faulty edges the
+        # first is reported
         for i, (a, b, length) in enumerate(edges):
-            length = as_fraction(length)
+            if type(length) is not Fraction:
+                length = Fraction(length)
             if a == b:
                 raise ValueError(f"edge {i} is a self-loop at vertex {a}")
-            if length.numerator <= 0:   # a Fraction has the sign of its numerator
+            ratio = length.as_integer_ratio()
+            if ratio[0] <= 0:   # a Fraction has the sign of its numerator
                 raise ValueError(f"edge {i} has non-positive length {length}")
-            a, b = int_id(a), int_id(b)
-            parsed.append(TreeEdge(a, b, length))
-            scale = lcm(scale, length.denominator)
+            if type(a) is not int:
+                int_id(a)
+            if type(b) is not int:
+                int_id(b)
+            ends.append((a, b))
+            lengths.append(length)
+            ratios.append(ratio)
             adj.setdefault(a, []).append((i, b))
             adj.setdefault(b, []).append((i, a))
-        if not parsed:
+        if not ends:
             raise ValueError("a metric tree needs at least one edge")
-        self.edges: tuple[TreeEdge, ...] = tuple(parsed)
-        self.scale = scale
-        self._units = [e.length.numerator * (scale // e.length.denominator) for e in parsed]
+        dens = {d for _, d in ratios}
+        self.scale = scale = lcm(*dens)
+        mult = {d: scale // d for d in dens}
+        self._ends = ends
+        self._lengths = lengths
+        self._units = [n * mult[d] for n, d in ratios]
         self._adj = adj
         self.vertices: tuple[int, ...] = tuple(sorted(adj))
-        if len(self.vertices) != len(self.edges) + 1:
+        if len(self.vertices) != len(ends) + 1:
             raise ValueError("edge set contains a cycle or a parallel edge")
         if not connected(adj):
             raise ValueError("edge set is not connected")
+
+    @cached_property
+    def edges(self) -> tuple[TreeEdge, ...]:
+        """The edges as :class:`TreeEdge` tuples, indexed by edge id."""
+        return tuple(TreeEdge(a, b, length) for (a, b), length in zip(self._ends, self._lengths))
 
     # -- structure ---------------------------------------------------------
 
@@ -189,33 +218,32 @@ class MetricTree:
         if v not in self._adj:
             raise InvalidPointError(f"vertex {v} not in tree")
         eid, _ = self._adj[v][0]
-        e = self.edges[eid]
-        return TreePoint(eid, _ZERO if e.a == v else e.length)
+        return TreePoint(eid, _ZERO if self._ends[eid][0] == v else self._lengths[eid])
 
     def point(self, edge: int, offset: Fraction | int | str) -> TreePoint:
         offset = as_fraction(offset)
-        if not 0 <= int_id(edge) < len(self.edges):
+        if not 0 <= int_id(edge) < len(self._ends):
             raise InvalidPointError(f"edge id {edge} out of range")
         # offset n/d against the edge's units/scale, both over scale * d
         n, d = offset.numerator, offset.denominator
         ns, ld = n * self.scale, self._units[edge] * d
         if n < 0 or ns > ld:
             raise InvalidPointError(
-                f"offset {offset} outside [0, {self.edges[edge].length}] on edge {edge}"
+                f"offset {offset} outside [0, {self._lengths[edge]}] on edge {edge}"
             )
         if n == 0:
-            return self.vertex_point(self.edges[edge].a)
+            return self.vertex_point(self._ends[edge][0])
         if ns == ld:
-            return self.vertex_point(self.edges[edge].b)
+            return self.vertex_point(self._ends[edge][1])
         return TreePoint(edge, offset)
 
     def point_vertex(self, p: TreePoint) -> int | None:
         """The vertex a point sits on, or None for edge-interior points."""
         n = p.offset.numerator
         if n == 0:
-            return self.edges[p.edge].a
+            return self._ends[p.edge][0]
         if n * self.scale == self._units[p.edge] * p.offset.denominator:
-            return self.edges[p.edge].b
+            return self._ends[p.edge][1]
         return None
 
     # -- metric ------------------------------------------------------------
@@ -223,20 +251,20 @@ class MetricTree:
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
         if p.edge == q.edge:
             return abs(p.offset - q.offset)
-        rt, edges, scale = self._rooted, self.edges, self.scale
+        rt, ends, scale = self._rooted, self._ends, self.scale
         hops, depth = rt.hops, rt.depth
         # Each point climbs from c, the end of its edge farther from the
         # root, and sits at weighted depth x / (scale * den), where den is
         # its offset's denominator.  The offset runs from the edge's end a,
         # so x is a's depth plus the offset when b is deeper, and minus it
         # when a is.
-        a, b, _ = edges[p.edge]
+        a, b = ends[p.edge]
         n, dp = p.offset.numerator, p.offset.denominator
         if hops[b] > hops[a]:
             cp, xp = b, depth[a] * dp + n * scale
         else:
             cp, xp = a, depth[a] * dp - n * scale
-        a, b, _ = edges[q.edge]
+        a, b = ends[q.edge]
         n, dq = q.offset.numerator, q.offset.denominator
         if hops[b] > hops[a]:
             cq, xq = b, depth[a] * dq + n * scale
@@ -269,27 +297,33 @@ class Line:
 
     def __init__(self, tree: MetricTree, edge_path: Iterable[int], start_vertex: int, lo: Fraction | int | str):
         self.tree = tree
-        path = tuple(int_id(e) for e in edge_path)
+        path = tuple(edge_path)
+        for eid in path:
+            if type(eid) is not int:
+                int_id(eid)
         if not path:
             raise ValueError("line needs a non-empty edge path")
-        if len(set(path)) != len(path):
+        edge_at = {eid: k for k, eid in enumerate(path)}
+        if len(edge_at) != len(path):
             raise ValueError("line edge path repeats an edge")
         lo = as_fraction(lo)
         v = int_id(start_vertex)
         verts, cuts = [v], [0]   # each carrier vertex and its position
-        units = tree._units
+        ends, units = tree._ends, tree._units
+        m, pos = len(ends), 0
         for eid in path:
-            if not 0 <= eid < len(tree.edges):
+            if not 0 <= eid < m:
                 raise ValueError(f"line references missing edge {eid}")
-            e = tree.edges[eid]
-            if v == e.a:
-                v = e.b
-            elif v == e.b:
-                v = e.a
+            a, b = ends[eid]
+            if v == a:
+                v = b
+            elif v == b:
+                v = a
             else:
                 raise ValueError(f"line edge path breaks at edge {eid}")
             verts.append(v)
-            cuts.append(cuts[-1] + units[eid])
+            pos += units[eid]
+            cuts.append(pos)
         self.edge_path = path
         self.start_vertex = start_vertex
         self.end_vertex = v
@@ -297,7 +331,7 @@ class Line:
         self._lo = (lo.numerator, lo.denominator)
         self._verts = verts
         self._cuts = cuts
-        self._edge_at = {eid: k for k, eid in enumerate(path)}
+        self._edge_at = edge_at
         self._vertex_at = {v: k for k, v in enumerate(verts)}
         self.hi = self._param(cuts[-1])
 
@@ -351,7 +385,7 @@ class Line:
         if rest == 0:
             return self.tree.vertex_point(self._verts[k + 1])
         eid = self.edge_path[k]
-        forward = self._verts[k] == self.tree.edges[eid].a
+        forward = self._verts[k] == self.tree._ends[eid][0]
         return TreePoint(eid, Fraction(along if forward else rest, bq * self.tree.scale))
 
     def coord_of(self, p: TreePoint) -> Fraction:
@@ -359,7 +393,7 @@ class Line:
         if k is not None:
             c, q = p.offset.numerator, p.offset.denominator
             cs = c * self.tree.scale
-            if self._verts[k] == self.tree.edges[p.edge].a:
+            if self._verts[k] == self.tree._ends[p.edge][0]:
                 return self._param(self._cuts[k] * q + cs, q)
             return self._param(self._cuts[k + 1] * q - cs, q)
         t = self.vertex_param(self.tree.point_vertex(p))
@@ -398,7 +432,7 @@ def line_gate(tree: MetricTree, p: TreePoint, line: Line) -> tuple[Fraction, Fra
         return line.coord_of(p), Fraction(0)
     # p lies off the carrier's edges, or on one of its vertices, whose gate
     # is itself at distance 0
-    a, b, _ = tree.edges[p.edge]
+    a, b = tree._ends[p.edge]
     gates = line.vertex_gates
     ga, da = gates[a]
     gb, db = gates[b]

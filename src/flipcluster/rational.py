@@ -1,11 +1,12 @@
 """Canonical string encoding for exact rationals.
 
-All interchange files store rationals as strings: an optional sign, an
-integer numerator, and an optional "/denominator" part.  The canonical
-form is fully reduced with a positive denominator, and integers drop the
-denominator entirely ("7", not "7/1").  Loaders reject anything else so
-that a value has exactly one encoding and files can be compared byte for
-byte.
+All interchange files store rationals as strings: an optional minus
+sign, an integer numerator, and an optional "/denominator" part, in
+ASCII digits with no leading zeros.  The canonical form is fully reduced
+with a positive denominator, integers drop the denominator entirely
+("7", not "7/1"), and zero has no sign.  Loaders reject anything else,
+a trailing newline included, so that a value has exactly one encoding
+and files can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -13,27 +14,35 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+# ASCII digits only, matched against the whole string
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational string, rejecting non-canonical forms."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"malformed rational {text!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(num)
-    den = int(m.group(2))
-    if den == 0:
-        raise ValueError(f"zero denominator in {text!r}")
-    if den == 1:
-        raise ValueError(f"non-canonical rational {text!r}: integers must omit '/1'")
-    value = Fraction(num, den)
-    if value.denominator != den:
-        raise ValueError(f"non-canonical rational {text!r}: not in lowest terms")
+    num_text, den_text = m.groups()
+    num = int(num_text)
+    if den_text is None:
+        value = Fraction(num)
+    else:
+        den = int(den_text)
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        if den == 1:
+            raise ValueError(f"non-canonical rational {text!r}: integers must omit '/1'")
+        value = Fraction(num, den)
+        if value.denominator != den:
+            raise ValueError(f"non-canonical rational {text!r}: not in lowest terms")
+    # a leading zero, or a sign on zero, is a second spelling of the value
+    if num_text.lstrip("-")[0] == "0" and num_text != "0" \
+            or den_text is not None and den_text[0] == "0":
+        raise ValueError(
+            f"non-canonical rational {text!r}: write it as {format_rational(value)!r}")
     return value
 
 

@@ -83,8 +83,8 @@ def _floor_point_in(c, rng, v):
     """Random horizontal at the window floor; generated windows keep the
     floor strictly below every twin range, so the support is unique."""
     tree = c.pieces[v].tree
-    eid = rng.randrange(len(tree.edges))
-    off = tree.edges[eid].length * Fraction(rng.randint(0, 8), 8)
+    eid = rng.randrange(len(tree._ends))
+    off = tree._lengths[eid] * Fraction(rng.randint(0, 8), 8)
     return c.point(v, eid, off, c.pieces[v].window[0])
 
 

@@ -161,6 +161,22 @@ class TestValidation:
             Cluster(c.tree, pieces, marks)
         assert exc.value.problems == [problem]
 
+    @pytest.mark.parametrize("eid, problems", [
+        ("0", [("missing-mark", "edge 0 at vertex 1", "no mark line"),
+               ("dangling-mark", "mark 1:0", "edge not incident to vertex")]),
+        # (1, 0.0) hashes and compares as (1, 0), so the incidence is not missing
+        (0.0, [("dangling-mark", "mark 1:0.0", "edge not incident to vertex")]),
+    ])
+    def test_mark_keyed_by_non_int_edge_is_dangling(self, eid, problems):
+        """A mark keyed by an edge id that is not an int is a dangling-mark
+        record, not a TypeError from the range test or the edge lookup."""
+        c = two_piece()
+        marks = dict(c.marks)
+        marks[(1, eid)] = marks.pop((1, 0))
+        with pytest.raises(ClusterValidationError) as exc:
+            Cluster(c.tree, c.pieces, marks)
+        assert exc.value.problems == problems
+
     @pytest.mark.parametrize("path, start, end", [
         ([1], 1, 2),   # the start is inner
         ([0], 0, 1),   # the end is inner

@@ -9,6 +9,7 @@ point declared under [project.scripts] in pyproject.toml the way an
 installed console-script launcher would.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -23,6 +24,7 @@ import pytest
 from flipcluster import cli, suites
 from flipcluster.cluster import Cluster, to_spec, validate
 from flipcluster.cluster_iso import brute_force_iso, isomorphic
+from flipcluster.distance_oracle import DiscretizedOracle, default_eps, exact_distance
 from flipcluster.generator import (
     GeneratorParams,
     generate,
@@ -37,6 +39,7 @@ from flipcluster.generator import (
 )
 from flipcluster.jsonutil import dumps_canonical
 from flipcluster.rational import parse_rational
+from flipcluster.special_path import special_path, star_audit
 from flipcluster.suites import MAX_REPROS, _Recorder, run_suite, strip_timings
 
 # sha256(dumps_canonical(strip_timings(run_suite({"seed": 42}))))
@@ -368,7 +371,6 @@ class TestCLI:
 
     def test_dist_exact_matches_library(self, small_instance):
         from flipcluster.cluster import point_to_spec
-        from flipcluster.distance_oracle import exact_distance
         c, path = small_instance
         pts = sample_points(c, random.Random(1), 2)
         args = [json.dumps(point_to_spec(p)) for p in pts]
@@ -732,3 +734,55 @@ class TestNoTruncationGuards:
                           "def project():\n    if 1:\n        raise SegmentOverflow\n"
                           "def other():\n    raise ValueError('SegmentOverflow')\n")
         assert self.overflow_raisers(sample) == ["Line.point_at", "project"]
+
+
+class TestHotPathsReadColumns:
+    """The library reads a metric tree's edge columns, never its TreeEdge
+    view: after each query on instances re-read from their wire form, no
+    piece tree has built ``edges``."""
+
+    @staticmethod
+    def rebuilt(c: Cluster) -> Cluster:
+        return validate(to_spec(c))
+
+    @staticmethod
+    def assert_no_view(*clusters: Cluster):
+        for c in clusters:
+            assert [v for v, p in c.pieces.items() if "edges" in p.tree.__dict__] == []
+
+    def test_distance_path_and_star_audit(self):
+        for seed in range(4):
+            params = GeneratorParams(seed=seed, tree_size=(3, 6), piece_edges=(2, 8),
+                                     tree_shape="path")
+            c = self.rebuilt(generate_cluster(params))
+            self.assert_no_view(c)
+            pts = sample_points(c, random.Random(seed), 6)
+            for x, y in zip(pts, pts[1:]):
+                exact_distance(c, x, y)
+                self.assert_no_view(c)
+                special_path(c, x, y)
+                self.assert_no_view(c)
+                star_audit(c, x, y)
+                self.assert_no_view(c)
+
+    def test_isometry_search_and_referee(self):
+        for seed in range(4):
+            params = GeneratorParams(seed=seed, tree_size=(1, 4), piece_edges=(1, 6))
+            for planted, pair in ((True, planted_pair(params)), (False, mutated_pair(params))):
+                ca, cb = map(self.rebuilt, pair)
+                triple = isomorphic(ca, cb)
+                assert triple is not None or not planted
+                self.assert_no_view(ca, cb)
+                brute_force_iso(ca, cb)
+                self.assert_no_view(ca, cb)
+
+    def test_grid_oracle(self):
+        for seed in range(4):
+            params = dataclasses.replace(suites.ORACLE_CORPUS, seed=seed)
+            c = self.rebuilt(generate_cluster(params))
+            oracle = DiscretizedOracle(c, default_eps(c))
+            self.assert_no_view(c)
+            pts = sample_points(c, random.Random(seed), 4)
+            for x, y in zip(pts, pts[1:]):
+                oracle.distance(x, y)
+                self.assert_no_view(c)

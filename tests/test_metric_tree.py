@@ -11,6 +11,7 @@ import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,6 +23,7 @@ from flipcluster.metric_tree import (
     MetricTree,
     Overlap,
     RootedTree,
+    TreeEdge,
     TreePoint,
     bridge,
     line_gate,
@@ -190,10 +192,10 @@ def rational(num_range=8, den_range=4):
 
 
 @st.composite
-def tree_strategy(draw, max_vertices=8):
-    """Random trees with scattered vertex ids and edges drawn in either
-    direction, so the lowest id (the routing root) may sit anywhere and
-    either end of an edge may be its lower end."""
+def tree_edge_list(draw, max_vertices=8):
+    """The edge list of a random tree, with scattered vertex ids and edges
+    drawn in either direction, so the lowest id (the routing root) may sit
+    anywhere and either end of an edge may be its lower end."""
     n = draw(st.integers(2, max_vertices))
     ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
     edges = []
@@ -202,7 +204,11 @@ def tree_strategy(draw, max_vertices=8):
         if draw(st.booleans()):
             a, b = b, a
         edges.append((a, b, draw(rational())))
-    return MetricTree(edges)
+    return edges
+
+
+def tree_strategy(max_vertices=8):
+    return tree_edge_list(max_vertices).map(MetricTree)
 
 
 def off_scale_point(draw, tree: MetricTree, eid: int) -> TreePoint:
@@ -224,6 +230,124 @@ def tree_with_points(draw, k=2):
             num = draw(st.integers(0, 12))
             pts.append(tree.point(eid, tree.edges[eid].length * F(num, 12)))
     return tree, pts
+
+
+class ReferenceTree:
+    """A reference metric tree constructor: the same checks in the same
+    order, with one TreeEdge per edge, the scale's lcm taken edge by edge
+    and the units in a second pass.  It shares no code with MetricTree."""
+
+    def __init__(self, edges):
+        def int_id(x):
+            if type(x) is not int:
+                raise TypeError(f"ids must be integers, got {x!r}")
+            return x
+
+        parsed, adj, scale = [], {}, 1
+        for i, (a, b, length) in enumerate(edges):
+            length = length if type(length) is Fraction else Fraction(length)
+            if a == b:
+                raise ValueError(f"edge {i} is a self-loop at vertex {a}")
+            if length.numerator <= 0:
+                raise ValueError(f"edge {i} has non-positive length {length}")
+            a, b = int_id(a), int_id(b)
+            parsed.append(TreeEdge(a, b, length))
+            scale = lcm(scale, length.denominator)
+            adj.setdefault(a, []).append((i, b))
+            adj.setdefault(b, []).append((i, a))
+        if not parsed:
+            raise ValueError("a metric tree needs at least one edge")
+        self.edges = tuple(parsed)
+        self.scale = scale
+        self._units = [e.length.numerator * (scale // e.length.denominator) for e in parsed]
+        self.vertices = tuple(sorted(adj))
+        if len(self.vertices) != len(self.edges) + 1:
+            raise ValueError("edge set contains a cycle or a parallel edge")
+        seen, stack = {self.vertices[0]}, [self.vertices[0]]
+        while stack:
+            for _, w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(adj):
+            raise ValueError("edge set is not connected")
+        self._adj = adj
+
+    def neighbors(self, v):
+        return self._adj[v]
+
+
+# values that break an edge: ids that are not plain ints, lengths that are
+# not positive or not numbers, and entries of the wrong size
+BAD_IDS = [True, False, 1.0, 2.5, "3", None]
+BAD_LENGTHS = [0, -1, F(-1, 3), "0", "-2/3", "abc", "", None, [1], 0.0, -1.5]
+ODD_LENGTHS = [1.5, True, "2/4", " 3 ", "1e1", F(7, 6)]   # Fraction reads these as positive
+
+
+@st.composite
+def faulty_edge_list(draw):
+    """A tree's edge list, or one with up to two faults put in: self-loops,
+    bad lengths, bad ids, short or long entries, an extra edge closing a
+    cycle, a disjoint triangle (so the counts match but the walk fails),
+    or no edges at all."""
+    edges = [list(e) for e in draw(tree_edge_list(max_vertices=6))]
+    verts = sorted({v for a, b, _ in edges for v in (a, b)})
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(
+            ["self-loop", "length", "odd-length", "id", "entry", "cycle", "triangle", "empty"]))
+        if kind == "cycle":
+            a, b = draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True))
+            edges.insert(draw(st.integers(0, len(edges))), [a, b, draw(rational())])
+            continue
+        if kind == "triangle":
+            edges += [[100, 101, 1], [101, 102, 2], [102, 100, 3]]
+            continue
+        i = draw(st.integers(0, len(edges) - 1)) if edges else None
+        if i is None or len(edges[i]) != 3:   # no edge left, or one already cut short
+            continue
+        if kind == "self-loop":
+            edges[i][1] = edges[i][0]
+        elif kind == "length":
+            edges[i][2] = draw(st.sampled_from(BAD_LENGTHS))
+        elif kind == "odd-length":
+            edges[i][2] = draw(st.sampled_from(ODD_LENGTHS))
+        elif kind == "id":
+            edges[i][draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_IDS))
+        elif kind == "entry":
+            edges[i] = edges[i][:2] if draw(st.booleans()) else edges[i] + ["1"]
+        else:
+            edges = []
+    return [tuple(e) for e in edges]
+
+
+def build_outcome(build, edges):
+    """What a constructor makes of an edge list, fed to it one edge at a
+    time: the exception's type and message, or the tree's observable state."""
+    try:
+        t = build(iter(edges))
+    except Exception as ex:   # any failure is an outcome to compare
+        return type(ex), str(ex)
+    return (t.edges, t.scale, t.vertices, {v: t.neighbors(v) for v in t.vertices},
+            list(t._units))
+
+
+class TestColumns:
+    """The column-backed constructor against the TreeEdge-per-edge one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(faulty_edge_list())
+    def test_matches_reference_constructor(self, edges):
+        got = build_outcome(MetricTree, edges)
+        assert got == build_outcome(ReferenceTree, edges)
+        if not isinstance(got[0], type):
+            assert all(type(e) is TreeEdge for e in got[0])
+
+    def test_edges_view_is_built_once(self):
+        t = h_tree()
+        assert "edges" not in t.__dict__
+        view = t.edges
+        assert t.edges is view
+        assert view[2] == TreeEdge(1, 3, F(5, 4))
 
 
 class TestMetricProperties:
