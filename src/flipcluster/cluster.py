@@ -18,7 +18,11 @@ point transfers, transfer is an involution, and each piece embeds
 isometrically in the glued space.
 
 Points are canonicalized at their lowest supporting vertex so that
-structural equality is geometric equality.
+structural equality is geometric equality.  A point is measured in the
+piece it is represented in: piece_distance and the distance code take
+points already represented where they measure and never re-resolve
+them.  Only the support walk (Cluster.supports) and transfer_across_wall
+move a point from one piece to another.
 
 Coordinates enter and leave as Fractions.  Inside, the point checks run
 on ints: resolve compares a height with its window by cross-multiplying,
@@ -228,21 +232,6 @@ class Cluster:
                     stack.append(w)
         return reps
 
-    def canonical(self, pt: ClusterPoint) -> ClusterPoint:
-        return lowest_point(self.supports(pt))
-
-    def represent_at(self, pt: ClusterPoint, v: int) -> ClusterPoint:
-        if pt.vertex == v:
-            return pt   # supports() keeps the walk's starting representation
-        reps = self.supports(pt)
-        if v not in reps:
-            raise InvalidPointError(f"point not in the piece of vertex {v}")
-        h, u = reps[v]
-        return ClusterPoint(v, h, u)
-
-    def same_point(self, a: ClusterPoint, b: ClusterPoint) -> bool:
-        return self.canonical(a) == self.canonical(b)
-
     # -- relations between marks (used by path and distance code) -------------
 
     def mark_relation(self, v: int, e1: int, e2: int) -> Overlap | Bridge:
@@ -270,17 +259,14 @@ def lowest_point(reps: Supports) -> ClusterPoint:
     return ClusterPoint(v, *reps[v])
 
 
-def transfer_across_wall(c: Cluster, eid: int, v: int, pt: ClusterPoint) -> ClusterPoint:
+def transfer_across_wall(c: Cluster, eid: int, pt: ClusterPoint) -> ClusterPoint:
     """Re-express a wall point of edge eid on the other side.
 
     The result is the representation at the neighbor vertex, not the
     canonical form; transferring back returns the input exactly.
     """
-    if pt.vertex != v:
-        raise InvalidPointError(f"point is represented at {pt.vertex}, not {v}")
-    w = c.tree.other_end(eid, v)
-    line = c.marks[(v, eid)]
-    t = line.coord_of(pt.horizontal)  # NotOnLineError if off the wall
+    w = c.tree.other_end(eid, pt.vertex)
+    t = c.marks[(pt.vertex, eid)].coord_of(pt.horizontal)  # NotOnLineError if off the wall
     twin = c.marks[(w, eid)]
     if twin._lift(pt.height) is None:
         raise SegmentOverflow(
@@ -292,19 +278,11 @@ def transfer_across_wall(c: Cluster, eid: int, v: int, pt: ClusterPoint) -> Clus
     return ClusterPoint(w, twin.point_at(pt.height), t)
 
 
-def piece_distance_parts(c: Cluster, v: int, x: ClusterPoint, y: ClusterPoint
-                         ) -> tuple[Fraction, Fraction]:
-    """(horizontal, vertical) summands of the l1 distance inside Q_v."""
-    rx = c.represent_at(x, v)
-    ry = c.represent_at(y, v)
-    dh = c.pieces[v].tree.distance(rx.horizontal, ry.horizontal)
-    dv = abs(rx.height - ry.height)
-    return dh, dv
-
-
-def piece_distance(c: Cluster, v: int, x: ClusterPoint, y: ClusterPoint) -> Fraction:
-    dh, dv = piece_distance_parts(c, v, x, y)
-    return dh + dv
+def piece_distance(c: Cluster, x: ClusterPoint, y: ClusterPoint) -> Fraction:
+    """The l1 distance inside the one piece both points are represented in."""
+    if x.vertex != y.vertex:
+        raise InvalidPointError(f"points represented at {x.vertex} and {y.vertex}, not one piece")
+    return c.pieces[x.vertex].tree.distance(x.horizontal, y.horizontal) + abs(x.height - y.height)
 
 
 class SupportRoute(NamedTuple):

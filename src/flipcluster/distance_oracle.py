@@ -68,7 +68,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .cluster import Cluster, ClusterPoint, SupportRoute, piece_distance, support_route
-from .errors import InstanceDefect, SizeCapError
+from .errors import InvalidPointError, SizeCapError
 from .metric_tree import Line, Overlap, TreePoint, line_gate
 from .piecewise_linear import (
     AbsAnchor,
@@ -78,6 +78,7 @@ from .piecewise_linear import (
     TreePair,
     minimize_convex_pl,
 )
+from .rational import as_fraction
 
 DEFAULT_NODE_CAP = 200_000
 
@@ -94,7 +95,8 @@ class CrossingProfile(NamedTuple):
 
 def crossing_objective(c: Cluster, profile: CrossingProfile,
                        x0: ClusterPoint, xn: ClusterPoint) -> Fraction:
-    """Length of the crossing path pinned by the profile.
+    """Length of the crossing path pinned by the profile, from x0
+    represented at its first vertex to xn represented at its last.
 
     Evaluated by walking the legs with plain piece geometry; shares no
     code with the term construction that exact_distance minimizes, so the
@@ -102,10 +104,12 @@ def crossing_objective(c: Cluster, profile: CrossingProfile,
     """
     verts = profile.vertices
     n = len(verts) - 1
+    if (x0.vertex, xn.vertex) != (verts[0], verts[n]):
+        raise InvalidPointError(
+            f"ends represented at {x0.vertex} and {xn.vertex}, not {verts[0]} and {verts[n]}")
     if n == 0:
-        return piece_distance(c, verts[0], x0, xn)
-    rx = c.represent_at(x0, verts[0])
-    cur_h, cur_t = rx.horizontal, rx.height
+        return piece_distance(c, x0, xn)
+    cur_h, cur_t = x0.horizontal, x0.height
     total = Fraction(0)
     for i in range(n):
         v, e = verts[i], profile.edges[i]
@@ -115,9 +119,8 @@ def crossing_objective(c: Cluster, profile: CrossingProfile,
         cross_h = twin.point_at(profile.h[i])
         total += c.pieces[v].tree.distance(cur_h, exit_pt) + abs(cur_t - profile.h[i])
         cur_h, cur_t = cross_h, profile.s[i]
-    ry = c.represent_at(xn, verts[n])
-    total += c.pieces[verts[n]].tree.distance(cur_h, ry.horizontal)
-    total += abs(cur_t - ry.height)
+    total += c.pieces[verts[n]].tree.distance(cur_h, xn.horizontal)
+    total += abs(cur_t - xn.height)
     return total
 
 
@@ -138,7 +141,7 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
     verts, eids, x0, xn = route
     n = len(eids)
     if n == 0:
-        return piece_distance(c, verts[0], x0, xn), CrossingProfile(verts, (), (), ())
+        return piece_distance(c, x0, xn), CrossingProfile(verts, (), (), ())
     terms: list[Term] = []
     box: list[tuple[Fraction, Fraction]] = []
     for i in range(n):
@@ -146,8 +149,6 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
         twin = c.marks[(verts[i + 1], eids[i])]
         box.append((exit_line.lo, exit_line.hi))  # var 2i: s_i
         box.append((twin.lo, twin.hi))            # var 2i+1: h_i
-    if any(lo > hi for lo, hi in box):
-        raise InstanceDefect("empty crossing range despite validation")
 
     g, d0 = line_gate(c.pieces[verts[0]].tree, x0.horizontal, c.marks[(verts[0], eids[0])])
     terms.append(AbsAnchor(0, g))
@@ -337,7 +338,7 @@ class DiscretizedOracle:
     """
 
     def __init__(self, c: Cluster, eps: Fraction, cap: int = DEFAULT_NODE_CAP):
-        eps = Fraction(eps)
+        eps = as_fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
         self.cluster = c

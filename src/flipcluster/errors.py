@@ -46,10 +46,6 @@ class FeatureMapError(FlipClusterError, ValueError):
     """A feature-vertex map of marked trees breaks feature adjacency."""
 
 
-class InstanceDefect(FlipClusterError):
-    """A validated-looking instance turned out unusable mid-computation."""
-
-
 class SizeCapError(FlipClusterError):
     """An exhaustive routine refused an input above its size cap."""
 

@@ -4,8 +4,12 @@ Every operation draws from one random.Random seeded explicitly, so a
 seed pins the full output byte for byte.  Mark carriers are diameter
 paths of their piece trees; a diameter ends at two leaves, so every
 generated carrier runs leaf to leaf, as cluster validation requires of
-all marks.  Windows pad the hull of the incoming mark ranges by
-the slack factor, which keeps every mutation used here validity-safe.
+all marks.  A window is the hull of the incoming mark ranges, widened
+about its midpoint by the slack factor.  Slack >= 2 leaves a margin of
+at least half the hull's width on each side, so the window floor lies
+strictly below every twin range: a point at the floor has one support,
+which the remark_nice suite's floor points rely on.  The mutations widen
+whatever windows they need on their own.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class GeneratorParams:
                 self.max_denominator & (self.max_denominator - 1):
             raise ValueError("max denominator must be a power of two")
         if self.slack < 2:
-            raise ValueError("slack factor below 2 loses the overflow guarantee")
+            raise ValueError("slack factor below 2 loses the window margin below the twin ranges")
         if self.tree_shape not in ("random", "path"):
             raise ValueError(f"unknown tree shape {self.tree_shape!r}")
 

@@ -160,7 +160,7 @@ class MetricTree:
         # first is reported
         for i, (a, b, length) in enumerate(edges):
             if type(length) is not Fraction:
-                length = Fraction(length)
+                length = as_fraction(length)
             if a == b:
                 raise ValueError(f"edge {i} is a self-loop at vertex {a}")
             ratio = length.as_integer_ratio()

@@ -47,8 +47,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_fraction(value: Fraction | int | str) -> Fraction:
-    """The value as a Fraction; a Fraction comes back as it is, not rebuilt."""
-    return value if type(value) is Fraction else Fraction(value)
+    """The value as a Fraction, from exact inputs only: a Fraction comes
+    back as it is, not rebuilt; an int (not a bool) is converted; a string
+    must be canonical (parse_rational).  Any other type is a TypeError."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str:
+        return parse_rational(value)
+    raise TypeError(f"rational must be a Fraction, an int or a string, got {value!r}")
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -61,10 +61,6 @@ class SpecialPath(NamedTuple):
     length: Fraction
 
 
-def _segment(c: Cluster, y: ClusterPoint, z: ClusterPoint) -> PathSegment:
-    return PathSegment(y, z, piece_distance(c, y.vertex, y, z))
-
-
 def special_path(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SpecialPath:
     """Build the special path from x0 to xn."""
     return route_path(c, support_route(c, x0, xn))
@@ -85,7 +81,7 @@ def route_path(c: Cluster, route: SupportRoute) -> SpecialPath:
     verts, eids, x0, xn = route
     n = len(eids)
     if n == 0:
-        seg = _segment(c, x0, xn)
+        seg = PathSegment(x0, xn, piece_distance(c, x0, xn))
         return SpecialPath(verts, (), (seg,), seg.length)
 
     p: list = [None] * (n + 1)
@@ -117,9 +113,9 @@ def route_path(c: Cluster, route: SupportRoute) -> SpecialPath:
     for i in range(n + 1):
         y = ClusterPoint(verts[i], p[i], t[i])
         z = ClusterPoint(verts[i], q[i], u[i])
-        segments.append(_segment(c, y, z))
+        segments.append(PathSegment(y, z, piece_distance(c, y, z)))
     for i in range(n):
-        crossed = transfer_across_wall(c, eids[i], verts[i], segments[i].exit)
+        crossed = transfer_across_wall(c, eids[i], segments[i].exit)
         if crossed != segments[i + 1].entry:
             raise AssertionError(
                 f"segments {i} and {i + 1} fail to glue across edge {eids[i]}"

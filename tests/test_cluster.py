@@ -14,7 +14,6 @@ from flipcluster.cluster import (
     dumps,
     lowest_point,
     piece_distance,
-    piece_distance_parts,
     support_route,
     to_spec,
     transfer_across_wall,
@@ -401,21 +400,6 @@ class TestPointsAndSupports:
         assert lowest_point(reps) == c.point(1, 0, F(13), F(5))
         assert reps == c.supports(c.point(1, 0, F(13), F(5)))
 
-    def test_represent_at_both_sides(self):
-        c = two_piece()
-        p = c.point(0, 0, F(13), F(5))
-        r1 = c.represent_at(p, 1)
-        assert r1.vertex == 1
-        assert c.represent_at(p, 0) == p
-        with pytest.raises(InvalidPointError):
-            c.represent_at(c.point(0, 0, F(1), F(11)), 1)
-
-    def test_same_point_across_representations(self):
-        c = two_piece()
-        a = ClusterPoint(0, c.pieces[0].tree.point(0, F(13)), F(5))
-        b = transfer_across_wall(c, 0, 0, a)
-        assert c.same_point(a, b)
-
 
 def on_carrier(line: Line, p) -> bool:
     """Wall membership on Fractions: p's edge is on the line's carrier, or
@@ -502,7 +486,7 @@ class TestTransfer:
         c = two_piece()
         # mark parameter 3, height 5 on the 0 side
         pt = ClusterPoint(0, c.pieces[0].tree.point(0, F(13)), F(5))
-        out = transfer_across_wall(c, 0, 0, pt)
+        out = transfer_across_wall(c, 0, pt)
         assert out.vertex == 1
         assert c.marks[(1, 0)].coord_of(out.horizontal) == F(5)
         assert out.height == F(3)
@@ -510,7 +494,7 @@ class TestTransfer:
     def test_origin_fixed(self):
         c = two_piece()
         pt = ClusterPoint(0, c.pieces[0].tree.point(0, F(10)), F(0))  # (t, u) = (0, 0)
-        out = transfer_across_wall(c, 0, 0, pt)
+        out = transfer_across_wall(c, 0, pt)
         assert c.marks[(1, 0)].coord_of(out.horizontal) == F(0)
         assert out.height == F(0)
 
@@ -525,21 +509,21 @@ class TestTransfer:
             t = line.lo + (line.hi - line.lo) * F(rng.randrange(0, 17), 16)
             u = twin.lo + (twin.hi - twin.lo) * F(rng.randrange(0, 17), 16)
             pt = ClusterPoint(v, line.point_at(t), u)
-            there = transfer_across_wall(c, eid, v, pt)
-            back = transfer_across_wall(c, eid, w, there)
+            there = transfer_across_wall(c, eid, pt)
+            back = transfer_across_wall(c, eid, there)
             assert back == pt
 
     def test_transfer_requires_wall_membership(self):
         c = chain3()
         off_wall = ClusterPoint(0, c.pieces[0].tree.point(2, F(1)), F(0))
         with pytest.raises(NotOnLineError):
-            transfer_across_wall(c, 0, 0, off_wall)
+            transfer_across_wall(c, 0, off_wall)
 
     def test_transfer_overflow_outside_twin_range(self):
         c = two_piece()
         pt = ClusterPoint(0, c.pieces[0].tree.point(0, F(13)), F(11))
         with pytest.raises(SegmentOverflow) as exc:
-            transfer_across_wall(c, 0, 0, pt)
+            transfer_across_wall(c, 0, pt)
         assert exc.value.edge == 0
 
 
@@ -547,20 +531,20 @@ class TestPieceDistance:
     def test_zero(self):
         c = two_piece()
         p = c.point(0, 0, F(3), F(1))
-        assert piece_distance(c, 0, p, p) == 0
+        assert piece_distance(c, p, p) == 0
 
     def test_pure_vertical(self):
         c = two_piece()
         a = c.point(0, 0, F(3), F(2))
         b = c.point(0, 0, F(3), F(9))
-        assert piece_distance(c, 0, a, b) == 7
+        assert piece_distance(c, a, b) == 7
 
     def test_l1_sum(self):
         c = two_piece()
         a = c.point(0, 0, F(3), F(2))
         b = c.point(0, 0, F(7), F(5))
-        assert piece_distance(c, 0, a, b) == 7
-        assert piece_distance_parts(c, 0, a, b) == (F(4), F(3))
+        assert piece_distance(c, a, b) == 7
+        assert c.pieces[0].tree.distance(a.horizontal, b.horizontal) == 4
 
     def test_wall_pair_parts_swap_across_transfer(self):
         c = chain3()
@@ -574,17 +558,26 @@ class TestPieceDistance:
             u2 = twin.lo + (twin.hi - twin.lo) * F(rng.randrange(0, 9), 8)
             a = ClusterPoint(1, line.point_at(t1), u1)
             b = ClusterPoint(1, line.point_at(t2), u2)
-            dh, dv = piece_distance_parts(c, 1, a, b)
-            assert (dh, dv) == (abs(t1 - t2), abs(u1 - u2))
-            dh2, dv2 = piece_distance_parts(c, 0, a, b)
-            assert (dh2, dv2) == (dv, dh)
+            assert piece_distance(c, a, b) == abs(t1 - t2) + abs(u1 - u2)
+            a0, b0 = transfer_across_wall(c, 0, a), transfer_across_wall(c, 0, b)
+            assert c.pieces[0].tree.distance(a0.horizontal, b0.horizontal) == abs(u1 - u2)
+            assert abs(a0.height - b0.height) == abs(t1 - t2)
+            assert piece_distance(c, a0, b0) == piece_distance(c, a, b)
 
     def test_requires_membership(self):
         c = two_piece()
         far = c.point(1, 0, F(3), F(11))
         near = c.point(0, 0, F(3), F(1))
         with pytest.raises(InvalidPointError):
-            piece_distance(c, 0, far, near)
+            piece_distance(c, far, near)
+        # a wall point lies in both pieces, but is measured only where it
+        # is represented: canonical at 0, its piece-1 form comes from supports
+        wall = c.point(1, 0, F(15), F(3))
+        assert wall.vertex == 0
+        with pytest.raises(InvalidPointError):
+            piece_distance(c, wall, far)
+        there = ClusterPoint(1, *c.supports(wall)[1])
+        assert piece_distance(c, there, far) == 12 + 8
 
 
 class TestBassSerre:
@@ -633,5 +626,5 @@ class TestBassSerre:
                            for a in c.supports(x) for b in c.supports(y))[1:]
                 assert (route.vertices[0], route.vertices[-1]) == (a, b)
                 assert (list(route.vertices), list(route.edges)) == c.tree.path(a, b)
-                assert route.start == c.represent_at(x, a)
-                assert route.end == c.represent_at(y, b)
+                assert route.start == ClusterPoint(a, *c.supports(x)[a])
+                assert route.end == ClusterPoint(b, *c.supports(y)[b])

@@ -24,7 +24,8 @@ from fractions import Fraction
 import pytest
 from test_cluster import chain3, on_carrier, two_piece
 
-from flipcluster.cluster import piece_distance, route_between
+from flipcluster.cluster import (ClusterPoint, lowest_point, piece_distance, route_between,
+                                 support_route)
 from flipcluster.distance_oracle import (
     CrossingProfile,
     DiscretizedOracle,
@@ -33,7 +34,7 @@ from flipcluster.distance_oracle import (
     exact_distance,
     route_distance,
 )
-from flipcluster.errors import SegmentOverflow, SizeCapError
+from flipcluster.errors import InvalidPointError, SegmentOverflow, SizeCapError
 from flipcluster.generator import GeneratorParams, generate_cluster, sample_points
 from flipcluster.suites import ORACLE_CORPUS
 
@@ -52,7 +53,8 @@ def grid_profile_min(c, x0, xn, denom=1):
     sy = c.supports(xn)
     common = sorted(set(sx) & set(sy))
     if common:
-        return piece_distance(c, common[0], x0, xn)
+        v = common[0]
+        return piece_distance(c, ClusterPoint(v, *sx[v]), ClusterPoint(v, *sy[v]))
     best_d = None
     pick = None
     for a in sorted(sx):
@@ -61,6 +63,7 @@ def grid_profile_min(c, x0, xn, denom=1):
             if best_d is None or d < best_d:
                 best_d, pick = d, (a, b)
     verts, eids = c.tree.path(*pick)
+    x0, xn = ClusterPoint(pick[0], *sx[pick[0]]), ClusterPoint(pick[1], *sy[pick[1]])
     axes = []
     for i, e in enumerate(eids):
         for line in (c.marks[(verts[i], e)], c.marks[(verts[i + 1], e)]):
@@ -120,7 +123,22 @@ class TestCrossingObjective:
         a = c.point(0, 0, F(3), F(2))
         b = c.point(0, 0, F(7), F(5))
         prof = CrossingProfile((0,), (), (), ())
-        assert crossing_objective(c, prof, a, b) == piece_distance(c, 0, a, b)
+        assert crossing_objective(c, prof, a, b) == piece_distance(c, a, b)
+
+    def test_ends_must_sit_at_the_profile_ends(self):
+        c = two_piece()
+        wall = c.point(1, 0, F(15), F(3))   # canonical at its lower support, 0
+        far = c.point(1, 0, F(3), F(11))
+        near = c.point(0, 0, F(3), F(1))
+        assert wall.vertex == 0
+        there = ClusterPoint(1, *c.supports(wall)[1])
+        stay = CrossingProfile((1,), (), (), ())
+        cross = CrossingProfile((1, 0), (0,), (F(5),), (F(3),))
+        for prof, x0, xn in ((stay, wall, far), (stay, far, wall), (cross, wall, near)):
+            with pytest.raises(InvalidPointError):
+                crossing_objective(c, prof, x0, xn)
+        assert crossing_objective(c, stay, there, far) == 20
+        assert crossing_objective(c, cross, there, near) == 0 + 10 + 4
 
 
 class TestExactDistance:
@@ -182,20 +200,21 @@ class TestExactDistance:
             v = rng.choice([0, 1, 2])
             a, b = draw(v), draw(v)
             value, prof = exact_distance(c, a, b)
-            assert value == piece_distance(c, v, a, b)
+            ra, rb = (ClusterPoint(v, *c.supports(p)[v]) for p in (a, b))
+            assert value == piece_distance(c, ra, rb)
             assert len(prof.vertices) == 1
 
     def test_identity_and_coincidence(self):
         c = two_piece()
         p = c.point(0, 0, F(13), F(5))     # wall point
-        q = c.represent_at(p, 1)
+        q = ClusterPoint(1, *c.supports(p)[1])
         assert exact_distance(c, p, p)[0] == 0
         assert exact_distance(c, p, q)[0] == 0
 
     def test_representation_invariance(self):
         c = two_piece()
         wall = c.point(0, 0, F(13), F(5))
-        other = c.represent_at(wall, 1)
+        other = ClusterPoint(1, *c.supports(wall)[1])
         far = c.point(1, 0, F(3), F(11))
         assert exact_distance(c, wall, far) == exact_distance(c, other, far)
 
@@ -207,7 +226,7 @@ class TestExactDistance:
                                              piece_edges=(1, 10)))
         rng = random.Random(seed)
         pts = sample_points(c, rng, 8) + [wall_point(c, rng) for _ in range(4)]
-        pts += [c.represent_at(p, max(c.supports(p))) for p in pts]
+        pts += [ClusterPoint(max(s), *s[max(s)]) for s in map(c.supports, pts)]
         assert any(p.vertex != min(c.supports(p)) for p in pts)
         for x, y in itertools.combinations(pts, 2):
             route = route_between(c, c.supports(x), c.supports(y))
@@ -235,7 +254,8 @@ class TestExactDistance:
         pts = random_points(c, rng, 10)
         for x in pts:
             for y in pts:
-                value, prof = exact_distance(c, x, y)
+                route = support_route(c, x, y)
+                value, prof = route_distance(c, route)
                 if len(prof.vertices) < 2:
                     continue
                 verts, eids = prof.vertices, prof.edges
@@ -247,7 +267,7 @@ class TestExactDistance:
                         s.append(line.lo + (line.hi - line.lo) * F(rng.randrange(0, 9), 8))
                         h.append(twin.lo + (twin.hi - twin.lo) * F(rng.randrange(0, 9), 8))
                     cand = CrossingProfile(verts, eids, tuple(s), tuple(h))
-                    assert crossing_objective(c, cand, x, y) >= value
+                    assert crossing_objective(c, cand, route.start, route.end) >= value
 
 
 class TestDiscretized:
@@ -257,7 +277,7 @@ class TestDiscretized:
         c = two_piece()
         a = c.point(0, 0, F(13, 3), F(1, 3))
         b = c.point(0, 0, F(37, 5), F(-7, 2))
-        want = piece_distance(c, 0, a, b)
+        want = piece_distance(c, a, b)
         assert DiscretizedOracle(c, F(5, 2)).distance(a, b) == want
 
     def test_crossing_within_bound_and_monotone(self):
@@ -403,10 +423,11 @@ class ReferenceGraph:
                 self._edge(node, (v, q, h), dq + dh)
 
     def distance(self, x, y):
-        if self.c.same_point(x, y):
+        sx, sy = self.c.supports(x), self.c.supports(y)
+        if lowest_point(sx) == lowest_point(sy):
             return Fraction(0)
-        for label, pt in (("src",), x), (("dst",), y):
-            for v, (hor, hei) in self.c.supports(pt).items():
+        for label, reps in (("src",), sx), (("dst",), sy):
+            for v, (hor, hei) in reps.items():
                 self._snap(label, v, hor, hei)
         try:
             dist = {("src",): Fraction(0)}
@@ -497,7 +518,8 @@ def test_integer_graph_equals_reference(oracle_corpus):
             wall = wall_point(c, rng)
             assert len(c.supports(wall)) >= 2
             walls += 1
-            twin = c.represent_at(wall, max(c.supports(wall)))
+            sup = c.supports(wall)
+            twin = ClusterPoint(max(sup), *sup[max(sup)])
             assert oracle.distance(twin, wall) == 0
             pairs += [(wall, off_grid[0]), (on_grid[1], wall)]
         # denominators prime to den: the ends lift to ints over den * m, m > 1

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from flipcluster import cli, suites
-from flipcluster.cluster import Cluster, to_spec, validate
+from flipcluster.cluster import Cluster, lowest_point, to_spec, validate
 from flipcluster.cluster_iso import brute_force_iso, isomorphic
 from flipcluster.distance_oracle import DiscretizedOracle, default_eps, exact_distance
 from flipcluster.generator import (
@@ -102,7 +102,7 @@ class TestGenerate:
         assert len(pts) == 12
         for p in pts:
             assert c.supports(p)
-            assert c.same_point(p, c.canonical(p))
+            assert lowest_point(c.supports(p)) == p
 
 
 class TestPlantedPairs:

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from flipcluster.errors import InvalidPointError, NotOnLineError, SegmentOverflow
 from flipcluster.generator import _diameter
+from flipcluster.rational import parse_rational
 from flipcluster.metric_tree import (
     Line,
     MetricTree,
@@ -245,7 +246,13 @@ class ReferenceTree:
 
         parsed, adj, scale = [], {}, 1
         for i, (a, b, length) in enumerate(edges):
-            length = length if type(length) is Fraction else Fraction(length)
+            if type(length) is int:
+                length = Fraction(length)
+            elif type(length) is str:
+                length = parse_rational(length)
+            elif type(length) is not Fraction:
+                raise TypeError(
+                    f"rational must be a Fraction, an int or a string, got {length!r}")
             if a == b:
                 raise ValueError(f"edge {i} is a self-loop at vertex {a}")
             if length.numerator <= 0:
@@ -281,7 +288,8 @@ class ReferenceTree:
 # not positive or not numbers, and entries of the wrong size
 BAD_IDS = [True, False, 1.0, 2.5, "3", None]
 BAD_LENGTHS = [0, -1, F(-1, 3), "0", "-2/3", "abc", "", None, [1], 0.0, -1.5]
-ODD_LENGTHS = [1.5, True, "2/4", " 3 ", "1e1", F(7, 6)]   # Fraction reads these as positive
+# Fraction() reads all of these as positive; both constructors take only the last
+ODD_LENGTHS = [1.5, True, "2/4", " 3 ", "1e1", F(7, 6)]
 
 
 @st.composite

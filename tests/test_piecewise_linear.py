@@ -220,6 +220,14 @@ class TestStructureGuards:
         with pytest.raises(ObjectiveStructureError):
             minimize_convex_pl([PairAbs(0, 0, 1, F(0))], [(F(0), F(1))])
 
+    @pytest.mark.parametrize("box, i", [
+        ([(F(1), F(0))], 0),
+        ([(F(0), F(1)), (F(3), F(2))], 1),
+    ])
+    def test_empty_box_rejected(self, box, i):
+        with pytest.raises(ValueError, match=f"^empty box for variable {i}$"):
+            minimize_convex_pl([], box)
+
     @pytest.mark.parametrize("terms", [
         [PairAbs(0, 1, 2, F(0)), AbsAnchor(0, F(3))],   # pullback would read sigma 2 as -1
         [AbsAnchor(-1, F(3))],   # a list index would take the last variable

@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flipcluster.rational import format_rational, parse_rational
+from test_cluster import two_piece
+
+from flipcluster.distance_oracle import DiscretizedOracle
+from flipcluster.metric_tree import Line, MetricTree
+from flipcluster.rational import as_fraction, format_rational, parse_rational
 
 F = Fraction
 
@@ -62,3 +66,39 @@ class TestParseRational:
                                              ("-1/20", F(-1, 20))])
     def test_accepts_canonical(self, text, value):
         assert parse_rational(text) == value
+
+
+def segment() -> MetricTree:
+    return MetricTree([(0, 1, 10)])
+
+
+class TestExactInputs:
+    """The kernel takes a rational as a Fraction, an int or a canonical
+    string, and nothing that Fraction() would read inexactly or loosely."""
+
+    # each entry point fed one rational that is in range for it; the
+    # oracle's cap is tiny, so a value it took would fail on the cap
+    ENTRY_POINTS = {
+        "MetricTree": lambda x: MetricTree([(0, 1, 1), (1, 2, x)]),
+        "MetricTree.point": lambda x: segment().point(0, x),
+        "Line": lambda x: Line(segment(), [0], 0, x),
+        "Line.point_at": lambda x: Line(segment(), [0], 0, 0).point_at(x),
+        "Cluster.resolve": lambda x: two_piece().resolve(0, 0, F(1), x),
+        "DiscretizedOracle": lambda x: DiscretizedOracle(two_piece(), x, cap=10),
+    }
+
+    @pytest.mark.parametrize("value, error", [
+        (0.1, TypeError), (True, TypeError),
+        (" 3 ", ValueError), ("2/4", ValueError), ("1e1", ValueError),
+    ])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_entry_points_refuse_inexact_inputs(self, entry, value, error):
+        with pytest.raises(error):
+            self.ENTRY_POINTS[entry](value)
+
+    def test_exact_inputs(self):
+        f = F(7, 6)
+        assert as_fraction(f) is f
+        assert as_fraction(3) == 3 and type(as_fraction(3)) is Fraction
+        assert as_fraction("-1/20") == F(-1, 20)
+        assert segment().point(0, "5") == segment().point(0, F(5))

@@ -12,6 +12,7 @@ import flipcluster.special_path as special_path_module
 from flipcluster import distance_oracle, suites
 from flipcluster.cluster import (
     Cluster,
+    ClusterPoint,
     Piece,
     SimplicialTree,
     piece_distance,
@@ -102,7 +103,7 @@ class TestConstruction:
         assert sp.vertices == (1,)
         assert sp.edges == ()
         assert len(sp.segments) == 1
-        assert sp.length == piece_distance(c, 1, a, b)
+        assert sp.length == piece_distance(c, a, b)
         assert sum(s.length for s in sp.segments) == sp.length
 
     def test_wall_endpoint_collapses_to_geodesic(self):
@@ -158,11 +159,11 @@ class TestConstruction:
                 h = lo + (hi - lo) * F(rng.randrange(0, 9), 8)
                 pts.append(c.point(v, eid, off, h))
             sp = special_path(c, *pts)
-            assert sp.segments[0].entry == c.represent_at(pts[0], sp.vertices[0])
-            assert sp.segments[-1].exit == c.represent_at(pts[1], sp.vertices[-1])
+            a, b = sp.vertices[0], sp.vertices[-1]
+            assert sp.segments[0].entry == ClusterPoint(a, *c.supports(pts[0])[a])
+            assert sp.segments[-1].exit == ClusterPoint(b, *c.supports(pts[1])[b])
             for i, eid in enumerate(sp.edges):
-                crossed = transfer_across_wall(c, eid, sp.vertices[i],
-                                               sp.segments[i].exit)
+                crossed = transfer_across_wall(c, eid, sp.segments[i].exit)
                 assert crossed == sp.segments[i + 1].entry
             assert sp.length >= exact_distance(c, *pts)[0]
 
