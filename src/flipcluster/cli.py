@@ -14,7 +14,7 @@ import sys
 from .cluster import point_of_spec, point_to_spec, validate
 from .cluster_iso import isomorphic, witness_to_spec
 from .distance_oracle import DEFAULT_NODE_CAP, DiscretizedOracle, exact_distance
-from .errors import ClusterValidationError, SizeCapError
+from .errors import ClusterValidationError, InvalidPointError, SizeCapError
 from .generator import GeneratorParams, generate
 from .jsonutil import dumps_canonical
 from .rational import format_rational, parse_rational
@@ -51,7 +51,7 @@ def _load_cluster(path: str):
 def _parse_point(c, text: str):
     try:
         return point_of_spec(c, json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as ex:
+    except (json.JSONDecodeError, InvalidPointError) as ex:
         raise UsageError(f"bad point {text!r}: {ex}")
 
 

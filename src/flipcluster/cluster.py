@@ -24,17 +24,23 @@ points already represented where they measure and never re-resolve
 them.  Only the support walk (Cluster.supports) and transfer_across_wall
 move a point from one piece to another.
 
-Coordinates enter and leave as Fractions.  Inside, the point checks run
-on ints: resolve compares a height with its window by cross-multiplying,
-and the support walk tests wall membership on the carrier's int
-positions and lifts the height onto the twin mark at that mark's scale,
-building Fractions only for the representations it returns.
+Coordinates enter and leave as Fractions.  ``Cluster.unit`` is the one
+integer unit of an instance: the lcm of every piece tree's scale, every
+window end's denominator and every mark origin's denominator, so every
+piece length, window end and mark parameter (carrier vertices and gates
+included) is an int multiple of 1 / unit.  The route layer and the grid
+oracle build their ints on it.  Inside, the point checks run on ints:
+resolve compares a height with its window by cross-multiplying, and the
+support walk tests wall membership on the carrier's int positions and
+lifts the height onto the twin mark at that mark's scale, building
+Fractions only for the representations it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, NamedTuple
 
 from .errors import ClusterValidationError, InvalidPointError, SegmentOverflow
@@ -183,6 +189,14 @@ class Cluster:
                         )
                     )
         return problems
+
+    @cached_property
+    def unit(self) -> int:
+        """The lcm of every piece tree's scale, window end denominator and
+        mark lo denominator (module docstring)."""
+        return lcm(*(p.tree.scale for p in self.pieces.values()),
+                   *(q.denominator for p in self.pieces.values() for q in p.window),
+                   *(line.lo.denominator for line in self.marks.values()))
 
     # -- points --------------------------------------------------------------
 
@@ -515,9 +529,15 @@ def point_to_spec(pt: ClusterPoint) -> dict:
 
 
 def point_of_spec(c: Cluster, spec: dict) -> ClusterPoint:
-    return c.point(
-        spec["vertex"],
-        spec["edge"],
-        parse_rational(spec["offset"]),
-        parse_rational(spec["height"]),
-    )
+    """The point of a JSON shape from point_to_spec: int ids and canonical
+    rational strings.  Any other shape raises InvalidPointError."""
+    if not isinstance(spec, dict) or not spec.keys() >= {"vertex", "edge", "offset", "height"}:
+        raise InvalidPointError(f'a point needs "vertex", "edge", "offset" and "height": {spec!r}')
+    v, eid, offset, height = spec["vertex"], spec["edge"], spec["offset"], spec["height"]
+    if type(v) is not int or type(eid) is not int:
+        raise InvalidPointError(f"point ids must be integers, got {v!r} and {eid!r}")
+    try:
+        offset, height = parse_rational(offset), parse_rational(height)
+    except ValueError as ex:
+        raise InvalidPointError(f"bad point coordinate: {ex}") from None
+    return c.point(v, eid, offset, height)

@@ -31,6 +31,13 @@ minimum = distance, and the minimum is attained.
 Each piece is isometrically embedded (the n = 0 case of the same
 argument), so single-piece distances are plain piece distances.
 
+The objective is built on ints.  ``Cluster.unit`` clears the denominator
+of every piece length, window end and mark parameter, so with m the lcm
+of the denominators of the two ends' offsets and heights, every box end,
+gate, overlap, bridge and gap of the objective is an int over
+D = unit * m.  ``minimize_convex_pl`` eliminates on those ints, and the
+distance and profile come back as Fractions over D.
+
 The discretized oracle is an independent route: it samples every piece
 on a power-of-two grid, connects grid neighbors at their exact l1
 distances, snaps wall transfers to nearby grid nodes, and runs Dijkstra.
@@ -43,10 +50,11 @@ most 2*eps per wall plus 2*eps at the ends, so with n+1 pieces traversed
 The constant C = 4 is what the agreement criterion checks against.
 
 The graph is built once per oracle, on integers over one denominator
-``den``, fixed before any sample exists: the lcm of each piece tree's
-scale, each edge step and height step, each height breakpoint and each
-mark's lo.  The part counts come first, so the node count is known, and
-an oversized grid refused, before any sample list is made.  Every
+``den``, fixed before any sample exists: the lcm of ``Cluster.unit``,
+which covers every piece length, height breakpoint and line position,
+and each edge step and height step.  The part counts come first, so the
+node count is known, and an oversized grid refused, before any sample
+list is made.  Every
 sample offset, height and line parameter is then an int over den, and
 den is the unit of every weight.  Node (v, tree sample i, height index
 j) has the id ``base[v] + i * H_v + j``, so rails and rungs are index
@@ -68,16 +76,9 @@ from math import lcm
 from typing import NamedTuple
 
 from .cluster import Cluster, ClusterPoint, SupportRoute, piece_distance, support_route
-from .errors import InvalidPointError, SizeCapError
+from .errors import InvalidPointError, RemeasureMismatch, SizeCapError
 from .metric_tree import Line, Overlap, TreePoint, line_gate
-from .piecewise_linear import (
-    AbsAnchor,
-    Const,
-    PairAbs,
-    Term,
-    TreePair,
-    minimize_convex_pl,
-)
+from .piecewise_linear import Pair, minimize_convex_pl
 from .rational import as_fraction
 
 DEFAULT_NODE_CAP = 200_000
@@ -137,24 +138,30 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
     The objective decomposes into two independent chains of convex PL
     couplings (horizontal legs couple h_{i-1} with s_i; vertical legs
     couple s_{i-1} with h_i), which the chain eliminator solves exactly.
+    It is built on ints at D = ``c.unit * m``, with m the lcm of the
+    denominators of the two ends' offsets and heights: every box end,
+    gate, overlap, bridge and gap is then an int over D.  The minimum is
+    re-measured on Fractions by crossing_objective, and a disagreement
+    raises RemeasureMismatch.
     """
     verts, eids, x0, xn = route
     n = len(eids)
     if n == 0:
         return piece_distance(c, x0, xn), CrossingProfile(verts, (), (), ())
-    terms: list[Term] = []
-    box: list[tuple[Fraction, Fraction]] = []
+    d = c.unit * lcm(*(f.denominator for p in (x0, xn) for f in (p.horizontal.offset, p.height)))
+    box: list[tuple[int, int]] = []
     for i in range(n):
         exit_line = c.marks[(verts[i], eids[i])]
         twin = c.marks[(verts[i + 1], eids[i])]
-        box.append((exit_line.lo, exit_line.hi))  # var 2i: s_i
-        box.append((twin.lo, twin.hi))            # var 2i+1: h_i
+        box.append((_lift(exit_line.lo, d), _lift(exit_line.hi, d)))  # var 2i: s_i
+        box.append((_lift(twin.lo, d), _lift(twin.hi, d)))            # var 2i+1: h_i
+    anchors: list[list[int]] = [[] for _ in box]
+    pairs: list[Pair] = []
 
     g, d0 = line_gate(c.pieces[verts[0]].tree, x0.horizontal, c.marks[(verts[0], eids[0])])
-    terms.append(AbsAnchor(0, g))
-    if d0:
-        terms.append(Const(d0))
-    terms.append(AbsAnchor(1, x0.height))
+    anchors[0].append(_lift(g, d))
+    anchors[1].append(_lift(x0.height, d))
+    const = _lift(d0, d)
 
     for i in range(1, n):
         v = verts[i]
@@ -163,26 +170,26 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
         var_exit = 2 * i              # s_i, parameter on mark(v, e_i)
         if isinstance(rel, Overlap):
             # r = A-parameter reached by the B-point: invert q = sigma*t + shift
-            terms.append(TreePair(var_entry, var_exit, rel.sigma,
-                                  -rel.sigma * rel.shift, rel.lo1, rel.hi1))
+            pairs.append((var_entry, var_exit, rel.sigma, -rel.sigma * _lift(rel.shift, d),
+                          (_lift(rel.lo1, d), _lift(rel.hi1, d))))
         else:
-            terms.append(AbsAnchor(var_entry, rel.param_p))
-            terms.append(AbsAnchor(var_exit, rel.param_q))
-            if rel.gap:
-                terms.append(Const(rel.gap))
-        terms.append(PairAbs(2 * (i - 1), 2 * i + 1, 1, Fraction(0)))
+            anchors[var_entry].append(_lift(rel.param_p, d))
+            anchors[var_exit].append(_lift(rel.param_q, d))
+            const += _lift(rel.gap, d)
+        pairs.append((2 * (i - 1), 2 * i + 1, 1, 0, None))
 
     g, dn = line_gate(c.pieces[verts[n]].tree, xn.horizontal, c.marks[(verts[n], eids[n - 1])])
-    terms.append(AbsAnchor(2 * n - 1, g))
-    if dn:
-        terms.append(Const(dn))
-    terms.append(AbsAnchor(2 * (n - 1), xn.height))
+    anchors[2 * n - 1].append(_lift(g, d))
+    anchors[2 * (n - 1)].append(_lift(xn.height, d))
+    const += _lift(dn, d)
 
-    arg, value = minimize_convex_pl(terms, box)
-    prof = CrossingProfile(verts, eids, arg[0::2], arg[1::2])
+    arg, value = minimize_convex_pl(anchors, box, pairs)
+    value = Fraction(value + const, d)
+    prof = CrossingProfile(verts, eids, tuple(Fraction(x, d) for x in arg[0::2]),
+                           tuple(Fraction(x, d) for x in arg[1::2]))
     check = crossing_objective(c, prof, x0, xn)
     if check != value:
-        raise AssertionError(
+        raise RemeasureMismatch(
             f"crossing objective {check} disagrees with minimized value {value}"
         )
     return value, prof
@@ -199,7 +206,9 @@ def _split(length: Fraction, eps: Fraction) -> tuple[int, Fraction]:
 
 
 def _lift(f: Fraction, den: int) -> int:
-    """f times den, an int when f's denominator divides den."""
+    """f times den, an int when f's denominator divides den (as it does
+    for every length, window end and mark parameter when den is a
+    multiple of the cluster's unit)."""
     return f.numerator * (den // f.denominator)
 
 
@@ -235,13 +244,12 @@ class _PieceGrid:
         return self.count * (1 + sum(parts for _, parts, _ in self.gaps))
 
     def denominators(self):
-        """Every denominator of this piece's sample offsets and heights,
-        and of its line positions."""
-        yield self.tree.scale
+        """The denominators of this piece's edge and height steps; the
+        cluster's unit covers every other sample offset, height and line
+        position."""
         for _, step in self.splits:
             yield step.denominator
-        for a, _, step in self.gaps:
-            yield a.denominator
+        for _, _, step in self.gaps:
             yield step.denominator
 
     def sample(self, den: int) -> None:
@@ -353,8 +361,7 @@ class DiscretizedOracle:
             raise SizeCapError(
                 f"discretization needs {total} nodes, over the cap of {cap}"
             )
-        self.den = lcm(*(d for grid in self.grids.values() for d in grid.denominators()),
-                       *(line.lo.denominator for line in c.marks.values()))
+        self.den = lcm(c.unit, *(d for grid in self.grids.values() for d in grid.denominators()))
         for grid in self.grids.values():
             grid.sample(self.den)
         # no weight exceeds a piece's longest tree step plus its height span,

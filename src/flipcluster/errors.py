@@ -56,3 +56,8 @@ class NonConvexObjective(FlipClusterError):
 
 class ObjectiveStructureError(FlipClusterError):
     """A piecewise-linear objective couples variables in an unsupported shape."""
+
+
+class RemeasureMismatch(FlipClusterError):
+    """A minimized distance disagrees with its re-measure on Fractions: the
+    crossing path at the argmin does not have the minimized length."""

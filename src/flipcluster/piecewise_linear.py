@@ -1,16 +1,23 @@
 """Exact minimization of chain-structured convex piecewise-linear objectives.
 
-Objectives are sums of small term types over finitely many rational
-variables, each confined to a box interval.  Unary terms touch one
-variable; pair terms couple two.  The couplings that arise from distances
-in glued tree products form disjoint chains (every variable sits in at
-most two pair terms, acyclically), so exact dynamic programming over
-one-dimensional piecewise-linear value functions computes the global
-minimum without search: messages are eliminated variable by variable and
-an argmin is recovered by backtracking.  Plain coordinate descent is not
-sound for these objectives - a diagonal kink such as |x - y| can make
-every axis direction flat at a non-optimal point - which is why the
-elimination route is used.
+An objective is a sum of terms over finitely many variables, each
+confined to a box interval, all given as ints on the caller's lattice.
+Unary terms are anchors: |x_v - a| for each a in ``anchors[v]``.  Pair
+terms couple two variables; a pair is a tuple (a, b, sigma, shift,
+overlap) with sigma 1 or -1 and r = sigma * x_b + shift.  With overlap
+None its value is |x_a - r|, an abs pair; with overlap (lo, hi) = I it
+is |x_a - clamp_I(r)| + dist(r, I), the tree distance between two points
+moving on two tree geodesics whose common segment is I, with r the
+second point's position in the first line's parameters, affinely
+extended past I.  The couplings that arise from distances in glued tree
+products form disjoint chains (every variable sits in at most two pairs,
+acyclically), so exact dynamic programming over one-dimensional
+piecewise-linear value functions computes the global minimum without
+search: messages are eliminated variable by variable and an argmin is
+recovered by backtracking.  Plain coordinate descent is not sound for
+these objectives - a diagonal kink such as |x - y| can make every axis
+direction flat at a non-optimal point - which is why the elimination
+route is used.
 
 Slope form
 ----------
@@ -33,21 +40,21 @@ four operations, each read off the slopes:
   >= 0.
 
 Convex-only is sound: unary terms are convex, the sum, inf-convolution
-and affine pullback of convex functions are convex, and every pair term
-is jointly convex except a TreePair whose interval is inside out
-(lo > hi), which is rejected before elimination.  The convexity
-certificate (nondecreasing slopes) is still checked on every message and
-value function, and a violation raises NonConvexObjective instead of
-returning a wrong minimum.
+and affine pullback of convex functions are convex, and every pair is
+jointly convex except one whose overlap is inside out (lo > hi), which
+is rejected before elimination.  The convexity certificate
+(nondecreasing slopes) is still checked on every message and value
+function, and a violation raises NonConvexObjective instead of returning
+a wrong minimum.
 
-The TreePair identity
----------------------
-With r = sigma * x_b + shift and I = [lo, hi], a TreePair's value
-|x_a - clamp_I(r)| + dist(r, I) equals
+The overlap identity
+--------------------
+With r = sigma * x_b + shift and I = [lo, hi], a pair with overlap I has
+the value |x_a - clamp_I(r)| + dist(r, I), which equals
 
     dist(x_a, I) + |clamp_I(x_a) - clamp_I(r)| + dist(r, I),
 
-which is symmetric in x_a and r, as |x_a - r| is for a PairAbs.  So one
+symmetric in x_a and r, as |x_a - r| is for an abs pair.  So one
 formula serves both directions: with the child value function f in its
 own coordinate (x_a, or r for a child on the b side), the message is
 
@@ -63,108 +70,31 @@ between the first knots of f whose right slopes reach -1 and 1.
 
 The lattice
 -----------
-``minimize_convex_pl`` takes and returns Fractions but eliminates on
-Python ints.  At entry it takes D, the lcm of the denominators of every
-box end, anchor, pair shift, overlap end and constant, and scales
-coordinates and values by D: every input becomes an int and |x - a|
-keeps its slopes -1 and 1.  No operation divides: ``add`` merges knots
+``minimize_convex_pl`` takes every box end, anchor, shift and overlap
+end as an int, and returns the argmin and the minimum as ints on the
+same lattice.  The caller picks the lattice: it scales its rationals by
+one unit D that clears every denominator (``route_distance`` takes the
+cluster's unit times the lcm of its two ends' denominators) and reads a
+result n as n / D.  |x - a| keeps its slopes -1 and 1 under that
+scaling, and a uniform scaling keeps the lowest argmin, so the answer is
+the one the rationals give.  No operation divides: ``add`` merges knots
 and sums slope-times-run steps, ``inf_conv_abs`` keeps knots of f or the
 ends of its output range and continues with slopes -1 and 1, ``pullback``
 shifts or reflects knots by an int, and both argmins pick a knot or clamp
-between knots.  So every knot, value and slope is an int, the arithmetic
-is exact, and the only conversions are the scaling at entry, exact
-because D is an lcm, and ``Fraction(n, D)`` at exit.
+between knots.  So every knot, value and slope stays an int and the
+arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import NonConvexObjective, ObjectiveStructureError
 
 
-# -- term types -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class AbsAnchor:
-    """|x_var - anchor|"""
-
-    var: int
-    anchor: Fraction
-
-
-@dataclass(frozen=True)
-class PairAbs:
-    """|x_a - sigma * x_b - shift| with sigma in {1, -1}"""
-
-    var_a: int
-    var_b: int
-    sigma: int
-    shift: Fraction
-
-
-@dataclass(frozen=True)
-class TreePair:
-    """Distance between points moving on two overlapping tree geodesics.
-
-    With r = sigma * x_b + shift (the position of the second point in the
-    first line's parameters, affinely extended past the overlap) and
-    I = [lo, hi] the overlap in the first line's parameters, the value is
-
-        |x_a - clamp_I(r)| + dist(r, I)
-
-    which is exactly the tree distance between the two moving points and
-    is jointly convex.
-    """
-
-    var_a: int
-    var_b: int
-    sigma: int
-    shift: Fraction
-    lo: Fraction
-    hi: Fraction
-
-
-Term = Const | AbsAnchor | PairAbs | TreePair
-
-
-def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
+def _clamp(x: int, lo: int, hi: int) -> int:
     return lo if x < lo else hi if x > hi else x
-
-
-def _ivl_dist(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-    if x < lo:
-        return lo - x
-    if x > hi:
-        return x - hi
-    return 0
-
-
-def evaluate_terms(terms: Sequence[Term], x: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for t in terms:
-        if isinstance(t, Const):
-            total += t.value
-        elif isinstance(t, AbsAnchor):
-            total += abs(x[t.var] - t.anchor)
-        elif isinstance(t, PairAbs):
-            total += abs(x[t.var_a] - t.sigma * x[t.var_b] - t.shift)
-        elif isinstance(t, TreePair):
-            r = t.sigma * x[t.var_b] + t.shift
-            total += abs(x[t.var_a] - _clamp(r, t.lo, t.hi)) + _ivl_dist(r, t.lo, t.hi)
-        else:
-            raise TypeError(f"unknown term {t!r}")
-    return total
 
 
 # -- convex piecewise-linear functions in slope form --------------------------
@@ -279,56 +209,9 @@ class ConvexPL:
 # -- chain elimination --------------------------------------------------------
 
 
-# a scaled pair term: (var_a, var_b, sigma, shift, the overlap [lo, hi] of a
-# TreePair or None for a PairAbs)
-_Pair = tuple[int, int, int, int, tuple[int, int] | None]
-
-
-class _Lattice(NamedTuple):
-    """An objective scaled onto ints: coordinates and values times ``scale``."""
-
-    scale: int
-    box: list[tuple[int, int]]
-    const: int
-    anchors: list[list[int]]   # per variable: the anchors a whose |x - a| add up
-    pairs: list[_Pair]
-
-
-def _lattice(terms: Sequence[Term], box: Sequence[tuple[Fraction, Fraction]]) -> _Lattice:
-    """The objective on ints, with D the lcm of the module docstring."""
-    n = len(box)
-    consts: list[Fraction] = []
-    anchors: list[list[Fraction]] = [[] for _ in box]
-    pairs: list[PairAbs | TreePair] = []
-    qs = [q for ends in box for q in ends]   # every rational that D must scale
-    for t in terms:
-        if isinstance(t, AbsAnchor):
-            if not 0 <= t.var < n:
-                raise ObjectiveStructureError(f"{t!r} names a variable outside [0, {n})")
-            anchors[t.var].append(t.anchor)
-            qs.append(t.anchor)
-        elif isinstance(t, (PairAbs, TreePair)):
-            if not (0 <= t.var_a < n and 0 <= t.var_b < n and t.var_a != t.var_b
-                    and t.sigma in (1, -1)):
-                raise ObjectiveStructureError(
-                    f"{t!r} needs two distinct variables in [0, {n}) and sigma 1 or -1")
-            pairs.append(t)
-            qs += (t.shift, t.lo, t.hi) if isinstance(t, TreePair) else (t.shift,)
-        elif isinstance(t, Const):
-            consts.append(t.value)
-            qs.append(t.value)
-        else:
-            raise TypeError(f"unknown term {t!r}")
-    d = lcm(*[q.denominator for q in qs])
-
-    def sc(q: Fraction) -> int:
-        return q.numerator * (d // q.denominator)
-
-    return _Lattice(
-        d, [(sc(lo), sc(hi)) for lo, hi in box], sum(map(sc, consts)),
-        [[sc(a) for a in ks] for ks in anchors],
-        [(t.var_a, t.var_b, t.sigma, sc(t.shift),
-          (sc(t.lo), sc(t.hi)) if isinstance(t, TreePair) else None) for t in pairs])
+# a pair term: (var_a, var_b, sigma, shift, the overlap (lo, hi) or None for
+# an abs pair)
+Pair = tuple[int, int, int, int, tuple[int, int] | None]
 
 
 def _unary_pl(lo: int, hi: int, anchors: list[int]) -> ConvexPL:
@@ -354,7 +237,7 @@ def _unary_pl(lo: int, hi: int, anchors: list[int]) -> ConvexPL:
     return ConvexPL(tuple(ks), tuple(vs), tuple(ss))
 
 
-def _pair_message(pair: _Pair, child: ConvexPL, child_var: int,
+def _pair_message(pair: Pair, child: ConvexPL, child_var: int,
                   parent_lo: int, parent_hi: int) -> ConvexPL:
     """min over the child variable of child + pair(child, parent).
 
@@ -375,7 +258,7 @@ def _pair_message(pair: _Pair, child: ConvexPL, child_var: int,
     return msg if to_a else msg.pullback(sig, sh)
 
 
-def _pair_anchor(pair: _Pair, fixed_var: int, fixed_value: int) -> int:
+def _pair_anchor(pair: Pair, fixed_var: int, fixed_value: int) -> int:
     """c such that the pair term, its other variable fixed, is a constant plus |x - c|."""
     var_a, _, sig, sh, overlap = pair
     target = fixed_value if var_a == fixed_var else sig * fixed_value + sh
@@ -384,37 +267,41 @@ def _pair_anchor(pair: _Pair, fixed_var: int, fixed_value: int) -> int:
     return sig * (target - sh) if var_a == fixed_var else target
 
 
-def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Fraction]],
-                       ) -> tuple[tuple[Fraction, ...], Fraction]:
+def minimize_convex_pl(anchors: Sequence[Sequence[int]], box: Sequence[tuple[int, int]],
+                       pairs: Sequence[Pair]) -> tuple[tuple[int, ...], int]:
     """Exact global minimum of a chain-coupled convex PL objective over a box.
 
-    Returns (argmin, value) as Fractions, eliminated on the integer
-    lattice of the module docstring; the argmin is canonical (lowest
-    coordinates among minimizers under the elimination order).  Raises
-    ObjectiveStructureError when a term names a variable outside the box,
-    a pair couples a variable with itself or has sigma other than 1 or -1,
-    or the couplings do not form a forest; NonConvexObjective when a
-    TreePair interval is inside out or an intermediate value function
-    fails the convexity certificate; TypeError for an unknown term.
+    ``anchors[v]`` and ``box[v]`` are variable v's anchors and (lo, hi);
+    every number is an int on the caller's lattice (module docstring),
+    and so are the returned (argmin, value).  The argmin is canonical
+    (lowest coordinates among minimizers under the elimination order).
+    Raises ObjectiveStructureError when the anchors and the box disagree
+    on the number of variables, a pair names a variable outside the box,
+    couples a variable with itself or has sigma other than 1 or -1, or
+    the couplings do not form a forest; NonConvexObjective when an
+    overlap is inside out or an intermediate value function fails the
+    convexity certificate.
     """
-    lat = _lattice(terms, box)
-    d, boxes, pairs = lat.scale, lat.box, lat.pairs
-    n = len(boxes)
-    for i, (lo, hi) in enumerate(boxes):
+    n = len(box)
+    if len(anchors) != n:
+        raise ObjectiveStructureError(f"anchors for {len(anchors)} variables, a box for {n}")
+    for i, (lo, hi) in enumerate(box):
         if lo > hi:
             raise ValueError(f"empty box for variable {i}")
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]   # (other variable, pair index)
-    for k, (a, b, _, _, overlap) in enumerate(pairs):
+    for k, (a, b, sigma, _, overlap) in enumerate(pairs):
+        if not (0 <= a < n and 0 <= b < n and a != b and sigma in (1, -1)):
+            raise ObjectiveStructureError(
+                f"pair {pairs[k]!r} needs two distinct variables in [0, {n}) and sigma 1 or -1")
         if overlap is not None and overlap[0] > overlap[1]:
-            lo, hi = (Fraction(x, d) for x in overlap)
             raise NonConvexObjective(
-                f"TreePair interval [{lo}, {hi}] is inside out; the coupling is not convex"
+                f"overlap {list(overlap)} of pair {k} is inside out; the coupling is not convex"
             )
         adj[a].append((b, k))
         adj[b].append((a, k))
 
     assign: dict[int, int] = {}
-    total = lat.const
+    total = 0
     seen: set[int] = set()
     for root in range(n):
         if root in seen:
@@ -437,7 +324,7 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
                         "pair couplings contain a cycle; chain elimination needs a forest"
                     )
         # comp lists every variable after its parent: reversed, leaves come first
-        fn = {v: _unary_pl(*boxes[v], lat.anchors[v]) for v in comp}
+        fn = {v: _unary_pl(*box[v], anchors[v]) for v in comp}
         for v in reversed(comp):
             if not fn[v].is_convex():
                 raise NonConvexObjective(
@@ -445,7 +332,7 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
                 )
             if parent[v] is not None:
                 pv, k = parent[v]
-                m = _pair_message(pairs[k], fn[v], v, *boxes[pv])
+                m = _pair_message(pairs[k], fn[v], v, *box[pv])
                 if not m.is_convex():
                     raise NonConvexObjective(
                         f"message into variable {pv} violates the convexity certificate"
@@ -459,4 +346,4 @@ def minimize_convex_pl(terms: Sequence[Term], box: Sequence[tuple[Fraction, Frac
             v, k = parent[w]
             assign[w] = fn[w].argmin_plus_abs(_pair_anchor(pairs[k], v, assign[v]))
 
-    return tuple(Fraction(assign[i], d) for i in range(n)), Fraction(total, d)
+    return tuple(assign[i] for i in range(n)), total

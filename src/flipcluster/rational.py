@@ -60,7 +60,10 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render a rational in the canonical interchange form."""
+    """Render a rational in the canonical interchange form; a float or a
+    bool is a TypeError, since its digits would look exact."""
+    if type(value) not in (Fraction, int):
+        raise TypeError(f"format_rational takes a Fraction or an int, got {value!r}")
     f = Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .metric_tree import connected
-from .rational import parse_rational
+from .rational import as_fraction, parse_rational
 
 
 class GraphEdge(NamedTuple):
@@ -39,7 +39,7 @@ class FiniteGraph:
         vset = set(self.vertices)
         parsed = []
         for a, b, length in edges:
-            length = Fraction(length)
+            length = as_fraction(length)
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if a not in vset or b not in vset:

@@ -1,12 +1,17 @@
 """Full-scale acceptance run: one test per criterion, frozen sizes.
 
 Sizes, the seed, and the calibrated path/distance ratio bound k_obs live
-in config/acceptance.json; nothing here is sampled ad hoc.  Each suite
-runs once (module-scoped fixtures) and the tests assert the criterion it
-carries, its stated runtime budget where one exists, and print a PASS
-line with the counters (visible under pytest -s).
+in config/acceptance.json; nothing here is sampled ad hoc.  The whole
+configured run happens once (the module-scoped ``acceptance_report``
+fixture runs ``run_suite(CONFIG)``): each test reads its suite's result
+from that report, asserts the criterion it carries and its stated
+runtime budget, taken from the suite's own ``seconds``, and prints a PASS
+line with the counters (visible under pytest -s).  The golden-hash test
+hashes the same report.  The config names every size key of every suite,
+so run_suite calls each suite with exactly the arguments a direct call
+would take.
 
-Expected wall time is one to two minutes, dominated by the bilipschitz
+Expected wall time is under a minute, dominated by the bilipschitz
 corpus (50,000 pairs).
 """
 
@@ -19,16 +24,7 @@ import pytest
 
 from flipcluster.jsonutil import dumps_canonical
 from flipcluster.rational import parse_rational
-from flipcluster.suites import (
-    run_suite,
-    strip_timings,
-    suite_bilipschitz,
-    suite_isomorphism,
-    suite_metric_axioms,
-    suite_oracle_agreement,
-    suite_remark_nice,
-    suite_tree_graded,
-)
+from flipcluster.suites import DESK_SIZES, run_suite, strip_timings
 
 pytestmark = pytest.mark.acceptance
 
@@ -47,41 +43,38 @@ def _timed(fn, *args):
     return result, time.perf_counter() - t0
 
 
-def _report(name: str, result: dict, seconds: float) -> None:
+def _report(name: str, result: dict) -> None:
     verdict = "PASS" if result["pass"] else "FAIL"
-    print(f"{verdict} {name}: {result['counters']} in {seconds:.1f}s")
+    print(f"{verdict} {name}: {result['counters']} in {result['seconds']:.1f}s")
     for failure in result["failures"]:
         print(f"  repro: {json.dumps(failure)[:400]}")
 
 
 @pytest.fixture(scope="module")
-def metric_run():
-    return _timed(suite_metric_axioms, SEED, SIZES["metric-axioms"])
+def acceptance_report():
+    return run_suite(CONFIG)
 
 
-@pytest.fixture(scope="module")
-def bilipschitz_run():
-    return _timed(suite_bilipschitz, SEED, SIZES["bilipschitz"],
-                  CONFIG["k_obs"])
+def test_config_sizes_every_suite_in_full():
+    """The config names every size key of every suite, so no suite in the
+    shared report runs at a desk size the config left out."""
+    assert {name: sizes.keys() for name, sizes in SIZES.items()} == \
+        {name: sizes.keys() for name, sizes in DESK_SIZES.items()}
 
 
-@pytest.fixture(scope="module")
-def oracle_run():
-    return _timed(suite_oracle_agreement, SEED, SIZES["oracle-agreement"])
-
-
-def test_metric_axioms(metric_run):
-    result, seconds = metric_run
-    _report("metric-axioms", result, seconds)
+def test_metric_axioms(acceptance_report):
+    result = acceptance_report["suites"]["metric-axioms"]
+    _report("metric-axioms", result)
     sizes = SIZES["metric-axioms"]
     assert result["counters"]["triples"] == sizes["instances"] * sizes["triples"]
     assert result["pass"], result["failures"]
+    seconds = result["seconds"]
     assert seconds < 120, f"metric axioms took {seconds:.1f}s, budget 120s"
 
 
-def test_bilipschitz_ratio_bound(bilipschitz_run):
-    result, seconds = bilipschitz_run
-    _report("bilipschitz", result, seconds)
+def test_bilipschitz_ratio_bound(acceptance_report):
+    result = acceptance_report["suites"]["bilipschitz"]
+    _report("bilipschitz", result)
     sizes = SIZES["bilipschitz"]
     assert result["counters"]["pairs"] == sizes["instances"] * sizes["pairs"]
     ratio_failures = [f for f in result["failures"]
@@ -93,8 +86,8 @@ def test_bilipschitz_ratio_bound(bilipschitz_run):
     assert result["pass"], result["failures"]
 
 
-def test_star_inequality_audit(bilipschitz_run):
-    result, seconds = bilipschitz_run
+def test_star_inequality_audit(acceptance_report):
+    result = acceptance_report["suites"]["bilipschitz"]
     star_failures = [f for f in result["failures"] if f["op"] == "star_audit"]
     verdict = "PASS" if not star_failures and result["pass"] else "FAIL"
     print(f"{verdict} star-audit: {result['counters']['star_terms']} terms, "
@@ -104,33 +97,33 @@ def test_star_inequality_audit(bilipschitz_run):
     assert result["pass"], result["failures"]
 
 
-def test_oracle_agreement(oracle_run):
-    result, seconds = oracle_run
-    _report("oracle-agreement", result, seconds)
+def test_oracle_agreement(acceptance_report):
+    result = acceptance_report["suites"]["oracle-agreement"]
+    _report("oracle-agreement", result)
     sizes = SIZES["oracle-agreement"]
     assert result["counters"]["pairs"] == sizes["instances"] * sizes["pairs"]
     assert result["pass"], result["failures"]
+    seconds = result["seconds"]
     assert seconds < 60, f"oracle agreement took {seconds:.1f}s, budget 60s"
 
 
-def test_remark_nice_deep_segments():
-    result, seconds = _timed(suite_remark_nice, SEED, SIZES["remark-nice"])
-    _report("remark-nice", result, seconds)
+def test_remark_nice_deep_segments(acceptance_report):
+    result = acceptance_report["suites"]["remark-nice"]
+    _report("remark-nice", result)
     assert result["counters"]["instances"] == SIZES["remark-nice"]["instances"]
     assert result["pass"], result["failures"]
 
 
-def test_tree_graded_blocks():
-    result, seconds = _timed(suite_tree_graded, SEED, SIZES["tree-graded"])
-    _report("tree-graded", result, seconds)
+def test_tree_graded_blocks(acceptance_report):
+    result = acceptance_report["suites"]["tree-graded"]
+    _report("tree-graded", result)
     assert result["counters"]["graphs"] == SIZES["tree-graded"]["graphs"]
     assert result["pass"], result["failures"]
 
 
-def test_isomorphism_referee():
-    result, seconds = _timed(suite_isomorphism, SEED, SIZES["isomorphism"],
-                             None)
-    _report("isomorphism", result, seconds)
+def test_isomorphism_referee(acceptance_report):
+    result = acceptance_report["suites"]["isomorphism"]
+    _report("isomorphism", result)
     counters = result["counters"]
     sizes = SIZES["isomorphism"]
     assert counters["pairs"] == sizes["pairs"]
@@ -140,6 +133,7 @@ def test_isomorphism_referee():
     assert counters["spot_checks"] == \
         counters["witnesses"] * sizes["spot_checks"]
     assert result["pass"], result["failures"]
+    seconds = result["seconds"]
     assert seconds < 60, f"isomorphism took {seconds:.1f}s, budget 60s"
 
 
@@ -156,12 +150,11 @@ def test_determinism_byte_identical():
     assert same, "reports differ after stripping timing fields"
 
 
-def test_acceptance_golden_hash():
+def test_acceptance_golden_hash(acceptance_report):
     """The full acceptance-size report is pinned byte for byte, as the
     desk-size one is: refactors of the library must not move it."""
-    report, seconds = _timed(run_suite, CONFIG)
     digest = hashlib.sha256(
-        dumps_canonical(strip_timings(report)).encode()).hexdigest()
+        dumps_canonical(strip_timings(acceptance_report)).encode()).hexdigest()
     print(f"{'PASS' if digest == ACCEPTANCE_GOLDEN else 'FAIL'} acceptance "
-          f"golden hash in {seconds:.1f}s")
+          f"golden hash in {acceptance_report['total_seconds']:.1f}s")
     assert digest == ACCEPTANCE_GOLDEN

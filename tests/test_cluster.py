@@ -14,6 +14,8 @@ from flipcluster.cluster import (
     dumps,
     lowest_point,
     piece_distance,
+    point_of_spec,
+    point_to_spec,
     support_route,
     to_spec,
     transfer_across_wall,
@@ -628,3 +630,27 @@ class TestBassSerre:
                 assert (list(route.vertices), list(route.edges)) == c.tree.path(a, b)
                 assert route.start == ClusterPoint(a, *c.supports(x)[a])
                 assert route.end == ClusterPoint(b, *c.supports(y)[b])
+
+
+class TestPointOfSpec:
+    GOOD = {"vertex": 0, "edge": 0, "offset": "13", "height": "11"}
+
+    def test_round_trip(self):
+        c = two_piece()
+        pt = point_of_spec(c, self.GOOD)
+        assert pt == c.point(0, 0, F(13), F(11))
+        assert point_of_spec(c, point_to_spec(pt)) == pt
+
+    @pytest.mark.parametrize("spec", [
+        [0, 0, "13", "11"],
+        "0",
+        {"vertex": 0, "edge": 0, "offset": "13"},
+        {**GOOD, "offset": 13},
+        {**GOOD, "height": 11.0},
+        {**GOOD, "height": " 11"},
+        {**GOOD, "vertex": "0"},
+        {**GOOD, "edge": True},
+    ])
+    def test_malformed_spec_raises_invalid_point(self, spec):
+        with pytest.raises(InvalidPointError):
+            point_of_spec(two_piece(), spec)

@@ -24,6 +24,7 @@ from fractions import Fraction
 import pytest
 from test_cluster import chain3, on_carrier, two_piece
 
+import flipcluster.distance_oracle as oracle_module
 from flipcluster.cluster import (ClusterPoint, lowest_point, piece_distance, route_between,
                                  support_route)
 from flipcluster.distance_oracle import (
@@ -34,7 +35,8 @@ from flipcluster.distance_oracle import (
     exact_distance,
     route_distance,
 )
-from flipcluster.errors import InvalidPointError, SegmentOverflow, SizeCapError
+from flipcluster.errors import (InvalidPointError, RemeasureMismatch, SegmentOverflow,
+                                SizeCapError)
 from flipcluster.generator import GeneratorParams, generate_cluster, sample_points
 from flipcluster.suites import ORACLE_CORPUS
 
@@ -174,6 +176,22 @@ class TestExactDistance:
         assert crossing_objective(c, prof, a, b) == 14
         assert grid_profile_min(c, a, b) == 14
         assert grid_profile_min(c, a, b, denom=2) == 14
+
+    def test_wrong_minimum_raises_remeasure_mismatch(self, monkeypatch):
+        # the re-measure on Fractions catches a minimizer whose value is off
+        real = oracle_module.minimize_convex_pl
+
+        def off_by_one(*objective):
+            arg, val = real(*objective)
+            return arg, val + 1
+
+        monkeypatch.setattr(oracle_module, "minimize_convex_pl", off_by_one)
+        c = chain3()
+        a = c.point(0, 2, F(2), F(9))
+        b = c.point(2, 0, F(2), F(5))
+        with pytest.raises(RemeasureMismatch,
+                           match="crossing objective 14 disagrees with minimized value"):
+            exact_distance(c, a, b)
 
     def test_triple_support_short_circuits(self):
         c = chain3()

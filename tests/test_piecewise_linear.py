@@ -1,36 +1,96 @@
 """Chain-structured convex PL minimization against a breakpoint-grid oracle.
 
-Every objective built from the supported term types is piecewise linear,
-so its minimum over a box is attained at an arrangement vertex whose
-coordinates come from unary kinks propagated through the pair couplings.
-The oracle enumerates that grid and takes the exact minimum.
+The referee lives here, on Fractions: term types, ``evaluate_terms`` and
+``grid_minimize``.  Every objective built from these term types is
+piecewise linear, so its minimum over a box is attained at an
+arrangement vertex whose coordinates come from unary kinks propagated
+through the pair couplings; ``grid_minimize`` enumerates that grid and
+takes the exact minimum.  ``to_lattice`` scales a Fraction objective onto
+ints at the lcm of its denominators, the int objective that
+``minimize_convex_pl`` takes, and ``solve`` reads the result back as
+Fractions, so the minimizer is checked against the referee on rationals.
 """
 
-import dataclasses
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import flipcluster.piecewise_linear as pl
 from flipcluster.errors import NonConvexObjective, ObjectiveStructureError
-from flipcluster.piecewise_linear import (
-    AbsAnchor,
-    Const,
-    ConvexPL,
-    PairAbs,
-    TreePair,
-    evaluate_terms,
-    minimize_convex_pl,
-)
+from flipcluster.piecewise_linear import ConvexPL, minimize_convex_pl
 
 F = Fraction
 
 
+# -- the referee: Fraction term types and their pointwise value ---------------
+
+
+@dataclass(frozen=True)
+class Const:
+    value: Fraction
+
+
+@dataclass(frozen=True)
+class AbsAnchor:
+    """|x_var - anchor|"""
+
+    var: int
+    anchor: Fraction
+
+
+@dataclass(frozen=True)
+class PairAbs:
+    """|x_a - sigma * x_b - shift| with sigma in {1, -1}"""
+
+    var_a: int
+    var_b: int
+    sigma: int
+    shift: Fraction
+
+
+@dataclass(frozen=True)
+class TreePair:
+    """Distance between points moving on two overlapping tree geodesics:
+    with r = sigma * x_b + shift and I = [lo, hi], the value is
+    |x_a - clamp_I(r)| + dist(r, I)."""
+
+    var_a: int
+    var_b: int
+    sigma: int
+    shift: Fraction
+    lo: Fraction
+    hi: Fraction
+
+
 def _clamp(x, lo, hi):
     return lo if x < lo else hi if x > hi else x
+
+
+def _ivl_dist(x, lo, hi):
+    return lo - x if x < lo else x - hi if x > hi else 0
+
+
+def evaluate_terms(terms, x):
+    total = Fraction(0)
+    for t in terms:
+        if isinstance(t, Const):
+            total += t.value
+        elif isinstance(t, AbsAnchor):
+            total += abs(x[t.var] - t.anchor)
+        elif isinstance(t, PairAbs):
+            total += abs(x[t.var_a] - t.sigma * x[t.var_b] - t.shift)
+        elif isinstance(t, TreePair):
+            r = t.sigma * x[t.var_b] + t.shift
+            total += abs(x[t.var_a] - _clamp(r, t.lo, t.hi)) + _ivl_dist(r, t.lo, t.hi)
+        else:
+            raise TypeError(f"unknown term {t!r}")
+    return total
 
 
 def grid_minimize(terms, box):
@@ -70,6 +130,48 @@ def grid_minimize(terms, box):
         if best is None or val < best:
             best = val
     return best
+
+
+class Lattice(NamedTuple):
+    """A Fraction objective scaled onto ints: coordinates and values times ``scale``."""
+
+    scale: int
+    const: int
+    anchors: list[list[int]]
+    box: list[tuple[int, int]]
+    pairs: list[tuple]
+
+
+def to_lattice(terms, box) -> Lattice:
+    """The int objective of minimize_convex_pl, at D the lcm of every
+    denominator in the terms and the box."""
+    qs = [q for ends in box for q in ends]
+    for t in terms:
+        qs += [getattr(t, f) for f in ("value", "anchor", "shift", "lo", "hi") if hasattr(t, f)]
+    d = lcm(*(q.denominator for q in qs))
+
+    def sc(q):
+        return q.numerator * (d // q.denominator)
+
+    anchors = [[] for _ in box]
+    pairs = []
+    for t in terms:
+        if isinstance(t, AbsAnchor):
+            anchors[t.var].append(sc(t.anchor))
+        elif isinstance(t, PairAbs):
+            pairs.append((t.var_a, t.var_b, t.sigma, sc(t.shift), None))
+        elif isinstance(t, TreePair):
+            pairs.append((t.var_a, t.var_b, t.sigma, sc(t.shift), (sc(t.lo), sc(t.hi))))
+    const = sum(sc(t.value) for t in terms if isinstance(t, Const))
+    return Lattice(d, const, anchors, [(sc(lo), sc(hi)) for lo, hi in box], pairs)
+
+
+def solve(terms, box):
+    """minimize_convex_pl on the lattice of a Fraction objective, read back
+    as (argmin, value) in Fractions."""
+    lat = to_lattice(terms, box)
+    arg, val = minimize_convex_pl(lat.anchors, lat.box, lat.pairs)
+    return tuple(F(x, lat.scale) for x in arg), F(val + lat.const, lat.scale)
 
 
 def from_points(knots, values):
@@ -150,11 +252,11 @@ class TestPLFunction:
 
 class TestMinimizeFrozen:
     def test_single_abs(self):
-        arg, val = minimize_convex_pl([AbsAnchor(0, F(3))], [(F(0), F(10))])
+        arg, val = solve([AbsAnchor(0, F(3))], [(F(0), F(10))])
         assert (arg, val) == ((F(3),), F(0))
 
     def test_separable(self):
-        arg, val = minimize_convex_pl(
+        arg, val = solve(
             [AbsAnchor(0, F(3)), AbsAnchor(1, F(5)), Const(F(2))],
             [(F(0), F(10)), (F(0), F(10))],
         )
@@ -163,13 +265,13 @@ class TestMinimizeFrozen:
     def test_diagonal_kink_not_a_stall(self):
         # coordinate descent from (0, 0) cannot improve either axis alone here
         terms = [PairAbs(0, 1, 1, F(0)), AbsAnchor(0, F(3)), AbsAnchor(1, F(3))]
-        arg, val = minimize_convex_pl(terms, [(F(0), F(10))] * 2)
+        arg, val = solve(terms, [(F(0), F(10))] * 2)
         assert (arg, val) == ((F(3), F(3)), F(0))
 
     def test_pair_abs_with_reflection(self):
         # |x + y - 4| with x pulled to 1: minimizers have y = 4 - x
         terms = [PairAbs(0, 1, -1, F(4)), AbsAnchor(0, F(1))]
-        arg, val = minimize_convex_pl(terms, [(F(0), F(10))] * 2)
+        arg, val = solve(terms, [(F(0), F(10))] * 2)
         assert val == 0
         assert arg[0] == F(1) and arg[1] == F(3)
 
@@ -179,7 +281,7 @@ class TestMinimizeFrozen:
             AbsAnchor(1, F(0)),
             TreePair(0, 1, -1, F(2), F(1), F(2)),
         ]
-        arg, val = minimize_convex_pl(terms, [(F(0), F(2))] * 2)
+        arg, val = solve(terms, [(F(0), F(2))] * 2)
         assert val == 2
         assert evaluate_terms(terms, arg) == 2
         assert arg == (F(0), F(0))  # lowest point of the flat minimizer set
@@ -194,68 +296,56 @@ class TestMinimizeFrozen:
             PairAbs(1, 2, 1, F(0)),
         ]
         box = [(F(0), F(6))] * 3
-        arg, val = minimize_convex_pl(terms, box)
+        arg, val = solve(terms, box)
         # staying at 0 everywhere beats dragging the chain toward 6
         assert val == grid_minimize(terms, box) == 6
         assert arg == (F(0), F(0), F(0))
         assert evaluate_terms(terms, arg) == val
 
     def test_no_terms(self):
-        arg, val = minimize_convex_pl([], [(F(2), F(5)), (F(-1), F(3))])
-        assert (arg, val) == ((F(2), F(-1)), F(0))
+        assert minimize_convex_pl([[], []], [(2, 5), (-1, 3)], []) == ((2, -1), 0)
 
 
 class TestStructureGuards:
+    # int objectives on the minimizer's own entry: (anchors, box, pairs)
     def test_cycle_rejected(self):
-        terms = [PairAbs(0, 1, 1, F(0)), PairAbs(1, 2, 1, F(0)), PairAbs(0, 2, 1, F(0))]
-        with pytest.raises(ObjectiveStructureError):
-            minimize_convex_pl(terms, [(F(0), F(1))] * 3)
+        pairs = [(0, 1, 1, 0, None), (1, 2, 1, 0, None), (0, 2, 1, 0, None)]
+        with pytest.raises(ObjectiveStructureError, match="cycle"):
+            minimize_convex_pl([[]] * 3, [(0, 1)] * 3, pairs)
 
     def test_parallel_coupling_rejected(self):
-        terms = [PairAbs(0, 1, 1, F(0)), PairAbs(0, 1, 1, F(1))]
-        with pytest.raises(ObjectiveStructureError):
-            minimize_convex_pl(terms, [(F(0), F(1))] * 2)
+        pairs = [(0, 1, 1, 0, None), (0, 1, 1, 1, None)]
+        with pytest.raises(ObjectiveStructureError, match="cycle"):
+            minimize_convex_pl([[], []], [(0, 1)] * 2, pairs)
 
     def test_self_coupling_rejected(self):
-        with pytest.raises(ObjectiveStructureError):
-            minimize_convex_pl([PairAbs(0, 0, 1, F(0))], [(F(0), F(1))])
+        with pytest.raises(ObjectiveStructureError, match="two distinct variables"):
+            minimize_convex_pl([[]], [(0, 1)], [(0, 0, 1, 0, None)])
 
     @pytest.mark.parametrize("box, i", [
-        ([(F(1), F(0))], 0),
-        ([(F(0), F(1)), (F(3), F(2))], 1),
+        ([(1, 0)], 0),
+        ([(0, 1), (3, 2)], 1),
     ])
     def test_empty_box_rejected(self, box, i):
         with pytest.raises(ValueError, match=f"^empty box for variable {i}$"):
-            minimize_convex_pl([], box)
+            minimize_convex_pl([[] for _ in box], box, [])
 
     @pytest.mark.parametrize("terms", [
-        [PairAbs(0, 1, 2, F(0)), AbsAnchor(0, F(3))],   # pullback would read sigma 2 as -1
-        [AbsAnchor(-1, F(3))],   # a list index would take the last variable
-        [AbsAnchor(2, F(3))],
-        [PairAbs(0, 2, 1, F(0))],
+        ([[3], []], [(0, 1, 2, 0, None)]),   # pullback would read sigma 2 as -1
+        ([[], []], [(-1, 0, 1, 0, None)]),   # a list index would take the last variable
+        ([[], [], [3]], []),                 # anchors for a variable outside the box
+        ([[], []], [(0, 2, 1, 0, None)]),
+        ([[3]], []),                         # the second variable has no anchor list
     ])
     def test_term_outside_the_structure_rejected(self, terms):
+        anchors, pairs = terms
         with pytest.raises(ObjectiveStructureError):
-            minimize_convex_pl(terms, [(F(0), F(10))] * 2)
-
-    def test_unknown_term_rejected(self):
-        # a linear term: neither the minimizer nor the referee has a branch for it
-        @dataclasses.dataclass(frozen=True)
-        class Slope:
-            var: int
-            slope: Fraction
-
-        terms = [AbsAnchor(0, F(1)), Slope(0, F(2))]
-        with pytest.raises(TypeError):
-            minimize_convex_pl(terms, [(F(0), F(1))])
-        with pytest.raises(TypeError):
-            evaluate_terms(terms, [F(0)])
+            minimize_convex_pl(anchors, [(0, 10)] * 2, pairs)
 
     def test_inverted_interval_trips_certificate(self):
-        # an inside-out overlap interval makes the coupling non-convex
-        terms = [TreePair(0, 1, 1, F(0), F(2), F(1))]
-        with pytest.raises(NonConvexObjective):
-            minimize_convex_pl(terms, [(F(0), F(4))] * 2)
+        # an inside-out overlap makes the coupling non-convex
+        with pytest.raises(NonConvexObjective, match=r"overlap \[2, 1\] of pair 0 is inside out"):
+            minimize_convex_pl([[], []], [(0, 4)] * 2, [(0, 1, 1, 0, (2, 1))])
 
 
 def rationals(lo=-6, hi=6):
@@ -304,7 +394,7 @@ off_grid_system = term_system(num=off_grid)
 
 
 def agrees_with_oracle(terms, box):
-    arg, val = minimize_convex_pl(terms, box)
+    arg, val = solve(terms, box)
     assert evaluate_terms(terms, arg) == val
     for x, (lo, hi) in zip(arg, box):
         assert lo <= x <= hi
@@ -393,7 +483,7 @@ class TestPrimitivesPointwise:
         terms, box = tb
         for v, (lo, hi) in enumerate(box):
             mine = [t for t in terms if getattr(t, "var", None) == v]
-            lat = pl._lattice([dataclasses.replace(t, var=0) for t in mine], [(lo, hi)])
+            lat = to_lattice([AbsAnchor(0, t.anchor) for t in mine], [(lo, hi)])
             d = lat.scale
             f = pl._unary_pl(*lat.box[0], lat.anchors[0])
             assert (f.knots[0], f.knots[-1]) == (lo * d, hi * d)
@@ -477,7 +567,7 @@ class TestMessageSize:
         for seed in range(60):
             terms, box = random_chain(random.Random(seed), n)
             sizes.clear()
-            arg, val = minimize_convex_pl(terms, box)
+            arg, val = solve(terms, box)
             assert evaluate_terms(terms, arg) == val
             assert len(sizes) == n - 1
             for w, knots in sizes:
@@ -512,8 +602,9 @@ def route_chain(rng, n):
 
 class TestIntegerKernel:
     def test_route_systems_build_only_ints(self, monkeypatch):
-        # Fractions come in and go out, but every function the elimination
-        # builds lives on the lattice: int knots, values and slopes.
+        # The minimizer takes and returns ints, and every function the
+        # elimination builds lives on the same lattice: int knots, values
+        # and slopes.
         built = []
         real = ConvexPL.__init__
 
@@ -524,10 +615,12 @@ class TestIntegerKernel:
         monkeypatch.setattr(ConvexPL, "__init__", recording)
         for seed in range(40):
             terms, box = route_chain(random.Random(seed), 1 + seed % 8)
+            lat = to_lattice(terms, box)
             built.clear()
-            arg, val = minimize_convex_pl(terms, box)
-            assert type(val) is F and all(type(x) is F for x in arg)
-            assert evaluate_terms(terms, arg) == val
+            arg, val = minimize_convex_pl(lat.anchors, lat.box, lat.pairs)
+            assert type(val) is int and all(type(x) is int for x in arg)
+            d = lat.scale
+            assert evaluate_terms(terms, [F(x, d) for x in arg]) == F(val + lat.const, d)
             assert built
             for f in built:
                 for x in f.knots + f.values + f.slopes:

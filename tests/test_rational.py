@@ -10,6 +10,7 @@ from test_cluster import two_piece
 from flipcluster.distance_oracle import DiscretizedOracle
 from flipcluster.metric_tree import Line, MetricTree
 from flipcluster.rational import as_fraction, format_rational, parse_rational
+from flipcluster.tree_graded import FiniteGraph
 
 F = Fraction
 
@@ -85,6 +86,7 @@ class TestExactInputs:
         "Line.point_at": lambda x: Line(segment(), [0], 0, 0).point_at(x),
         "Cluster.resolve": lambda x: two_piece().resolve(0, 0, F(1), x),
         "DiscretizedOracle": lambda x: DiscretizedOracle(two_piece(), x, cap=10),
+        "FiniteGraph": lambda x: FiniteGraph([0, 1], [(0, 1, x)]),
     }
 
     @pytest.mark.parametrize("value, error", [
@@ -95,6 +97,11 @@ class TestExactInputs:
     def test_entry_points_refuse_inexact_inputs(self, entry, value, error):
         with pytest.raises(error):
             self.ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("value", [0.5, 0.1, True, False])
+    def test_format_refuses_floats_and_bools(self, value):
+        with pytest.raises(TypeError):
+            format_rational(value)
 
     def test_exact_inputs(self):
         f = F(7, 6)

@@ -9,6 +9,10 @@ distance, the optimal crossing profile, the special path's length, the
 star-audit terms and the grid oracle's value at lambda * eps all scale
 by exactly lambda.  The factors are not dyadic, so the int units inside
 the kernel meet denominators the generator never draws.
+
+The route layer and the grid oracle build their ints on ``Cluster.unit``;
+``test_unit_clears_every_parameter`` checks, on the same corpora at the
+same factors, that the unit clears every denominator they lift.
 """
 
 import dataclasses
@@ -16,6 +20,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flipcluster.cluster import to_spec, validate
 from flipcluster.distance_oracle import DiscretizedOracle, default_eps, exact_distance
@@ -101,3 +106,19 @@ def test_grid_oracle_commutes_with_rescaling(lam):
             pairs += 1
             crossing += x.vertex != y.vertex
     assert pairs == 18 and crossing > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([CORPUS, ORACLE_CORPUS]), st.integers(0, 10_000),
+       st.sampled_from((F(1),) + LAMBDAS))
+def test_unit_clears_every_parameter(params, seed, lam):
+    c = generate_cluster(dataclasses.replace(params, seed=seed))
+    if lam != 1:
+        c = validate(scaled_spec(to_spec(c), lam))
+    qs = [q for piece in c.pieces.values() for q in (*piece.window, *piece.tree._lengths)]
+    for line in c.marks.values():
+        qs += [line.lo, line.hi, *line.vertex_params.values()]
+        qs += [q for g, dist in line.vertex_gates.values() for q in (g, F(dist, line.tree.scale))]
+    assert [q for q in qs if (c.unit * q).denominator != 1] == []
+    if params is ORACLE_CORPUS:   # the grid oracle's denominator refines the unit
+        assert DiscretizedOracle(c, default_eps(c)).den % c.unit == 0
