@@ -127,7 +127,7 @@ class Cluster:
         self.tree = tree
         self.pieces = dict(pieces)
         self.marks = dict(marks)
-        self._relations: dict[tuple[int, int, int], Overlap | Bridge] = {}
+        self._relations: dict[tuple[int, int, int], tuple[Overlap | Bridge, list[int]]] = {}
         problems = self._check()
         if problems:
             raise ClusterValidationError(problems)
@@ -250,18 +250,21 @@ class Cluster:
 
     def mark_relation(self, v: int, e1: int, e2: int) -> Overlap | Bridge:
         """How two mark lines of one piece sit relative to each other: their
-        Overlap when the carriers intersect, else the Bridge between them.
-        """
+        Overlap when the carriers intersect, else the Bridge between them."""
+        return self._relation(v, e1, e2)[0]
+
+    def _relation(self, v: int, e1: int, e2: int) -> tuple[Overlap | Bridge, list[int]]:
+        """mark_relation, memoized beside its numbers as ints at ``unit``: an
+        Overlap's (lo1, hi1, shift), a Bridge's (param_p, param_q, gap)."""
         key = (v, e1, e2)
-        if key in self._relations:
-            return self._relations[key]
-        l1 = self.marks[(v, e1)]
-        l2 = self.marks[(v, e2)]
-        rel = line_intersection(l1, l2)
-        if rel is None:
-            rel = bridge(self.pieces[v].tree, l1, l2)
-        self._relations[key] = rel
-        return rel
+        memo = self._relations.get(key)
+        if memo is None:
+            l1, l2 = self.marks[(v, e1)], self.marks[(v, e2)]
+            rel = line_intersection(l1, l2) or bridge(self.pieces[v].tree, l1, l2)
+            unit = self.unit
+            qs = (rel.lo1, rel.hi1, rel.shift) if isinstance(rel, Overlap) else rel[2:]
+            memo = self._relations[key] = (rel, [q.numerator * (unit // q.denominator) for q in qs])
+        return memo
 
 
 # -- module-level operations ---------------------------------------------------

@@ -35,8 +35,11 @@ The objective is built on ints.  ``Cluster.unit`` clears the denominator
 of every piece length, window end and mark parameter, so with m the lcm
 of the denominators of the two ends' offsets and heights, every box end,
 gate, overlap, bridge and gap of the objective is an int over
-D = unit * m.  ``minimize_convex_pl`` eliminates on those ints, and the
-distance and profile come back as Fractions over D.
+D = unit * m.  An inner piece's numbers are the ints at ``unit`` that
+``Cluster.mark_relation``'s memo keeps beside each relation, shared with
+``special_path.route_path``; mark ranges come from the lines' own ints.
+``minimize_convex_pl`` eliminates on those ints, and the distance and
+profile come back as Fractions over D.
 
 The discretized oracle is an independent route: it samples every piece
 on a power-of-two grid, connects grid neighbors at their exact l1
@@ -140,7 +143,8 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
     couple s_{i-1} with h_i), which the chain eliminator solves exactly.
     It is built on ints at D = ``c.unit * m``, with m the lcm of the
     denominators of the two ends' offsets and heights: every box end,
-    gate, overlap, bridge and gap is then an int over D.  The minimum is
+    gate, overlap, bridge and gap is then an int over D, and only the end
+    gates and heights are lifted from Fractions.  The minimum is
     re-measured on Fractions by crossing_objective, and a disagreement
     raises RemeasureMismatch.
     """
@@ -148,13 +152,12 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
     n = len(eids)
     if n == 0:
         return piece_distance(c, x0, xn), CrossingProfile(verts, (), (), ())
-    d = c.unit * lcm(*(f.denominator for p in (x0, xn) for f in (p.horizontal.offset, p.height)))
+    m = lcm(*(f.denominator for p in (x0, xn) for f in (p.horizontal.offset, p.height)))
+    d = c.unit * m
     box: list[tuple[int, int]] = []
     for i in range(n):
-        exit_line = c.marks[(verts[i], eids[i])]
-        twin = c.marks[(verts[i + 1], eids[i])]
-        box.append((_lift(exit_line.lo, d), _lift(exit_line.hi, d)))  # var 2i: s_i
-        box.append((_lift(twin.lo, d), _lift(twin.hi, d)))            # var 2i+1: h_i
+        box.append(c.marks[(verts[i], eids[i])]._range(d))       # var 2i: s_i
+        box.append(c.marks[(verts[i + 1], eids[i])]._range(d))   # var 2i+1: h_i
     anchors: list[list[int]] = [[] for _ in box]
     pairs: list[Pair] = []
 
@@ -164,18 +167,18 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
     const = _lift(d0, d)
 
     for i in range(1, n):
-        v = verts[i]
-        rel = c.mark_relation(v, eids[i - 1], eids[i])
-        var_entry = 2 * (i - 1) + 1   # h_{i-1}, parameter on mark(v, e_{i-1})
-        var_exit = 2 * i              # s_i, parameter on mark(v, e_i)
+        rel, ints = c._relation(verts[i], eids[i - 1], eids[i])
+        var_entry = 2 * (i - 1) + 1   # h_{i-1}, parameter on mark(v_i, e_{i-1})
+        var_exit = 2 * i              # s_i, parameter on mark(v_i, e_i)
         if isinstance(rel, Overlap):
+            (lo1, hi1, shift), sigma = ints, rel.sigma
             # r = A-parameter reached by the B-point: invert q = sigma*t + shift
-            pairs.append((var_entry, var_exit, rel.sigma, -rel.sigma * _lift(rel.shift, d),
-                          (_lift(rel.lo1, d), _lift(rel.hi1, d))))
+            pairs.append((var_entry, var_exit, sigma, -sigma * shift * m, (lo1 * m, hi1 * m)))
         else:
-            anchors[var_entry].append(_lift(rel.param_p, d))
-            anchors[var_exit].append(_lift(rel.param_q, d))
-            const += _lift(rel.gap, d)
+            param_p, param_q, gap = ints
+            anchors[var_entry].append(param_p * m)
+            anchors[var_exit].append(param_q * m)
+            const += gap * m
         pairs.append((2 * (i - 1), 2 * i + 1, 1, 0, None))
 
     g, dn = line_gate(c.pieces[verts[n]].tree, xn.horizontal, c.marks[(verts[n], eids[n - 1])])

@@ -61,3 +61,8 @@ class ObjectiveStructureError(FlipClusterError):
 class RemeasureMismatch(FlipClusterError):
     """A minimized distance disagrees with its re-measure on Fractions: the
     crossing path at the argmin does not have the minimized length."""
+
+
+class GlueMismatch(FlipClusterError):
+    """Two consecutive segments of a special path fail to glue: the exit of
+    one, transferred across their wall, is not the entry of the next."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .cluster import Cluster, ClusterPoint, Piece, SimplicialTree, to_spec
 from .metric_tree import Line, MetricTree, RootedTree

@@ -351,6 +351,12 @@ class Line:
         k = self._vertex_at.get(v)
         return None if k is None else self._param(self._cuts[k])
 
+    def _range(self, den: int) -> tuple[int, int]:
+        """(lo, hi) times den, a multiple of lo's denominator and the scale."""
+        a, b = self._lo
+        lo = a * (den // b)
+        return lo, lo + self._cuts[-1] * (den // self.tree.scale)
+
     def _lift(self, t: Fraction) -> tuple[int, int] | None:
         """(x, bq) for parameter t, or None when t is outside [lo, hi]: b
         and q are the denominators of lo and t, and x is t's position times

@@ -11,6 +11,15 @@ onto the single mark line instead.  Crossing heights are then forced by
 the flip rule: the height carried into a piece is the mark parameter
 left behind in the previous one.
 
+Every leg is known from what the route holds, the data route_distance
+builds its objective from: an end piece's horizontal leg is its
+endpoint's line_gate distance, an inner piece's its bridge's gap (0 on
+an overlap), and every crossing height is a gate or bridge parameter,
+an overlap midpoint or its image on the other mark.  So a path's length
+is route_distance's constant (both gate distances and every gap) plus
+sum |t_i - u_i| over its segments' entry and exit heights; route_path
+computes it on ints, and measures a tree distance only on one piece.
+
 The construction is canonical given the vertex geodesic, which is what
 makes the inner segments of long paths independent of the endpoints.
 Paths are never shorter than the exact distance, and the interest is in
@@ -27,6 +36,7 @@ passes them in, and star_audit builds both along one support route.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, NamedTuple
 
 from .cluster import (
@@ -38,8 +48,9 @@ from .cluster import (
     support_route,
     transfer_across_wall,
 )
-from .distance_oracle import CrossingProfile, route_distance
-from .metric_tree import Overlap, project_to_line
+from .distance_oracle import CrossingProfile, _lift, route_distance
+from .errors import GlueMismatch
+from .metric_tree import Overlap, line_gate
 
 
 class PathSegment(NamedTuple):
@@ -73,55 +84,52 @@ def route_path(c: Cluster, route: SupportRoute) -> SpecialPath:
     Wall endpoints have several supporting vertices; the path follows
     their support route, so it never starts with an avoidable crossing.
 
-    Raises no SegmentOverflow on a validated cluster.  Every parameter
-    it hands to a mark is that mark's coord_of, a gate parameter or an
-    overlap midpoint, all inside the mark's range; and every mark runs
-    leaf to leaf, so no projection or bridge foot sits on a truncated end.
+    Its legs and heights (module docstring) are ints over D = 2 * unit *
+    m, m the lcm of the ends' offset and height denominators: the frame of
+    route_distance, times 2 for an overlap midpoint (lo1 + hi1) / 2.  The
+    glue check transfers every exit across its wall; an exit that is not
+    the next entry raises GlueMismatch.
+
+    Raises no SegmentOverflow on a validated cluster: every parameter it
+    hands to a mark is a gate or bridge parameter or an overlap midpoint,
+    inside the mark's range, and every mark runs leaf to leaf, so no
+    projection or bridge foot sits on a truncated end.
     """
     verts, eids, x0, xn = route
     n = len(eids)
     if n == 0:
         seg = PathSegment(x0, xn, piece_distance(c, x0, xn))
         return SpecialPath(verts, (), (seg,), seg.length)
-
-    p: list = [None] * (n + 1)
-    q: list = [None] * (n + 1)
-
-    p[0], q[n] = x0.horizontal, xn.horizontal
-    # each end piece projects its endpoint onto the one mark it crosses
-    for i, eid, end, feet in ((0, eids[0], p[0], q), (n, eids[n - 1], q[n], p)):
-        feet[i] = project_to_line(c.pieces[verts[i]].tree, end, c.marks[(verts[i], eid)])
-
+    m = lcm(*(f.denominator for p in (x0, xn) for f in (p.horizontal.offset, p.height)))
+    d, k = 2 * c.unit * m, 2 * m   # the frame, and the step from an int at unit to it
+    first, last = c.marks[(verts[0], eids[0])], c.marks[(verts[n], eids[n - 1])]
+    g0, d0 = line_gate(c.pieces[verts[0]].tree, x0.horizontal, first)
+    gn, dn = line_gate(c.pieces[verts[n]].tree, xn.horizontal, last)
+    # per piece: entry and exit feet, the entry's parameter on the mark it
+    # enters by, the exit's on the mark it leaves by, and the horizontal leg
+    hops = [(x0.horizontal, first.point_at(g0), None, _lift(g0, d), _lift(d0, d))]
     for i in range(1, n):
-        enter = c.marks[(verts[i], eids[i - 1])]
-        rel = c.mark_relation(verts[i], eids[i - 1], eids[i])
+        rel, ints = c._relation(verts[i], eids[i - 1], eids[i])
         if isinstance(rel, Overlap):
-            # both marks meet the overlap midpoint at one tree point
-            p[i] = q[i] = enter.point_at((rel.lo1 + rel.hi1) / 2)
+            lo1, hi1, shift = ints
+            mid = (lo1 + hi1) * m   # (lo1 + hi1) / 2 at unit, over d
+            foot = c.marks[(verts[i], eids[i - 1])].point_at(Fraction(mid, d))
+            hops.append((foot, foot, mid, rel.sigma * mid + shift * k, 0))
         else:
-            p[i], q[i] = rel.p, rel.q
-
-    t: list = [None] * (n + 1)
-    u: list = [None] * (n + 1)
-    t[0] = x0.height
-    u[n] = xn.height
-    for i in range(n):
-        u[i] = c.marks[(verts[i + 1], eids[i])].coord_of(p[i + 1])
-        t[i + 1] = c.marks[(verts[i], eids[i])].coord_of(q[i])
-
-    segments = []
-    for i in range(n + 1):
-        y = ClusterPoint(verts[i], p[i], t[i])
-        z = ClusterPoint(verts[i], q[i], u[i])
-        segments.append(PathSegment(y, z, piece_distance(c, y, z)))
+            hops.append((rel.p, rel.q, *(x * k for x in ints)))
+    hops.append((last.point_at(gn), xn.horizontal, _lift(gn, d), None, _lift(dn, d)))
+    # the flip rule: each crossing height is the parameter left behind across the wall
+    t = [_lift(x0.height, d), *(hop[3] for hop in hops[:-1])]
+    u = [*(hop[2] for hop in hops[1:]), _lift(xn.height, d)]
+    lengths = [hop[4] + abs(a - b) for hop, a, b in zip(hops, t, u)]
+    segments = [PathSegment(ClusterPoint(v, hop[0], Fraction(a, d)),
+                            ClusterPoint(v, hop[1], Fraction(b, d)), Fraction(length, d))
+                for v, hop, a, b, length in zip(verts, hops, t, u, lengths)]
     for i in range(n):
         crossed = transfer_across_wall(c, eids[i], segments[i].exit)
         if crossed != segments[i + 1].entry:
-            raise AssertionError(
-                f"segments {i} and {i + 1} fail to glue across edge {eids[i]}"
-            )
-    total = sum(s.length for s in segments)
-    return SpecialPath(verts, eids, tuple(segments), total)
+            raise GlueMismatch(f"segments {i} and {i + 1} fail to glue across edge {eids[i]}")
+    return SpecialPath(verts, eids, tuple(segments), Fraction(sum(lengths), d))
 
 
 def subpath(sp: SpecialPath, i: int, j: int) -> SpecialPath:
@@ -174,20 +182,20 @@ def star_terms(sp: SpecialPath, prof: CrossingProfile) -> list[tuple[Fraction, F
     For each traversed piece, the path's vertical travel |t_i - u_i| is
     bounded by the optimal crossing's vertical leg plus the two height
     mismatches at the walls (entry heights t_0 and s_{i-1} coincide at
-    i = 0, exit heights u_n and h_n at i = n).  Returns (lhs, rhs) pairs.
-    """
+    i = 0, exit heights u_n and h_n at i = n).  Returns (lhs, rhs) pairs,
+    computed on ints at the lcm of the heights' denominators."""
     if prof.vertices != sp.vertices:
         raise AssertionError("path and oracle disagree on the vertex geodesic")
-    n = len(sp.segments) - 1
+    d = lcm(*(f.denominator for f in (*prof.s, *prof.h)),
+            *(f.denominator for seg in sp.segments for f in (seg.entry.height, seg.exit.height)))
+    s, h = [_lift(f, d) for f in prof.s], [_lift(f, d) for f in prof.h]
     out = []
-    for i in range(n + 1):
-        t_i = sp.segments[i].entry.height
-        u_i = sp.segments[i].exit.height
-        s_prev = prof.s[i - 1] if i >= 1 else t_i
-        h_i = prof.h[i] if i <= n - 1 else u_i
-        lhs = abs(t_i - u_i)
+    for i, seg in enumerate(sp.segments):
+        t_i, u_i = _lift(seg.entry.height, d), _lift(seg.exit.height, d)
+        s_prev = s[i - 1] if i >= 1 else t_i
+        h_i = h[i] if i < len(h) else u_i
         rhs = abs(s_prev - h_i) + abs(t_i - s_prev) + abs(h_i - u_i)
-        out.append((lhs, rhs))
+        out.append((Fraction(abs(t_i - u_i), d), Fraction(rhs, d)))
     return out
 
 

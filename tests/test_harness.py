@@ -668,6 +668,39 @@ class TestNoTestOnlyHelpers:
         assert unused == {}
 
 
+class TestNoUnusedImports:
+    @staticmethod
+    def unused_imports(path: Path) -> list[str]:
+        """Names a file imports (``__future__`` aside) and never reads: a
+        name is read when it appears as a Name anywhere in the file,
+        annotations and attribute bases included."""
+        import ast
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, f"{path.name}:{node.lineno} {name}")
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        return [where for name, where in imported.items() if name not in read]
+
+    def test_library_imports_are_read(self):
+        paths = sorted((REPO / "src").rglob("*.py"))
+        assert paths
+        assert [hit for path in paths for hit in self.unused_imports(path)] == []
+
+    def test_scan_sees_unused_imports(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text("from __future__ import annotations\nimport os.path\nimport re as regex\n"
+                          "from typing import Iterable, NamedTuple\n"
+                          "def f(x: NamedTuple) -> None:\n    return os.path.join('Iterable')\n")
+        assert self.unused_imports(sample) == ["sample.py:3 regex", "sample.py:4 Iterable"]
+
+
 class TestNoFloats:
     FORBIDDEN = {"float", "inf", "nan"}
 

@@ -1,5 +1,6 @@
 """Special path construction, gluing, sub-paths, and audit reports."""
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -22,9 +23,9 @@ from flipcluster.cluster import (
     transfer_across_wall,
 )
 from flipcluster.distance_oracle import DiscretizedOracle, default_eps, exact_distance
-from flipcluster.errors import ClusterValidationError, SizeCapError
+from flipcluster.errors import ClusterValidationError, GlueMismatch, SizeCapError
 from flipcluster.generator import GeneratorParams, generate_cluster, sample_points
-from flipcluster.metric_tree import Bridge, Line, MetricTree
+from flipcluster.metric_tree import Bridge, Line, MetricTree, Overlap
 from flipcluster.special_path import (
     length_ratio,
     route_path,
@@ -92,6 +93,37 @@ def truncated_bridge() -> tuple[SimplicialTree, dict, dict]:
     marks[(1, 0)] = Line(z, [0, 1], 0, F(-2))           # carrier 0-1-2, [-2, 3]
     marks[(1, 1)] = Line(z, [3], 4, F(-3))              # carrier 4-3, [-3, 0]
     return t, pieces, marks
+
+
+def star_terms_referee(sp, prof) -> list[tuple[Fraction, Fraction]]:
+    """star_terms on Fractions, term by term, as the library computed it
+    before it ran on ints."""
+    n = len(sp.segments) - 1
+    out = []
+    for i in range(n + 1):
+        t_i = sp.segments[i].entry.height
+        u_i = sp.segments[i].exit.height
+        s_prev = prof.s[i - 1] if i >= 1 else t_i
+        h_i = prof.h[i] if i <= n - 1 else u_i
+        out.append((abs(t_i - u_i),
+                    abs(s_prev - h_i) + abs(t_i - s_prev) + abs(h_i - u_i)))
+    return out
+
+
+def referee_segments(c: Cluster, sp) -> None:
+    """Checks of a special path that share no code with route_path: each
+    segment's length is the in-piece distance between its entry and exit;
+    across each wall the flip rule holds, read with coord_of on the two
+    crossed marks (the next entry's height is the exit's parameter on the
+    exit mark, and the exit's height the next entry's parameter on the
+    twin); and the path's length is the sum of its segments' lengths."""
+    for seg in sp.segments:
+        assert seg.length == piece_distance(c, seg.entry, seg.exit)
+    for i, eid in enumerate(sp.edges):
+        out, into = sp.segments[i].exit, sp.segments[i + 1].entry
+        assert into.height == c.marks[(out.vertex, eid)].coord_of(out.horizontal)
+        assert out.height == c.marks[(into.vertex, eid)].coord_of(into.horizontal)
+    assert sp.length == sum(seg.length for seg in sp.segments)
 
 
 class TestConstruction:
@@ -477,10 +509,11 @@ def relation_kinds(rel) -> set[str]:
 
 def cross_check(c: Cluster, seed: int, seen: Counter, oracle=None) -> None:
     """Special path, star audit and route_path on a route built from
-    support maps, for 4 sampled pairs, and the grid oracle's bound when
-    an oracle is given.  Counts every mark relation of the instance under
-    its kind, and every checked pair under the kinds its route passes
-    through, prefixed "route-"."""
+    support maps, for 4 sampled pairs, each path against the segment
+    referee and its star terms against their Fraction referee, and the
+    grid oracle's bound when an oracle is given.  Counts every mark
+    relation of the instance under its kind, and every checked pair under
+    the kinds its route passes through, prefixed "route-"."""
     for v in c.tree.vertices:
         eids = [eid for eid, _ in c.tree.neighbors(v)]
         for e1, e2 in itertools.combinations(eids, 2):
@@ -498,7 +531,10 @@ def cross_check(c: Cluster, seed: int, seen: Counter, oracle=None) -> None:
         seen["special"] += 1
         assert route_path(c, route) == sp
         assert sp.length >= d
-        assert all(lhs <= rhs for lhs, rhs in star_audit(c, x, y))
+        referee_segments(c, sp)
+        star = star_audit(c, x, y)
+        assert star == star_terms(sp, profile) == star_terms_referee(sp, profile)
+        assert all(lhs <= rhs for lhs, rhs in star)
         verts, eids = route.vertices, route.edges
         seen.update("route-" + kind for kind in set().union(*(
             relation_kinds(c.mark_relation(verts[i], eids[i - 1], eids[i]))
@@ -533,3 +569,85 @@ class TestRemarkedCorpus:
             cross_check(remarked_cluster(seed, piece_edges=(6, 14)), seed, seen)
         assert seen["special"] == seen["pair"] == 800
         assert min(seen[k] for k in ("route-bridge", "route-reversed", "route-one-point")) > 0
+
+
+class TestSegmentReferee:
+    def test_corpus_pairs(self):
+        """The segment and star-terms referees on generated instances."""
+        walls = Counter()
+        for seed in range(40):
+            c = generate_cluster(dataclasses.replace(suites.CORPUS, seed=seed))
+            pts = sample_points(c, random.Random(seed), 8)
+            for x, y in zip(pts[::2], pts[1::2]):
+                sp = special_path(c, x, y)
+                profile = exact_distance(c, x, y)[1]
+                referee_segments(c, sp)
+                assert star_terms(sp, profile) == star_terms_referee(sp, profile)
+                walls[min(len(sp.edges), 2)] += 1
+        assert walls[1] > 0 and walls[2] >= 20   # inner pieces are checked too
+
+    def test_fixture_paths(self):
+        """Bridged pieces (chain6) and an overlap whose midpoint is a half
+        (chain3), on grid points that often sit on walls and vertices."""
+        for c, seed in ((chain3(), 3), (chain6(), 59)):
+            rng = random.Random(seed)
+            for _ in range(40):
+                x, y = grid_point(c, rng), grid_point(c, rng)
+                sp = special_path(c, x, y)
+                referee_segments(c, sp)
+                profile = exact_distance(c, x, y)[1]
+                assert star_terms(sp, profile) == star_terms_referee(sp, profile)
+
+
+class TestGlueCheck:
+    """route_path reads its crossing heights from the relation memo's ints;
+    a wrong one no longer matches the placed feet, and the glue check
+    refuses the path with a typed error."""
+
+    @pytest.mark.parametrize("build, x, y, key, kind, corrupt, edge", [
+        # chain6's piece 2: the bridge's param_q one unit off
+        (chain6, (0, 0, 2, 7), (5, 0, 1, 6), (2, 1, 2), Bridge,
+         lambda ints: [ints[0], ints[1] + 1, ints[2]], 2),
+        # chain3's piece 1: the overlap's shift one unit off
+        (chain3, (0, 2, 2, 9), (2, 0, 2, 5), (1, 0, 1), Overlap,
+         lambda ints: [ints[0], ints[1], ints[2] + 1], 1),
+    ])
+    def test_corrupt_relation_int(self, build, x, y, key, kind, corrupt, edge):
+        c = build()
+        x, y = c.point(*x), c.point(*y)
+        good = special_path(c, x, y)
+        rel, ints = c._relations[key]
+        assert isinstance(rel, kind)
+        c._relations[key] = (rel, corrupt(ints))
+        with pytest.raises(GlueMismatch, match=f"fail to glue across edge {edge}"):
+            special_path(c, x, y)
+        c._relations[key] = (rel, ints)
+        assert special_path(c, x, y) == good
+
+
+class TestRoutePathWork:
+    """route_path measures no tree distance on a route that crosses a
+    wall: its legs are gate distances and bridge gaps.  A one-piece route
+    is the piece geodesic, one distance."""
+
+    def test_no_tree_distance_on_crossing_routes(self, monkeypatch):
+        calls = []
+        distance = MetricTree.distance
+
+        def counting(self, p, q):
+            calls.append((p, q))
+            return distance(self, p, q)
+
+        monkeypatch.setattr(MetricTree, "distance", counting)
+        crossing = 0
+        clusters = [(chain3(), 3), (chain6(), 59)]
+        clusters += [(remarked_cluster(seed, piece_edges=(6, 14)), seed) for seed in range(20)]
+        for c, seed in clusters:
+            rng = random.Random(seed)
+            for _ in range(20):
+                route = support_route(c, grid_point(c, rng), grid_point(c, rng))
+                calls.clear()
+                route_path(c, route)
+                assert len(calls) == (1 if not route.edges else 0)
+                crossing += len(route.edges) > 0
+        assert crossing >= 100

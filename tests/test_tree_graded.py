@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from flipcluster.tree_graded import (
-    BlockDecomposition,
     FiniteGraph,
     blocks,
     check_T1_T2,
