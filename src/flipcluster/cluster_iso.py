@@ -22,11 +22,12 @@ mapped mark fixes the images of the carrier's features, then backtracks
 over the images of the other feature edges in canonical order.  It
 yields feature maps with each mark's candidates, the target marks on the
 image of its carrier; marks are paired where their walls are solved.
-Feature chains are summed in the tree's int units, with one Fraction
-built for each feature edge's length; locating a point on a feature
-edge, or the point at an offset along one, works on those ints and
-builds one Fraction for its result.  Lengths, shifts and parameters
-cross the module's boundary as Fractions.
+The search runs on one int frame per pair, D = lcm(ca.unit, cb.unit), at
+which every length, mark parameter, window end and shift of either
+cluster is an int: both sides' normal forms are built at D, and the
+search compares and hashes ints only, wall keys included.  _solve builds
+Fractions for the piece maps it returns, which verify_good,
+image_supports and witness_to_spec read.
 
 isomorphic roots T at its first vertex and decides it subtree by
 subtree.  Pairing a mark at w with a target mark fixes the wall key: the
@@ -51,10 +52,11 @@ import heapq
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .cluster import Cluster, Supports
-from .errors import FeatureMapError, SizeCapError
+from .errors import FeatureMapError, SizeCapError, WitnessMismatch
 from .metric_tree import Line, MetricTree, TreePoint
 from .rational import format_rational
 
@@ -62,21 +64,25 @@ from .rational import format_rational
 class FeatureEdge(NamedTuple):
     u: int
     v: int
-    length: Fraction
+    length: int                           # times the form's frame
     chain: tuple[tuple[int, bool], ...]   # raw (eid, traversed a->b) from u
 
 
 class NormalForm:
-    """Feature-vertex view of a marked tree.
+    """Feature-vertex view of a marked tree, on ints times the frame den,
+    a multiple of the tree's scale and by default the scale itself.
 
     Features are the vertices a metric isometry cannot move freely:
     leaves, branch vertices, and mark endpoints.  Everything else sits on
     a fused chain.
     """
 
-    def __init__(self, tree: MetricTree, marks: Sequence[Line]):
+    def __init__(self, tree: MetricTree, marks: Sequence[Line], den: int | None = None):
         self.tree = tree
         self.marks = tuple(marks)
+        self.den = den = den or tree.scale
+        if den % tree.scale:
+            raise ValueError(f"frame {den} is not a multiple of the tree's scale {tree.scale}")
         feats = {v for v in tree.vertices if tree.degree(v) != 2}
         for m in marks:
             feats.add(m.start_vertex)
@@ -86,7 +92,6 @@ class NormalForm:
         for i, m in enumerate(self.marks):
             self.by_carrier.setdefault(frozenset((m.start_vertex, m.end_vertex)), []).append(i)
         fedges: list[FeatureEdge] = []
-        spans: list[int] = []   # each feature edge's length, as an int at the tree's scale
         # raw edge -> (feature edge, distance of the raw edge's start along
         # it as an int at the tree's scale, whether the chain runs a->b)
         raw_loc: dict[int, tuple[int, int, bool]] = {}
@@ -109,11 +114,10 @@ class NormalForm:
                     (e1, w1), (e2, w2) = neighbors(nxt)
                     cur = nxt
                     cur_eid, nxt = (e2, w2) if e1 == cur_eid else (e1, w1)
-                fedges.append(FeatureEdge(f, nxt, Fraction(pos, tree.scale), tuple(chain)))
-                spans.append(pos)
+                fedges.append(FeatureEdge(f, nxt, pos * (den // tree.scale), tuple(chain)))
         self.raw_loc = raw_loc
         self.fedges = tuple(fedges)
-        self.spans = sorted(spans)
+        self.spans = sorted(fe.length for fe in fedges)
         self.pair_to_fedge = {
             frozenset((fe.u, fe.v)): i for i, fe in enumerate(self.fedges)}
         # (feature edge, far end) lists, sorted by edge as they are filled
@@ -121,6 +125,20 @@ class NormalForm:
         for i, fe in enumerate(self.fedges):
             self.adj[fe.u].append((i, fe.v))
             self.adj[fe.v].append((i, fe.u))
+        self._mark_ints: list[tuple[int, int, dict[int, int]]] | None = None
+
+    def mark_ints(self) -> list[tuple[int, int, dict[int, int]]]:
+        """Per mark, (lo, hi, its feature vertices by parameter), times the
+        frame, which must clear the mark's origin; built on first use."""
+        if self._mark_ints is None:
+            if any(self.den % m._lo[1] for m in self.marks):
+                raise ValueError(f"frame {self.den} does not clear the marks' origins")
+            k, self._mark_ints = self.den // self.tree.scale, []
+            for m in self.marks:
+                lo, hi = m._range(self.den)
+                at = {lo + c * k: v for v, c in zip(m._verts, m._cuts) if v in self.adj}
+                self._mark_ints.append((lo, hi, at))
+        return self._mark_ints
 
     def locate(self, p: TreePoint) -> tuple[int, Fraction]:
         """(feature edge index, offset from its u end)."""
@@ -141,12 +159,6 @@ class NormalForm:
                 return tree.point(eid, Fraction(rest if fwd else span - rest, scale * d))
             rest -= span
         raise ValueError("offset beyond feature edge")
-
-    def mark_param_vertices(self, i: int) -> list[tuple[int, Fraction]]:
-        """Feature vertices along mark i with their parameters, in carrier
-        order, which is parameter order."""
-        m = self.marks[i]
-        return [(v, m._param(c)) for v, c in zip(m._verts, m._cuts) if v in self.adj]
 
 
 class MarkedTreeIso:
@@ -175,11 +187,11 @@ class MarkedTreeIso:
         fidx, x = self.nf_a.locate(p)
         j, same = self.fedge_map[fidx]
         if not same:
-            x = self.nf_b.fedges[j].length - x
+            x = Fraction(self.nf_b.fedges[j].length, self.nf_b.den) - x
         return self.nf_b.fedge_point(j, x)
 
 
-Transform = tuple[int, Fraction]   # t -> sigma*t + shift, as (sigma, shift)
+Transform = tuple[int, int]   # t -> sigma*t + shift, as (sigma, shift times the frame)
 
 
 class FeatureMap(NamedTuple):
@@ -192,29 +204,28 @@ class FeatureMap(NamedTuple):
 
 def _transform_for(nf_a: NormalForm, nf_b: NormalForm, vertex_map: dict,
                    i: int, j: int) -> Transform:
-    ma, mb = nf_a.marks[i], nf_b.marks[j]
-    if vertex_map[ma.start_vertex] == mb.start_vertex:
-        return (1, mb.lo - ma.lo)
-    return (-1, mb.hi + ma.lo)
+    (alo, _, _), (blo, bhi, _) = nf_a.mark_ints()[i], nf_b.mark_ints()[j]
+    if vertex_map[nf_a.marks[i].start_vertex] == nf_b.marks[j].start_vertex:
+        return (1, blo - alo)
+    return (-1, bhi + alo)
 
 
 def marked_tree_extensions(nf_a: NormalForm, nf_b: NormalForm,
-                           pin: tuple[int, int, int, Fraction] | None = None
+                           pin: tuple[int, int, int, int] | None = None
                            ) -> Iterator[FeatureMap]:
     """Every feature-vertex map of the marked trees with its mark
     candidates, in canonical search order; pairing the marks is left to
-    the caller.
+    the caller.  Both forms must be at one frame.
 
     pin = (mark_i, mark_j, sigma, shift) forces mark_i onto mark_j with
-    the given parameter transform; its carrier features are then placed
-    up front and only the hanging branches are searched.
+    the given parameter transform, shift times the frame; its carrier
+    features are then placed up front and only the hanging branches are
+    searched.
     """
-    if len(nf_a.features) != len(nf_b.features):
-        return
-    if len(nf_a.marks) != len(nf_b.marks):
-        return
-    sa, sb = nf_a.tree.scale, nf_b.tree.scale
-    if [n * sb for n in nf_a.spans] != [n * sa for n in nf_b.spans]:
+    if nf_a.den != nf_b.den:
+        raise ValueError(f"normal forms at frames {nf_a.den} and {nf_b.den}")
+    if len(nf_a.features) != len(nf_b.features) or len(nf_a.marks) != len(nf_b.marks) \
+            or nf_a.spans != nf_b.spans:
         return
 
     if pin is None:
@@ -222,21 +233,18 @@ def marked_tree_extensions(nf_a: NormalForm, nf_b: NormalForm,
     else:
         # the pinned carrier's features go where the transform sends them
         i, j, sigma, shift = pin
-        ma, mb = nf_a.marks[i], nf_b.marks[j]
-        if sorted((sigma * ma.lo + shift, sigma * ma.hi + shift)) != [mb.lo, mb.hi]:
+        (alo, ahi, at_a), (blo, bhi, at_b) = nf_a.mark_ints()[i], nf_b.mark_ints()[j]
+        if sorted((sigma * alo + shift, sigma * ahi + shift)) != [blo, bhi]:
             return
-        seed: dict[int, int] = {}
-        for v, t in nf_a.mark_param_vertices(i):
-            t2 = sigma * t + shift
-            qv = nf_b.tree.point_vertex(mb.point_at(t2)) \
-                if mb._lift(t2) is not None else None
-            if qv is None or qv not in nf_b.adj:
-                return
-            seed[v] = qv
-        seeds = [seed]
+        seeds = [{v: at_b.get(sigma * t + shift) for t, v in at_a.items()}]
+        if None in seeds[0].values():
+            return
+    # every seed maps the same source features: one set of implied edges, one order
+    implied = [k for k, fe in enumerate(nf_a.fedges) if fe.u in seeds[0] and fe.v in seeds[0]]
+    order = _growth_order(nf_a, set(seeds[0]), set(implied))
     for seed in seeds:
         if len(set(seed.values())) == len(seed):
-            yield from _grow(nf_a, nf_b, seed, pin)
+            yield from _grow(nf_a, nf_b, seed, implied, order, pin)
 
 
 def _growth_order(nf: NormalForm, mapped: set[int], done: set[int]
@@ -262,22 +270,18 @@ def _growth_order(nf: NormalForm, mapped: set[int], done: set[int]
     return order
 
 
-def _grow(nf_a: NormalForm, nf_b: NormalForm, seed: dict[int, int],
-          pin) -> Iterator[FeatureMap]:
+def _grow(nf_a: NormalForm, nf_b: NormalForm, seed: dict[int, int], implied: list[int],
+          order: list[tuple[int, int, int]], pin) -> Iterator[FeatureMap]:
     vm = dict(seed)
     used_b = set(vm.values())
-    fedge_used_a: set[int] = set()
     fedge_used_b: set[int] = set()
-    # mark feature edges already implied by the seed as used
-    for i, fe in enumerate(nf_a.fedges):
-        if fe.u in vm and fe.v in vm:
-            pair = frozenset((vm[fe.u], vm[fe.v]))
-            j = nf_b.pair_to_fedge.get(pair)
-            if j is None or nf_b.fedges[j].length != fe.length:
-                return
-            fedge_used_a.add(i)
-            fedge_used_b.add(j)
-    order = _growth_order(nf_a, set(vm), fedge_used_a)
+    # the feature edges the seed implies must land on feature edges of their length
+    for i in implied:
+        fe = nf_a.fedges[i]
+        j = nf_b.pair_to_fedge.get(frozenset((vm[fe.u], vm[fe.v])))
+        if j is None or nf_b.fedges[j].length != fe.length:
+            return
+        fedge_used_b.add(j)
 
     def images(depth: int) -> Iterator[None]:
         """Map the depth-th edge onto each fitting image in turn: the map
@@ -353,9 +357,9 @@ def incident_eids(c: Cluster, v: int) -> list[int]:
     return [eid for eid, _ in c.tree.neighbors(v)]
 
 
-def piece_normal_form(c: Cluster, v: int) -> NormalForm:
+def piece_normal_form(c: Cluster, v: int, den: int | None = None) -> NormalForm:
     return NormalForm(c.pieces[v].tree,
-                      [c.marks[(v, eid)] for eid in incident_eids(c, v)])
+                      [c.marks[(v, eid)] for eid in incident_eids(c, v)], den)
 
 
 def image_supports(triple: GoodTriple, reps: Supports) -> Supports:
@@ -383,10 +387,10 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
 
     Pieces are checked in time linear in their features.  A feature
     bijection keeps all feature distances iff it keeps feature edges (the
-    piece map's fedge_map) and their lengths: a feature lies strictly
-    between two others iff their distances add up.  Mark ends are
-    features, so a transform must send each end's parameter to its image
-    vertex's.
+    piece map's fedge_map) and their lengths, compared across the two
+    forms' frames: a feature lies strictly between two others iff their
+    distances add up.  Mark ends are features, so a transform must send
+    each end's parameter to its image vertex's.
 
     Condition 2 across walls needs no distance measured.  Conditions 3-5
     make each theta_v x (h -> h + c_v) an isometry of its piece: feature
@@ -436,7 +440,7 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
         vm = pm.iso.vertex_map
         if sorted(vm) != list(nfa.features) or sorted(vm.values()) != list(nfb.features):
             failures.append((3, f"feature bijection invalid at {v}"))
-        elif any(nfb.fedges[j].length != nfa.fedges[i].length
+        elif any(nfb.fedges[j].length * nfa.den != nfa.fedges[i].length * nfb.den
                  for i, (j, _) in pm.iso.fedge_map.items()):
             failures.append((2, f"distances disagree inside piece {v}"))
 
@@ -478,61 +482,68 @@ def verify_good(triple: GoodTriple) -> tuple[bool, int | None, str | None]:
     return (True, None, None)
 
 
-def _form(forms: dict, c: Cluster, side: int, v: int) -> NormalForm:
-    """Normal form of piece v on side 0 (source) or 1 (target), built once."""
+def _form(forms: dict, c: Cluster, side: int, v: int, den: int) -> NormalForm:
+    """Normal form of piece v on side 0 (source) or 1 (target) at den, built once."""
     nf = forms.get((side, v))
     if nf is None:
-        nf = forms[(side, v)] = piece_normal_form(c, v)
+        nf = forms[(side, v)] = piece_normal_form(c, v, den)
     return nf
 
 
+def _window(c: Cluster, v: int, den: int) -> tuple[int, int]:
+    """Piece v's height window, times the frame den."""
+    return tuple(q.numerator * (den // q.denominator) for q in c.pieces[v].window)
+
+
 def _wall_key(cb: Cluster, w_b: int, eid: int, j: int, transform: Transform,
-              shift_w: Fraction) -> tuple:
+              shift_w: int) -> tuple:
     """Everything pairing the mark of wall eid at w with mark j at w_b,
     under transform, fixes across the wall: (eid, target wall e_b, image
     v_b of the far end, sigma, the far piece's height shift, the height
-    shift shift_w at w)."""
+    shift shift_w at w), shifts times the frame."""
     e_b = incident_eids(cb, w_b)[j]
     return (eid, e_b, cb.tree.other_end(e_b, w_b), *transform, shift_w)
 
 
 def extend_choices(ca: Cluster, cb: Cluster, forms: dict, w: int, key: tuple
-                   ) -> Iterator[tuple[int, Fraction, FeatureMap]]:
-    """(v_b, height shift, feature map at v) across the wall of key, which
-    leaves the mapped piece w for v, in search order.  The crossing mark
-    must come across as a translation and v's window must translate onto
-    v_b's; the rest is v's marked-tree search pinned on the mark."""
+                   ) -> Iterator[tuple[int, int, FeatureMap]]:
+    """(v_b, height shift at the pair's frame, feature map at v) across the
+    wall of key, which leaves the mapped piece w for v, in search order.
+    The crossing mark must come across as a translation and v's window
+    must translate onto v_b's; the rest is v's search pinned on the mark."""
     eid, e_b, v_b, sigma, c_v, shift_w = key
+    den = lcm(ca.unit, cb.unit)
     v = ca.tree.other_end(eid, w)
-    wlo, whi = ca.pieces[v].window
-    if sigma != 1 or cb.pieces[v_b].window != (wlo + c_v, whi + c_v):
+    wlo, whi = _window(ca, v, den)
+    if sigma != 1 or _window(cb, v_b, den) != (wlo + c_v, whi + c_v):
         return
     pin = (incident_eids(ca, v).index(eid), incident_eids(cb, v_b).index(e_b),
            1, shift_w)
-    for fm in marked_tree_extensions(_form(forms, ca, 0, v),
-                                     _form(forms, cb, 1, v_b), pin):
+    for fm in marked_tree_extensions(_form(forms, ca, 0, v, den),
+                                     _form(forms, cb, 1, v_b, den), pin):
         yield v_b, c_v, fm
 
 
-def _root_choices(ca: Cluster, cb: Cluster, forms: dict, root: int
-                  ) -> Iterator[tuple[int, Fraction, FeatureMap]]:
+def _root_choices(ca: Cluster, cb: Cluster, forms: dict, den: int, root: int
+                  ) -> Iterator[tuple[int, int, FeatureMap]]:
     """(root_b, height shift, feature map) at the root, by image in T' order."""
-    wlo, whi = ca.pieces[root].window
+    wlo, whi = _window(ca, root, den)
     for root_b in cb.tree.vertices:
-        wlo2, whi2 = cb.pieces[root_b].window
+        wlo2, whi2 = _window(cb, root_b, den)
         shift = wlo2 - wlo
         if whi2 - whi != shift:
             continue
-        for fm in marked_tree_extensions(_form(forms, ca, 0, root),
-                                         _form(forms, cb, 1, root_b)):
+        for fm in marked_tree_extensions(_form(forms, ca, 0, root, den),
+                                         _form(forms, cb, 1, root_b, den)):
             yield root_b, shift, fm
 
 
-def _solve(ca: Cluster, cb: Cluster, forms: dict, solved: dict, v: int,
+def _solve(ca: Cluster, cb: Cluster, forms: dict, solved: dict, den: int, v: int,
            up: int | None, choices: Iterator) -> Iterator:
     """Coroutine for the subtree below v: yields (wall key, its coroutine)
     for each child wall key not yet solved, and returns the first (image,
-    piece map) of choices under which every child wall solves, or None.
+    piece map, its transforms and height shift times den) of choices
+    under which every child wall solves, or None.
 
     A choice's marks are paired in order, each with its first free
     candidate whose wall key solves; the up wall's mark keeps its pin.
@@ -554,7 +565,7 @@ def _solve(ca: Cluster, cb: Cluster, forms: dict, solved: dict, v: int,
                 if eid != up:
                     key = _wall_key(cb, image, eid, j, transform, shift)
                     if key not in solved:
-                        yield key, _solve(ca, cb, forms, solved,
+                        yield key, _solve(ca, cb, forms, solved, den,
                                           ca.tree.other_end(eid, v), eid,
                                           extend_choices(ca, cb, forms, v, key))
                     if solved[key] is None:
@@ -564,9 +575,11 @@ def _solve(ca: Cluster, cb: Cluster, forms: dict, solved: dict, v: int,
             else:
                 break   # mark eid has no candidate left: next feature map
         else:
-            iso = MarkedTreeIso(_form(forms, ca, 0, v), _form(forms, cb, 1, image),
-                                fm.vertex_map, tuple(pairs), tuple(pairs.values()))
-            return image, PieceMap(iso, shift)
+            ints = tuple(pairs.values()), shift
+            iso = MarkedTreeIso(_form(forms, ca, 0, v, den), _form(forms, cb, 1, image, den),
+                                fm.vertex_map, tuple(pairs),
+                                tuple((sigma, Fraction(t, den)) for sigma, t in ints[0]))
+            return image, PieceMap(iso, Fraction(shift, den)), ints
 
 
 def isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
@@ -575,11 +588,11 @@ def isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
     stack, so depth is not bound by the interpreter's recursion limit."""
     if len(ca.tree.vertices) != len(cb.tree.vertices):
         return None
-    # normal forms by (side, vertex); wall key -> map at its far end or None
-    forms, solved = {}, {}
+    # normal forms by (side, vertex); wall key -> (map at its far end, its ints) or None
+    forms, solved, den = {}, {}, lcm(ca.unit, cb.unit)
     root = ca.tree.vertices[0]
-    stack = [(None, _solve(ca, cb, forms, solved, root, None,
-                           _root_choices(ca, cb, forms, root)))]
+    stack = [(None, _solve(ca, cb, forms, solved, den, root, None,
+                           _root_choices(ca, cb, forms, den, root)))]
     while True:
         key, task = stack[-1]
         try:
@@ -588,27 +601,27 @@ def isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
             stack.pop()
             if key is None:
                 return done.value and _assemble(ca, cb, root, *done.value, solved)
-            solved[key] = done.value and done.value[1]
+            solved[key] = done.value and done.value[1:]
 
 
-def _assemble(ca: Cluster, cb: Cluster, root: int, root_b: int,
-              pm: PieceMap, solved: dict) -> GoodTriple:
-    """The full triple, read off the solved walls from the root down."""
-    psi, edge_map, phi = {root: root_b}, {}, {root: pm}
+def _assemble(ca: Cluster, cb: Cluster, root: int, root_b: int, pm: PieceMap,
+              ints: tuple, solved: dict) -> GoodTriple:
+    """The full triple, read off the solved walls from the root down; each
+    wall key is rebuilt from the ints kept beside its piece map."""
+    psi, edge_map, phi, kept = {root: root_b}, {}, {root: pm}, {root: ints}
     work = [root]
     while work:
         w = work.pop()
-        iso, shift = phi[w]
+        transforms, shift = kept[w]
         for i, (eid, v) in enumerate(ca.tree.neighbors(w)):
             if v not in psi:
-                key = _wall_key(cb, psi[w], eid, iso.mark_map[i],
-                                iso.transforms[i], shift)
-                edge_map[eid], psi[v], phi[v] = key[1], key[2], solved[key]
+                key = _wall_key(cb, psi[w], eid, phi[w].iso.mark_map[i], transforms[i], shift)
+                edge_map[eid], psi[v], (phi[v], kept[v]) = key[1], key[2], solved[key]
                 work.append(v)
     triple = GoodTriple(ca, cb, tuple(sorted(psi)), psi, edge_map, phi)
     ok, cond, detail = verify_good(triple)
     if not ok:
-        raise AssertionError(
+        raise WitnessMismatch(
             f"search returned a bad triple: condition {cond}, {detail}")
     return triple
 

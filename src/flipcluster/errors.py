@@ -66,3 +66,7 @@ class RemeasureMismatch(FlipClusterError):
 class GlueMismatch(FlipClusterError):
     """Two consecutive segments of a special path fail to glue: the exit of
     one, transferred across their wall, is not the entry of the next."""
+
+
+class WitnessMismatch(FlipClusterError):
+    """The isometry search built a triple that verify_good rejects."""

@@ -16,6 +16,7 @@ edges a piece map pairs up (its fedge_map), is tested against it.
 
 import copy
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -42,7 +43,7 @@ from flipcluster.cluster_iso import (
     witness_to_spec,
 )
 from flipcluster.distance_oracle import exact_distance
-from flipcluster.errors import FeatureMapError, FlipClusterError, SizeCapError
+from flipcluster.errors import FeatureMapError, FlipClusterError, SizeCapError, WitnessMismatch
 from flipcluster.generator import GeneratorParams, mutated_pair, planted_pair
 from flipcluster.jsonutil import dumps_canonical
 from flipcluster.metric_tree import Line, MetricTree, RootedTree, TreePoint
@@ -169,10 +170,22 @@ def caterpillar(spine: int) -> MetricTree:
 # -- reference: depth-first growth of whole good triples --------------------------
 
 
+def frame(ca: Cluster, cb: Cluster) -> int:
+    """The pair's int frame, at which isomorphic builds both sides' forms."""
+    return math.lcm(ca.unit, cb.unit)
+
+
+def at_frame(q: Fraction, den: int) -> int:
+    """q times den, which must be an int."""
+    assert (q * den).denominator == 1
+    return q.numerator * (den // q.denominator)
+
+
 def ref_pairings(nf_a: NormalForm, nf_b: NormalForm, fm) -> Iterator[MarkedTreeIso]:
     """Every injective pairing of a feature map's mark candidates: each
     group of marks with the same candidates takes every arrangement of
-    them, and the groups combine in every way."""
+    them, and the groups combine in every way.  Transform shifts come
+    back from the forms' frame as Fractions."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, cands in enumerate(fm.candidates):
         groups.setdefault(tuple(j for j, _ in cands), []).append(i)
@@ -183,8 +196,9 @@ def ref_pairings(nf_a: NormalForm, nf_b: NormalForm, fm) -> Iterator[MarkedTreeI
         pairs = sorted(itertools.chain(*combo))
         mark_map = tuple(j for _, j in pairs)
         if len(set(mark_map)) == len(mark_map):
+            transforms = (dict(fm.candidates[i])[j] for i, j in pairs)
             yield MarkedTreeIso(nf_a, nf_b, fm.vertex_map, mark_map,
-                                tuple(dict(fm.candidates[i])[j] for i, j in pairs))
+                                tuple((sigma, F(t, nf_a.den)) for sigma, t in transforms))
 
 
 def ref_seed_triples(ca: Cluster, cb: Cluster, root: int, root_b: int
@@ -194,8 +208,8 @@ def ref_seed_triples(ca: Cluster, cb: Cluster, root: int, root_b: int
     shift = wlo2 - wlo
     if whi2 - whi != shift:
         return
-    nf = piece_normal_form(ca, root)
-    nf_b = piece_normal_form(cb, root_b)
+    nf = piece_normal_form(ca, root, frame(ca, cb))
+    nf_b = piece_normal_form(cb, root_b, frame(ca, cb))
     for fm in marked_tree_extensions(nf, nf_b, None):
         for iso in ref_pairings(nf, nf_b, fm):
             yield GoodTriple(ca, cb, (root,), {root: root_b}, {},
@@ -204,12 +218,14 @@ def ref_seed_triples(ca: Cluster, cb: Cluster, root: int, root_b: int
 
 def ref_wall_key(triple: GoodTriple, w: int, eid: int) -> tuple:
     """(eid, e_b, v_b, sigma, c_v, shift at w): what the triple's map at w
-    fixes across its wall eid."""
+    fixes across its wall eid, the shifts times the pair's frame."""
     cb, pm_w, w_b = triple.cb, triple.phi[w], triple.psi[w]
+    den = frame(triple.ca, cb)
     iw = incident_eids(triple.ca, w).index(eid)
     e_b = incident_eids(cb, w_b)[pm_w.iso.mark_map[iw]]
-    return (eid, e_b, cb.tree.other_end(e_b, w_b), *pm_w.iso.transforms[iw],
-            pm_w.height_shift)
+    sigma, c_v = pm_w.iso.transforms[iw]
+    return (eid, e_b, cb.tree.other_end(e_b, w_b), sigma, at_frame(c_v, den),
+            at_frame(pm_w.height_shift, den))
 
 
 def ref_extend(triple: GoodTriple, eid: int) -> Iterator[GoodTriple]:
@@ -218,12 +234,14 @@ def ref_extend(triple: GoodTriple, eid: int) -> Iterator[GoodTriple]:
     a, b = ca.tree.edges[eid]
     w, v = (a, b) if a in triple.psi else (b, a)
     _, e_b, v_b, sigma, c_v, shift_w = ref_wall_key(triple, w, eid)
+    den = frame(ca, cb)
+    c_v = F(c_v, den)
     wlo, whi = ca.pieces[v].window
     if sigma != 1 or cb.pieces[v_b].window != (wlo + c_v, whi + c_v):
         return
     pin = (incident_eids(ca, v).index(eid), incident_eids(cb, v_b).index(e_b),
            1, shift_w)
-    nf, nf_b = piece_normal_form(ca, v), piece_normal_form(cb, v_b)
+    nf, nf_b = piece_normal_form(ca, v, den), piece_normal_form(cb, v_b, den)
     for fm in marked_tree_extensions(nf, nf_b, pin):
         for iso in ref_pairings(nf, nf_b, fm):
             yield GoodTriple(ca, cb, tuple(sorted((*triple.vertices, v))),
@@ -256,7 +274,7 @@ def reference_isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
 def ref_keeps_distances(nf_a: NormalForm, nf_b: NormalForm,
                         vertex_map: dict[int, int]) -> bool:
     """Every pair of features keeps its distance along the feature trees."""
-    ra, rb = (RootedTree(nf.adj, nf.features[0], [fe.length for fe in nf.fedges])
+    ra, rb = (RootedTree(nf.adj, nf.features[0], [F(fe.length, nf.den) for fe in nf.fedges])
               for nf in (nf_a, nf_b))
     return all(ra.distance(f, g) == rb.distance(vertex_map[f], vertex_map[g])
                for f, g in itertools.combinations(nf_a.features, 2))
@@ -340,14 +358,16 @@ def off_scale_points(tree: MetricTree) -> list[TreePoint]:
 class TestNormalForm:
     @pytest.mark.parametrize("seed", range(4))
     def test_chain_sums_against_fraction_resum(self, seed):
-        """Feature-edge lengths, locate and fedge_point against Fraction
-        sums over each chain."""
+        """Feature-edge lengths, at the tree's scale and at a finer frame,
+        locate and fedge_point against Fraction sums over each chain."""
         ca, _ = planted_pair(GeneratorParams(seed=seed, tree_size=(6, 6), piece_edges=(6, 10)))
         chains = 0
         for v in ca.tree.vertices:
             nf = piece_normal_form(ca, v)
             sums = ref_chain_sums(nf)
-            assert [fe.length for fe in nf.fedges] == [length for length, _ in sums]
+            for form in (nf, piece_normal_form(ca, v, 3 * ca.unit)):
+                assert [F(fe.length, form.den) for fe in form.fedges] == \
+                    [length for length, _ in sums]
             chains += any(len(fe.chain) > 1 for fe in nf.fedges)
             for p in off_scale_points(nf.tree):
                 fidx, x = nf.locate(p)
@@ -371,6 +391,16 @@ class TestNormalForm:
         assert nf.features == (0, 1, 2)
         assert sorted(fe.length for fe in nf.fedges) == [2, 3]
 
+    def test_frame_must_clear_scale_and_origins(self):
+        z = MetricTree([(0, 1, F(1, 2)), (1, 2, 3)])
+        with pytest.raises(ValueError, match="not a multiple of the tree's scale 2"):
+            NormalForm(z, [], 3)
+        nf = NormalForm(z, [Line(z, [0, 1], 0, F(1, 3))])
+        assert nf.den == 2
+        with pytest.raises(ValueError, match="frame 2 does not clear the marks' origins"):
+            nf.mark_ints()
+        assert NormalForm(z, [Line(z, [0, 1], 0, F(1, 3))], 6).mark_ints() == [(2, 23, {2: 0, 23: 2})]
+
     def test_locate_roundtrip(self):
         z = MetricTree([(0, 1, 2), (1, 2, 3)])
         nf = NormalForm(z, [])
@@ -388,7 +418,7 @@ class TestMarkedTreeExtensions:
         assert len(maps) == 1
         assert maps[0].vertex_map == {v: v for v in nf.features}
         # one candidate per mark: the marks lie on different carriers
-        assert maps[0].candidates == (((0, (1, F(0))),), ((1, (1, F(0))),))
+        assert maps[0].candidates == (((0, (1, 0)),), ((1, (1, 0)),))
 
     def test_unmarked_symmetry_doubles_count(self):
         z = MetricTree([(0, 1, 2), (0, 2, 2)])
@@ -400,10 +430,10 @@ class TestMarkedTreeExtensions:
     def test_pin_picks_reflection(self):
         c = two_piece()
         nf = piece_normal_form(c, 0)
-        fm = next(marked_tree_extensions(nf, nf, (0, 0, -1, F(0))), None)
+        fm = next(marked_tree_extensions(nf, nf, (0, 0, -1, 0)), None)
         assert fm is not None
         assert fm.vertex_map == {0: 1, 1: 0}
-        assert fm.candidates == (((0, (-1, F(0))),),)
+        assert fm.candidates == (((0, (-1, 0)),),)
         iso = MarkedTreeIso(nf, nf, fm.vertex_map, (0,), ((-1, F(0)),))
         p = nf.tree.point(0, F(3))
         assert iso.point_image(p) == nf.tree.point(0, F(17))
@@ -411,12 +441,31 @@ class TestMarkedTreeExtensions:
     def test_pin_with_wrong_shift_fails(self):
         c = two_piece()
         nf = piece_normal_form(c, 0)
-        assert next(marked_tree_extensions(nf, nf, (0, 0, 1, F(1))), None) is None
+        assert next(marked_tree_extensions(nf, nf, (0, 0, 1, 1)), None) is None
+
+    def test_forms_at_two_frames_refused(self):
+        z = MetricTree([(0, 1, 2)])
+        with pytest.raises(ValueError, match="normal forms at frames 1 and 2"):
+            next(marked_tree_extensions(NormalForm(z, []), NormalForm(z, [], 2)))
 
     def test_length_mismatch_fails(self):
         a = NormalForm(MetricTree([(0, 1, 20)]), [])
         b = NormalForm(MetricTree([(0, 1, 21)]), [])
         assert list(marked_tree_extensions(a, b)) == []
+
+    def test_unpinned_call_orders_growth_once(self, monkeypatch):
+        """Every root seed maps the same one source feature, so one growth
+        order serves all of them."""
+        calls = []
+
+        def counting(*args, _fn=cluster_iso._growth_order):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(cluster_iso, "_growth_order", counting)
+        nf = NormalForm(caterpillar(6), [])
+        assert len(list(marked_tree_extensions(nf, nf))) == 2
+        assert len(nf.features) == 12 and len(calls) == 1
 
     def test_long_caterpillar_runs_on_its_own_stack(self):
         """One search level per feature edge, far past the recursion limit."""
@@ -436,8 +485,8 @@ class TestTryExtend:
         v_b, shift, fm = next(extend_choices(c, c, {}, 0, key))
         assert (v_b, key[1]) == (1, 0)
         assert shift == 0
-        nf = piece_normal_form(c, 1)
-        pm = PieceMap(next(ref_pairings(nf, nf, fm)), shift)
+        nf = piece_normal_form(c, 1, frame(c, c))
+        pm = PieceMap(next(ref_pairings(nf, nf, fm)), F(shift))
         full = GoodTriple(c, c, (0, 1), {0: 0, 1: 1}, {0: 0}, {0: seed.phi[0], 1: pm})
         assert verify_good(full)[0]
 
@@ -495,6 +544,19 @@ class TestIsomorphic:
         triple = isomorphic(chain3(), reversed_chain3())
         assert triple is not None
         assert triple.psi == {0: 2, 1: 1, 2: 0}
+
+    def test_coprime_units_meet_at_their_lcm(self):
+        """Units 3 and 35 give the frame 105, which neither side's unit
+        is; the shifts come back exactly, witness for witness with the
+        reference search and with the referee's verdict."""
+        ca, cb = shifted_chain3(F(1, 3), F(0), F(0)), shifted_chain3(F(1, 5), F(1, 7), F(0))
+        assert (ca.unit, cb.unit, frame(ca, cb)) == (3, 35, 105)
+        triple = isomorphic(ca, cb)
+        assert {v: pm.height_shift for v, pm in triple.phi.items()} == \
+            {0: F(-2, 15), 1: F(1, 7), 2: F(0)}
+        assert dumps_canonical(witness_to_spec(triple)) == \
+            dumps_canonical(witness_to_spec(reference_isomorphic(ca, cb)))
+        assert brute_force_iso(ca, cb) is not None
 
     def test_subdivision_is_invisible(self):
         ca = two_piece()
@@ -625,7 +687,7 @@ class TestIsomorphic:
         """isomorphic checks its own witness, so callers need not."""
         monkeypatch.setattr(cluster_iso, "verify_good",
                             lambda triple: (False, 2, "rejected"))
-        with pytest.raises(AssertionError, match="condition 2, rejected"):
+        with pytest.raises(WitnessMismatch, match="condition 2, rejected"):
             isomorphic(chain3(), shifted_chain3())
 
     def test_long_path_pair_search_memory(self):

@@ -7,8 +7,9 @@ form by lambda: tree edge lengths, height windows, mark ranges and
 origins.  Points scale the same way (offsets and heights), and then the
 distance, the optimal crossing profile, the special path's length, the
 star-audit terms and the grid oracle's value at lambda * eps all scale
-by exactly lambda.  The factors are not dyadic, so the int units inside
-the kernel meet denominators the generator never draws.
+by exactly lambda, and the isometry search finds the same maps with
+every shift times lambda.  The factors are not dyadic, so the int units
+inside the kernel meet denominators the generator never draws.
 
 The route layer and the grid oracle build their ints on ``Cluster.unit``;
 ``test_unit_clears_every_parameter`` checks, on the same corpora at the
@@ -18,16 +19,18 @@ same factors, that the unit clears every denominator they lift.
 import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flipcluster.cluster import to_spec, validate
+from flipcluster.cluster_iso import isomorphic
 from flipcluster.distance_oracle import DiscretizedOracle, default_eps, exact_distance
-from flipcluster.generator import generate_cluster, sample_points
+from flipcluster.generator import generate_cluster, mutated_pair, planted_pair, sample_points
 from flipcluster.rational import format_rational, parse_rational
 from flipcluster.special_path import special_path, star_terms
-from flipcluster.suites import CORPUS, ORACLE_CORPUS
+from flipcluster.suites import CORPUS, ISO_CORPUS, ORACLE_CORPUS
 
 F = Fraction
 LAMBDAS = (F(7, 3), F(1, 5), F(13, 17))
@@ -106,6 +109,36 @@ def test_grid_oracle_commutes_with_rescaling(lam):
             pairs += 1
             crossing += x.vertex != y.vertex
     assert pairs == 18 and crossing > 0
+
+
+@pytest.mark.parametrize("lam", LAMBDAS, ids=format_rational)
+def test_isometry_search_commutes_with_rescaling(lam):
+    """isomorphic(lam A, lam B) has the verdict of isomorphic(A, B), the
+    same vertex and mark maps, and every height and transform shift times
+    lam; A and lam A are never isometric.  The scaled pairs' int frame
+    lcm(unit, unit) is not a power of two."""
+    found = pairs = 0
+    for i in range(20):
+        params = dataclasses.replace(ISO_CORPUS, seed=i)
+        for ca, cb in (planted_pair(params), mutated_pair(params)):
+            sa, sb = (validate(scaled_spec(to_spec(c), lam)) for c in (ca, cb))
+            den = lcm(sa.unit, sb.unit)
+            assert den & (den - 1)
+            triple, scaled = isomorphic(ca, cb), isomorphic(sa, sb)
+            assert (scaled is None) == (triple is None)
+            assert isomorphic(ca, sa) is None
+            pairs += 1
+            if triple is None:
+                continue
+            found += 1
+            assert (scaled.psi, scaled.edge_map) == (triple.psi, triple.edge_map)
+            for v, pm in triple.phi.items():
+                spm = scaled.phi[v]
+                assert (spm.iso.vertex_map, spm.iso.mark_map) == \
+                    (pm.iso.vertex_map, pm.iso.mark_map)
+                assert spm.height_shift == lam * pm.height_shift
+                assert spm.iso.transforms == tuple((s, lam * t) for s, t in pm.iso.transforms)
+    assert (pairs, found) == (40, 20)
 
 
 @settings(max_examples=60, deadline=None)
