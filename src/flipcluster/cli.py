@@ -32,11 +32,16 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# ValueError covers malformed JSON, bytes that are not UTF-8 and ints past
+# the interpreter's digit limit; RecursionError, nesting past its depth limit
+_BAD_JSON = (ValueError, RecursionError)
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as ex:
+    except (OSError, *_BAD_JSON) as ex:
         raise UsageError(f"cannot read {path}: {ex}")
 
 
@@ -51,7 +56,7 @@ def _load_cluster(path: str):
 def _parse_point(c, text: str):
     try:
         return point_of_spec(c, json.loads(text))
-    except (json.JSONDecodeError, InvalidPointError) as ex:
+    except (*_BAD_JSON, InvalidPointError) as ex:
         raise UsageError(f"bad point {text!r}: {ex}")
 
 

@@ -43,7 +43,11 @@ pairing finds first.  Normal forms and the memo live for one call.
 brute_force_iso is the independent referee: it enumerates simplicial
 T-bijections directly and, per vertex, searches raw distance-matrix
 bijections built by its own chain contraction, checking the same wall
-equations at the end.  It shares no search code with the anchored route.
+equations at the end.  It shares no search code with the anchored route,
+nor its frame: each piece pair's distances are ints at that pair's own
+frame, lcm of the two piece trees' scales, and each pair is contracted
+once per call.  Its window and mark-range checks and the piece maps it
+returns stay on Fractions.
 """
 
 from __future__ import annotations
@@ -644,41 +648,40 @@ def witness_to_spec(triple: GoodTriple) -> dict:
 # -- independent brute-force referee ----------------------------------------------
 
 
-def _contracted(tree: MetricTree, marks: Sequence[Line]):
-    """(feature vertices, distance dict, mark endpoint data) built by
-    repeated single-vertex contraction, not by chain walking."""
+def _contracted(tree: MetricTree, marks: Sequence[Line], k: int):
+    """(feature vertices, distance dict) with the distances as ints at k
+    times the tree's scale, built by single-vertex contraction, not by
+    chain walking: each non-feature vertex is visited once, in vertex
+    order, and its two edges merge into one under the lower edge id."""
     keep = {v for v in tree.vertices if tree.degree(v) != 2}
     for m in marks:
         keep.add(m.start_vertex)
         keep.add(m.end_vertex)
-    edges = {eid: (a, b, length)
-             for eid, ((a, b), length) in enumerate(zip(tree._ends, tree._lengths))}
-    changed = True
-    while changed:
-        changed = False
-        degree: dict[int, list] = {}
-        for eid, (x, y, L) in edges.items():
-            degree.setdefault(x, []).append(eid)
-            degree.setdefault(y, []).append(eid)
-        for v, incident in degree.items():
-            if v in keep or len(incident) != 2:
-                continue
-            e1, e2 = incident
-            x1, y1, l1 = edges.pop(e1)
-            x2, y2, l2 = edges.pop(e2)
-            far1 = x1 if y1 == v else y1
-            far2 = x2 if y2 == v else y2
-            edges[min(e1, e2)] = (far1, far2, l1 + l2)
-            changed = True
-            break
+    edges = {eid: (a, b, units * k)
+             for eid, ((a, b), units) in enumerate(zip(tree._ends, tree._units))}
+    incident = {v: {eid for eid, _ in tree.neighbors(v)} for v in tree.vertices}
+    for v in tree.vertices:
+        if v in keep:
+            continue
+        e1, e2 = incident[v]
+        x1, y1, l1 = edges.pop(e1)
+        x2, y2, l2 = edges.pop(e2)
+        far1 = x1 if y1 == v else y1
+        far2 = x2 if y2 == v else y2
+        e = min(e1, e2)
+        edges[e] = (far1, far2, l1 + l2)
+        incident[far1].discard(e1)
+        incident[far1].add(e)
+        incident[far2].discard(e2)
+        incident[far2].add(e)
     verts = sorted(keep)
-    dist = {(v, v): Fraction(0) for v in verts}
+    dist = {(v, v): 0 for v in verts}
     adj: dict[int, list] = {v: [] for v in verts}
     for x, y, L in edges.values():
         adj[x].append((y, L))
         adj[y].append((x, L))
     for s in verts:
-        d = {s: Fraction(0)}
+        d = {s: 0}
         work = [s]
         while work:
             v = work.pop()
@@ -700,6 +703,7 @@ def brute_force_iso(ca: Cluster, cb: Cluster,
     height shifts are forced by the windows, so each piece can be checked
     independently by a pruned exhaustive search over raw feature
     bijections graded by pairwise distances and the forced mark images.
+    Each piece pair (v, psi[v]) is contracted once per call.
     """
     if len(ca.tree.vertices) > max_tree_vertices or \
             len(cb.tree.vertices) > max_tree_vertices:
@@ -708,6 +712,7 @@ def brute_force_iso(ca: Cluster, cb: Cluster,
     if len(va) != len(vb):
         return None
     edges_b = {frozenset(e): i for i, e in enumerate(cb.tree.edges)}
+    contracted: dict[tuple[int, int], tuple] = {}   # (v, psi[v]) -> both sides' contractions
     for perm in itertools.permutations(vb):
         psi = dict(zip(va, perm))
         edge_map = {}
@@ -732,7 +737,7 @@ def brute_force_iso(ca: Cluster, cb: Cluster,
             continue
         phi = {}
         for v in va:
-            pm = _piece_brute(ca, cb, v, psi, edge_map, shifts, max_features)
+            pm = _piece_brute(ca, cb, v, psi, edge_map, shifts, max_features, contracted)
             if pm is None:
                 ok = False
                 break
@@ -744,16 +749,23 @@ def brute_force_iso(ca: Cluster, cb: Cluster,
 
 
 def _piece_brute(ca: Cluster, cb: Cluster, v: int, psi: dict,
-                 edge_map: dict, shifts: dict, max_features: int
-                 ) -> PieceMap | None:
+                 edge_map: dict, shifts: dict, max_features: int,
+                 contracted: dict) -> PieceMap | None:
+    """The first piece map at v under psi, or None; distances are compared
+    as ints at the pair's frame lcm(tree_a.scale, tree_b.scale), and the
+    contractions are kept in contracted for the rest of the call."""
     tree_a = ca.pieces[v].tree
     tree_b = cb.pieces[psi[v]].tree
     eids = incident_eids(ca, v)
     eids_b = incident_eids(cb, psi[v])
     marks_a = [ca.marks[(v, e)] for e in eids]
     marks_b = [cb.marks[(psi[v], e)] for e in eids_b]
-    fa, da = _contracted(tree_a, marks_a)
-    fb, db = _contracted(tree_b, marks_b)
+    pair = contracted.get((v, psi[v]))
+    if pair is None:
+        den = lcm(tree_a.scale, tree_b.scale)
+        pair = contracted[(v, psi[v])] = (_contracted(tree_a, marks_a, den // tree_a.scale),
+                                          _contracted(tree_b, marks_b, den // tree_b.scale))
+    (fa, da), (fb, db) = pair
     if len(fa) != len(fb):
         return None
     if len(fa) > max_features:

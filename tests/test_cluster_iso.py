@@ -12,13 +12,17 @@ witness, on pairs too large for the brute-force referee.
 ref_keeps_distances compares the distances of all feature pairs.
 verify_good's in-piece check, which compares the lengths of the feature
 edges a piece map pairs up (its fedge_map), is tested against it.
+ref_contracted is the referee's chain contraction on Fractions, which its
+int contraction must match at each piece pair's frame.
 """
 
 import copy
+import dataclasses
 import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator
 
@@ -47,6 +51,7 @@ from flipcluster.errors import FeatureMapError, FlipClusterError, SizeCapError, 
 from flipcluster.generator import GeneratorParams, mutated_pair, planted_pair
 from flipcluster.jsonutil import dumps_canonical
 from flipcluster.metric_tree import Line, MetricTree, RootedTree, TreePoint
+from flipcluster.suites import ISO_CORPUS
 
 F = Fraction
 
@@ -92,34 +97,35 @@ def reversed_chain3() -> Cluster:
     return Cluster(t, pieces, marks)
 
 
-def two_piece_subdivided() -> Cluster:
-    """Piece 1 carries a degree-2 vertex mid-edge; metrically unchanged."""
+def two_piece_subdivided(cut=F(10)) -> Cluster:
+    """Piece 1 carries a degree-2 vertex at cut along its edge; metrically
+    unchanged, but the piece tree's scale is cut's denominator."""
     t = SimplicialTree([0, 1], [(0, 1)])
     z0 = MetricTree([(0, 1, 20)])
-    z1 = MetricTree([(0, 1, 10), (1, 2, 10)])
+    z1 = MetricTree([(0, 1, cut), (1, 2, 20 - cut)])
     pieces = {0: Piece(z0, (F(-12), F(12))), 1: Piece(z1, (F(-12), F(12)))}
     marks = {(0, 0): Line(z0, [0], 0, F(-10)),
              (1, 0): Line(z1, [0, 1], 0, F(-10))}
     return Cluster(t, pieces, marks)
 
 
-def star3(long_leg=False) -> Cluster:
+def star3(long_leg=False, long_at=2) -> Cluster:
     """Two walls leaving piece 0 along the same carrier; with long_leg the
-    outer pieces are distinguishable and a crossed mark pairing must die."""
+    outer piece long_at is longer, the outer pieces are distinguishable
+    and a crossed mark pairing must die."""
     t = SimplicialTree([0, 1, 2], [(0, 1), (0, 2)])
     z0 = MetricTree([(0, 1, 20)])
-    z1 = MetricTree([(0, 1, 20)])
-    z2 = MetricTree([(0, 1, 24 if long_leg else 20)])
+    z = {v: MetricTree([(0, 1, 24 if long_leg and v == long_at else 20)]) for v in (1, 2)}
     pieces = {
         0: Piece(z0, (F(-13), F(13))),
-        1: Piece(z1, (F(-12), F(12))),
-        2: Piece(z2, (F(-12), F(12))),
+        1: Piece(z[1], (F(-12), F(12))),
+        2: Piece(z[2], (F(-12), F(12))),
     }
     marks = {
         (0, 0): Line(z0, [0], 0, F(-10)),
-        (1, 0): Line(z1, [0], 0, F(-10)),
+        (1, 0): Line(z[1], [0], 0, F(-12) if long_leg and long_at == 1 else F(-10)),
         (0, 1): Line(z0, [0], 0, F(-10)),
-        (2, 1): Line(z2, [0], 0, F(-12) if long_leg else F(-10)),
+        (2, 1): Line(z[2], [0], 0, F(-12) if long_leg and long_at == 2 else F(-10)),
     }
     return Cluster(t, pieces, marks)
 
@@ -353,6 +359,53 @@ def off_scale_points(tree: MetricTree) -> list[TreePoint]:
     for eid, e in enumerate(tree.edges):
         pts += [tree.point(eid, e.length * F(k, q)) for q, k in ((7, 3), (11, 1), (13, 12))]
     return pts
+
+
+def ref_contracted(tree: MetricTree, marks) -> tuple[list[int], dict]:
+    """(feature vertices, distances as Fractions) by repeated
+    single-vertex contraction, the degree table rebuilt after each one."""
+    keep = {v for v in tree.vertices if tree.degree(v) != 2}
+    for m in marks:
+        keep.add(m.start_vertex)
+        keep.add(m.end_vertex)
+    edges = {eid: (a, b, length)
+             for eid, ((a, b), length) in enumerate(zip(tree._ends, tree._lengths))}
+    changed = True
+    while changed:
+        changed = False
+        degree: dict[int, list] = {}
+        for eid, (x, y, L) in edges.items():
+            degree.setdefault(x, []).append(eid)
+            degree.setdefault(y, []).append(eid)
+        for v, incident in degree.items():
+            if v in keep or len(incident) != 2:
+                continue
+            e1, e2 = incident
+            x1, y1, l1 = edges.pop(e1)
+            x2, y2, l2 = edges.pop(e2)
+            far1 = x1 if y1 == v else y1
+            far2 = x2 if y2 == v else y2
+            edges[min(e1, e2)] = (far1, far2, l1 + l2)
+            changed = True
+            break
+    verts = sorted(keep)
+    dist = {(v, v): F(0) for v in verts}
+    adj: dict[int, list] = {v: [] for v in verts}
+    for x, y, L in edges.values():
+        adj[x].append((y, L))
+        adj[y].append((x, L))
+    for s in verts:
+        d = {s: F(0)}
+        work = [s]
+        while work:
+            v = work.pop()
+            for w, L in adj[v]:
+                if w not in d:
+                    d[w] = d[v] + L
+                    work.append(w)
+        for g, val in d.items():
+            dist[(s, g)] = val
+    return verts, dist
 
 
 class TestNormalForm:
@@ -888,6 +941,8 @@ class TestBruteForce:
             (chain3(), reversed_chain3(), True),
             (two_piece(), two_piece_subdivided(), True),
             (star3(True), star3(True), True),
+            (star3(True), star3(True, long_at=1), True),
+            (two_piece_subdivided(F(20, 3)), two_piece_subdivided(F(20, 7)), True),
             (two_piece(), mutated_leg(), False),
             (two_piece(), mutated_window(), False),
             (chain3(), two_piece(), False),
@@ -908,6 +963,64 @@ class TestBruteForce:
         assert fast.psi == brute.psi
         assert {v: pm.height_shift for v, pm in fast.phi.items()} == \
             {v: pm.height_shift for v, pm in brute.phi.items()}
+
+    def test_contraction_matches_fraction_reference(self, monkeypatch):
+        """Every contraction the referee makes, on the fixtures and on
+        ISO_CORPUS planted and mutated pairs, has the Fraction reference's
+        features and its distances times the piece pair's frame
+        lcm(scale_a, scale_b).  A pair's two sides are contracted back to
+        back; the subdivided pair puts piece trees of scales 3 and 7 side
+        by side, so its frame is neither scale."""
+        made = []
+
+        def recording(tree, marks, k, _fn=cluster_iso._contracted):
+            made.append((tree, marks, _fn(tree, marks, k)))
+            return made[-1][2]
+        monkeypatch.setattr(cluster_iso, "_contracted", recording)
+        pairs = [(two_piece(), two_piece()), (chain3(), shifted_chain3()),
+                 (chain3(), reversed_chain3()), (two_piece(), two_piece_subdivided()),
+                 (star3(True), star3(True)), (star3(), star3()),
+                 (star3(True), star3(True, long_at=1)),
+                 (two_piece(), mutated_leg()), (two_piece(), mutated_window()),
+                 (shifted_chain3(F(1, 3), F(0), F(0)), shifted_chain3(F(1, 5), F(1, 7), F(0))),
+                 (two_piece_subdivided(F(20, 3)), two_piece_subdivided(F(20, 7)))]
+        for i in range(20):
+            params = dataclasses.replace(ISO_CORPUS, seed=i)
+            pairs += [planted_pair(params), mutated_pair(params)]
+        for ca, cb in pairs:
+            brute_force_iso(ca, cb)
+        assert len(made) % 2 == 0
+        frames = set()
+        for (ta, ma, got_a), (tb, mb, got_b) in zip(made[::2], made[1::2]):
+            den = math.lcm(ta.scale, tb.scale)
+            frames.add((ta.scale, tb.scale, den))
+            for tree, marks, (verts, dist) in ((ta, ma, got_a), (tb, mb, got_b)):
+                ref_verts, ref_dist = ref_contracted(tree, marks)
+                assert verts == ref_verts
+                assert dist == {key: d * den for key, d in ref_dist.items()}
+        assert (3, 7, 21) in frames
+
+    def test_one_contraction_per_piece_pair(self, monkeypatch):
+        """The long leg is piece 2 on one side and piece 1 on the other, so
+        the straight T-map fails at piece 1 after the centre has matched
+        and the crossed one meets the centre pair (0, 0) again: each side
+        of each piece pair is contracted once in the call."""
+        ca, cb = star3(True), star3(True, long_at=1)
+        visits, calls, at = Counter(), Counter(), []
+
+        def visiting(ca, cb, v, psi, *rest, _fn=cluster_iso._piece_brute):
+            at[:] = [(v, psi[v])]
+            visits[v, psi[v]] += 1
+            return _fn(ca, cb, v, psi, *rest)
+
+        def counting(tree, *args, _fn=cluster_iso._contracted):
+            calls[at[0], 0 if tree is ca.pieces[at[0][0]].tree else 1] += 1
+            return _fn(tree, *args)
+        monkeypatch.setattr(cluster_iso, "_piece_brute", visiting)
+        monkeypatch.setattr(cluster_iso, "_contracted", counting)
+        assert brute_force_iso(ca, cb).psi == {0: 0, 1: 2, 2: 1}
+        assert visits[0, 0] == 2
+        assert calls == Counter({(key, side): 1 for key in visits for side in (0, 1)})
 
     def test_size_cap(self):
         big = chain_cluster(7)

@@ -369,6 +369,40 @@ class TestCLI:
         rc, _ = run_cli("validate", str(tmp_path / "absent.json"))
         assert rc == 2
 
+    # bytes that are not UTF-8, and nesting past the interpreter's recursion limit
+    UNDECODABLE = {"binary": b"\xff\xfe\x00garbage", "deep": b"[" * 100_000 + b"]" * 100_000}
+
+    @pytest.mark.parametrize("content", UNDECODABLE.values(), ids=UNDECODABLE)
+    @pytest.mark.parametrize("command", ["validate", "dist", "iso", "blocks", "generate", "suite"])
+    def test_undecodable_file_is_usage_error(self, command, content, small_instance, tmp_path):
+        from flipcluster.cluster import point_to_spec
+        c, inst = small_instance
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        point = json.dumps(point_to_spec(sample_points(c, random.Random(1), 1)[0]))
+        argv = {"validate": [bad], "dist": [bad, point, point], "iso": [inst, bad],
+                "blocks": [bad], "generate": ["--seed", "3", "--config", bad],
+                "suite": ["--config", bad]}[command]
+        rc, text = run_cli(command, *map(str, argv))
+        assert (rc, text) == (2, "")
+
+    def test_undecodable_point_is_usage_error(self, small_instance):
+        from flipcluster.cluster import point_to_spec
+        c, inst = small_instance
+        point = json.dumps(point_to_spec(sample_points(c, random.Random(1), 1)[0]))
+        rc, text = run_cli("dist", inst, point, "[" * 100_000 + "]" * 100_000)
+        assert (rc, text) == (2, "")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int digit limit in this interpreter")
+    def test_int_past_digit_limit_is_usage_error(self, small_instance, tmp_path):
+        _, inst = small_instance
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        bad = tmp_path / "bad.json"
+        bad.write_text(digits)
+        assert run_cli("validate", str(bad)) == (2, "")
+        assert run_cli("dist", inst, digits, digits) == (2, "")
+
     def test_dist_exact_matches_library(self, small_instance):
         from flipcluster.cluster import point_to_spec
         c, path = small_instance
@@ -778,6 +812,45 @@ class TestNoTruncationGuards:
                           "def project():\n    if 1:\n        raise SegmentOverflow\n"
                           "def other():\n    raise ValueError('SegmentOverflow')\n")
         assert self.overflow_raisers(sample) == ["Line.point_at", "project"]
+
+
+class TestRefereeIndependence:
+    """brute_force_iso referees isomorphic, so its functions name none of
+    the search's functions, nor its frame (Cluster.unit), nor a normal
+    form's raw locations or mark ints.  piece_normal_form and
+    MarkedTreeIso only package the referee's result and stay allowed."""
+
+    REFEREE = ("brute_force_iso", "_piece_brute", "_contracted")
+    SEARCH = {"marked_tree_extensions", "extend_choices", "_solve", "_root_choices",
+              "_wall_key", "_transform_for", "raw_loc", "mark_ints", "unit"}
+
+    @classmethod
+    def search_names(cls, path: Path) -> dict[str, list[str]]:
+        """Per top-level referee function, the search names among the
+        names, attributes and arguments it mentions, nested code included."""
+        import ast
+        found = {}
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in cls.REFEREE:
+                names = {n.id if isinstance(n, ast.Name) else
+                         n.attr if isinstance(n, ast.Attribute) else n.arg
+                         for n in ast.walk(node)
+                         if isinstance(n, (ast.Name, ast.Attribute, ast.arg))}
+                found[node.name] = sorted(names & cls.SEARCH)
+        return found
+
+    def test_referee_names_no_search_code(self):
+        found = self.search_names(REPO / "src" / "flipcluster" / "cluster_iso.py")
+        assert found == dict.fromkeys(self.REFEREE, [])
+
+    def test_scan_sees_search_names(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text("def brute_force_iso(ca):\n    return piece_normal_form(ca.unit)\n"
+                          "def _piece_brute(nf):\n    def place():\n        return nf.mark_ints()\n"
+                          "def _contracted(tree, raw_loc):\n    pass\n"
+                          "def other():\n    return marked_tree_extensions()\n")
+        assert self.search_names(sample) == {
+            "brute_force_iso": ["unit"], "_piece_brute": ["mark_ints"], "_contracted": ["raw_loc"]}
 
 
 class TestHotPathsReadColumns:
