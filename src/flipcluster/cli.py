@@ -14,7 +14,7 @@ import sys
 from .cluster import point_of_spec, point_to_spec, validate
 from .cluster_iso import isomorphic, witness_to_spec
 from .distance_oracle import DEFAULT_NODE_CAP, DiscretizedOracle, exact_distance
-from .errors import ClusterValidationError, InvalidPointError, SizeCapError
+from .errors import ClusterValidationError, InvalidPointError, SizeCapError, excerpt
 from .generator import GeneratorParams, generate
 from .jsonutil import dumps_canonical
 from .rational import format_rational, parse_rational
@@ -57,7 +57,7 @@ def _parse_point(c, text: str):
     try:
         return point_of_spec(c, json.loads(text))
     except (*_BAD_JSON, InvalidPointError) as ex:
-        raise UsageError(f"bad point {text!r}: {ex}")
+        raise UsageError(f"bad point {excerpt(text)}: {ex}")
 
 
 def _parse_eps(text: str):

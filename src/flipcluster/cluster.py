@@ -21,8 +21,14 @@ Points are canonicalized at their lowest supporting vertex so that
 structural equality is geometric equality.  A point is measured in the
 piece it is represented in: piece_distance and the distance code take
 points already represented where they measure and never re-resolve
-them.  Only the support walk (Cluster.supports) and transfer_across_wall
-move a point from one piece to another.
+them.  Only the support walk and transfer_across_wall move a point from
+one piece to another.  The walk runs once per point that Cluster.point
+builds: a wall point, with more than one support, keeps the support map
+its walk found, and Cluster.supports hands that map back to the cluster
+that walked it; a one-support point, or a point handed to another
+cluster, is walked again.  The kept map is exact whichever
+representation is asked about, since the walk reaches the same closure
+from each of them.
 
 Coordinates enter and leave as Fractions.  ``Cluster.unit`` is the one
 integer unit of an instance: the lcm of every piece tree's scale, every
@@ -43,7 +49,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple
 
-from .errors import ClusterValidationError, InvalidPointError, SegmentOverflow
+from .errors import ClusterValidationError, InvalidPointError, SegmentOverflow, excerpt
 from .jsonutil import dumps_canonical
 from .metric_tree import (Bridge, Line, MetricTree, Overlap, RootedTree, TreePoint, bridge,
                           connected, int_id, line_intersection)
@@ -113,6 +119,22 @@ class ClusterPoint(NamedTuple):
     vertex: int
     horizontal: TreePoint
     height: Fraction
+
+
+class _WallPoint(ClusterPoint):
+    """A ClusterPoint on a wall that keeps the support map Cluster.point's
+    walk found (``_reps``) and the cluster that walked it (``_owner``).
+    It reads as a ClusterPoint; a copy, a pickle or _replace is a plain
+    ClusterPoint, so no copy carries the map or its cluster along."""
+
+    def __repr__(self) -> str:
+        return repr(ClusterPoint(*self))
+
+    def __reduce__(self):
+        return ClusterPoint, tuple(self)
+
+    def _replace(self, **fields) -> ClusterPoint:
+        return ClusterPoint(*self)._replace(**fields)
 
 
 # a point's support map: each vertex whose piece holds it, with its representation there
@@ -216,11 +238,31 @@ class Cluster:
         return self.supports(ClusterPoint(v, horizontal, height))
 
     def point(self, v: int, edge: int, offset, height) -> ClusterPoint:
-        """Build and canonicalize a point from raw coordinates."""
-        return lowest_point(self.resolve(v, edge, offset, height))
+        """Build and canonicalize a point from raw coordinates.
+
+        A point with more than one support keeps the support map that
+        resolve found, for supports to read back on this cluster; any
+        other point is a plain ClusterPoint."""
+        reps = self.resolve(v, edge, offset, height)
+        if len(reps) == 1:
+            return lowest_point(reps)
+        low = min(reps)
+        pt = _WallPoint(low, *reps[low])
+        pt._owner, pt._reps = self, reps
+        return pt
 
     def supports(self, pt: ClusterPoint) -> Supports:
         """Every vertex whose piece contains the point, with its representation.
+
+        A wall point that this cluster's point built comes with its map,
+        and gets a fresh copy of it; every other point is walked.
+        """
+        if type(pt) is _WallPoint and pt._owner is self:
+            return dict(pt._reps)
+        return self._walk(pt)
+
+    def _walk(self, pt: ClusterPoint) -> Supports:
+        """The support walk.
 
         Wall membership propagates: a point on several walls of one piece
         belongs to every neighbor across those walls, so the support set is
@@ -535,10 +577,11 @@ def point_of_spec(c: Cluster, spec: dict) -> ClusterPoint:
     """The point of a JSON shape from point_to_spec: int ids and canonical
     rational strings.  Any other shape raises InvalidPointError."""
     if not isinstance(spec, dict) or not spec.keys() >= {"vertex", "edge", "offset", "height"}:
-        raise InvalidPointError(f'a point needs "vertex", "edge", "offset" and "height": {spec!r}')
+        raise InvalidPointError(
+            f'a point needs "vertex", "edge", "offset" and "height": {excerpt(spec)}')
     v, eid, offset, height = spec["vertex"], spec["edge"], spec["offset"], spec["height"]
     if type(v) is not int or type(eid) is not int:
-        raise InvalidPointError(f"point ids must be integers, got {v!r} and {eid!r}")
+        raise InvalidPointError(f"point ids must be integers, got {excerpt(v)} and {excerpt(eid)}")
     try:
         offset, height = parse_rational(offset), parse_rational(height)
     except ValueError as ex:

@@ -703,7 +703,9 @@ def brute_force_iso(ca: Cluster, cb: Cluster,
     height shifts are forced by the windows, so each piece can be checked
     independently by a pruned exhaustive search over raw feature
     bijections graded by pairwise distances and the forced mark images.
-    Each piece pair (v, psi[v]) is contracted once per call.
+    Each piece pair (v, psi[v]) is contracted once per call, and the
+    pieces are packaged as MarkedTreeIsos only once every piece of a
+    T-map has matched.
     """
     if len(ca.tree.vertices) > max_tree_vertices or \
             len(cb.tree.vertices) > max_tree_vertices:
@@ -735,25 +737,31 @@ def brute_force_iso(ca: Cluster, cb: Cluster,
             shifts[v] = wlo2 - wlo
         if not ok:
             continue
-        phi = {}
+        found = {}
         for v in va:
-            pm = _piece_brute(ca, cb, v, psi, edge_map, shifts, max_features, contracted)
-            if pm is None:
-                ok = False
+            found[v] = _piece_brute(ca, cb, v, psi, edge_map, shifts, max_features, contracted)
+            if found[v] is None:
                 break
-            phi[v] = pm
-        if not ok:
-            continue
-        return GoodTriple(ca, cb, tuple(va), psi, edge_map, phi)
+        else:
+            phi = {}
+            for v in va:
+                eids, eids_b = incident_eids(ca, v), incident_eids(cb, psi[v])
+                mark_map = tuple(eids_b.index(edge_map[e]) for e in eids)
+                transforms = tuple((1, shifts[ca.tree.other_end(e, v)]) for e in eids)
+                iso = MarkedTreeIso(piece_normal_form(ca, v), piece_normal_form(cb, psi[v]),
+                                    found[v], mark_map, transforms)
+                phi[v] = PieceMap(iso, shifts[v])
+            return GoodTriple(ca, cb, tuple(va), psi, edge_map, phi)
     return None
 
 
 def _piece_brute(ca: Cluster, cb: Cluster, v: int, psi: dict,
                  edge_map: dict, shifts: dict, max_features: int,
-                 contracted: dict) -> PieceMap | None:
-    """The first piece map at v under psi, or None; distances are compared
-    as ints at the pair's frame lcm(tree_a.scale, tree_b.scale), and the
-    contractions are kept in contracted for the rest of the call."""
+                 contracted: dict) -> dict[int, int] | None:
+    """The raw feature-vertex map of the first piece map at v under psi,
+    or None; distances are compared as ints at the pair's frame
+    lcm(tree_a.scale, tree_b.scale), and the contractions are kept in
+    contracted for the rest of the call."""
     tree_a = ca.pieces[v].tree
     tree_b = cb.pieces[psi[v]].tree
     eids = incident_eids(ca, v)
@@ -812,12 +820,4 @@ def _piece_brute(ca: Cluster, cb: Cluster, v: int, psi: dict,
             del assign[f]
         return None
 
-    found = place(0)
-    if found is None:
-        return None
-    nfa = piece_normal_form(ca, v)
-    nfb = piece_normal_form(cb, psi[v])
-    mark_map = tuple(eids_b.index(edge_map[e]) for e in eids)
-    transforms = tuple((1, shifts[ca.tree.other_end(e, v)]) for e in eids)
-    return PieceMap(MarkedTreeIso(nfa, nfb, found, mark_map, transforms),
-                    shifts[v])
+    return place(0)

@@ -3,6 +3,18 @@
 from __future__ import annotations
 
 
+def excerpt(value: object) -> str:
+    """A rejected input for an error message, so the message stays small
+    whatever the input: its repr when that is short, else the first 60
+    characters of the string (of the repr, for another value) and the
+    full length."""
+    text = value if type(value) is str else repr(value)
+    if len(text) <= 60:
+        return repr(value)
+    head = repr(text[:60]) if type(value) is str else text[:60]
+    return f"{head}... ({len(text)} characters)"
+
+
 class FlipClusterError(Exception):
     """Base class for all package-specific errors."""
 

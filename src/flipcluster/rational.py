@@ -14,6 +14,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .errors import excerpt
+
 # ASCII digits only, matched against the whole string
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -24,7 +26,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
-        raise ValueError(f"malformed rational {text!r}")
+        raise ValueError(f"malformed rational {excerpt(text)}")
     num_text, den_text = m.groups()
     num = int(num_text)
     if den_text is None:
@@ -32,17 +34,18 @@ def parse_rational(text: str) -> Fraction:
     else:
         den = int(den_text)
         if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in {excerpt(text)}")
         if den == 1:
-            raise ValueError(f"non-canonical rational {text!r}: integers must omit '/1'")
+            raise ValueError(f"non-canonical rational {excerpt(text)}: integers must omit '/1'")
         value = Fraction(num, den)
         if value.denominator != den:
-            raise ValueError(f"non-canonical rational {text!r}: not in lowest terms")
+            raise ValueError(f"non-canonical rational {excerpt(text)}: not in lowest terms")
     # a leading zero, or a sign on zero, is a second spelling of the value
     if num_text.lstrip("-")[0] == "0" and num_text != "0" \
             or den_text is not None and den_text[0] == "0":
         raise ValueError(
-            f"non-canonical rational {text!r}: write it as {format_rational(value)!r}")
+            f"non-canonical rational {excerpt(text)}: "
+            f"write it as {excerpt(format_rational(value))}")
     return value
 
 
@@ -62,9 +65,9 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
 def format_rational(value: Fraction | int) -> str:
     """Render a rational in the canonical interchange form; a float or a
     bool is a TypeError, since its digits would look exact."""
-    if type(value) not in (Fraction, int):
+    if type(value) is int:
+        return str(value)
+    if type(value) is not Fraction:
         raise TypeError(f"format_rational takes a Fraction or an int, got {value!r}")
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    n, d = value.numerator, value.denominator
+    return str(n) if d == 1 else f"{n}/{d}"

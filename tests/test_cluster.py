@@ -1,5 +1,8 @@
 """Instance validation, wall transfers, supports, and the JSON wire format."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -27,8 +30,17 @@ from flipcluster.errors import (
     NotOnLineError,
     SegmentOverflow,
 )
-from flipcluster.generator import GeneratorParams, generate_cluster
+from flipcluster.distance_oracle import exact_distance
+from flipcluster.generator import (
+    GeneratorParams,
+    generate_cluster,
+    sample_points,
+    slide_mark,
+    widen_window,
+)
 from flipcluster.metric_tree import Line, MetricTree
+from flipcluster.special_path import special_path, star_audit
+from flipcluster.suites import CORPUS
 
 F = Fraction
 
@@ -43,6 +55,30 @@ def grid_point(c: Cluster, rng: random.Random) -> ClusterPoint:
     lo, hi = c.pieces[v].window
     h = lo + (hi - lo) * F(rng.randrange(0, 9), 8)
     return c.point(v, eid, off, h)
+
+
+def remarked_cluster(seed: int, piece_edges: tuple[int, int] = (2, 6)) -> Cluster:
+    """A generated cluster re-marked with random leaf-to-leaf carriers,
+    each between two distinct leaves in a random orientation, its windows
+    recomputed as the generator does (the hull of the incoming mark
+    ranges, slack 2).  Generated marks are all diameter paths in one
+    direction, so only re-marked instances reach disjoint marks, reversed
+    overlaps and one-point overlaps."""
+    rng = random.Random(seed)
+    c = generate_cluster(GeneratorParams(seed=seed, tree_size=(2, 5), piece_edges=piece_edges))
+    marks = {}
+    for v, eid in sorted(c.marks):
+        tree = c.pieces[v].tree
+        a, b = rng.sample([u for u in tree.vertices if tree.degree(u) == 1], 2)
+        path = tree.rooted_at(a).path(a, b)[1]
+        marks[(v, eid)] = Line(tree, path, a, F(rng.randint(-32, 32), 8))
+    pieces = {}
+    for v, piece in c.pieces.items():
+        spans = [marks[(w, eid)] for eid, w in c.tree.neighbors(v)]
+        lo, hi = min(line.lo for line in spans), max(line.hi for line in spans)
+        mid, half = (lo + hi) / 2, hi - lo   # half the hull's width, times 2
+        pieces[v] = Piece(piece.tree, (mid - half, mid + half))
+    return Cluster(c.tree, pieces, marks)
 
 
 def two_piece_spec(range_hi="10", window=("-12", "12")):
@@ -481,6 +517,106 @@ class TestSupportsReferee:
                     non_lowest += v != min(want)
                     assert c.supports(rep) == reference_supports(c, rep) == want
         assert multi and non_lowest
+
+
+class TestResolvedPoints:
+    """A wall point from Cluster.point keeps the support map its walk
+    found, and only the cluster that walked it reads that map back."""
+
+    @staticmethod
+    def corpus() -> list[tuple[Cluster, list[ClusterPoint]]]:
+        """Sampled points on CORPUS instances and on re-marked ones, whose
+        bridges and reversed overlaps the generator never draws."""
+        out = []
+        for seed in range(20):
+            c = generate_cluster(dataclasses.replace(CORPUS, seed=seed))
+            out.append((c, sample_points(c, random.Random(seed), 40)))
+            c = remarked_cluster(seed)
+            out.append((c, sample_points(c, random.Random(seed), 40)))
+        return out
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        made = []
+
+        def counting(self, pt, _real=Cluster._walk):
+            made.append(pt)
+            return _real(self, pt)
+        monkeypatch.setattr(Cluster, "_walk", counting)
+        return made
+
+    def test_kept_map_is_the_walk_from_every_representation(self):
+        walls = non_lowest = 0
+        for c, pts in self.corpus():
+            for pt in pts:
+                kept = c.supports(pt)
+                walls += len(kept) > 1
+                for v, rep in kept.items():
+                    non_lowest += v != pt.vertex
+                    assert c._walk(ClusterPoint(v, *rep)) == kept
+        assert walls >= 100 and non_lowest >= 100
+
+    @pytest.mark.parametrize("fn", [exact_distance, special_path, star_audit])
+    def test_measures_walk_only_one_support_points(self, walks, fn):
+        """Two supports calls per pair, and a walk only for an end with one
+        support: a wall end is never walked again."""
+        both_walls = 0
+        for c, pts in self.corpus()[:8]:
+            for x, y in zip(pts[::2], pts[1::2]):
+                plain = [p for p in (x, y) if type(p) is ClusterPoint]
+                both_walls += not plain
+                walks.clear()
+                fn(c, x, y)
+                assert walks == plain
+        assert both_walls > 0
+
+    def test_only_wall_points_keep_a_map(self):
+        for c, pts in self.corpus()[:4]:
+            for pt in pts:
+                assert (type(pt) is ClusterPoint) == (len(c.supports(pt)) == 1)
+
+    def test_another_cluster_walks_the_point(self, walks):
+        """A copy of the cluster walks a wall point again and gets its own
+        map; a slid mark moves some wall point's representations."""
+        moved = 0
+        for c, pts in self.corpus()[:8]:
+            copies = [widen_window(c, c.tree.vertices[-1])]
+            copies += [slide_mark(c, *min(c.marks))] if c.marks else []
+            for other in copies:
+                for pt in pts:
+                    if type(pt) is ClusterPoint:
+                        continue
+                    walks.clear()
+                    got = other.supports(pt)
+                    assert walks == [pt]
+                    assert got == other._walk(ClusterPoint(*pt))
+                    moved += got != c.supports(pt)
+        assert moved > 0
+
+    def test_copies_drop_the_map(self, walks):
+        c = two_piece()
+        pt = c.point(1, 0, F(13), F(5))   # on the wall, canonical at 0
+        plain = ClusterPoint(*pt)
+        assert type(pt) is not ClusterPoint and len(walks) == 1
+        assert pt == plain and hash(pt) == hash(plain) and tuple(pt) == tuple(plain)
+        v, horizontal, height = pt
+        assert (v, horizontal, height) == (pt.vertex, pt.horizontal, pt.height)
+        assert repr(pt) == repr(plain) and repr(pt).startswith("ClusterPoint(vertex=0,")
+        copies = [copy.copy(pt), copy.deepcopy(pt), pickle.loads(pickle.dumps(pt)),
+                  pt._replace(), pt._replace(height=F(4))]
+        assert [type(q) for q in copies] == [ClusterPoint] * 5
+        assert copies[:4] == [plain] * 4 and copies[4] == plain._replace(height=F(4))
+        walks.clear()
+        assert c.supports(copies[0]) == c.supports(pt) and walks == [copies[0]]
+
+    def test_returned_map_is_a_copy(self, walks):
+        c = two_piece()
+        pt = c.point(1, 0, F(13), F(5))
+        first = c.supports(pt)
+        want = dict(first)
+        first.clear()
+        assert c.supports(pt) == want and sorted(want) == [0, 1]
+        assert len(walks) == 1   # the one in Cluster.point
 
 
 class TestTransfer:

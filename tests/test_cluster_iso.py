@@ -1022,6 +1022,31 @@ class TestBruteForce:
         assert visits[0, 0] == 2
         assert calls == Counter({(key, side): 1 for key in visits for side in (0, 1)})
 
+    def test_pieces_packaged_only_for_a_matched_t_map(self, monkeypatch):
+        """The straight T-map of the star3 pair matches the centre and fails
+        at piece 1; the pair with the long leg on one side only matches no
+        T-map.  A MarkedTreeIso is built for each piece of a returned
+        triple and for nothing else."""
+        built, solved = [], []
+
+        class Counting(MarkedTreeIso):
+            def __init__(self, *args):
+                built.append(args[2])
+                super().__init__(*args)
+
+        def solving(*args, _fn=cluster_iso._piece_brute):
+            found = _fn(*args)
+            solved.append(found is not None)
+            return found
+        monkeypatch.setattr(cluster_iso, "MarkedTreeIso", Counting)
+        monkeypatch.setattr(cluster_iso, "_piece_brute", solving)
+        triple = brute_force_iso(star3(True), star3(True, long_at=1))
+        assert solved[0] and not all(solved)
+        assert built == [triple.phi[v].iso.vertex_map for v in triple.vertices]
+        built.clear(), solved.clear()
+        assert brute_force_iso(star3(True), star3()) is None
+        assert any(solved) and built == []
+
     def test_size_cap(self):
         big = chain_cluster(7)
         with pytest.raises(SizeCapError):

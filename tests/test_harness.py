@@ -274,17 +274,26 @@ class TestRunSuite:
     def test_metric_axioms_resolves_each_point_once(self, monkeypatch):
         """Beyond what sample_points resolves itself, the metric-axioms suite
         resolves each pool point once and routes every ordered pair, self
-        pairs included, from those supports."""
-        closures, sampled, routes = [], [], []
+        pairs included, from those supports.  Of those resolutions only a
+        one-support point's walks: a wall point keeps the map its walk in
+        sample_points found."""
+        closures, sampled, routes, walks, pool_walks = [], [], [], [], []
 
         def counting_supports(self, pt, _real=Cluster.supports):
             closures.append(pt)
             return _real(self, pt)
 
+        def counting_walk(self, pt, _real=Cluster._walk):
+            reps = _real(self, pt)
+            walks.append(len(reps))
+            return reps
+
         def sampling(*args, _real=suites.sample_points):
-            before = len(closures)
+            before, walked = len(closures), len(walks)
             pts = _real(*args)
             sampled.append(len(closures) - before)
+            pool_walks.extend(walks[walked:])
+            del walks[walked:]
             return pts
 
         def routing(c, sx, sy, _real=suites.route_between):
@@ -292,6 +301,7 @@ class TestRunSuite:
             return _real(c, sx, sy)
 
         monkeypatch.setattr(Cluster, "supports", counting_supports)
+        monkeypatch.setattr(Cluster, "_walk", counting_walk)
         monkeypatch.setattr(suites, "sample_points", sampling)
         monkeypatch.setattr(suites, "route_between", routing)
         sizes = {"instances": 3, "triples": 4, "pool": 5}
@@ -299,6 +309,8 @@ class TestRunSuite:
         assert len(sampled) == sizes["instances"] and min(sampled) >= sizes["pool"]
         assert len(closures) - sum(sampled) == sizes["instances"] * sizes["pool"]
         assert len(routes) == sizes["instances"] * sizes["pool"] ** 2
+        assert len(pool_walks) == sizes["instances"] * sizes["pool"] and max(pool_walks) > 1
+        assert walks == [1] * pool_walks.count(1)
 
 
 def run_cli(*argv):
@@ -430,6 +442,21 @@ class TestCLI:
         _, path = small_instance
         rc, _ = run_cli("dist", path, "nope", "{}")
         assert rc == 2
+
+    @pytest.mark.parametrize("point", [
+        "[" * 100000 + "]" * 100000,
+        '{"vertex": 0, "edge": 0, "offset": "' + "x" * 100000 + '", "height": "0"}',
+        json.dumps([1] * 50000),
+        json.dumps({"vertex": "0" * 100000, "edge": 0, "offset": "0", "height": "0"}),
+    ], ids=["nested", "offset", "list", "vertex"])
+    def test_dist_huge_bad_point_is_echoed_short(self, small_instance, capsys, point):
+        """A rejected point is echoed as a prefix and its length, on one line."""
+        _, path = small_instance
+        rc, text = run_cli("dist", path, point, "x")
+        assert rc == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        assert f"({len(point)} characters)" in err
 
     @pytest.mark.parametrize("patch", [None, {"offset": 0}, {"height": 0.5}])
     def test_dist_malformed_point_spec_is_usage_error(self, small_instance, patch):
@@ -815,33 +842,47 @@ class TestNoTruncationGuards:
 
 
 class TestRefereeIndependence:
-    """brute_force_iso referees isomorphic, so its functions name none of
+    """Each referee names none of the code it checks.
+
+    brute_force_iso referees isomorphic, so its functions name none of
     the search's functions, nor its frame (Cluster.unit), nor a normal
     form's raw locations or mark ints.  piece_normal_form and
-    MarkedTreeIso only package the referee's result and stay allowed."""
+    MarkedTreeIso only package the referee's result and stay allowed.
+    crossing_objective re-measures route_distance's minimum, so it names
+    none of the term builders: line_gate, the relation memo and
+    mark_relation, a line's int range, the PL minimizer."""
 
     REFEREE = ("brute_force_iso", "_piece_brute", "_contracted")
     SEARCH = {"marked_tree_extensions", "extend_choices", "_solve", "_root_choices",
               "_wall_key", "_transform_for", "raw_loc", "mark_ints", "unit"}
+    REMEASURE = ("crossing_objective",)
+    TERMS = {"line_gate", "_relation", "mark_relation", "_range", "minimize_convex_pl"}
 
-    @classmethod
-    def search_names(cls, path: Path) -> dict[str, list[str]]:
-        """Per top-level referee function, the search names among the
+    @staticmethod
+    def checked_names(path: Path, referee: tuple[str, ...], checked: set[str]
+                      ) -> dict[str, list[str]]:
+        """Per top-level referee function, the checked names among the
         names, attributes and arguments it mentions, nested code included."""
         import ast
         found = {}
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and node.name in cls.REFEREE:
+            if isinstance(node, ast.FunctionDef) and node.name in referee:
                 names = {n.id if isinstance(n, ast.Name) else
                          n.attr if isinstance(n, ast.Attribute) else n.arg
                          for n in ast.walk(node)
                          if isinstance(n, (ast.Name, ast.Attribute, ast.arg))}
-                found[node.name] = sorted(names & cls.SEARCH)
+                found[node.name] = sorted(names & checked)
         return found
 
     def test_referee_names_no_search_code(self):
-        found = self.search_names(REPO / "src" / "flipcluster" / "cluster_iso.py")
+        found = self.checked_names(REPO / "src" / "flipcluster" / "cluster_iso.py",
+                                   self.REFEREE, self.SEARCH)
         assert found == dict.fromkeys(self.REFEREE, [])
+
+    def test_remeasure_names_no_term_builder(self):
+        found = self.checked_names(REPO / "src" / "flipcluster" / "distance_oracle.py",
+                                   self.REMEASURE, self.TERMS)
+        assert found == dict.fromkeys(self.REMEASURE, [])
 
     def test_scan_sees_search_names(self, tmp_path):
         sample = tmp_path / "sample.py"
@@ -849,8 +890,19 @@ class TestRefereeIndependence:
                           "def _piece_brute(nf):\n    def place():\n        return nf.mark_ints()\n"
                           "def _contracted(tree, raw_loc):\n    pass\n"
                           "def other():\n    return marked_tree_extensions()\n")
-        assert self.search_names(sample) == {
+        assert self.checked_names(sample, self.REFEREE, self.SEARCH) == {
             "brute_force_iso": ["unit"], "_piece_brute": ["mark_ints"], "_contracted": ["raw_loc"]}
+
+    def test_scan_sees_term_builders(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text("def crossing_objective(c, line):\n"
+                          "    g = line_gate(c.tree, line)\n"
+                          "    def leg(v):\n        return c._relation(v, 0, 1), line._range(2)\n"
+                          "    return minimize_convex_pl(g, c.mark_relation)\n"
+                          "def route_distance(c):\n    return line_gate(c)\n")
+        assert self.checked_names(sample, self.REMEASURE, self.TERMS) == {
+            "crossing_objective": ["_range", "_relation", "line_gate", "mark_relation",
+                                   "minimize_convex_pl"]}
 
 
 class TestHotPathsReadColumns:

@@ -24,6 +24,30 @@ near_canonical = st.one_of(
 )
 
 
+def old_format_rational(value: Fraction | int) -> str:
+    """format_rational as it was first written, through Fraction(value)."""
+    f = Fraction(value)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
+class TestFormatRational:
+    BIG = 3 ** 200
+
+    @pytest.mark.parametrize("value", [
+        0, 1, -1, 7, -7, BIG, -BIG,
+        F(0), F(5), F(-5), F(1, 2), F(-1, 2), F(-22, 8), F(BIG, 7), F(-BIG, 2 ** 100),
+        F(1, BIG), F(-BIG + 1, BIG),
+    ])
+    def test_same_text_as_the_fraction_body(self, value):
+        assert format_rational(value) == old_format_rational(value)
+
+    @given(st.one_of(st.integers(), st.fractions()))
+    def test_same_text_on_any_value(self, value):
+        assert format_rational(value) == old_format_rational(value)
+
+
 class TestParseRational:
     @settings(max_examples=600, deadline=None)
     @given(near_canonical)

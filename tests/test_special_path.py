@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from test_cluster import chain3, grid_point, two_piece
+from test_cluster import chain3, grid_point, remarked_cluster, two_piece
 
 import flipcluster.special_path as special_path_module
 from flipcluster import distance_oracle, suites
@@ -24,7 +24,7 @@ from flipcluster.cluster import (
 )
 from flipcluster.distance_oracle import DiscretizedOracle, default_eps, exact_distance
 from flipcluster.errors import ClusterValidationError, GlueMismatch, SizeCapError
-from flipcluster.generator import GeneratorParams, generate_cluster, sample_points
+from flipcluster.generator import generate_cluster, sample_points
 from flipcluster.metric_tree import Bridge, Line, MetricTree, Overlap
 from flipcluster.special_path import (
     length_ratio,
@@ -473,30 +473,6 @@ class TestSupportCalls:
                 fn(c, x, y)
                 assert len(counted) == expected
         assert cases == {False, True}   # common-support and crossing pairs both ran
-
-
-def remarked_cluster(seed: int, piece_edges: tuple[int, int] = (2, 6)) -> Cluster:
-    """A generated cluster re-marked with random leaf-to-leaf carriers,
-    each between two distinct leaves in a random orientation, its windows
-    recomputed as the generator does (the hull of the incoming mark
-    ranges, slack 2).  Generated marks are all diameter paths in one
-    direction, so only re-marked instances reach disjoint marks, reversed
-    overlaps and one-point overlaps."""
-    rng = random.Random(seed)
-    c = generate_cluster(GeneratorParams(seed=seed, tree_size=(2, 5), piece_edges=piece_edges))
-    marks = {}
-    for v, eid in sorted(c.marks):
-        tree = c.pieces[v].tree
-        a, b = rng.sample([u for u in tree.vertices if tree.degree(u) == 1], 2)
-        path = tree.rooted_at(a).path(a, b)[1]
-        marks[(v, eid)] = Line(tree, path, a, F(rng.randint(-32, 32), 8))
-    pieces = {}
-    for v, piece in c.pieces.items():
-        spans = [marks[(w, eid)] for eid, w in c.tree.neighbors(v)]
-        lo, hi = min(line.lo for line in spans), max(line.hi for line in spans)
-        mid, half = (lo + hi) / 2, hi - lo   # half the hull's width, times 2
-        pieces[v] = Piece(piece.tree, (mid - half, mid + half))
-    return Cluster(c.tree, pieces, marks)
 
 
 def relation_kinds(rel) -> set[str]:
