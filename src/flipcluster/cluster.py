@@ -102,9 +102,6 @@ class SimplicialTree:
             return a
         raise ValueError(f"vertex {v} not on edge {eid}")
 
-    def distance(self, u: int, v: int) -> int:
-        return self._rooted.distance(u, v)
-
     def path(self, u: int, v: int) -> tuple[list[int], list[int]]:
         """(vertex sequence u..v, edge ids between them)."""
         return self._rooted.path(u, v)
@@ -162,9 +159,8 @@ class Cluster:
                 continue
             lo, hi = self.pieces[v].window
             if lo >= hi:
-                problems.append(
-                    ("empty-window", f"vertex {v}", f"height window [{lo}, {hi}] is empty")
-                )
+                problems.append(("empty-window", f"vertex {v}",
+                                 f"height window [{excerpt(lo)}, {excerpt(hi)}] is empty"))
         vertices = set(self.tree.vertices)
         for v in self.pieces:
             if v not in vertices:
@@ -206,8 +202,8 @@ class Cluster:
                         (
                             "window-range-mismatch",
                             f"edge {eid}",
-                            f"mark {v}:{eid} range [{line.lo}, {line.hi}] exceeds "
-                            f"window [{wlo}, {whi}] of vertex {w}",
+                            f"mark {v}:{eid} range [{excerpt(line.lo)}, {excerpt(line.hi)}] "
+                            f"exceeds window [{excerpt(wlo)}, {excerpt(whi)}] of vertex {w}",
                         )
                     )
         return problems
@@ -360,18 +356,19 @@ def route_between(c: Cluster, sx: Supports, sy: Supports) -> SupportRoute:
     from their support maps sx and sy.
 
     Points with a common support get the lowest common vertex and no
-    edges.  Otherwise the supports are disjoint subtrees of T, and the
-    route joins the support pair at least T-distance (ties to the lowest
-    ids): that pair is the bridge between the subtrees, so every
-    connecting path crosses the route's walls in order.
+    edges.  Otherwise the supports are disjoint subtrees of T, joined by
+    one bridge, so no tie is broken: the T-path between any vertex of each
+    is cut from its last vertex in sx to its first in sy.  Every
+    connecting path crosses the bridge's walls in order.
     """
     common = sx.keys() & sy.keys()
     if common:
-        a = b = min(common)
-    else:
-        a, b = min(((a, b) for a in sx for b in sy),
-                   key=lambda ab: (c.tree.distance(*ab), ab))
-    verts, eids = c.tree.path(a, b)
+        verts, eids = [min(common)], []
+    else:   # sx holds a prefix of the T-path and sy a suffix: cut between them
+        verts, eids = c.tree.path(next(iter(sx)), next(iter(sy)))
+        i, j = sum(v in sx for v in verts) - 1, len(verts) - sum(v in sy for v in verts)
+        verts, eids = verts[i:j + 1], eids[i:j]
+    a, b = verts[0], verts[-1]
     return SupportRoute(tuple(verts), tuple(eids),
                         ClusterPoint(a, *sx[a]), ClusterPoint(b, *sy[b]))
 
@@ -386,6 +383,19 @@ def support_route(c: Cluster, x0: ClusterPoint, xn: ClusterPoint) -> SupportRout
 
 def _mark_key(v: int, eid: int) -> str:
     return f"{v}:{eid}"
+
+
+def _check_keys(spec: dict, expected: list[str], section: str, against: str) -> None:
+    """Raise a schema problem unless spec's keys are the expected ones.  It
+    names the first missing and the first unexpected key, excerpted, never
+    a whole key list."""
+    want = set(expected)
+    if spec.keys() != want:
+        missing = next((f"missing {excerpt(k)}" for k in expected if k not in spec), None)
+        extra = next((f"unexpected {excerpt(k)}" for k in spec if k not in want), None)
+        found = ", ".join(filter(None, (missing, extra)))
+        raise ClusterValidationError([("schema", section,
+                                       f"keys do not match {against} ({found})")])
 
 
 def validate(spec: dict) -> Cluster:
@@ -415,10 +425,7 @@ def validate(spec: dict) -> Cluster:
     piece_spec = spec["pieces"]
     if not isinstance(piece_spec, dict):
         raise ClusterValidationError([("schema", "pieces", "expected an object")])
-    expected = {str(v) for v in tree.vertices}
-    if set(piece_spec) != expected:
-        raise ClusterValidationError([
-            ("schema", "pieces", f"piece keys {sorted(piece_spec)} do not match tree vertices")])
+    _check_keys(piece_spec, [str(v) for v in tree.vertices], "pieces", "tree vertices")
     for v in tree.vertices:
         entry = piece_spec[str(v)]
         ctx = f"piece {v}"
@@ -446,15 +453,8 @@ def validate(spec: dict) -> Cluster:
     mark_spec = spec["marks"]
     if not isinstance(mark_spec, dict):
         raise ClusterValidationError([("schema", "marks", "expected an object")])
-    expected_keys = {
-        _mark_key(v, eid)
-        for eid, (a, b) in enumerate(tree.edges)
-        for v in (a, b)
-    }
-    if set(mark_spec) != expected_keys:
-        raise ClusterValidationError([
-            ("schema", "marks",
-             f"mark keys do not match tree incidences (want {sorted(expected_keys)})")])
+    _check_keys(mark_spec, [_mark_key(v, eid) for eid, e in enumerate(tree.edges) for v in e],
+                "marks", "tree incidences")
     for key in sorted(mark_spec):
         entry = mark_spec[key]
         ctx = f"mark {key}"
@@ -473,14 +473,13 @@ def validate(spec: dict) -> Cluster:
             problems.append(("bad-rational", ctx, str(ex)))
             continue
         if origin != lo:
-            problems.append(
-                ("origin-mismatch", ctx, f"origin {origin} must equal range start {lo}")
-            )
+            problems.append(("origin-mismatch", ctx,
+                             f"origin {excerpt(origin)} must equal range start {excerpt(lo)}"))
             continue
         path = entry["path"]
         orient = entry["orient"]
         if type(orient) is not int or orient not in (1, -1):
-            problems.append(("bad-orient", ctx, f"orient must be 1 or -1, got {orient!r}"))
+            problems.append(("bad-orient", ctx, f"orient must be 1 or -1, got {excerpt(orient)}"))
             continue
         try:
             start = _walk_start(ztree, path, orient, ctx, problems)
@@ -491,10 +490,8 @@ def validate(spec: dict) -> Cluster:
             problems.append(("bad-line", ctx, str(ex)))
             continue
         if line.hi != hi:
-            problems.append(
-                ("range-length-mismatch", ctx,
-                 f"range end {hi} does not match carrier length (expected {line.hi})")
-            )
+            problems.append(("range-length-mismatch", ctx, f"range end {excerpt(hi)} does not "
+                             f"match carrier length (expected {excerpt(line.hi)})"))
             continue
         marks[(v, eid)] = line
     if problems:
@@ -510,13 +507,13 @@ def _walk_start(ztree: MetricTree, path, orient: int, ctx: str, problems) -> int
     ends = ztree._ends
     first = ends[path[0]] if 0 <= path[0] < len(ends) else None
     if first is None:
-        problems.append(("bad-line", ctx, f"path references missing edge {path[0]}"))
+        problems.append(("bad-line", ctx, f"path references missing edge {excerpt(path[0])}"))
         return None
     if len(path) == 1:
         return first[0] if orient == 1 else first[1]
     second = ends[path[1]] if 0 <= path[1] < len(ends) else None
     if second is None:
-        problems.append(("bad-line", ctx, f"path references missing edge {path[1]}"))
+        problems.append(("bad-line", ctx, f"path references missing edge {excerpt(path[1])}"))
         return None
     shared = set(first) & set(second)
     if len(shared) != 1:

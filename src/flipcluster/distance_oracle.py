@@ -2,8 +2,8 @@
 
 Correctness lemma (used by exact_distance)
 ------------------------------------------
-Let x, y have disjoint support subtrees, let v_0..v_n be the unique
-shortest T-path between the closest supports, and e_0..e_{n-1} its edges.
+Let x, y have disjoint support subtrees, let v_0..v_n be the bridge
+between the support subtrees, and e_0..e_{n-1} its edges.
 Claim: the glued-space distance d(x, y) equals the minimum over legal
 crossing profiles (s_i on mark(v_i, e_i), h_i in the twin range) of
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 def excerpt(value: object) -> str:
     """A rejected input for an error message, so the message stays small
-    whatever the input: its repr when that is short, else the first 60
-    characters of the string (of the repr, for another value) and the
-    full length."""
-    text = value if type(value) is str else repr(value)
+    whatever the input: a string's repr, or another value's str (a
+    Fraction's canonical text), when that is short, else its first 60
+    characters and the full length."""
+    text = value if type(value) is str else str(value)
     if len(text) <= 60:
-        return repr(value)
+        return repr(text) if type(value) is str else text
     head = repr(text[:60]) if type(value) is str else text[:60]
     return f"{head}... ({len(text)} characters)"
 

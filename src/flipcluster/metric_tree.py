@@ -39,7 +39,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import InvalidPointError, NotOnLineError, SegmentOverflow
+from .errors import InvalidPointError, NotOnLineError, SegmentOverflow, excerpt
 from .rational import as_fraction
 
 
@@ -60,7 +60,7 @@ class TreePoint(NamedTuple):
 def int_id(x) -> int:
     """A vertex or edge id, which must be an int and not a bool."""
     if type(x) is not int:
-        raise TypeError(f"ids must be integers, got {x!r}")
+        raise TypeError(f"ids must be integers, got {excerpt(x)}")
     return x
 
 
@@ -129,10 +129,6 @@ class RootedTree:
         verts_v, eids_v = self._rise(v, m)
         return verts_u + verts_v[-2::-1], eids_u + eids_v[::-1]
 
-    def distance(self, u: int, v: int):
-        d = self.depth
-        return d[u] + d[v] - 2 * d[self.meet(u, v)]
-
 
 class MetricTree:
     """A finite connected acyclic graph with positive rational edge lengths.
@@ -162,10 +158,10 @@ class MetricTree:
             if type(length) is not Fraction:
                 length = as_fraction(length)
             if a == b:
-                raise ValueError(f"edge {i} is a self-loop at vertex {a}")
+                raise ValueError(f"edge {i} is a self-loop at vertex {excerpt(a)}")
             ratio = length.as_integer_ratio()
             if ratio[0] <= 0:   # a Fraction has the sign of its numerator
-                raise ValueError(f"edge {i} has non-positive length {length}")
+                raise ValueError(f"edge {i} has non-positive length {excerpt(length)}")
             if type(a) is not int:
                 int_id(a)
             if type(b) is not int:
@@ -313,7 +309,7 @@ class Line:
         m, pos = len(ends), 0
         for eid in path:
             if not 0 <= eid < m:
-                raise ValueError(f"line references missing edge {eid}")
+                raise ValueError(f"line references missing edge {excerpt(eid)}")
             a, b = ends[eid]
             if v == a:
                 v = b

