@@ -14,7 +14,8 @@ import sys
 from .cluster import point_of_spec, point_to_spec, validate
 from .cluster_iso import isomorphic, witness_to_spec
 from .distance_oracle import DEFAULT_NODE_CAP, DiscretizedOracle, exact_distance
-from .errors import ClusterValidationError, InvalidPointError, SizeCapError, excerpt
+from .errors import (ClusterValidationError, InvalidPointError, RationalTooLong, SizeCapError,
+                     excerpt)
 from .generator import GeneratorParams, generate
 from .jsonutil import dumps_canonical
 from .rational import format_rational, parse_rational
@@ -241,7 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as ex:
+    except (UsageError, RationalTooLong) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -325,8 +325,8 @@ def transfer_across_wall(c: Cluster, eid: int, pt: ClusterPoint) -> ClusterPoint
     twin = c.marks[(w, eid)]
     if twin._lift(pt.height) is None:
         raise SegmentOverflow(
-            f"height {pt.height} outside the twin mark range "
-            f"[{twin.lo}, {twin.hi}] on edge {eid}",
+            f"height {excerpt(pt.height)} outside the twin mark range "
+            f"[{excerpt(twin.lo)}, {excerpt(twin.hi)}] on edge {eid}",
             edge=eid,
             param=pt.height,
         )

@@ -104,28 +104,36 @@ def crossing_objective(c: Cluster, profile: CrossingProfile,
 
     Evaluated by walking the legs with plain piece geometry; shares no
     code with the term construction that exact_distance minimizes, so the
-    two can check each other.
+    two can check each other.  The legs are summed as ints over the
+    path's own frame: the lcm of the profile's and the ends' denominators,
+    the crossed pieces' tree scales and the crossed marks' lo
+    denominators, found here and not taken from the cluster, so a wrong
+    frame on the minimizer's side is caught rather than shared.
     """
-    verts = profile.vertices
+    verts, eids = profile.vertices, profile.edges
     n = len(verts) - 1
     if (x0.vertex, xn.vertex) != (verts[0], verts[n]):
         raise InvalidPointError(
             f"ends represented at {x0.vertex} and {xn.vertex}, not {verts[0]} and {verts[n]}")
     if n == 0:
         return piece_distance(c, x0, xn)
-    cur_h, cur_t = x0.horizontal, x0.height
-    total = Fraction(0)
+    trees = [c.pieces[v].tree for v in verts]
+    exits = [c.marks[(v, e)] for v, e in zip(verts, eids)]
+    twins = [c.marks[(w, e)] for w, e in zip(verts[1:], eids)]
+    ratios = [f.as_integer_ratio() for f in (*profile.s, *profile.h, x0.horizontal.offset,
+                                             x0.height, xn.horizontal.offset, xn.height)]
+    den = lcm(*(q for _, q in ratios), *(tree.scale for tree in trees),
+              *(line._lo[1] for line in exits + twins))
+    lifted = [p * (den // q) for p, q in ratios]
+    s, h, (o0, t0, on, tn) = lifted[:n], lifted[n:2 * n], lifted[2 * n:]
+    cur, cur_t = (x0.horizontal.edge, o0), t0
+    total = 0
     for i in range(n):
-        v, e = verts[i], profile.edges[i]
-        exit_line = c.marks[(v, e)]
-        exit_pt = exit_line.point_at(profile.s[i])  # SegmentOverflow if illegal
-        twin = c.marks[(verts[i + 1], e)]
-        cross_h = twin.point_at(profile.h[i])
-        total += c.pieces[v].tree.distance(cur_h, exit_pt) + abs(cur_t - profile.h[i])
-        cur_h, cur_t = cross_h, profile.s[i]
-    total += c.pieces[verts[n]].tree.distance(cur_h, xn.horizontal)
-    total += abs(cur_t - xn.height)
-    return total
+        exit_pt = exits[i]._foot(s[i], den)   # SegmentOverflow if illegal
+        total += trees[i]._span(cur, exit_pt, den) + abs(cur_t - h[i])
+        cur, cur_t = twins[i]._foot(h[i], den), s[i]
+    total += trees[n]._span(cur, (xn.horizontal.edge, on), den) + abs(cur_t - tn)
+    return Fraction(total, den)
 
 
 def exact_distance(c: Cluster, x0: ClusterPoint, xn: ClusterPoint
@@ -145,8 +153,8 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
     denominators of the two ends' offsets and heights: every box end,
     gate, overlap, bridge and gap is then an int over D, and only the end
     gates and heights are lifted from Fractions.  The minimum is
-    re-measured on Fractions by crossing_objective, and a disagreement
-    raises RemeasureMismatch.
+    re-measured on ints at its own frame by crossing_objective, and a
+    disagreement raises RemeasureMismatch.
     """
     verts, eids, x0, xn = route
     n = len(eids)

@@ -2,17 +2,35 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 def excerpt(value: object) -> str:
     """A rejected input for an error message, so the message stays small
     whatever the input: a string's repr, or another value's str (a
     Fraction's canonical text), when that is short, else its first 60
-    characters and the full length."""
-    text = value if type(value) is str else str(value)
+    characters and the full length.  A value with no str, such as an int
+    past the interpreter's limit on digits or a list nested past its
+    recursion limit, is described by its size."""
+    try:
+        text = value if type(value) is str else str(value)
+    except (ValueError, RecursionError):   # past the digit limit, or nested too deep
+        return _size(value)
     if len(text) <= 60:
         return repr(text) if type(value) is str else text
     head = repr(text[:60]) if type(value) is str else text[:60]
     return f"{head}... ({len(text)} characters)"
+
+
+def _size(value: object) -> str:
+    """A value too long to print, by its type and, for an int or a
+    Fraction, its bit lengths."""
+    if type(value) is int:
+        return f"<int of {value.bit_length()} bits>"
+    if type(value) is Fraction:
+        n, d = value.as_integer_ratio()
+        return f"<Fraction of {n.bit_length()} bits over {d.bit_length()} bits>"
+    return f"<{type(value).__name__} too long to print>"
 
 
 class FlipClusterError(Exception):
@@ -71,13 +89,18 @@ class ObjectiveStructureError(FlipClusterError):
 
 
 class RemeasureMismatch(FlipClusterError):
-    """A minimized distance disagrees with its re-measure on Fractions: the
-    crossing path at the argmin does not have the minimized length."""
+    """A minimized distance disagrees with its re-measure on ints at its own
+    frame: the crossing path at the argmin does not have the minimized
+    length."""
 
 
 class GlueMismatch(FlipClusterError):
     """Two consecutive segments of a special path fail to glue: the exit of
     one, transferred across their wall, is not the entry of the next."""
+
+
+class RationalTooLong(FlipClusterError, ValueError):
+    """A rational has more digits than the interpreter writes as a string."""
 
 
 class WitnessMismatch(FlipClusterError):

@@ -245,36 +245,40 @@ class MetricTree:
     # -- metric ------------------------------------------------------------
 
     def distance(self, p: TreePoint, q: TreePoint) -> Fraction:
-        if p.edge == q.edge:
-            return abs(p.offset - q.offset)
-        rt, ends, scale = self._rooted, self._ends, self.scale
+        (n, dp), (m, dq) = p.offset.as_integer_ratio(), q.offset.as_integer_ratio()
+        den = self.scale * dp * dq   # both offsets are ints over it
+        span = self._span((p.edge, n * self.scale * dq), (q.edge, m * self.scale * dp), den)
+        return Fraction(span, den)
+
+    def _span(self, p: tuple[int, int], q: tuple[int, int], den: int) -> int:
+        """The distance times den between two points given as (edge id,
+        offset times den), den a multiple of the scale."""
+        (ep, op), (eq, oq) = p, q
+        if ep == eq:
+            return abs(op - oq)
+        rt, ends = self._rooted, self._ends
         hops, depth = rt.hops, rt.depth
+        u = den // self.scale   # a depth times u is over den
         # Each point climbs from c, the end of its edge farther from the
-        # root, and sits at weighted depth x / (scale * den), where den is
-        # its offset's denominator.  The offset runs from the edge's end a,
-        # so x is a's depth plus the offset when b is deeper, and minus it
-        # when a is.
-        a, b = ends[p.edge]
-        n, dp = p.offset.numerator, p.offset.denominator
+        # root, and sits at weighted depth x / den.  The offset runs from
+        # the edge's end a, so x is a's depth plus the offset when b is
+        # deeper, and minus it when a is.
+        a, b = ends[ep]
         if hops[b] > hops[a]:
-            cp, xp = b, depth[a] * dp + n * scale
+            cp, xp = b, depth[a] * u + op
         else:
-            cp, xp = a, depth[a] * dp - n * scale
-        a, b = ends[q.edge]
-        n, dq = q.offset.numerator, q.offset.denominator
+            cp, xp = a, depth[a] * u - op
+        a, b = ends[eq]
         if hops[b] > hops[a]:
-            cq, xq = b, depth[a] * dq + n * scale
+            cq, xq = b, depth[a] * u + oq
         else:
-            cq, xq = a, depth[a] * dq - n * scale
-        xp, xq = xp * dq, xq * dp   # both over scale * dp * dq
+            cq, xq = a, depth[a] * u - oq
         m = rt.meet(cp, cq)
         if m == cp:   # q hangs below p's edge: the geodesic descends from p
-            x = xq - xp
-        elif m == cq:
-            x = xp - xq
-        else:
-            x = xp + xq - 2 * depth[m] * dp * dq
-        return Fraction(x, scale * dp * dq)
+            return xq - xp
+        if m == cq:
+            return xp - xq
+        return xp + xq - 2 * depth[m] * u
 
 
 class Line:
@@ -356,7 +360,8 @@ class Line:
     def _lift(self, t: Fraction) -> tuple[int, int] | None:
         """(x, bq) for parameter t, or None when t is outside [lo, hi]: b
         and q are the denominators of lo and t, and x is t's position times
-        bq.  point_at and the support walk's wall test share this check."""
+        bq.  transfer_across_wall and the support walk's wall test share
+        this check."""
         a, b = self._lo
         q = t.denominator
         bq = b * q
@@ -370,25 +375,42 @@ class Line:
         return k is not None and lifted is not None and lifted[0] == self._cuts[k] * lifted[1]
 
     def point_at(self, t: Fraction | int | str) -> TreePoint:
-        t = as_fraction(t)
-        lifted = self._lift(t)
-        if lifted is None:
+        n, q = as_fraction(t).as_integer_ratio()
+        tree, b = self.tree, self._lo[1]
+        den = b * q * tree.scale   # t over den, b lo's denominator
+        eid, offset = self._foot(n * b * tree.scale, den)
+        # a vertex gets the offset vertex_point gives it, with no Fraction built
+        if offset == 0:
+            return TreePoint(eid, _ZERO)
+        if offset == tree._units[eid] * b * q:
+            return TreePoint(eid, tree._lengths[eid])
+        return TreePoint(eid, Fraction(offset, den))
+
+    def _foot(self, t: int, den: int) -> tuple[int, int]:
+        """The point at parameter t / den, as (edge id, offset times den)
+        and canonical on a vertex; den is a multiple of lo's denominator
+        and the scale.  The parameter is checked against the line's range."""
+        a, b = self._lo
+        u = den // self.tree.scale   # a position times u is over den
+        cuts = self._cuts
+        x = t - a * (den // b)       # the position times u
+        if not 0 <= x <= cuts[-1] * u:
+            t = Fraction(t, den)
             raise SegmentOverflow(
-                f"parameter {t} outside line range [{self.lo}, {self.hi}]",
+                f"parameter {excerpt(t)} outside line range "
+                f"[{excerpt(self.lo)}, {excerpt(self.hi)}]",
                 param=t,
             )
-        x, bq = lifted
-        cuts = self._cuts
-        k = bisect_left(cuts, -(-x // bq), 1) - 1   # first edge ending at or after t
-        along = x - cuts[k] * bq
-        if along == 0:
-            return self.tree.vertex_point(self._verts[k])
-        rest = cuts[k + 1] * bq - x
-        if rest == 0:
-            return self.tree.vertex_point(self._verts[k + 1])
-        eid = self.edge_path[k]
-        forward = self._verts[k] == self.tree._ends[eid][0]
-        return TreePoint(eid, Fraction(along if forward else rest, bq * self.tree.scale))
+        k = bisect_left(cuts, -(-x // u), 1) - 1   # first edge ending at or after t
+        along = x - cuts[k] * u
+        rest = cuts[k + 1] * u - x
+        if along and rest:
+            eid = self.edge_path[k]
+            return eid, along if self._verts[k] == self.tree._ends[eid][0] else rest
+        tree = self.tree   # on a vertex: its lowest-id edge, as vertex_point gives it
+        v = self._verts[k] if along == 0 else self._verts[k + 1]
+        eid, _ = tree._adj[v][0]
+        return eid, 0 if tree._ends[eid][0] == v else tree._units[eid] * u
 
     def coord_of(self, p: TreePoint) -> Fraction:
         k = self._edge_at.get(p.edge)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import excerpt
+from .errors import RationalTooLong, excerpt
 
 # ASCII digits only, matched against the whole string
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -64,10 +64,17 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational in the canonical interchange form; a float or a
-    bool is a TypeError, since its digits would look exact."""
+    bool is a TypeError, since its digits would look exact.  A numerator
+    or denominator past the interpreter's limit on digits raises
+    RationalTooLong."""
     if type(value) is int:
-        return str(value)
-    if type(value) is not Fraction:
+        n, d = value, 1
+    elif type(value) is Fraction:
+        n, d = value.numerator, value.denominator
+    else:
         raise TypeError(f"format_rational takes a Fraction or an int, got {value!r}")
-    n, d = value.numerator, value.denominator
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        raise RationalTooLong(f"cannot write {excerpt(value)} in decimal: "
+                              "it has more digits than the interpreter converts") from None

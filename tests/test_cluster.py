@@ -5,6 +5,7 @@ import dataclasses
 import json
 import pickle
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -33,7 +34,8 @@ from flipcluster.errors import (
     NotOnLineError,
     SegmentOverflow,
 )
-from flipcluster.distance_oracle import exact_distance
+from flipcluster.cluster_iso import image_supports, isomorphic
+from flipcluster.distance_oracle import DiscretizedOracle, exact_distance
 from flipcluster.generator import (
     GeneratorParams,
     generate_cluster,
@@ -402,6 +404,21 @@ class TestValidation:
         with pytest.raises(ClusterValidationError) as exc:
             validate(spec)
         assert exc.value.problems == [problem]
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no int digit limit in this interpreter")
+    def test_value_past_digit_limit_is_described_by_size(self):
+        """A range start with as many digits as the interpreter writes
+        makes a range end with more: its problem line gives its size."""
+        spec = two_piece_spec()
+        start = "1/" + "9" * sys.get_int_max_str_digits()
+        spec["marks"]["0:0"] = {**spec["marks"]["0:0"], "range": [start, "10"], "origin": start}
+        with pytest.raises(ClusterValidationError) as exc:
+            validate(spec)
+        lines = str(exc.value).splitlines()[1:]
+        assert [line[:40] for line in lines] == ["[range-length-mismatch] mark 0:0: range "]
+        assert "(expected <Fraction of " in lines[0]
+        assert max(map(len, lines)) <= 200
 
     def test_chain3_roundtrip(self):
         c = chain3()
@@ -959,6 +976,33 @@ class TestWideSupports:
 
     def test_memory_grows_linearly(self):
         assert self.traced_peak(5000) < 6 * self.traced_peak(1200)
+
+    def test_grid_oracle(self):
+        """The grid grows by one far piece's nodes per piece, and its
+        traced peak by under 5x at 4x the pieces; the replay pair reads
+        its exact distance (it crosses one wall on grid nodes)."""
+        nodes, peaks = {}, {}
+        for n in (150, 600):
+            c, x, y = wide_path(n)
+            tracemalloc.start()
+            try:
+                oracle = DiscretizedOracle(c, F(1, 2))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert oracle.distance(x, y) == 10
+            nodes[n] = len(oracle.adj)
+            per_piece = oracle.grids[0].node_count()
+        assert nodes[600] - nodes[150] == 450 * per_piece
+        assert peaks[600] < 5 * peaks[150]
+
+    @pytest.mark.parametrize("n", [150, 600])
+    def test_isometry_and_image_supports(self, n):
+        c, x, _ = wide_path(n)
+        triple = isomorphic(c, wide_path(n)[0])
+        assert triple is not None
+        image = image_supports(triple, c.supports(x))
+        assert len(image) == n // 2 + 1
 
     def test_replay_distance_at_5000_pieces_is_fast(self):
         c, x, y = wide_path(5000)

@@ -9,6 +9,8 @@ can only overshoot, by at most 4 * eps per piece traversed.
 The oracle's integer graph is itself checked against `ReferenceGraph`:
 the same grid sampled on its own with Fractions, edges keyed by (vertex,
 TreePoint, height) tuples, Fraction weights and a plain Fraction Dijkstra.
+The re-measure, crossing_objective on ints at its own frame, is checked
+against `fraction_remeasure`, the same walk of the legs on Fractions.
 """
 
 import dataclasses
@@ -22,11 +24,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from test_cluster import chain3, on_carrier, two_piece
+from test_cluster import chain3, on_carrier, remarked_cluster, two_piece, wide_path
+from test_rescaling import LAMBDAS, scaled_point, scaled_spec
+from test_special_path import relation_kinds
 
 import flipcluster.distance_oracle as oracle_module
-from flipcluster.cluster import (ClusterPoint, lowest_point, piece_distance, route_between,
-                                 support_route)
+from flipcluster.cluster import (Cluster, ClusterPoint, Piece, SimplicialTree, lowest_point,
+                                 piece_distance, route_between, support_route, to_spec,
+                                 validate)
 from flipcluster.distance_oracle import (
     CrossingProfile,
     DiscretizedOracle,
@@ -35,10 +40,12 @@ from flipcluster.distance_oracle import (
     exact_distance,
     route_distance,
 )
-from flipcluster.errors import (InvalidPointError, RemeasureMismatch, SegmentOverflow,
-                                SizeCapError)
+from flipcluster.errors import (FlipClusterError, InvalidPointError, RemeasureMismatch,
+                                SegmentOverflow, SizeCapError)
 from flipcluster.generator import GeneratorParams, generate_cluster, sample_points
-from flipcluster.suites import ORACLE_CORPUS
+from flipcluster.metric_tree import Line, MetricTree
+from flipcluster.rational import format_rational
+from flipcluster.suites import CORPUS, ORACLE_CORPUS
 
 F = Fraction
 
@@ -153,6 +160,189 @@ class TestCrossingObjective:
                 crossing_objective(c, prof, x0, xn)
         assert crossing_objective(c, stay, there, far) == 20
         assert crossing_objective(c, cross, there, near) == 0 + 10 + 4
+
+
+def fraction_remeasure(c, profile, x0, xn):
+    """crossing_objective's referee, on Fractions: each foot from
+    Line.point_at, each in-piece leg from MetricTree.distance."""
+    verts = profile.vertices
+    n = len(verts) - 1
+    assert (x0.vertex, xn.vertex) == (verts[0], verts[n])
+    if n == 0:
+        return piece_distance(c, x0, xn)
+    cur_h, cur_t = x0.horizontal, x0.height
+    total = F(0)
+    for i in range(n):
+        v, e = verts[i], profile.edges[i]
+        exit_pt = c.marks[(v, e)].point_at(profile.s[i])
+        cross_h = c.marks[(verts[i + 1], e)].point_at(profile.h[i])
+        total += c.pieces[v].tree.distance(cur_h, exit_pt) + abs(cur_t - profile.h[i])
+        cur_h, cur_t = cross_h, profile.s[i]
+    total += c.pieces[verts[n]].tree.distance(cur_h, xn.horizontal)
+    return total + abs(cur_t - xn.height)
+
+
+def legal_param(line, rng):
+    """A parameter of the line: a carrier vertex's, or a rational in its
+    range with a denominator up to 12 over its length."""
+    if rng.random() < 0.3:
+        return rng.choice(list(line.vertex_params.values()))
+    d = rng.randint(1, 12)
+    return line.lo + (line.hi - line.lo) * F(rng.randint(0, d), d)
+
+
+def random_profile(c, verts, eids, rng):
+    """A legal crossing profile along the T-path verts."""
+    s = tuple(legal_param(c.marks[(v, e)], rng) for v, e in zip(verts, eids))
+    h = tuple(legal_param(c.marks[(w, e)], rng) for w, e in zip(verts[1:], eids))
+    return CrossingProfile(tuple(verts), tuple(eids), s, h)
+
+
+def coprime_pair():
+    """Two pieces whose tree scales are 3 and 5, glued along marks whose
+    ranges start at 1/2 and 1/7: every frame factor comes from one place."""
+    z0 = MetricTree([(0, 1, F(4, 3)), (1, 2, F(5, 3)), (1, 3, 1)])
+    z1 = MetricTree([(0, 1, F(2, 5)), (1, 2, F(13, 5)), (2, 3, F(6, 5))])
+    pieces = {0: Piece(z0, (F(-10), F(10))), 1: Piece(z1, (F(-10), F(10)))}
+    marks = {(0, 0): Line(z0, [0, 1], 0, F(1, 2)), (1, 0): Line(z1, [0, 1, 2], 0, F(1, 7))}
+    return Cluster(SimplicialTree([0, 1], [(0, 1)]), pieces, marks)
+
+
+class TestRemeasureReferee:
+    """crossing_objective on ints at its own frame against its Fraction
+    referee, on the argmin profile of each pair and on random legal
+    profiles of the same route, with parameters at carrier vertices and
+    at rationals in range."""
+
+    @staticmethod
+    def agree(c, x, y, rng, seen, tries=4):
+        route = support_route(c, x, y)
+        _, prof = route_distance(c, route)
+        cands = [prof] + [random_profile(c, route.vertices, route.edges, rng)
+                          for _ in range(tries if route.edges else 0)]
+        for cand in cands:
+            got = crossing_objective(c, cand, route.start, route.end)
+            assert got == fraction_remeasure(c, cand, route.start, route.end)
+            seen["walls"] += len(cand.edges)
+        seen["pairs"] += 1
+        seen["crossing"] += len(route.edges) > 0
+
+    def test_corpus_pairs(self):
+        seen = Counter()
+        for seed in range(40):
+            c = generate_cluster(dataclasses.replace(CORPUS, seed=seed))
+            rng = random.Random(seed)
+            pts = sample_points(c, rng, 8)
+            for x, y in zip(pts[0::2], pts[1::2]):
+                self.agree(c, x, y, rng, seen)
+        assert seen["pairs"] == 160 and seen["crossing"] >= 60 and seen["walls"] >= 500
+
+    def test_remarked_corpus(self):
+        """Bridged pieces and reversed overlaps, which generated marks never make."""
+        seen = Counter()
+        for seed in range(60):
+            c = remarked_cluster(seed, piece_edges=(6, 14))
+            rng = random.Random(seed)
+            pts = sample_points(c, rng, 8)
+            for x, y in zip(pts[0::2], pts[1::2]):
+                self.agree(c, x, y, rng, seen)
+                route = support_route(c, x, y)
+                verts, eids = route.vertices, route.edges
+                seen.update("route-" + kind for i in range(1, len(eids)) for kind in
+                            relation_kinds(c.mark_relation(verts[i], eids[i - 1], eids[i])))
+        assert seen["pairs"] == 240
+        assert min(seen[k] for k in ("route-bridge", "route-reversed")) > 0
+
+    @pytest.mark.parametrize("lam", LAMBDAS, ids=format_rational)
+    def test_rescaled_corpus(self, lam):
+        """Coprime factors: the frame meets denominators the generator never draws."""
+        seen = Counter()
+        for i in range(12):
+            c = generate_cluster(dataclasses.replace(CORPUS, seed=i))
+            cs = validate(scaled_spec(to_spec(c), lam))
+            rng = random.Random(i)
+            pts = sample_points(c, rng, 8)
+            for x, y in zip(pts[0::2], pts[1::2]):
+                self.agree(cs, scaled_point(cs, x, lam), scaled_point(cs, y, lam), rng, seen)
+        assert seen["pairs"] == 48 and seen["crossing"] >= 20
+
+    def test_coprime_pieces(self):
+        """Each piece's scale and each mark's lo denominator enters the
+        frame: pieces at scales 3 and 5, mark origins over 2 and 7, and
+        ends at tree vertices and integer heights."""
+        c = coprime_pair()
+        exit_line, twin = c.marks[(0, 0)], c.marks[(1, 0)]
+        rng = random.Random(3)
+
+        def end(v):
+            return ClusterPoint(v, c.pieces[v].tree.vertex_point(rng.randrange(4)),
+                                F(rng.randint(-9, 9)))
+
+        for _ in range(200):
+            x0, xn = end(0), end(1)
+            prof = CrossingProfile((0, 1), (0,), (legal_param(exit_line, rng),),
+                                   (legal_param(twin, rng),))
+            assert crossing_objective(c, prof, x0, xn) == fraction_remeasure(c, prof, x0, xn)
+            back = CrossingProfile((1, 0), (0,), prof.h, prof.s)
+            assert crossing_objective(c, back, xn, x0) == fraction_remeasure(c, back, xn, x0)
+
+    def test_wide_path(self):
+        """The one-wall replay pair, and profiles across every wall of T."""
+        n = 400
+        c, x, y = wide_path(n)
+        rng = random.Random(n)
+        seen = Counter()
+        self.agree(c, x, y, rng, seen)
+        verts, eids = c.tree.path(0, n - 1)
+        ends = ClusterPoint(0, *c.supports(x)[0]), ClusterPoint(n - 1, *c.supports(y)[n - 1])
+        for _ in range(3):
+            prof = random_profile(c, verts, eids, rng)
+            assert crossing_objective(c, prof, *ends) == fraction_remeasure(c, prof, *ends)
+        assert seen["walls"] == 5
+
+    def test_ends_on_carrier_vertices(self):
+        """Ends and crossings on carrier vertices, where a foot is the
+        vertex's canonical point, on every wall of small corpus instances."""
+        checked = 0
+        for seed in range(20):
+            c = remarked_cluster(seed)
+            rng = random.Random(seed)
+            for (v, e), line in sorted(c.marks.items()):
+                w = c.tree.other_end(e, v)
+                twin = c.marks[(w, e)]
+                for a, b in zip(line.vertex_params, twin.vertex_params):
+                    x0 = ClusterPoint(v, c.pieces[v].tree.vertex_point(a), twin.lo)
+                    xn = ClusterPoint(w, c.pieces[w].tree.vertex_point(b), line.hi)
+                    h = rng.choice(list(twin.vertex_params.values()))
+                    prof = CrossingProfile((v, w), (e,), (line.vertex_param(a),), (h,))
+                    got = crossing_objective(c, prof, x0, xn)
+                    assert got == fraction_remeasure(c, prof, x0, xn)
+                    checked += 1
+        assert checked >= 200
+
+    def test_truncating_unit_is_caught(self, monkeypatch):
+        """A Cluster.unit that drops a factor truncates route_distance's
+        lifts; the re-measure works at its own frame, so no pair returns a
+        wrong distance and some end in RemeasureMismatch."""
+        real = Cluster.unit.func
+        seen = Counter()
+        for lam in LAMBDAS:
+            for i in range(12):
+                c = generate_cluster(dataclasses.replace(CORPUS, seed=i))
+                cs = validate(scaled_spec(to_spec(c), lam))
+                pts = sample_points(cs, random.Random(i), 8)
+                pairs = list(zip(pts[0::2], pts[1::2]))
+                want = [exact_distance(cs, x, y)[0] for x, y in pairs]
+                with monkeypatch.context() as m:
+                    m.setattr(Cluster, "unit", property(lambda self: real(self) // lam.denominator))
+                    cs = validate(to_spec(cs))   # no unit or relation memo kept
+                    for (x, y), d in zip(pairs, want):
+                        try:
+                            seen["right" if exact_distance(cs, x, y)[0] == d else "wrong"] += 1
+                        except FlipClusterError as ex:
+                            seen[type(ex).__name__] += 1
+        assert seen["wrong"] == 0
+        assert seen["RemeasureMismatch"] >= 10
 
 
 class TestExactDistance:

@@ -415,6 +415,21 @@ class TestCLI:
         assert run_cli("validate", str(bad)) == (2, "")
         assert run_cli("dist", inst, digits, digits) == (2, "")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no int digit limit in this interpreter")
+    def test_distance_past_digit_limit_is_usage_error(self, tmp_path):
+        """Two offsets whose denominators have as many digits as the
+        interpreter writes are 2/(p * q) apart, which it cannot write."""
+        from flipcluster.cluster import dumps
+        from test_cluster import two_piece
+        inst = tmp_path / "two.json"
+        inst.write_text(dumps(two_piece()))
+        nines = "9" * sys.get_int_max_str_digits()
+        p, q = (json.dumps({"vertex": 0, "edge": 0, "offset": f"1/{nines[:-1]}{d}", "height": "0"})
+                for d in "97")
+        assert run_cli("dist", str(inst), p, q) == (2, "")
+        assert run_cli("special-path", str(inst), p, q) == (2, "")
+
     def test_dist_exact_matches_library(self, small_instance):
         from flipcluster.cluster import point_to_spec
         c, path = small_instance
@@ -800,7 +815,7 @@ class TestNoTruncationGuards:
     end: SegmentOverflow is for parameters outside a line's range, raised
     where a parameter is read on a line, and nowhere else."""
 
-    ALLOWED = {"Line.point_at", "transfer_across_wall"}
+    ALLOWED = {"Line._foot", "transfer_across_wall"}
 
     @staticmethod
     def overflow_raisers(path: Path) -> list[str]:
@@ -850,13 +865,14 @@ class TestRefereeIndependence:
     MarkedTreeIso only package the referee's result and stay allowed.
     crossing_objective re-measures route_distance's minimum, so it names
     none of the term builders: line_gate, the relation memo and
-    mark_relation, a line's int range, the PL minimizer."""
+    mark_relation, a line's int range, the PL minimizer, nor their frame
+    (Cluster.unit)."""
 
     REFEREE = ("brute_force_iso", "_piece_brute", "_contracted")
     SEARCH = {"marked_tree_extensions", "extend_choices", "_solve", "_root_choices",
               "_wall_key", "_transform_for", "raw_loc", "mark_ints", "unit"}
     REMEASURE = ("crossing_objective",)
-    TERMS = {"line_gate", "_relation", "mark_relation", "_range", "minimize_convex_pl"}
+    TERMS = {"line_gate", "_relation", "mark_relation", "_range", "minimize_convex_pl", "unit"}
 
     @staticmethod
     def checked_names(path: Path, referee: tuple[str, ...], checked: set[str]
@@ -898,11 +914,11 @@ class TestRefereeIndependence:
         sample.write_text("def crossing_objective(c, line):\n"
                           "    g = line_gate(c.tree, line)\n"
                           "    def leg(v):\n        return c._relation(v, 0, 1), line._range(2)\n"
-                          "    return minimize_convex_pl(g, c.mark_relation)\n"
+                          "    return minimize_convex_pl(g, c.mark_relation, c.unit)\n"
                           "def route_distance(c):\n    return line_gate(c)\n")
         assert self.checked_names(sample, self.REMEASURE, self.TERMS) == {
             "crossing_objective": ["_range", "_relation", "line_gate", "mark_relation",
-                                   "minimize_convex_pl"]}
+                                   "minimize_convex_pl", "unit"]}
 
 
 class TestHotPathsReadColumns:

@@ -1,5 +1,6 @@
 """The canonical rational encoding: one string per value."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from test_cluster import two_piece
 
 from flipcluster.distance_oracle import DiscretizedOracle
+from flipcluster.errors import FlipClusterError, RationalTooLong, excerpt
 from flipcluster.metric_tree import Line, MetricTree
 from flipcluster.rational import as_fraction, format_rational, parse_rational
 from flipcluster.tree_graded import FiniteGraph
@@ -133,3 +135,39 @@ class TestExactInputs:
         assert as_fraction(3) == 3 and type(as_fraction(3)) is Fraction
         assert as_fraction("-1/20") == F(-1, 20)
         assert segment().point(0, "5") == segment().point(0, F(5))
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="no int digit limit in this interpreter")
+class TestDigitLimit:
+    """Values with more digits than the interpreter writes as a string:
+    an error message describes them by size, and the wire refuses them
+    with a package error."""
+
+    @staticmethod
+    def huge() -> int:
+        """An int one digit past the limit."""
+        return 10 ** sys.get_int_max_str_digits()
+
+    def test_excerpt_describes_by_size(self):
+        big = self.huge()
+        bits = big.bit_length()
+        assert excerpt(big) == f"<int of {bits} bits>"
+        assert excerpt(-big) == f"<int of {bits} bits>"
+        assert excerpt(F(1, big)) == f"<Fraction of 1 bits over {bits} bits>"
+        assert excerpt([0, big]) == "<list too long to print>"
+        assert excerpt(F(big - 1, 7)).endswith(f"... ({len(str(big - 1)) + 2} characters)")
+
+    def test_excerpt_never_raises(self):
+        nested: list = []
+        for _ in range(100_000):   # past the recursion limit of str()
+            nested = [nested]
+        assert excerpt(nested) == "<list too long to print>"
+
+    def test_format_raises_package_error(self):
+        big = self.huge()
+        for value in (big, -big, F(1, big), F(big, 3)):
+            with pytest.raises(RationalTooLong, match="more digits than the interpreter") as ex:
+                format_rational(value)
+            assert isinstance(ex.value, FlipClusterError) and len(str(ex.value)) <= 200
+        assert format_rational(F(1, big - 1)) == "1/" + "9" * sys.get_int_max_str_digits()
