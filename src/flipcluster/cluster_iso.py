@@ -56,6 +56,7 @@ import heapq
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
@@ -96,9 +97,7 @@ class NormalForm:
         for i, m in enumerate(self.marks):
             self.by_carrier.setdefault(frozenset((m.start_vertex, m.end_vertex)), []).append(i)
         fedges: list[FeatureEdge] = []
-        # raw edge -> (feature edge, distance of the raw edge's start along
-        # it as an int at the tree's scale, whether the chain runs a->b)
-        raw_loc: dict[int, tuple[int, int, bool]] = {}
+        raw_loc: dict[int, int] = {}   # raw edge -> the feature edge it lies on
         ends, units, neighbors = tree._ends, tree._units, tree.neighbors
         for f in self.features:
             for eid, w in neighbors(f):
@@ -111,7 +110,7 @@ class NormalForm:
                 while True:
                     fwd = ends[cur_eid][0] == cur
                     chain.append((cur_eid, fwd))
-                    raw_loc[cur_eid] = (len(fedges), pos, fwd)
+                    raw_loc[cur_eid] = len(fedges)
                     pos += units[cur_eid]
                     if nxt in feats:
                         break
@@ -144,25 +143,10 @@ class NormalForm:
                 self._mark_ints.append((lo, hi, at))
         return self._mark_ints
 
-    def locate(self, p: TreePoint) -> tuple[int, Fraction]:
-        """(feature edge index, offset from its u end)."""
-        fidx, base, fwd = self.raw_loc[p.edge]
-        scale = self.tree.scale
-        n, d = p.offset.numerator, p.offset.denominator
-        along = n * scale if fwd else self.tree._units[p.edge] * d - n * scale
-        return fidx, Fraction(base * d + along, scale * d)
-
-    def fedge_point(self, fidx: int, x: Fraction) -> TreePoint:
-        """The point at offset x along feature edge fidx from its u end."""
-        tree = self.tree
-        units, scale, d = tree._units, tree.scale, x.denominator
-        rest = x.numerator * scale   # x times scale * d, left to walk
-        for eid, fwd in self.fedges[fidx].chain:
-            span = units[eid] * d
-            if rest <= span:
-                return tree.point(eid, Fraction(rest if fwd else span - rest, scale * d))
-            rest -= span
-        raise ValueError("offset beyond feature edge")
+    @cached_property
+    def lines(self) -> tuple[Line, ...]:
+        """Per feature edge, its chain as a line from u at parameter 0."""
+        return tuple(Line(self.tree, [eid for eid, _ in fe.chain], fe.u, 0) for fe in self.fedges)
 
 
 class MarkedTreeIso:
@@ -188,11 +172,11 @@ class MarkedTreeIso:
             self.fedge_map[i] = (j, vertex_map[fe.u] == nf_b.fedges[j].u)
 
     def point_image(self, p: TreePoint) -> TreePoint:
-        fidx, x = self.nf_a.locate(p)
+        fidx = self.nf_a.raw_loc[p.edge]
+        x = self.nf_a.lines[fidx].coord_of(p)
         j, same = self.fedge_map[fidx]
-        if not same:
-            x = Fraction(self.nf_b.fedges[j].length, self.nf_b.den) - x
-        return self.nf_b.fedge_point(j, x)
+        line = self.nf_b.lines[j]
+        return line.point_at(x if same else line.hi - x)
 
 
 Transform = tuple[int, int]   # t -> sigma*t + shift, as (sigma, shift times the frame)

@@ -34,6 +34,12 @@ class GeneratorParams:
     tree_shape: str = "random"                   # or "path"
 
     def __post_init__(self):
+        ints = (*self.tree_size, *self.piece_edges, self.max_denominator)
+        if any(type(x) is not int for x in ints):
+            raise ValueError(f"size bounds and max denominator must be ints, got {ints}")
+        exact = (*self.edge_length, self.slack)
+        if any(type(x) not in (int, Fraction) for x in exact):
+            raise ValueError(f"edge lengths and slack must be ints or Fractions, got {exact}")
         lo, hi = self.tree_size
         if not 1 <= lo <= hi:
             raise ValueError("tree size range is empty")

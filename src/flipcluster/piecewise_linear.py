@@ -10,12 +10,15 @@ is |x_a - clamp_I(r)| + dist(r, I), the tree distance between two points
 moving on two tree geodesics whose common segment is I, with r the
 second point's position in the first line's parameters, affinely
 extended past I.  The couplings that arise from distances in glued tree
-products form disjoint chains (every variable sits in at most two pairs,
-acyclically), so exact dynamic programming over one-dimensional
-piecewise-linear value functions computes the global minimum without
-search: messages are eliminated variable by variable and an argmin is
-recovered by backtracking.  Plain coordinate descent is not sound for
-these objectives - a diagonal kink such as |x - y| can make every axis
+products form disjoint chains, and the caller numbers each chain in
+order: every pair has a < b, and each variable is the a of at most one
+pair and the b of at most one.  Exact dynamic programming over
+one-dimensional piecewise-linear value functions then computes the
+global minimum without search: one pass from the last variable down to
+the first sends each pair's message from b into a, and one pass up
+recovers the lowest argmin by backtracking, each chain rooted at its
+lowest variable.  Plain coordinate descent is not sound for these
+objectives - a diagonal kink such as |x - y| can make every axis
 direction flat at a non-optimal point - which is why the elimination
 route is used.
 
@@ -54,19 +57,18 @@ the value |x_a - clamp_I(r)| + dist(r, I), which equals
 
     dist(x_a, I) + |clamp_I(x_a) - clamp_I(r)| + dist(r, I),
 
-symmetric in x_a and r, as |x_a - r| is for an abs pair.  So one
-formula serves both directions: with the child value function f in its
-own coordinate (x_a, or r for a child on the b side), the message is
+symmetric in x_a and r, as |x_a - r| is for an abs pair.  So with the
+child value function f of x_b pulled back to r, the message into x_a is
 
-    inf_conv_abs(inf_conv_abs(f, I), parent range)
+    inf_conv_abs(inf_conv_abs(f, I), parent range).
 
-in the other coordinate.  Minimizing f + dist(., I) + |clamp_I(.) - s|
-over the child gives inf_conv_abs(f)(s) for s in I, and a function whose
-slopes lie in [-1, 1] is its own inf-convolution, which supplies the
-unit-slope continuation outside I.  With one side fixed at u the term is
-a constant plus |v - clamp_I(u)| in the other coordinate v, so
-backtracking only needs the lowest argmin of f + |x - c|: c clamped
-between the first knots of f whose right slopes reach -1 and 1.
+Minimizing f + dist(., I) + |clamp_I(.) - s| over r gives
+inf_conv_abs(f)(s) for s in I, and a function whose slopes lie in
+[-1, 1] is its own inf-convolution, which supplies the unit-slope
+continuation outside I.  With x_a fixed at u the term is a constant plus
+|r - clamp_I(u)|, so backtracking only needs the lowest argmin of
+f + |x - c| in x_b: c clamped between the first knots of f whose right
+slopes reach -1 and 1.
 
 The lattice
 -----------
@@ -210,7 +212,8 @@ class ConvexPL:
 
 
 # a pair term: (var_a, var_b, sigma, shift, the overlap (lo, hi) or None for
-# an abs pair)
+# an abs pair), with var_a < var_b; each variable is the var_a of at most
+# one pair and the var_b of at most one, so the pairs form chains
 Pair = tuple[int, int, int, int, tuple[int, int] | None]
 
 
@@ -237,34 +240,23 @@ def _unary_pl(lo: int, hi: int, anchors: list[int]) -> ConvexPL:
     return ConvexPL(tuple(ks), tuple(vs), tuple(ss))
 
 
-def _pair_message(pair: Pair, child: ConvexPL, child_var: int,
-                  parent_lo: int, parent_hi: int) -> ConvexPL:
-    """min over the child variable of child + pair(child, parent).
+def _pair_message(pair: Pair, child: ConvexPL, parent_lo: int, parent_hi: int) -> ConvexPL:
+    """min over x_b of child(x_b) + pair(x_a, x_b), a function of x_a on its box.
 
     Both pair types are symmetric in x_a and r = sigma * x_b + shift, so
-    the child is moved into its own side's coordinate, convolved there,
-    and the result read in the parent's coordinate.
+    the child is moved into r, convolved there, and read as x_a.
     """
-    _, var_b, sig, sh, overlap = pair
-    to_a = var_b == child_var
-    if to_a:
-        child = child.pullback(sig, -sig * sh)   # b = sig * (r - shift)
-        lo, hi = parent_lo, parent_hi
-    else:
-        lo, hi = sorted((sig * parent_lo + sh, sig * parent_hi + sh))
+    _, _, sig, sh, overlap = pair
+    child = child.pullback(sig, -sig * sh)   # b = sig * (r - shift)
     if overlap is not None:
         child = child.inf_conv_abs(*overlap)
-    msg = child.inf_conv_abs(lo, hi)
-    return msg if to_a else msg.pullback(sig, sh)
+    return child.inf_conv_abs(parent_lo, parent_hi)
 
 
-def _pair_anchor(pair: Pair, fixed_var: int, fixed_value: int) -> int:
-    """c such that the pair term, its other variable fixed, is a constant plus |x - c|."""
-    var_a, _, sig, sh, overlap = pair
-    target = fixed_value if var_a == fixed_var else sig * fixed_value + sh
-    if overlap is not None:
-        target = _clamp(target, *overlap)
-    return sig * (target - sh) if var_a == fixed_var else target
+def _pair_anchor(pair: Pair, x_a: int) -> int:
+    """c such that the pair term, x_a fixed, is a constant plus |x_b - c|."""
+    _, _, sig, sh, overlap = pair
+    return sig * ((x_a if overlap is None else _clamp(x_a, *overlap)) - sh)
 
 
 def minimize_convex_pl(anchors: Sequence[Sequence[int]], box: Sequence[tuple[int, int]],
@@ -273,13 +265,14 @@ def minimize_convex_pl(anchors: Sequence[Sequence[int]], box: Sequence[tuple[int
 
     ``anchors[v]`` and ``box[v]`` are variable v's anchors and (lo, hi);
     every number is an int on the caller's lattice (module docstring),
-    and so are the returned (argmin, value).  The argmin is canonical
-    (lowest coordinates among minimizers under the elimination order).
-    Raises ObjectiveStructureError when the anchors and the box disagree
-    on the number of variables, a pair names a variable outside the box,
-    couples a variable with itself or has sigma other than 1 or -1, or
-    the couplings do not form a forest; NonConvexObjective when an
-    overlap is inside out or an intermediate value function fails the
+    and so are the returned (argmin, value).  The pairs must follow the
+    chain rule: a < b in each, and each variable the a of at most one
+    pair and the b of at most one.  The argmin is the lexicographically
+    lowest minimizer.  Raises ObjectiveStructureError when the anchors
+    and the box disagree on the number of variables, a pair names a
+    variable outside the box, has a >= b or sigma other than 1 or -1, or
+    a variable is the a or the b of two pairs; NonConvexObjective when
+    an overlap is inside out or an intermediate value function fails the
     convexity certificate.
     """
     n = len(box)
@@ -288,62 +281,45 @@ def minimize_convex_pl(anchors: Sequence[Sequence[int]], box: Sequence[tuple[int
     for i, (lo, hi) in enumerate(box):
         if lo > hi:
             raise ValueError(f"empty box for variable {i}")
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]   # (other variable, pair index)
-    for k, (a, b, sigma, _, overlap) in enumerate(pairs):
-        if not (0 <= a < n and 0 <= b < n and a != b and sigma in (1, -1)):
+    into: list[Pair | None] = [None] * n   # into[b]: the pair whose var_b is b
+    is_a = [False] * n
+    for k, pair in enumerate(pairs):
+        a, b, sigma, _, overlap = pair
+        if not (0 <= a < b < n and sigma in (1, -1)):
             raise ObjectiveStructureError(
-                f"pair {pairs[k]!r} needs two distinct variables in [0, {n}) and sigma 1 or -1")
+                f"pair {pair!r} needs two distinct variables a < b in [0, {n}) and sigma 1 or -1")
+        if is_a[a] or into[b] is not None:
+            raise ObjectiveStructureError(
+                f"pair {k} is a second pair with variable {a if is_a[a] else b} on the same "
+                "side; the pairs must form chains, with no branch or cycle")
         if overlap is not None and overlap[0] > overlap[1]:
             raise NonConvexObjective(
-                f"overlap {list(overlap)} of pair {k} is inside out; the coupling is not convex"
-            )
-        adj[a].append((b, k))
-        adj[b].append((a, k))
+                f"overlap {list(overlap)} of pair {k} is inside out; the coupling is not convex")
+        is_a[a] = True
+        into[b] = pair
 
-    assign: dict[int, int] = {}
-    total = 0
-    seen: set[int] = set()
-    for root in range(n):
-        if root in seen:
-            continue
-        # collect the component and verify it is a tree of couplings
-        comp: list[int] = []
-        parent: dict[int, tuple[int, int] | None] = {root: None}
-        order = [root]
-        seen.add(root)
-        while order:
-            v = order.pop()
-            comp.append(v)
-            for w, k in adj[v]:
-                if w not in parent:
-                    parent[w] = (v, k)
-                    seen.add(w)
-                    order.append(w)
-                elif parent[v] is None or parent[v] != (w, k):
-                    raise ObjectiveStructureError(
-                        "pair couplings contain a cycle; chain elimination needs a forest"
-                    )
-        # comp lists every variable after its parent: reversed, leaves come first
-        fn = {v: _unary_pl(*box[v], anchors[v]) for v in comp}
-        for v in reversed(comp):
-            if not fn[v].is_convex():
+    # every b exceeds its a, so a variable's messages are all in when it is reached
+    fn = [_unary_pl(*box[v], anchors[v]) for v in range(n)]
+    for v in reversed(range(n)):
+        if not fn[v].is_convex():
+            raise NonConvexObjective(
+                f"value function of variable {v} violates the convexity certificate")
+        pair = into[v]
+        if pair is not None:
+            a = pair[0]
+            m = _pair_message(pair, fn[v], *box[a])
+            if not m.is_convex():
                 raise NonConvexObjective(
-                    f"value function of variable {v} violates the convexity certificate"
-                )
-            if parent[v] is not None:
-                pv, k = parent[v]
-                m = _pair_message(pairs[k], fn[v], v, *box[pv])
-                if not m.is_convex():
-                    raise NonConvexObjective(
-                        f"message into variable {pv} violates the convexity certificate"
-                    )
-                fn[pv] = fn[pv].add(m)
+                    f"message into variable {a} violates the convexity certificate")
+            fn[a] = fn[a].add(m)
 
-        arg_root, val = fn[root].argmin()
-        total += val
-        assign[root] = arg_root
-        for w in comp[1:]:   # backtrack downward, parents first
-            v, k = parent[w]
-            assign[w] = fn[w].argmin_plus_abs(_pair_anchor(pairs[k], v, assign[v]))
-
-    return tuple(assign[i] for i in range(n)), total
+    arg = [0] * n
+    total = 0
+    for v in range(n):   # backtrack upward, each chain from its root
+        pair = into[v]
+        if pair is None:
+            arg[v], val = fn[v].argmin()
+            total += val
+        else:
+            arg[v] = fn[v].argmin_plus_abs(_pair_anchor(pair, arg[pair[0]]))
+    return tuple(arg), total

@@ -98,16 +98,19 @@ def remarked_cluster(seed: int, piece_edges: tuple[int, int] = (2, 6)) -> Cluste
 
 
 def two_piece_spec(range_hi="10", window=("-12", "12")):
-    """Two segment pieces [-10, 10] glued along their full marks."""
-    seg = {
-        "tree_edges": [[0, 1, "20"]],
-        "height_window": list(window),
-    }
-    mark = {"path": [0], "range": ["-10", range_hi], "origin": "-10", "orient": 1}
+    """Two segment pieces [-10, 10] glued along their full marks.  Each
+    entry is built fresh, so editing one in place leaves the others."""
+
+    def seg():
+        return {"tree_edges": [[0, 1, "20"]], "height_window": list(window)}
+
+    def mark():
+        return {"path": [0], "range": ["-10", range_hi], "origin": "-10", "orient": 1}
+
     return {
         "tree": {"vertices": [0, 1], "edges": [[0, 1]]},
-        "pieces": {"0": dict(seg), "1": dict(seg)},
-        "marks": {"0:0": dict(mark), "1:0": dict(mark)},
+        "pieces": {"0": seg(), "1": seg()},
+        "marks": {"0:0": mark(), "1:0": mark()},
     }
 
 
@@ -168,6 +171,13 @@ class TestValidation:
         assert c.tree.edges == ((0, 1),)
         line = c.marks[(0, 0)]
         assert line.hi - line.lo == 20
+
+    def test_two_piece_spec_entries_are_fresh(self):
+        spec = two_piece_spec()
+        spec["marks"]["0:0"]["range"][0] = "-9"
+        spec["pieces"]["0"]["tree_edges"][0][2] = "19"
+        assert spec["marks"]["1:0"]["range"] == ["-10", "10"]
+        assert spec["pieces"]["1"]["tree_edges"] == [[0, 1, "20"]]
 
     def test_window_range_mismatch(self):
         spec = two_piece_spec()

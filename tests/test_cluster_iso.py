@@ -423,7 +423,7 @@ class TestNormalForm:
     @pytest.mark.parametrize("seed", range(4))
     def test_chain_sums_against_fraction_resum(self, seed):
         """Feature-edge lengths, at the tree's scale and at a finer frame,
-        locate and fedge_point against Fraction sums over each chain."""
+        and each feature edge's line, against Fraction sums over each chain."""
         ca, _ = planted_pair(GeneratorParams(seed=seed, tree_size=(6, 6), piece_edges=(6, 10)))
         chains = 0
         for v in ca.tree.vertices:
@@ -434,12 +434,15 @@ class TestNormalForm:
                     [length for length, _ in sums]
             chains += any(len(fe.chain) > 1 for fe in nf.fedges)
             for p in off_scale_points(nf.tree):
-                fidx, x = nf.locate(p)
-                _, starts = sums[fidx]
+                fidx = nf.raw_loc[p.edge]
+                line = nf.lines[fidx]
+                x = line.coord_of(p)
+                length, starts = sums[fidx]
                 e = nf.tree.edges[p.edge]
                 fwd = dict(nf.fedges[fidx].chain)[p.edge]
                 assert x == starts[p.edge] + (p.offset if fwd else e.length - p.offset)
-                assert nf.fedge_point(fidx, x) == ref_fedge_point(nf, fidx, x) == p
+                assert line.point_at(x) == ref_fedge_point(nf, fidx, x) == p
+                assert (line.lo, line.hi) == (0, length)
         assert chains
 
     def test_degree_two_vertex_fuses(self):
@@ -469,9 +472,10 @@ class TestNormalForm:
         z = MetricTree([(0, 1, 2), (1, 2, 3)])
         nf = NormalForm(z, [])
         p = z.point(1, F(3, 2))
-        fidx, x = nf.locate(p)
+        fidx = nf.raw_loc[p.edge]
+        x = nf.lines[fidx].coord_of(p)
         assert (fidx, x) == (0, F(7, 2))
-        assert nf.fedge_point(fidx, x) == p
+        assert nf.lines[fidx].point_at(x) == p
 
 
 class TestMarkedTreeExtensions:

@@ -63,6 +63,13 @@ class TestGeneratorParams:
         {"max_denominator": 3},
         {"slack": parse_rational("1")},
         {"tree_shape": "ring"},
+        # inexact or non-int fields: a float or a bool is not a size or a length
+        {"slack": 2.5},
+        {"edge_length": (1.0, 4.0)},
+        {"tree_size": (1, 2.5)},
+        {"piece_edges": (1.5, 3)},
+        {"tree_size": (True, 4)},
+        {"max_denominator": True},
     ])
     def test_rejects_bad_params(self, kw):
         with pytest.raises(ValueError):
@@ -360,9 +367,11 @@ class TestCLI:
 
     def test_generate_bad_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"slack": "1"}))
-        rc, _ = run_cli("generate", "--seed", "3", "--config", str(cfg))
-        assert rc == 2
+        for bad in ({"slack": "1"}, {"tree_size": [1, 2.5]}, {"piece_edges": [1.5, 3]},
+                    {"tree_size": [True, 3]}, {"max_denominator": True}):
+            cfg.write_text(json.dumps(bad))
+            rc, _ = run_cli("generate", "--seed", "3", "--config", str(cfg))
+            assert rc == 2, bad
 
     def test_validate_invalid_instance(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -866,13 +875,18 @@ class TestRefereeIndependence:
     crossing_objective re-measures route_distance's minimum, so it names
     none of the term builders: line_gate, the relation memo and
     mark_relation, a line's int range, the PL minimizer, nor their frame
-    (Cluster.unit)."""
+    (Cluster.unit).  evaluate_terms and grid_minimize referee the PL
+    minimizer, so they name none of its functions or slope-form
+    operations; the referee's own _clamp stays allowed."""
 
     REFEREE = ("brute_force_iso", "_piece_brute", "_contracted")
     SEARCH = {"marked_tree_extensions", "extend_choices", "_solve", "_root_choices",
               "_wall_key", "_transform_for", "raw_loc", "mark_ints", "unit"}
     REMEASURE = ("crossing_objective",)
     TERMS = {"line_gate", "_relation", "mark_relation", "_range", "minimize_convex_pl", "unit"}
+    PL_REFEREE = ("evaluate_terms", "grid_minimize")
+    PL_KERNEL = {"minimize_convex_pl", "ConvexPL", "_pair_message", "_pair_anchor", "_unary_pl",
+                 "inf_conv_abs", "pullback", "argmin_plus_abs"}
 
     @staticmethod
     def checked_names(path: Path, referee: tuple[str, ...], checked: set[str]
@@ -900,6 +914,11 @@ class TestRefereeIndependence:
                                    self.REMEASURE, self.TERMS)
         assert found == dict.fromkeys(self.REMEASURE, [])
 
+    def test_pl_referee_names_no_kernel(self):
+        found = self.checked_names(REPO / "tests" / "test_piecewise_linear.py",
+                                   self.PL_REFEREE, self.PL_KERNEL)
+        assert found == dict.fromkeys(self.PL_REFEREE, [])
+
     def test_scan_sees_search_names(self, tmp_path):
         sample = tmp_path / "sample.py"
         sample.write_text("def brute_force_iso(ca):\n    return piece_normal_form(ca.unit)\n"
@@ -919,6 +938,17 @@ class TestRefereeIndependence:
         assert self.checked_names(sample, self.REMEASURE, self.TERMS) == {
             "crossing_objective": ["_range", "_relation", "line_gate", "mark_relation",
                                    "minimize_convex_pl", "unit"]}
+
+    def test_scan_sees_pl_kernel(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text("def evaluate_terms(terms, x):\n    return _clamp(pl.ConvexPL(x), 0, 1)\n"
+                          "def grid_minimize(terms, box):\n"
+                          "    def tie(f):\n        return f.argmin_plus_abs(0), f.pullback(1, 0)\n"
+                          "    return minimize_convex_pl([], box, [])\n"
+                          "def solve(terms, box):\n    return minimize_convex_pl([], box, [])\n")
+        assert self.checked_names(sample, self.PL_REFEREE, self.PL_KERNEL) == {
+            "evaluate_terms": ["ConvexPL"],
+            "grid_minimize": ["argmin_plus_abs", "minimize_convex_pl", "pullback"]}
 
 
 class TestHotPathsReadColumns:

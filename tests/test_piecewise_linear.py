@@ -94,7 +94,9 @@ def evaluate_terms(terms, x):
 
 
 def grid_minimize(terms, box):
-    """Exact minimum by enumerating propagated breakpoints per variable."""
+    """Exact (minimum, first minimizer) by enumerating propagated
+    breakpoints per variable.  The grids are sorted, so the first
+    minimizer in product order is the lexicographically lowest on the grid."""
     n = len(box)
     cands = [{F(lo), F(hi)} for lo, hi in box]
     for t in terms:
@@ -124,12 +126,12 @@ def grid_minimize(terms, box):
         sorted(c for c in cs if box[i][0] <= c <= box[i][1])
         for i, cs in enumerate(cands)
     ]
-    best = None
+    best = arg = None
     for combo in itertools.product(*grids):
         val = evaluate_terms(terms, combo)
         if best is None or val < best:
-            best = val
-    return best
+            best, arg = val, combo
+    return best, arg
 
 
 class Lattice(NamedTuple):
@@ -298,8 +300,7 @@ class TestMinimizeFrozen:
         box = [(F(0), F(6))] * 3
         arg, val = solve(terms, box)
         # staying at 0 everywhere beats dragging the chain toward 6
-        assert val == grid_minimize(terms, box) == 6
-        assert arg == (F(0), F(0), F(0))
+        assert (val, arg) == grid_minimize(terms, box) == (6, (F(0), F(0), F(0)))
         assert evaluate_terms(terms, arg) == val
 
     def test_no_terms(self):
@@ -336,11 +337,15 @@ class TestStructureGuards:
         ([[], [], [3]], []),                 # anchors for a variable outside the box
         ([[], []], [(0, 2, 1, 0, None)]),
         ([[3]], []),                         # the second variable has no anchor list
+        ([[], []], [(1, 0, 1, 0, None)]),    # a reversed pair: the chain rule needs a < b
+        # an optional third entry sizes the box: variable 0 is the a of two pairs
+        ([[], [], []], [(0, 1, 1, 0, None), (0, 2, 1, 0, None)], 3),
+        ([[], [], []], [(0, 2, 1, 0, None), (1, 2, 1, 0, None)], 3),   # 2 is the b of two
     ])
     def test_term_outside_the_structure_rejected(self, terms):
-        anchors, pairs = terms
+        anchors, pairs, n = terms if len(terms) == 3 else (*terms, 2)
         with pytest.raises(ObjectiveStructureError):
-            minimize_convex_pl(anchors, [(0, 10)] * 2, pairs)
+            minimize_convex_pl(anchors, [(0, 10)] * n, pairs)
 
     def test_inverted_interval_trips_certificate(self):
         # an inside-out overlap makes the coupling non-convex
@@ -374,7 +379,7 @@ def term_system(draw, num=rationals):
     for v in range(n):
         for _ in range(draw(st.integers(0, 2))):
             terms.append(AbsAnchor(v, draw(num())))
-    # couple consecutive variables along a random sub-chain: always a forest
+    # couple consecutive variables along a random sub-chain, each pair (v, v + 1)
     for v in range(n - 1):
         if not draw(st.booleans()):
             continue
@@ -398,7 +403,8 @@ def agrees_with_oracle(terms, box):
     assert evaluate_terms(terms, arg) == val
     for x, (lo, hi) in zip(arg, box):
         assert lo <= x <= hi
-    assert val == grid_minimize(terms, box)
+    # the minimum, and the tie-break: the lexicographically lowest minimizer
+    assert (val, arg) == grid_minimize(terms, box)
 
 
 class TestMinimizeAgainstOracle:
@@ -530,8 +536,8 @@ class TestTreePairIdentity:
 
 
 def random_chain(rng, n):
-    """Anchors on each of n variables, couplings i -- i + 1 in random
-    orientation, so the elimination rooted at 0 runs down the chain."""
+    """Anchors on each of n variables and couplings (i, i + 1), so the
+    elimination runs up the chain from n - 1 into its root 0."""
     terms, box = [], []
     for i in range(n):
         lo = F(rng.randint(-8, 0))
@@ -539,7 +545,7 @@ def random_chain(rng, n):
         for _ in range(rng.randint(0, 2)):
             terms.append(AbsAnchor(i, F(rng.randint(-16, 16), 2)))
     for i in range(n - 1):
-        a, b = (i, i + 1) if rng.random() < 0.5 else (i + 1, i)
+        a, b = i, i + 1
         sig, sh = rng.choice([1, -1]), F(rng.randint(-6, 6), 3)
         if rng.random() < 0.5:
             terms.append(PairAbs(a, b, sig, sh))
@@ -557,9 +563,9 @@ class TestMessageSize:
         sizes = []
         real = pl._pair_message
 
-        def counted(pair, child, child_var, *rest):
-            m = real(pair, child, child_var, *rest)
-            sizes.append((child_var, len(m.knots)))
+        def counted(pair, child, *rest):
+            m = real(pair, child, *rest)
+            sizes.append((pair[1], len(m.knots)))
             return m
 
         monkeypatch.setattr(pl, "_pair_message", counted)
