@@ -69,8 +69,8 @@ from .rational import format_rational
 class FeatureEdge(NamedTuple):
     u: int
     v: int
-    length: int                           # times the form's frame
-    chain: tuple[tuple[int, bool], ...]   # raw (eid, traversed a->b) from u
+    length: int              # times the form's frame
+    chain: tuple[int, ...]   # raw edge ids, in order from u
 
 
 class NormalForm:
@@ -98,24 +98,21 @@ class NormalForm:
             self.by_carrier.setdefault(frozenset((m.start_vertex, m.end_vertex)), []).append(i)
         fedges: list[FeatureEdge] = []
         raw_loc: dict[int, int] = {}   # raw edge -> the feature edge it lies on
-        ends, units, neighbors = tree._ends, tree._units, tree.neighbors
+        units, neighbors = tree._units, tree.neighbors
         for f in self.features:
             for eid, w in neighbors(f):
                 if eid in raw_loc:
                     continue
                 chain = []
                 pos = 0
-                cur, cur_eid = f, eid
-                nxt = w
+                cur_eid, nxt = eid, w
                 while True:
-                    fwd = ends[cur_eid][0] == cur
-                    chain.append((cur_eid, fwd))
+                    chain.append(cur_eid)
                     raw_loc[cur_eid] = len(fedges)
                     pos += units[cur_eid]
                     if nxt in feats:
                         break
                     (e1, w1), (e2, w2) = neighbors(nxt)
-                    cur = nxt
                     cur_eid, nxt = (e2, w2) if e1 == cur_eid else (e1, w1)
                 fedges.append(FeatureEdge(f, nxt, pos * (den // tree.scale), tuple(chain)))
         self.raw_loc = raw_loc
@@ -146,7 +143,7 @@ class NormalForm:
     @cached_property
     def lines(self) -> tuple[Line, ...]:
         """Per feature edge, its chain as a line from u at parameter 0."""
-        return tuple(Line(self.tree, [eid for eid, _ in fe.chain], fe.u, 0) for fe in self.fedges)
+        return tuple(Line(self.tree, fe.chain, fe.u, 0) for fe in self.fedges)
 
 
 class MarkedTreeIso:

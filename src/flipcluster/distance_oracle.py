@@ -60,14 +60,20 @@ node count is known, and an oversized grid refused, before any sample
 list is made.  Every
 sample offset, height and line parameter is then an int over den, and
 den is the unit of every weight.  Node (v, tree sample i, height index
-j) has the id ``base[v] + i * H_v + j``, so rails and rungs are index
-arithmetic.  The wall snaps are hoisted: the samples around a
-transferred point depend on the height alone on one side and on the
-tree sample alone on the other, and both are found on ints from the
-mark's carrier positions.  A query lifts its two ends to ints over
-``den * m``, with m the lcm of their denominators, joins them to the
-samples around them, and runs Dijkstra on Python ints, reaching the
-target through one reserved id past the grid.
+j) has the id ``base[v] + i * H_v + j``, so rails and rungs are id steps:
+``adj[a]`` is a tuple of (id step, weight) pairs, the same for every node
+of a piece with the same rung moves and the same rails, so each piece
+builds one column of tuples per distinct rung-move tuple and
+slice-assigns it.  Only a node with wall snaps has a tuple of its own,
+its shared tuple plus its snaps.  The wall snaps are hoisted: the
+samples around a transferred point depend on the height alone on one
+side and on the tree sample alone on the other, and both are found on
+ints from the mark's carrier positions.  A query lifts its two ends to
+ints over ``den * m``, with m the lcm of their denominators, joins them
+to the samples around them, and runs Dijkstra on Python ints from both
+ends at once: every edge is stored at both of its ends, so the backward
+search reads the same tuples, and the search stops once the two heap
+tops sum to at least the shortest meeting found.
 """
 
 from __future__ import annotations
@@ -85,6 +91,8 @@ from .piecewise_linear import Pair, minimize_convex_pl
 from .rational import as_fraction
 
 DEFAULT_NODE_CAP = 200_000
+
+Neighbours = tuple[tuple[int, int], ...]   # (id step, weight) pairs of one grid node
 
 
 class CrossingProfile(NamedTuple):
@@ -352,8 +360,12 @@ class DiscretizedOracle:
 
     ``adj`` has one entry per grid node: node (v, tree sample i, height
     index j) is ``adj[base[v] + i * H_v + j]``, with H_v the number of
-    sample heights of piece v.  Each entry lists (neighbor id, weight)
-    pairs, weights as ints in units of ``1 / den``.
+    sample heights of piece v.  Each entry is a tuple of (id step,
+    weight) pairs, the neighbour being the node's id plus the step and
+    the weight an int in units of ``1 / den``.  Nodes with the same rung
+    moves and rails share one tuple; a node with wall snaps has its own.
+    A query searches from both ends and stops once the two heap tops sum
+    to at least the shortest meeting found.
     """
 
     def __init__(self, c: Cluster, eps: Fraction, cap: int = DEFAULT_NODE_CAP):
@@ -381,28 +393,40 @@ class DiscretizedOracle:
                                       for g in self.grids.values())
         self.adj = self._build(total)
 
-    def _build(self, total: int) -> list[list[tuple[int, int]]]:
-        """The adjacency lists."""
+    def _build(self, total: int) -> list[Neighbours]:
+        """The neighbour tuples: ``adj[a]`` holds (id step, weight) pairs,
+        each neighbour being ``a + step``.
+
+        A node's rungs depend only on its tree sample and its rails only on
+        its height index, so all the nodes of a piece with the same rung
+        moves share one column of tuples, one per height.  Only a node
+        with wall snaps gets a tuple of its own: its shared tuple plus its
+        snaps, also as id steps.
+        """
         c = self.cluster
         grids, base = self.grids, self.base
-        adj: list[list[tuple[int, int]]] = [[]] * total   # every id set below
+        adj: list[Neighbours] = [()] * total   # every id set below
         for v, grid in grids.items():
             hs = grid.heights
-            n_h = len(hs)
+            b, n_h = base[v], len(hs)
             # id steps and weights: vertical rails along one column of
             # heights, horizontal rungs from each tree sample
-            rails: list[list[tuple[int, int]]] = [[] for _ in hs]
+            rails: list[Neighbours] = [()] * n_h
             for j, (h1, h2) in enumerate(zip(hs, hs[1:])):
-                rails[j].append((1, h2 - h1))
-                rails[j + 1].append((-1, h2 - h1))
-            rungs: list[list[tuple[int, int]]] = [[] for _ in range(grid.count)]
+                rails[j] += ((1, h2 - h1),)
+                rails[j + 1] += ((-1, h2 - h1),)
+            rungs: list[Neighbours] = [()] * grid.count
             for row, step in zip(grid.rows, grid.steps):
                 for i, k in zip(row, row[1:]):
-                    rungs[i].append(((k - i) * n_h, step))
-                    rungs[k].append(((i - k) * n_h, step))
+                    rungs[i] += (((k - i) * n_h, step),)
+                    rungs[k] += (((i - k) * n_h, step),)
+            columns: dict[Neighbours, list[Neighbours]] = {}
             for i, moves in enumerate(rungs):
-                for a, rail in enumerate(rails, base[v] + i * n_h):
-                    adj[a] = [(a + d, weight) for d, weight in moves + rail]
+                column = columns.get(moves)
+                if column is None:
+                    column = columns[moves] = [moves + rail for rail in rails]
+                a = b + i * n_h
+                adj[a:a + n_h] = column
         # wall snaps, hoisted: the tree samples across the wall depend only
         # on the height index j, the height samples only on the sample i
         for v, grid in grids.items():
@@ -423,8 +447,8 @@ class DiscretizedOracle:
                         for start, dq in samples:
                             for k, dh in ups:
                                 z, weight = start + k, dq + dh
-                                adj[a].append((z, weight))
-                                adj[z].append((a, weight))
+                                adj[a] += ((z - a, weight),)
+                                adj[z] += ((a - z, weight),)
         return adj
 
     def _ends(self, reps: dict[int, tuple[TreePoint, Fraction]], m: int) -> dict[int, int]:
@@ -454,34 +478,56 @@ class DiscretizedOracle:
         return Fraction(self._dijkstra(self._ends(sx, m), self._ends(sy, m), m), self.den * m)
 
     def _dijkstra(self, src: dict[int, int], dst: dict[int, int], m: int) -> int:
-        """Shortest src-to-dst length, in units of 1/(m * den).
+        """Shortest src-to-dst length, in units of 1/(m * den), searched
+        from both ends.
 
-        Graph weights count m each; the target is one reserved id past
-        the grid, pushed from every settled node that dst attaches.  A node
-        not reached yet holds the longest attachment plus the grid's path
-        bound, which no path reaches.
+        Graph weights count m each.  Every rung, rail and snap is stored at
+        both of its ends, so the backward search from the dst attachments
+        reads the same tuples.  Each step pops from the side whose heap
+        top is smaller.  ``best`` starts at the nodes both ends
+        attach to and drops whenever a relaxed node also carries a label
+        from the other side; once the two heap tops sum to at least
+        ``best``, no path through a node not yet settled is shorter.  A
+        node not reached from a side holds that side's longest attachment
+        plus the grid's path bound, which no path reaches, so ``best``
+        starts at the sum of the two bounds, above every meeting.
         """
         adj = self.adj
-        goal = len(adj)
-        dist = [max(src.values()) + self.path_bound * m] * goal
+        bound = self.path_bound * m
+        far_f, far_b = max(src.values()) + bound, max(dst.values()) + bound
+        dist_f, dist_b = [far_f] * len(adj), [far_b] * len(adj)
+        no_meet = best = far_f + far_b
         for node, d in src.items():
-            dist[node] = d
-        heap = [(d, node) for node, d in src.items()]
-        heapify(heap)
-        while heap:
+            dist_f[node] = d
+            if node in dst:
+                best = min(best, d + dst[node])
+        for node, d in dst.items():
+            dist_b[node] = d
+        heap_f = [(d, node) for node, d in src.items()]
+        heap_b = [(d, node) for node, d in dst.items()]
+        heapify(heap_f)
+        heapify(heap_b)
+        while heap_f and heap_b:
+            top_f, top_b = heap_f[0][0], heap_b[0][0]
+            if top_f + top_b >= best:
+                return best
+            if top_f <= top_b:
+                heap, dist, other, far = heap_f, dist_f, dist_b, far_b
+            else:
+                heap, dist, other, far = heap_b, dist_b, dist_f, far_f
             d, node = heappop(heap)
-            if node == goal:
-                return d
             if d > dist[node]:
                 continue
-            last = dst.get(node)
-            if last is not None:
-                heappush(heap, (d + last, goal))
-            for nxt, w in adj[node]:
-                nd = d + w * m
+            for step, w in adj[node]:
+                nxt, nd = node + step, d + w * m
                 if nd < dist[nxt]:
                     dist[nxt] = nd
                     heappush(heap, (nd, nxt))
+                    meet = other[nxt]
+                    if meet < far and nd + meet < best:
+                        best = nd + meet
+        if best < no_meet:
+            return best
         raise AssertionError("endpoint unreachable in discretization graph")
 
 

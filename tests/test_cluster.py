@@ -989,8 +989,10 @@ class TestWideSupports:
 
     def test_grid_oracle(self):
         """The grid grows by one far piece's nodes per piece, and its
-        traced peak by under 5x at 4x the pieces; the replay pair reads
-        its exact distance (it crosses one wall on grid nodes)."""
+        traced peak by under 5x at 4x the pieces and under 300 bytes a
+        node (shared neighbour tuples: about 180; a list of fresh pairs
+        per node took about 453); the replay pair reads its exact
+        distance (it crosses one wall on grid nodes)."""
         nodes, peaks = {}, {}
         for n in (150, 600):
             c, x, y = wide_path(n)
@@ -1005,6 +1007,7 @@ class TestWideSupports:
             per_piece = oracle.grids[0].node_count()
         assert nodes[600] - nodes[150] == 450 * per_piece
         assert peaks[600] < 5 * peaks[150]
+        assert all(peaks[n] < 300 * nodes[n] for n in nodes)
 
     @pytest.mark.parametrize("n", [150, 600])
     def test_isometry_and_image_supports(self, n):

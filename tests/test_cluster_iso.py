@@ -326,13 +326,24 @@ def random_cluster_points(c, rng, count):
     return pts
 
 
+def ref_chain_dirs(nf: NormalForm, fidx: int) -> dict[int, bool]:
+    """Each raw edge of a feature edge's chain, with whether the walk from
+    its u end traverses it a -> b, read off the tree's edge ends."""
+    cur, out = nf.fedges[fidx].u, {}
+    for eid in nf.fedges[fidx].chain:
+        a, b = nf.tree._ends[eid]
+        out[eid] = a == cur
+        cur = b if a == cur else a
+    return out
+
+
 def ref_chain_sums(nf: NormalForm) -> list[tuple[Fraction, dict[int, Fraction]]]:
     """Each feature edge's length and the offset of each raw edge's start
     along it, as Fraction sums over its chain."""
     out = []
     for fe in nf.fedges:
         pos, starts = F(0), {}
-        for eid, _ in fe.chain:
+        for eid in fe.chain:
             starts[eid] = pos
             pos += nf.tree.edges[eid].length
         out.append((pos, starts))
@@ -342,7 +353,7 @@ def ref_chain_sums(nf: NormalForm) -> list[tuple[Fraction, dict[int, Fraction]]]
 def ref_fedge_point(nf: NormalForm, fidx: int, x: Fraction) -> TreePoint:
     """The point at offset x from the u end, by Fraction subtraction along
     the chain, canonical at a vertex."""
-    for eid, fwd in nf.fedges[fidx].chain:
+    for eid, fwd in ref_chain_dirs(nf, fidx).items():
         e = nf.tree.edges[eid]
         if x <= e.length:
             off = x if fwd else e.length - x
@@ -357,7 +368,7 @@ def ref_point_image(iso: MarkedTreeIso, p: TreePoint) -> TreePoint:
     sums_a, sums_b = ref_chain_sums(iso.nf_a), ref_chain_sums(iso.nf_b)
     fidx = next(i for i, (_, starts) in enumerate(sums_a) if p.edge in starts)
     e = iso.nf_a.tree.edges[p.edge]
-    fwd = dict(iso.nf_a.fedges[fidx].chain)[p.edge]
+    fwd = ref_chain_dirs(iso.nf_a, fidx)[p.edge]
     x = sums_a[fidx][1][p.edge] + (p.offset if fwd else e.length - p.offset)
     j, same = iso.fedge_map[fidx]
     return ref_fedge_point(iso.nf_b, j, x if same else sums_b[j][0] - x)
@@ -439,7 +450,7 @@ class TestNormalForm:
                 x = line.coord_of(p)
                 length, starts = sums[fidx]
                 e = nf.tree.edges[p.edge]
-                fwd = dict(nf.fedges[fidx].chain)[p.edge]
+                fwd = ref_chain_dirs(nf, fidx)[p.edge]
                 assert x == starts[p.edge] + (p.offset if fwd else e.length - p.offset)
                 assert line.point_at(x) == ref_fedge_point(nf, fidx, x) == p
                 assert (line.lo, line.hi) == (0, length)

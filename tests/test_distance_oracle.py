@@ -686,7 +686,8 @@ def keyed_edges(oracle):
     keys and weights as Fractions, each node's edges as a multiset.
 
     A sample's point is read off its edge row and offset over ``den``; a
-    vertex sample reached from two edges must read back as one point."""
+    vertex sample reached from two edges must read back as one point.  A
+    neighbour is its node's id plus the stored id step."""
     keys = []
     for v, grid in oracle.grids.items():
         points = {}
@@ -700,8 +701,9 @@ def keyed_edges(oracle):
     assert len(keys) == len(oracle.adj)
     out = {}
     for a, nbrs in enumerate(oracle.adj):
-        assert all(type(w) is int for _, w in nbrs)
-        out[keys[a]] = Counter((keys[b], Fraction(w, oracle.den)) for b, w in nbrs)
+        assert type(nbrs) is tuple
+        assert all(type(step) is int and step and type(w) is int for step, w in nbrs)
+        out[keys[a]] = Counter((keys[a + step], Fraction(w, oracle.den)) for step, w in nbrs)
     return out
 
 
@@ -717,11 +719,15 @@ def oracle_corpus():
 
 def test_path_bound_exceeds_every_path(oracle_corpus):
     """Dijkstra's unreached mark: every weight is at most the heaviest, so a
-    simple path through all the nodes stays below the oracle's bound."""
+    simple path through all the nodes stays below the oracle's bound.
+    Every id step lands on a grid node."""
     for c in oracle_corpus:
         oracle = DiscretizedOracle(c, 2 * default_eps(c))
+        total = len(oracle.adj)
+        assert all(0 <= a + step < total
+                   for a, nbrs in enumerate(oracle.adj) for step, _ in nbrs)
         heaviest = max(weight for nbrs in oracle.adj for _, weight in nbrs)
-        assert heaviest * (len(oracle.adj) - 1) < oracle.path_bound
+        assert heaviest * (total - 1) < oracle.path_bound
 
 
 def test_integer_graph_equals_reference(oracle_corpus):
@@ -751,6 +757,81 @@ def test_integer_graph_equals_reference(oracle_corpus):
         for x, y in pairs:
             assert oracle.distance(x, y) == ref.distance(x, y)
     assert walls >= REFEREE_INSTANCES // 2
+
+
+class TestTwoEndedSearch:
+    """The search from both ends against ReferenceGraph's one-ended
+    Fraction Dijkstra, at the ends that test its meeting rule hardest."""
+
+    @staticmethod
+    def cell(oracle, v, rng):
+        """A random grid cell of piece v: its edge, the offset and height
+        of its low corner and its two sides, as Fractions."""
+        grid, den = oracle.grids[v], oracle.den
+        eid = rng.randrange(len(grid.rows))
+        k = rng.randrange(len(grid.rows[eid]) - 1)
+        j = rng.randrange(len(grid.heights) - 1)
+        lo, hi = grid.heights[j:j + 2]
+        step = F(grid.steps[eid], den)
+        return eid, step * k, F(lo, den), step, F(hi - lo, den)
+
+    def test_edge_cases_match_reference(self, oracle_corpus):
+        pieces = {1: 0, 2: 0, 3: 0}
+        for i, c in enumerate(oracle_corpus):
+            pieces[len(c.tree.vertices)] += 1
+            eps = 2 * default_eps(c)
+            oracle, ref = DiscretizedOracle(c, eps), ReferenceGraph(c, eps)
+            rng = random.Random(500 + i)
+            v = rng.choice(c.tree.vertices)
+            eid, off, h, dq, dh = self.cell(oracle, v, rng)
+            # both ends inside one cell, so they attach to the same nodes
+            x, y = (c.point(v, eid, off + dq * a, h + dh * b)
+                    for a, b in ((F(1, 3), F(2, 3)), (F(3, 4), F(1, 4))))
+            assert set(oracle._ends(c.supports(x), 12)) & set(oracle._ends(c.supports(y), 12))
+            # the same cell at denominators 7 and 11, prime to den: m > 1
+            x7, y11 = (c.point(v, eid, off + dq * F(a, q), h + dh * F(b, q))
+                       for a, b, q in ((3, 5, 7), (9, 2, 11)))
+            assert oracle.den % 7 and oracle.den % 11
+            # an end exactly on a sample, and two samples in different pieces
+            on_node = c.point(v, eid, off, h)
+            w = rng.choice(c.tree.vertices)
+            eid_w, off_w, h_w, _, _ = self.cell(oracle, w, rng)
+            other_node = c.point(w, eid_w, off_w, h_w)
+            (far,) = sample_points(c, rng, 1, denominator=24)
+            for p, q in ((x, y), (x7, y11), (x7, far), (on_node, far),
+                         (far, on_node), (on_node, other_node), (on_node, x)):
+                assert oracle.distance(p, q) == ref.distance(p, q)
+        assert min(pieces.values()) > 0
+
+    def test_each_side_stops_at_half_the_distance(self, monkeypatch):
+        """The search stops once the two heap tops sum past ``best``, so
+        it pops no key above half the distance (stopping on the larger top
+        alone pops keys up to the whole distance).  Integer ends: m = 1."""
+        c = two_piece()
+        oracle = DiscretizedOracle(c, F(1, 2))
+        keys = []
+
+        def recording(heap, _real=heapq.heappop):
+            keys.append(heap[0][0])
+            return _real(heap)
+        monkeypatch.setattr(oracle_module, "heappop", recording)
+        for (v, a, s), (w, b, t) in (((0, 13, 11), (1, 15, 11)), ((0, 1, -11), (1, 19, 11)),
+                                     ((0, 3, 2), (0, 17, -5))):
+            keys.clear()
+            d = oracle.distance(c.point(v, 0, F(a), F(s)), c.point(w, 0, F(b), F(t)))
+            assert keys and 2 * max(keys) <= d * oracle.den
+
+    def test_common_attachment_and_no_meeting(self):
+        """``best`` starts at the nodes both ends attach to: with every
+        edge but 0-1 gone, a shared node still gives the distance, and
+        ends with none in common and no path between them raise (a node
+        not reached from the other side is no meeting)."""
+        oracle = DiscretizedOracle(two_piece(), F(5, 2))
+        oracle.adj = [((1, 5),), ((-1, 5),)] + [()] * (len(oracle.adj) - 2)
+        assert oracle._dijkstra({0: 3, 2: 1}, {0: 4, 3: 0}, 1) == 7
+        assert oracle._dijkstra({0: 3}, {1: 4}, 2) == 17
+        with pytest.raises(AssertionError, match="unreachable"):
+            oracle._dijkstra({0: 0}, {2: 0}, 1)
 
 
 class TestOracleBound:
