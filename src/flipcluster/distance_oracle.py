@@ -67,13 +67,20 @@ builds one column of tuples per distinct rung-move tuple and
 slice-assigns it.  Only a node with wall snaps has a tuple of its own,
 its shared tuple plus its snaps.  The wall snaps are hoisted: the
 samples around a transferred point depend on the height alone on one
-side and on the tree sample alone on the other, and both are found on
-ints from the mark's carrier positions.  A query lifts its two ends to
-ints over ``den * m``, with m the lcm of their denominators, joins them
-to the samples around them, and runs Dijkstra on Python ints from both
-ends at once: every edge is stored at both of its ends, so the backward
-search reads the same tuples, and the search stops once the two heap
-tops sum to at least the shortest meeting found.
+side and on the tree sample alone on the other.  The twin side's foot
+comes from ``Line._foot`` (the routine ``Line.point_at`` uses, with a
+vertex on its lowest-id edge), and this side's samples on the mark are
+read off the mark's carrier positions, all on ints over den.  A query
+lifts its two ends to ints over ``den * m``, with m the lcm of their
+denominators, joins them to the samples around them, and runs Dijkstra
+on Python ints from both ends at once: every edge is stored at both of
+its ends, so the backward search reads the same tuples.  Each step
+expands the side whose heap top is smaller; the shortest meeting found
+starts at the nodes both ends attach to and drops whenever a relaxed
+node also carries a label from the other side; and the search stops
+once the two heap tops sum to at least that meeting.  A node not
+reached from a side holds that side's longest attachment plus the
+grid's path bound, which no path reaches.
 """
 
 from __future__ import annotations
@@ -262,15 +269,6 @@ class _PieceGrid:
     def node_count(self) -> int:
         return self.count * (1 + sum(parts for _, parts, _ in self.gaps))
 
-    def denominators(self):
-        """The denominators of this piece's edge and height steps; the
-        cluster's unit covers every other sample offset, height and line
-        position."""
-        for _, step in self.splits:
-            yield step.denominator
-        for _, _, step in self.gaps:
-            yield step.denominator
-
     def sample(self, den: int) -> None:
         """Place the samples, as ints over den."""
         self.den = den
@@ -332,28 +330,6 @@ class _PieceGrid:
             out.update(zip(row, range(start, start + step * len(row), step)))
         return out
 
-    def line_neighbors(self, line: Line, params: list[int]) -> list[list[tuple[int, int]]]:
-        """For each parameter of a line of this piece (times den), the
-        samples next to its point, as tree_neighbors gives them.  A point
-        on a vertex lies on the vertex's lowest-id edge."""
-        unit = self.den // self.tree.scale
-        t0 = _lift(line.lo, self.den)
-        ends, verts = self.tree._ends, line._verts
-        cuts = [cut * unit for cut in line._cuts]
-        out = []
-        for t in params:
-            x = t - t0
-            k = bisect_left(cuts, x, 1) - 1   # first carrier edge ending at or after x
-            if x in (cuts[k], cuts[k + 1]):
-                u = verts[k] if x == cuts[k] else verts[k + 1]
-                eid, _ = self.tree.neighbors(u)[0]
-                offset = 0 if ends[eid][0] == u else self.steps[eid] * (len(self.rows[eid]) - 1)
-            else:
-                eid = line.edge_path[k]
-                offset = x - cuts[k] if verts[k] == ends[eid][0] else cuts[k + 1] - x
-            out.append(self.tree_neighbors(eid, offset))
-        return out
-
 
 class DiscretizedOracle:
     """Shortest paths on a sampled graph; reusable across query pairs.
@@ -362,10 +338,8 @@ class DiscretizedOracle:
     index j) is ``adj[base[v] + i * H_v + j]``, with H_v the number of
     sample heights of piece v.  Each entry is a tuple of (id step,
     weight) pairs, the neighbour being the node's id plus the step and
-    the weight an int in units of ``1 / den``.  Nodes with the same rung
-    moves and rails share one tuple; a node with wall snaps has its own.
-    A query searches from both ends and stops once the two heap tops sum
-    to at least the shortest meeting found.
+    the weight an int in units of ``1 / den``.  Every edge is stored at
+    both of its ends.
     """
 
     def __init__(self, c: Cluster, eps: Fraction, cap: int = DEFAULT_NODE_CAP):
@@ -384,7 +358,9 @@ class DiscretizedOracle:
             raise SizeCapError(
                 f"discretization needs {total} nodes, over the cap of {cap}"
             )
-        self.den = lcm(c.unit, *(d for grid in self.grids.values() for d in grid.denominators()))
+        # the unit covers every other sample offset, height and line position
+        self.den = lcm(c.unit, *(s.denominator for g in self.grids.values() for _, s in g.splits),
+                       *(s.denominator for g in self.grids.values() for *_, s in g.gaps))
         for grid in self.grids.values():
             grid.sample(self.den)
         # no weight exceeds a piece's longest tree step plus its height span,
@@ -395,13 +371,8 @@ class DiscretizedOracle:
 
     def _build(self, total: int) -> list[Neighbours]:
         """The neighbour tuples: ``adj[a]`` holds (id step, weight) pairs,
-        each neighbour being ``a + step``.
-
-        A node's rungs depend only on its tree sample and its rails only on
-        its height index, so all the nodes of a piece with the same rung
-        moves share one column of tuples, one per height.  Only a node
-        with wall snaps gets a tuple of its own: its shared tuple plus its
-        snaps, also as id steps.
+        each neighbour being ``a + step``.  Nodes may share one tuple, so a
+        snap replaces a node's entry and never mutates it.
         """
         c = self.cluster
         grids, base = self.grids, self.base
@@ -437,8 +408,9 @@ class DiscretizedOracle:
                 wb, wn_h = base[w], len(wgrid.heights)
                 js = range(bisect_left(hs, _lift(twin.lo, self.den)),
                            bisect_right(hs, _lift(twin.hi, self.den)))
-                across = [(j, [(wb + k * wn_h, dq) for k, dq in nbrs])
-                          for j, nbrs in zip(js, wgrid.line_neighbors(twin, hs[js.start:js.stop]))]
+                across = [(j, [(wb + k * wn_h, dq)
+                               for k, dq in wgrid.tree_neighbors(*twin._foot(hs[j], self.den))])
+                          for j in js]
                 for i, t in grid.line_samples(c.marks[(v, eid)]).items():
                     ups = wgrid.height_neighbors(t)
                     node = b + i * n_h
@@ -479,18 +451,11 @@ class DiscretizedOracle:
 
     def _dijkstra(self, src: dict[int, int], dst: dict[int, int], m: int) -> int:
         """Shortest src-to-dst length, in units of 1/(m * den), searched
-        from both ends.
+        from both ends (module docstring); graph weights count m each.
 
-        Graph weights count m each.  Every rung, rail and snap is stored at
-        both of its ends, so the backward search from the dst attachments
-        reads the same tuples.  Each step pops from the side whose heap
-        top is smaller.  ``best`` starts at the nodes both ends
-        attach to and drops whenever a relaxed node also carries a label
-        from the other side; once the two heap tops sum to at least
-        ``best``, no path through a node not yet settled is shorter.  A
-        node not reached from a side holds that side's longest attachment
-        plus the grid's path bound, which no path reaches, so ``best``
-        starts at the sum of the two bounds, above every meeting.
+        Relies on every edge being stored at both of its ends, and on the
+        path bound exceeding every path, so that a side's longest
+        attachment plus it marks a node that side has not reached.
         """
         adj = self.adj
         bound = self.path_bound * m

@@ -270,10 +270,10 @@ def mutated_pair(params: GeneratorParams) -> tuple[Cluster, Cluster]:
 # -- graphs for the block decomposition suite --------------------------------------
 
 
-def random_graph_spec(rng: random.Random, max_vertices: int = 12,
-                      max_denominator: int = 4) -> dict:
-    """Connected weighted multigraph in the wire form of tree_graded."""
-    dens = _denominators(max_denominator)
+def random_graph_spec(rng: random.Random, max_vertices: int) -> dict:
+    """Connected weighted multigraph in the wire form of tree_graded,
+    its edge lengths in [1, 4] over denominators up to 4."""
+    dens = _denominators(4)
     n = rng.randint(2, max_vertices)
     edges = []
     for v in range(1, n):

@@ -163,15 +163,19 @@ def subrange_ratios(c: Cluster, sp: SpecialPath, d: Fraction
     d is the distance between the ends of sp.  The whole range (0, n)
     runs between those same points, as the support route represents
     them, so it reuses d; every other range measures the route between
-    its ends, each segment's entry and exit resolved once per walk.
+    its ends.  A segment's exit and the next segment's entry are one
+    glued point (route_path's glue check), so the walk resolves the two
+    ends and each crossing once: point k is segment k's entry and
+    segment k - 1's exit.
     """
     n = len(sp.segments) - 1
-    ends = [(c.supports(s.entry), c.supports(s.exit)) for s in sp.segments] if n else []
+    points = [sp.segments[0].entry, *(s.exit for s in sp.segments)] if n else []
+    ends = [c.supports(p) for p in points]
     for lo in range(n + 1):
         for hi in range(lo, n + 1):
             sub = subpath(sp, lo, hi)
             d_sub = d if (lo, hi) == (0, n) else route_distance(
-                c, route_between(c, ends[lo][0], ends[hi][1]))[0]
+                c, route_between(c, ends[lo], ends[hi + 1]))[0]
             yield (sub, *length_ratio(sub.length, d_sub))
 
 

@@ -970,44 +970,59 @@ class TestWideSupports:
         assert len(calls) == 1
 
     @staticmethod
-    def traced_peak(n: int) -> int:
+    def traced(fn):
+        """fn's result and the tracemalloc peak of calling it."""
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def traced_peak(self, n: int) -> int:
         """The tracemalloc peak of the replay pair's points, measures and
         40 sampled points, on a cluster built before tracing starts."""
         c = wide_path(n)[0]
-        tracemalloc.start()
-        try:
+
+        def measures():
             x, y = c.point(0, 0, F(1, 2), F(1, 2)), c.point(n - 1, 0, F(1, 2), F(21, 2))
             d, prof = exact_distance(c, x, y)
             star_terms(special_path(c, x, y), prof)
             sample_points(c, random.Random(n), 40)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return self.traced(measures)[1]
 
     def test_memory_grows_linearly(self):
         assert self.traced_peak(5000) < 6 * self.traced_peak(1200)
 
-    def test_grid_oracle(self):
+    def test_grid_oracle(self, monkeypatch):
         """The grid grows by one far piece's nodes per piece, and its
         traced peak by under 5x at 4x the pieces and under 300 bytes a
         node (shared neighbour tuples: about 180; a list of fresh pairs
         per node took about 453); the replay pair reads its exact
-        distance (it crosses one wall on grid nodes)."""
-        nodes, peaks = {}, {}
+        distance (it crosses one wall on grid nodes).  Its query joins
+        each end to at most 4 nodes per support (2 today: one tree
+        sample, one height), and the query's traced peak also grows by
+        under 5x (about 3.7x)."""
+        attached = []
+
+        def ends(self, reps, m, _real=DiscretizedOracle._ends):
+            out = _real(self, reps, m)
+            attached.append((len(out), len(reps)))
+            return out
+        monkeypatch.setattr(DiscretizedOracle, "_ends", ends)
+        nodes, peaks, query_peaks = {}, {}, {}
         for n in (150, 600):
             c, x, y = wide_path(n)
-            tracemalloc.start()
-            try:
-                oracle = DiscretizedOracle(c, F(1, 2))
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert oracle.distance(x, y) == 10
+            oracle, peaks[n] = self.traced(lambda: DiscretizedOracle(c, F(1, 2)))
+            attached.clear()
+            d, query_peaks[n] = self.traced(lambda: oracle.distance(x, y))
+            assert d == 10
+            assert len(attached) == 2 and all(k <= 4 * reps for k, reps in attached)
             nodes[n] = len(oracle.adj)
             per_piece = oracle.grids[0].node_count()
         assert nodes[600] - nodes[150] == 450 * per_piece
         assert peaks[600] < 5 * peaks[150]
         assert all(peaks[n] < 300 * nodes[n] for n in nodes)
+        assert query_peaks[600] < 5 * query_peaks[150]
 
     @pytest.mark.parametrize("n", [150, 600])
     def test_isometry_and_image_supports(self, n):

@@ -718,16 +718,18 @@ class TestNoTestOnlyHelpers:
     # the PL minimizer's referee lives in the tests, so no name is exempt
     ALLOWED: set[str] = set()
 
-    def test_every_public_definition_has_a_program_caller(self):
-        """Each public top-level function and class in src/, and each public
-        method of such a class, is named somewhere in src/ or bench/.  A
-        name counts as a Name, an Attribute or an import, and in bench/
-        also as a dotted part of a string, which is how the traced run
-        names what it wraps; src/'s strings are messages and report labels."""
+    @staticmethod
+    def scan(src: Path, bench: Path) -> tuple[dict[str, str], set[str]]:
+        """(defined, used): each top-level function and class in src, and
+        each method of such a class, dunders aside, with where it is
+        defined; and every name src and bench mention.  A name counts as a
+        Name, an Attribute or an import, and in bench also as a dotted part
+        of a string, which is how the traced run names what it wraps;
+        src's strings are messages and report labels."""
         import ast
         used, defined = set(), {}
-        for top in ("src", "bench"):
-            for path in sorted((REPO / top).rglob("*.py")):
+        for top in (src, bench):
+            for path in sorted(top.rglob("*.py")):
                 tree = ast.parse(path.read_text())
                 for node in ast.walk(tree):
                     if isinstance(node, ast.Name):
@@ -737,20 +739,42 @@ class TestNoTestOnlyHelpers:
                     elif isinstance(node, ast.alias):
                         used.update(node.name.split("."))
                         used.add(node.asname)
-                    elif (top == "bench" and isinstance(node, ast.Constant)
+                    elif (top == bench and isinstance(node, ast.Constant)
                           and isinstance(node.value, str)):
                         used.update(node.value.split("."))
-                if top == "src":
+                if top == src:
                     for node in tree.body:
                         members = node.body if isinstance(node, ast.ClassDef) else []
                         for d in [node, *members]:
                             if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
-                                    and not d.name.startswith("_")):
+                                    and not (d.name.startswith("__") and d.name.endswith("__"))):
                                 defined[d.name] = f"{path.name}:{d.lineno}"
-        assert "special_path" in defined and "TRACED" in used   # both trees were read
+        return defined, used
+
+    def test_every_definition_has_a_program_caller(self):
+        """Each definition in src/, private helpers included, is named
+        somewhere in src/ or bench/, so none lives on for a test alone."""
+        defined, used = self.scan(REPO / "src", REPO / "bench")
+        assert {"special_path", "_PieceGrid", "_foot"} <= defined.keys()   # both
+        assert "TRACED" in used                                            # trees were read
         unused = {name: where for name, where in defined.items()
                   if name not in used and name not in self.ALLOWED}
         assert unused == {}
+
+    def test_scan_sees_private_helpers(self, tmp_path):
+        src, bench = tmp_path / "src", tmp_path / "bench"
+        src.mkdir()
+        bench.mkdir()
+        (src / "lib.py").write_text("def _orphan():\n    pass\n"
+                                    "def public():\n    return _called()\n"
+                                    "def _called():\n    pass\n"
+                                    "class _Grid:\n    def __init__(self):\n        pass\n"
+                                    "    def _snaps(self):\n        pass\n"
+                                    "    def rows(self):\n        pass\n")
+        (bench / "run.py").write_text("WRAPS = ['lib.public']\nlib._Grid().rows()\n")
+        defined, used = self.scan(src, bench)
+        assert {name: where for name, where in defined.items() if name not in used} == {
+            "_orphan": "lib.py:1", "_snaps": "lib.py:10"}
 
 
 class TestNoUnusedImports:
@@ -877,13 +901,21 @@ class TestRefereeIndependence:
     mark_relation, a line's int range, the PL minimizer, nor their frame
     (Cluster.unit).  evaluate_terms and grid_minimize referee the PL
     minimizer, so they name none of its functions or slope-form
-    operations; the referee's own _clamp stays allowed."""
+    operations; the referee's own _clamp stays allowed.  The grid oracle
+    (_split, _PieceGrid, DiscretizedOracle, default_eps) referees the
+    exact distance, so it names none of the term builders, the distance
+    or route code, the special path, nor the re-measure.  It builds its
+    den on Cluster.unit by design, and Line._foot and Line.point_at are
+    tree primitives with a referee of their own, so those stay allowed."""
 
     REFEREE = ("brute_force_iso", "_piece_brute", "_contracted")
     SEARCH = {"marked_tree_extensions", "extend_choices", "_solve", "_root_choices",
               "_wall_key", "_transform_for", "raw_loc", "mark_ints", "unit"}
     REMEASURE = ("crossing_objective",)
     TERMS = {"line_gate", "_relation", "mark_relation", "_range", "minimize_convex_pl", "unit"}
+    ORACLE = ("_split", "_PieceGrid", "DiscretizedOracle", "default_eps")
+    EXACT = TERMS - {"unit"} | {"route_distance", "exact_distance", "route_path", "special_path",
+                                "route_between", "support_route", "crossing_objective"}
     PL_REFEREE = ("evaluate_terms", "grid_minimize")
     PL_KERNEL = {"minimize_convex_pl", "ConvexPL", "_pair_message", "_pair_anchor", "_unary_pl",
                  "inf_conv_abs", "pullback", "argmin_plus_abs"}
@@ -891,12 +923,13 @@ class TestRefereeIndependence:
     @staticmethod
     def checked_names(path: Path, referee: tuple[str, ...], checked: set[str]
                       ) -> dict[str, list[str]]:
-        """Per top-level referee function, the checked names among the
-        names, attributes and arguments it mentions, nested code included."""
+        """Per top-level referee function or class, the checked names
+        among the names, attributes and arguments it mentions, nested code
+        and a class's methods included."""
         import ast
         found = {}
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and node.name in referee:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in referee:
                 names = {n.id if isinstance(n, ast.Name) else
                          n.attr if isinstance(n, ast.Attribute) else n.arg
                          for n in ast.walk(node)
@@ -913,6 +946,11 @@ class TestRefereeIndependence:
         found = self.checked_names(REPO / "src" / "flipcluster" / "distance_oracle.py",
                                    self.REMEASURE, self.TERMS)
         assert found == dict.fromkeys(self.REMEASURE, [])
+
+    def test_grid_oracle_names_no_exact_code(self):
+        found = self.checked_names(REPO / "src" / "flipcluster" / "distance_oracle.py",
+                                   self.ORACLE, self.EXACT)
+        assert found == dict.fromkeys(self.ORACLE, [])
 
     def test_pl_referee_names_no_kernel(self):
         found = self.checked_names(REPO / "tests" / "test_piecewise_linear.py",
@@ -938,6 +976,23 @@ class TestRefereeIndependence:
         assert self.checked_names(sample, self.REMEASURE, self.TERMS) == {
             "crossing_objective": ["_range", "_relation", "line_gate", "mark_relation",
                                    "minimize_convex_pl", "unit"]}
+
+    def test_scan_sees_oracle_methods(self, tmp_path):
+        sample = tmp_path / "sample.py"
+        sample.write_text("def _split(length, eps):\n    return length / eps\n"
+                          "class _PieceGrid:\n    def snap(self, line, t):\n"
+                          "        return line._foot(t, self.den), line.point_at(t)\n"
+                          "class DiscretizedOracle:\n    def __init__(self, c):\n"
+                          "        self.den = c.unit\n"
+                          "    def distance(self, x, y):\n"
+                          "        def ends(p):\n            return support_route(self.c, p, p)\n"
+                          "        return exact_distance(self.c, x, y), self.c._relation(0, 1, 2)\n"
+                          "def default_eps(c):\n    return special_path(c)._range(1)\n"
+                          "class Other:\n    def run(self):\n        return route_distance()\n")
+        assert self.checked_names(sample, self.ORACLE, self.EXACT) == {
+            "_split": [], "_PieceGrid": [],
+            "DiscretizedOracle": ["_relation", "exact_distance", "support_route"],
+            "default_eps": ["_range", "special_path"]}
 
     def test_scan_sees_pl_kernel(self, tmp_path):
         sample = tmp_path / "sample.py"

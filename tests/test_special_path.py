@@ -287,7 +287,7 @@ class TestSubrangeRatios:
     def test_suite_measures_each_range_once(self, monkeypatch):
         """One distance per pair, plus one per sub-range other than a walked
         path's whole range, whose ends are the pair's own points; the walk
-        resolves each segment's entry and exit once, and outside the walk
+        resolves the two ends and each crossing once, and outside the walk
         the suite resolves each point of a pair once."""
         calls = []
 
@@ -335,7 +335,7 @@ class TestSubrangeRatios:
         assert len(walks) == walked
         assert {n > 0 for n, _ in walks} == {False, True}
         for n, made in walks:
-            assert made == (2 * (n + 1) if n else 0)
+            assert made == (n + 2 if n else 0)   # the two ends and each crossing
         outside = len(closures) - sum(sampled) - sum(made for _, made in walks)
         assert outside == 2 * counters["pairs"]
 
