@@ -21,8 +21,8 @@ Points are canonicalized at their lowest supporting vertex so that
 structural equality is geometric equality.  A point is measured in the
 piece it is represented in: piece_distance and the distance code take
 points already represented where they measure and never re-resolve
-them.  Only the support walk and transfer_across_wall move a point from
-one piece to another.  The walk runs once per point that Cluster.point
+them.  Only the support walk moves a point from one piece to
+another.  The walk runs once per point that Cluster.point
 builds: a wall point, with more than one support, keeps the support map
 its walk found, and Cluster.supports hands that map back to the cluster
 that walked it; a one-support point, or a point handed to another
@@ -49,7 +49,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, NamedTuple
 
-from .errors import ClusterValidationError, InvalidPointError, SegmentOverflow, excerpt
+from .errors import ClusterValidationError, InvalidPointError, excerpt
 from .jsonutil import dumps_canonical
 from .metric_tree import (Bridge, Line, MetricTree, Overlap, RootedTree, TreePoint, bridge,
                           connected, int_id, line_intersection)
@@ -314,30 +314,17 @@ def lowest_point(reps: Supports) -> ClusterPoint:
     return ClusterPoint(v, *reps[v])
 
 
-def transfer_across_wall(c: Cluster, eid: int, pt: ClusterPoint) -> ClusterPoint:
-    """Re-express a wall point of edge eid on the other side.
-
-    The result is the representation at the neighbor vertex, not the
-    canonical form; transferring back returns the input exactly.
-    """
-    w = c.tree.other_end(eid, pt.vertex)
-    t = c.marks[(pt.vertex, eid)].coord_of(pt.horizontal)  # NotOnLineError if off the wall
-    twin = c.marks[(w, eid)]
-    if twin._lift(pt.height) is None:
-        raise SegmentOverflow(
-            f"height {excerpt(pt.height)} outside the twin mark range "
-            f"[{excerpt(twin.lo)}, {excerpt(twin.hi)}] on edge {eid}",
-            edge=eid,
-            param=pt.height,
-        )
-    return ClusterPoint(w, twin.point_at(pt.height), t)
-
-
 def piece_distance(c: Cluster, x: ClusterPoint, y: ClusterPoint) -> Fraction:
-    """The l1 distance inside the one piece both points are represented in."""
+    """The l1 distance inside the one piece both points are represented in,
+    on ints over the lcm of the tree's scale and the points' denominators."""
     if x.vertex != y.vertex:
         raise InvalidPointError(f"points represented at {x.vertex} and {y.vertex}, not one piece")
-    return c.pieces[x.vertex].tree.distance(x.horizontal, y.horizontal) + abs(x.height - y.height)
+    tree = c.pieces[x.vertex].tree
+    (a, p), (b, q), (g, r), (h, s) = (f.as_integer_ratio() for f in (
+        x.horizontal.offset, y.horizontal.offset, x.height, y.height))
+    den = lcm(tree.scale, p, q, r, s)
+    span = tree._span((x.horizontal.edge, a * (den // p)), (y.horizontal.edge, b * (den // q)), den)
+    return Fraction(span + abs(g * (den // r) - h * (den // s)), den)
 
 
 class SupportRoute(NamedTuple):

@@ -37,7 +37,7 @@ of the denominators of the two ends' offsets and heights, every box end,
 gate, overlap, bridge and gap of the objective is an int over
 D = unit * m.  An inner piece's numbers are the ints at ``unit`` that
 ``Cluster.mark_relation``'s memo keeps beside each relation, shared with
-``special_path.route_path``; mark ranges come from the lines' own ints.
+``special_path.route_path``; mark ranges and end gates come from the lines.
 ``minimize_convex_pl`` eliminates on those ints, and the distance and
 profile come back as Fractions over D.
 
@@ -93,7 +93,7 @@ from typing import NamedTuple
 
 from .cluster import Cluster, ClusterPoint, SupportRoute, piece_distance, support_route
 from .errors import InvalidPointError, RemeasureMismatch, SizeCapError
-from .metric_tree import Line, Overlap, TreePoint, line_gate
+from .metric_tree import Line, Overlap, TreePoint
 from .piecewise_linear import Pair, minimize_convex_pl
 from .rational import as_fraction
 
@@ -166,8 +166,8 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
     couple s_{i-1} with h_i), which the chain eliminator solves exactly.
     It is built on ints at D = ``c.unit * m``, with m the lcm of the
     denominators of the two ends' offsets and heights: every box end,
-    gate, overlap, bridge and gap is then an int over D, and only the end
-    gates and heights are lifted from Fractions.  The minimum is
+    gate (``Line._gate``), overlap, bridge and gap is then an int over D,
+    and only the ends are lifted from Fractions.  The minimum is
     re-measured on ints at its own frame by crossing_objective, and a
     disagreement raises RemeasureMismatch.
     """
@@ -184,10 +184,9 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
     anchors: list[list[int]] = [[] for _ in box]
     pairs: list[Pair] = []
 
-    g, d0 = line_gate(c.pieces[verts[0]].tree, x0.horizontal, c.marks[(verts[0], eids[0])])
-    anchors[0].append(_lift(g, d))
+    g, const = c.marks[(verts[0], eids[0])]._gate(_at(x0.horizontal, d), d)
+    anchors[0].append(g)
     anchors[1].append(_lift(x0.height, d))
-    const = _lift(d0, d)
 
     for i in range(1, n):
         rel, ints = c._relation(verts[i], eids[i - 1], eids[i])
@@ -204,10 +203,10 @@ def route_distance(c: Cluster, route: SupportRoute) -> tuple[Fraction, CrossingP
             const += gap * m
         pairs.append((2 * (i - 1), 2 * i + 1, 1, 0, None))
 
-    g, dn = line_gate(c.pieces[verts[n]].tree, xn.horizontal, c.marks[(verts[n], eids[n - 1])])
-    anchors[2 * n - 1].append(_lift(g, d))
+    g, dn = c.marks[(verts[n], eids[n - 1])]._gate(_at(xn.horizontal, d), d)
+    anchors[2 * n - 1].append(g)
     anchors[2 * (n - 1)].append(_lift(xn.height, d))
-    const += _lift(dn, d)
+    const += dn
 
     arg, value = minimize_convex_pl(anchors, box, pairs)
     value = Fraction(value + const, d)
@@ -236,6 +235,11 @@ def _lift(f: Fraction, den: int) -> int:
     for every length, window end and mark parameter when den is a
     multiple of the cluster's unit)."""
     return f.numerator * (den // f.denominator)
+
+
+def _at(p: TreePoint, den: int) -> tuple[int, int]:
+    """p as (edge id, offset times den), den as _lift takes it."""
+    return p.edge, _lift(p.offset, den)
 
 
 class _PieceGrid:

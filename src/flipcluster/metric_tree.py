@@ -341,11 +341,6 @@ class Line:
         sd = self.tree.scale * den
         return Fraction(a * sd + b * pos, b * sd)
 
-    @property
-    def vertex_params(self) -> dict[int, Fraction]:
-        """Each carrier vertex with its parameter, in carrier order."""
-        return {v: self._param(c) for v, c in zip(self._verts, self._cuts)}
-
     def vertex_param(self, v: int | None) -> Fraction | None:
         """The parameter of a carrier vertex; None off the carrier."""
         k = self._vertex_at.get(v)
@@ -360,8 +355,7 @@ class Line:
     def _lift(self, t: Fraction) -> tuple[int, int] | None:
         """(x, bq) for parameter t, or None when t is outside [lo, hi]: b
         and q are the denominators of lo and t, and x is t's position times
-        bq.  transfer_across_wall and the support walk's wall test share
-        this check."""
+        bq.  The support walk's wall test and _at_vertex share this check."""
         a, b = self._lo
         q = t.denominator
         bq = b * q
@@ -426,15 +420,15 @@ class Line:
         return t
 
     @cached_property
-    def vertex_gates(self) -> dict[int, tuple[Fraction, int]]:
-        """For every tree vertex: (parameter of its gate on the line, distance
-        as an int at the tree's scale).
+    def vertex_gates(self) -> dict[int, tuple[int, int]]:
+        """For every tree vertex: (position of its gate on the line, distance),
+        both ints at the tree's scale.
 
         The gate of a point is the unique entry point of geodesics from it
         into the line, so distances to line points decompose as
         d(v, line(t)) = dist + |t - gate parameter|.
         """
-        gates = {v: (t, 0) for v, t in self.vertex_params.items()}
+        gates = {v: (c, 0) for v, c in zip(self._verts, self._cuts)}
         units = self.tree._units
         stack = list(gates)
         while stack:
@@ -446,28 +440,41 @@ class Line:
                     stack.append(w)
         return gates
 
+    def _gate(self, p: tuple[int, int], den: int) -> tuple[int, int]:
+        """(gate parameter, distance) times den for the point p given as
+        (edge id, offset times den), den a multiple of lo's denominator and
+        the scale: line_gate on ints, reading vertex_gates."""
+        a, b = self._lo
+        tree = self.tree
+        u = den // tree.scale   # a position times u is over den
+        lo = a * (den // b)
+        eid, off = p
+        k = self._edge_at.get(eid)
+        if k is not None:
+            if self._verts[k] == tree._ends[eid][0]:
+                return lo + self._cuts[k] * u + off, 0
+            return lo + self._cuts[k + 1] * u - off, 0
+        # off the carrier's edges: through end a, or back along the edge through b
+        ea, eb = tree._ends[eid]
+        gates = self.vertex_gates
+        ga, da = gates[ea]
+        gb, db = gates[eb]
+        via_a = da * u + off
+        via_b = (db + tree._units[eid]) * u - off
+        if via_a <= via_b:
+            return lo + ga * u, via_a
+        return lo + gb * u, via_b
+
 
 def line_gate(tree: MetricTree, p: TreePoint, line: Line) -> tuple[Fraction, Fraction]:
     """(parameter of the closest line point to p, distance), never raising.
 
     Distances from p to line points decompose as dist + |t - parameter|.
     """
-    if p.edge in line._edge_at:
-        return line.coord_of(p), Fraction(0)
-    # p lies off the carrier's edges, or on one of its vertices, whose gate
-    # is itself at distance 0
-    a, b = tree._ends[p.edge]
-    gates = line.vertex_gates
-    ga, da = gates[a]
-    gb, db = gates[b]
-    # both routes over scale * den: through a, and back along the edge through b
-    n, den = p.offset.numerator, p.offset.denominator
-    ns = n * tree.scale
-    via_a = da * den + ns
-    via_b = (db + tree._units[p.edge]) * den - ns
-    if via_a <= via_b:
-        return ga, Fraction(via_a, tree.scale * den)
-    return gb, Fraction(via_b, tree.scale * den)
+    n, q = p.offset.as_integer_ratio()
+    den = tree.scale * line._lo[1] * q
+    t, dist = line._gate((p.edge, n * (den // q)), den)
+    return Fraction(t, den), Fraction(dist, den)
 
 
 def project_to_line(tree: MetricTree, p: TreePoint, line: Line) -> TreePoint:

@@ -25,7 +25,6 @@ from flipcluster.cluster import (
     point_to_spec,
     support_route,
     to_spec,
-    transfer_across_wall,
     validate,
 )
 from flipcluster.errors import (
@@ -33,8 +32,9 @@ from flipcluster.errors import (
     InvalidPointError,
     NotOnLineError,
     SegmentOverflow,
+    excerpt,
 )
-from flipcluster.cluster_iso import image_supports, isomorphic
+from flipcluster.cluster_iso import image_supports, isomorphic, verify_good
 from flipcluster.distance_oracle import DiscretizedOracle, exact_distance
 from flipcluster.generator import (
     GeneratorParams,
@@ -48,6 +48,27 @@ from flipcluster.special_path import special_path, star_audit, star_terms
 from flipcluster.suites import CORPUS
 
 F = Fraction
+
+
+def transfer_across_wall(c: Cluster, eid: int, pt: ClusterPoint) -> ClusterPoint:
+    """Re-express a wall point of edge eid on the other side, on Fractions.
+
+    The result is the representation at the neighbor vertex, not the
+    canonical form; transferring back returns the input exactly.  The
+    library crosses walls on ints (the support walk, route_path's glue
+    check); this is the Fraction form they are checked against.
+    """
+    w = c.tree.other_end(eid, pt.vertex)
+    t = c.marks[(pt.vertex, eid)].coord_of(pt.horizontal)  # NotOnLineError if off the wall
+    twin = c.marks[(w, eid)]
+    if not twin.lo <= pt.height <= twin.hi:
+        raise SegmentOverflow(
+            f"height {excerpt(pt.height)} outside the twin mark range "
+            f"[{excerpt(twin.lo)}, {excerpt(twin.hi)}] on edge {eid}",
+            edge=eid,
+            param=pt.height,
+        )
+    return ClusterPoint(w, twin.point_at(pt.height), t)
 
 
 def grid_point(c: Cluster, rng: random.Random) -> ClusterPoint:
@@ -579,7 +600,7 @@ def on_carrier(line: Line, p) -> bool:
     p sits on a carrier vertex."""
     e = line.tree.edges[p.edge]
     ends = [v for v, off in ((e.a, F(0)), (e.b, e.length)) if p.offset == off]
-    return p.edge in line.edge_path or any(v in line.vertex_params for v in ends)
+    return p.edge in line.edge_path or any(line.vertex_param(v) is not None for v in ends)
 
 
 def reference_supports(c: Cluster, pt: ClusterPoint) -> dict:
@@ -1031,6 +1052,24 @@ class TestWideSupports:
         assert triple is not None
         image = image_supports(triple, c.supports(x))
         assert len(image) == n // 2 + 1
+
+    def test_verify_good_on_the_witness(self):
+        """verify_good on the isometry witness at 150 and 600 pieces: its
+        traced peak grows by under 6x at 4x the pieces (about 4.3x), and its
+        time, best of 3, by under 8x (about 2.4x, 7 and 17 ms)."""
+        times, peaks = {}, {}
+        for n in (150, 600):
+            triple = isomorphic(wide_path(n)[0], wide_path(n)[0])
+            best = None
+            for _ in range(3):
+                start = time.perf_counter()
+                assert verify_good(triple) == (True, None, None)
+                took = time.perf_counter() - start
+                best = took if best is None else min(best, took)
+            times[n] = best
+            peaks[n] = self.traced(lambda: verify_good(triple))[1]
+        assert peaks[600] < 6 * peaks[150]
+        assert times[600] < 8 * times[150] and times[600] < 1
 
     def test_replay_distance_at_5000_pieces_is_fast(self):
         c, x, y = wide_path(5000)

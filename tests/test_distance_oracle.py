@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import pytest
 from test_cluster import chain3, on_carrier, remarked_cluster, two_piece, wide_path
+from test_metric_tree import vertex_params
 from test_rescaling import LAMBDAS, scaled_point, scaled_spec
 from test_special_path import relation_kinds
 
@@ -186,7 +187,7 @@ def legal_param(line, rng):
     """A parameter of the line: a carrier vertex's, or a rational in its
     range with a denominator up to 12 over its length."""
     if rng.random() < 0.3:
-        return rng.choice(list(line.vertex_params.values()))
+        return rng.choice(list(vertex_params(line).values()))
     d = rng.randint(1, 12)
     return line.lo + (line.hi - line.lo) * F(rng.randint(0, d), d)
 
@@ -310,10 +311,10 @@ class TestRemeasureReferee:
             for (v, e), line in sorted(c.marks.items()):
                 w = c.tree.other_end(e, v)
                 twin = c.marks[(w, e)]
-                for a, b in zip(line.vertex_params, twin.vertex_params):
+                for a, b in zip(vertex_params(line), vertex_params(twin)):
                     x0 = ClusterPoint(v, c.pieces[v].tree.vertex_point(a), twin.lo)
                     xn = ClusterPoint(w, c.pieces[w].tree.vertex_point(b), line.hi)
-                    h = rng.choice(list(twin.vertex_params.values()))
+                    h = rng.choice(list(vertex_params(twin).values()))
                     prof = CrossingProfile((v, w), (e,), (line.vertex_param(a),), (h,))
                     got = crossing_objective(c, prof, x0, xn)
                     assert got == fraction_remeasure(c, prof, x0, xn)

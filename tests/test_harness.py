@@ -848,7 +848,7 @@ class TestNoTruncationGuards:
     end: SegmentOverflow is for parameters outside a line's range, raised
     where a parameter is read on a line, and nowhere else."""
 
-    ALLOWED = {"Line._foot", "transfer_across_wall"}
+    ALLOWED = {"Line._foot"}
 
     @staticmethod
     def overflow_raisers(path: Path) -> list[str]:
@@ -899,8 +899,10 @@ class TestRefereeIndependence:
     crossing_objective re-measures route_distance's minimum, so it names
     none of the term builders: line_gate, the relation memo and
     mark_relation, a line's int range, the PL minimizer, nor their frame
-    (Cluster.unit).  evaluate_terms and grid_minimize referee the PL
-    minimizer, so they name none of its functions or slope-form
+    (Cluster.unit); nor line_gate's int core Line._gate, nor a special
+    path's int fields, which are built on Cluster.unit.  evaluate_terms
+    and grid_minimize referee the PL minimizer, so they name none of its
+    functions or slope-form
     operations; the referee's own _clamp stays allowed.  The grid oracle
     (_split, _PieceGrid, DiscretizedOracle, default_eps) referees the
     exact distance, so it names none of the term builders, the distance
@@ -912,7 +914,8 @@ class TestRefereeIndependence:
     SEARCH = {"marked_tree_extensions", "extend_choices", "_solve", "_root_choices",
               "_wall_key", "_transform_for", "raw_loc", "mark_ints", "unit"}
     REMEASURE = ("crossing_objective",)
-    TERMS = {"line_gate", "_relation", "mark_relation", "_range", "minimize_convex_pl", "unit"}
+    TERMS = {"line_gate", "_gate", "_relation", "mark_relation", "_range", "minimize_convex_pl",
+             "unit"}
     ORACLE = ("_split", "_PieceGrid", "DiscretizedOracle", "default_eps")
     EXACT = TERMS - {"unit"} | {"route_distance", "exact_distance", "route_path", "special_path",
                                 "route_between", "support_route", "crossing_objective"}
@@ -945,6 +948,15 @@ class TestRefereeIndependence:
     def test_remeasure_names_no_term_builder(self):
         found = self.checked_names(REPO / "src" / "flipcluster" / "distance_oracle.py",
                                    self.REMEASURE, self.TERMS)
+        assert found == dict.fromkeys(self.REMEASURE, [])
+
+    def test_remeasure_reads_no_path_ints(self):
+        c = generate_cluster(suites.CORPUS)
+        sp = special_path(c, *sample_points(c, random.Random(0), 2))
+        fields = {name for name in vars(sp) if name.startswith("_")}
+        assert {"_frame", "_heights", "_legs", "_feet"} <= fields
+        found = self.checked_names(REPO / "src" / "flipcluster" / "distance_oracle.py",
+                                   self.REMEASURE, fields)
         assert found == dict.fromkeys(self.REMEASURE, [])
 
     def test_grid_oracle_names_no_exact_code(self):

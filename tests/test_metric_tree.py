@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flipcluster.errors import InvalidPointError, NotOnLineError, SegmentOverflow
 from flipcluster.generator import _diameter
@@ -73,6 +73,11 @@ def dijkstra_point_distance(tree: MetricTree, p: TreePoint, q: TreePoint) -> Fra
                 heapq.heappush(heap, (nd, tick, nxt))
                 tick += 1
     raise AssertionError("query point unreachable")
+
+
+def vertex_params(line: Line) -> dict[int, Fraction]:
+    """Each carrier vertex of a line with its parameter, in carrier order."""
+    return {v: line.vertex_param(v) for v in line._verts}
 
 
 def tripod() -> MetricTree:
@@ -254,7 +259,7 @@ class ReferenceTree:
                 raise TypeError(
                     f"rational must be a Fraction, an int or a string, got {length!r}")
             if a == b:
-                raise ValueError(f"edge {i} is a self-loop at vertex {a}")
+                raise ValueError(f"edge {i} is a self-loop at vertex {a!r}")
             if length.numerator <= 0:
                 raise ValueError(f"edge {i} has non-positive length {length}")
             a, b = int_id(a), int_id(b)
@@ -344,6 +349,7 @@ class TestColumns:
 
     @settings(max_examples=400, deadline=None)
     @given(faulty_edge_list())
+    @example([("3", "3", F(1))])   # a string id is quoted in the self-loop message
     def test_matches_reference_constructor(self, edges):
         got = build_outcome(MetricTree, edges)
         assert got == build_outcome(ReferenceTree, edges)
@@ -580,7 +586,7 @@ class TestLine:
         t = h_tree()
         ln = Line(t, [0, 1], 0, F(-1))
         assert (ln.lo, ln.hi) == (F(-1), F(1))
-        assert ln.vertex_params == {0: F(-1), 1: F(0), 2: F(1)}
+        assert vertex_params(ln) == {0: F(-1), 1: F(0), 2: F(1)}
         assert ln.point_at(F(-1)) == t.vertex_point(0)
         assert ln.point_at(F(-1, 2)) == t.point(0, F(1, 2))
         assert ln.coord_of(t.point(1, F(1, 4))) == F(1, 4)
@@ -628,7 +634,7 @@ class TestLine:
         tree, line = tl
         spans, vparams = ref_spans(line)
         assert (line.lo, line.hi) == (vparams[line.start_vertex], vparams[line.end_vertex])
-        assert list(line.vertex_params.items()) == list(vparams.items())
+        assert list(vertex_params(line).items()) == list(vparams.items())
         assert all(line.vertex_param(v) == vparams.get(v) for v in tree.vertices)
         for t in ts + [line.lo, line.hi]:
             if line.lo <= t <= line.hi:
@@ -672,8 +678,8 @@ class TestLine:
     @given(tree_with_line(), st.lists(st.integers(1, 15), max_size=4))
     def test_point_at_inverts_coord_of(self, tl, sixteenths):
         tree, line = tl
-        on = [tree.vertex_point(v) for v in line.vertex_params]
-        off = [tree.vertex_point(v) for v in tree.vertices if v not in line.vertex_params]
+        on = [tree.vertex_point(v) for v in vertex_params(line)]
+        off = [tree.vertex_point(v) for v in tree.vertices if v not in vertex_params(line)]
         for eid, e in enumerate(tree.edges):
             pts = [tree.point(eid, e.length * F(k, 16)) for k in sixteenths]
             (on if eid in line.edge_path else off).extend(pts)
@@ -711,7 +717,7 @@ class TestProjection:
         assert param == line.hi and dist > 0
         assert project_to_line(tree, p, line) == tree.vertex_point(end)
         assert dist == tree.distance(p, tree.vertex_point(end)) == min(
-            tree.distance(p, line.point_at(u)) for u in line.vertex_params.values())
+            tree.distance(p, line.point_at(u)) for u in vertex_params(line).values())
 
     def test_overflow_at_extendable_end(self):
         """A point beyond an inner carrier end no longer overflows: its
@@ -737,7 +743,7 @@ class TestProjection:
         eid = sel % len(tree.edges)
         p = tree.point(eid, tree.edges[eid].length * F(sel % 7, 7))
         param, dist = line_gate(tree, p, line)
-        cands = list(line.vertex_params.values())
+        cands = list(vertex_params(line).values())
         best = min(tree.distance(p, line.point_at(t)) for t in cands)
         if ref_coord_of(line, p) is not None:
             assert dist == 0
@@ -811,7 +817,7 @@ class TestIntersectionAndBridge:
     def test_bridge_is_closest_pair(self, tl, data):
         tree, l1 = tl
         # a second line over the same tree, on vertices off the first
-        on = l1.vertex_params.keys()
+        on = vertex_params(l1).keys()
         starts = [v for v in tree.vertices
                   if v not in on and any(w not in on for _, w in tree.neighbors(v))]
         assume(starts)
@@ -821,8 +827,8 @@ class TestIntersectionAndBridge:
         br = bridge(tree, l1, l2)
         best = min(
             tree.distance(l1.point_at(s), l2.point_at(u))
-            for s in l1.vertex_params.values()
-            for u in l2.vertex_params.values()
+            for s in vertex_params(l1).values()
+            for u in vertex_params(l2).values()
         )
         assert br.gap == best
         assert tree.distance(br.p, br.q) == br.gap

@@ -23,6 +23,7 @@ from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_metric_tree import vertex_params
 
 from flipcluster.cluster import to_spec, validate
 from flipcluster.cluster_iso import isomorphic
@@ -150,8 +151,9 @@ def test_unit_clears_every_parameter(params, seed, lam):
         c = validate(scaled_spec(to_spec(c), lam))
     qs = [q for piece in c.pieces.values() for q in (*piece.window, *piece.tree._lengths)]
     for line in c.marks.values():
-        qs += [line.lo, line.hi, *line.vertex_params.values()]
-        qs += [q for g, dist in line.vertex_gates.values() for q in (g, F(dist, line.tree.scale))]
+        qs += [line.lo, line.hi, *vertex_params(line).values()]
+        qs += [q for g, dist in line.vertex_gates.values()
+               for q in (line._param(g), F(dist, line.tree.scale))]
     assert [q for q in qs if (c.unit * q).denominator != 1] == []
     if params is ORACLE_CORPUS:   # the grid oracle's denominator refines the unit
         assert DiscretizedOracle(c, default_eps(c)).den % c.unit == 0

@@ -7,7 +7,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from test_cluster import chain3, grid_point, remarked_cluster, two_piece
+from test_cluster import (chain3, grid_point, remarked_cluster, transfer_across_wall, two_piece,
+                          wide_path)
 
 import flipcluster.special_path as special_path_module
 from flipcluster import distance_oracle, suites
@@ -20,13 +21,14 @@ from flipcluster.cluster import (
     point_to_spec,
     route_between,
     support_route,
-    transfer_across_wall,
 )
-from flipcluster.distance_oracle import DiscretizedOracle, default_eps, exact_distance
-from flipcluster.errors import ClusterValidationError, GlueMismatch, SizeCapError
+from flipcluster.distance_oracle import (CrossingProfile, DiscretizedOracle, default_eps,
+                                         exact_distance)
+from flipcluster.errors import ClusterValidationError, GlueMismatch, SegmentOverflow, SizeCapError
 from flipcluster.generator import generate_cluster, sample_points
-from flipcluster.metric_tree import Bridge, Line, MetricTree, Overlap
+from flipcluster.metric_tree import Bridge, Line, MetricTree, Overlap, line_gate
 from flipcluster.special_path import (
+    PathSegment,
     length_ratio,
     route_path,
     special_path,
@@ -108,6 +110,49 @@ def star_terms_referee(sp, prof) -> list[tuple[Fraction, Fraction]]:
         out.append((abs(t_i - u_i),
                     abs(s_prev - h_i) + abs(t_i - s_prev) + abs(h_i - u_i)))
     return out
+
+
+def ref_route_path(c: Cluster, route) -> tuple:
+    """route_path on Fractions, as the library built it before its path
+    layer ran on ints: (vertices, edges, segments, length).  End gates come
+    from line_gate and feet from point_at, the crossing parameters from the
+    relation's own Fraction fields, and the glue check transfers every exit
+    across its wall with the Fraction transfer."""
+    verts, eids, x0, xn = route
+    n = len(eids)
+    if n == 0:
+        seg = PathSegment(x0, xn, piece_distance(c, x0, xn))
+        return verts, (), (seg,), seg.length
+    first, last = c.marks[(verts[0], eids[0])], c.marks[(verts[n], eids[n - 1])]
+    g0, d0 = line_gate(c.pieces[verts[0]].tree, x0.horizontal, first)
+    gn, dn = line_gate(c.pieces[verts[n]].tree, xn.horizontal, last)
+    # per piece: entry and exit feet, entry and exit parameters, horizontal leg
+    hops = [(x0.horizontal, first.point_at(g0), None, g0, d0)]
+    for i in range(1, n):
+        rel = c._relation(verts[i], eids[i - 1], eids[i])[0]
+        if isinstance(rel, Overlap):
+            mid = (rel.lo1 + rel.hi1) / 2
+            foot = c.marks[(verts[i], eids[i - 1])].point_at(mid)
+            hops.append((foot, foot, mid, rel.sigma * mid + rel.shift, F(0)))
+        else:
+            hops.append((rel.p, rel.q, rel.param_p, rel.param_q, rel.gap))
+    hops.append((last.point_at(gn), xn.horizontal, gn, None, dn))
+    t = [x0.height, *(hop[3] for hop in hops[:-1])]
+    u = [*(hop[2] for hop in hops[1:]), xn.height]
+    segments = tuple(PathSegment(ClusterPoint(v, hop[0], a), ClusterPoint(v, hop[1], b),
+                                 hop[4] + abs(a - b))
+                     for v, hop, a, b in zip(verts, hops, t, u))
+    for i in range(n):
+        if transfer_across_wall(c, eids[i], segments[i].exit) != segments[i + 1].entry:
+            raise GlueMismatch(f"segments {i} and {i + 1} fail to glue across edge {eids[i]}")
+    return verts, eids, segments, sum(seg.length for seg in segments)
+
+
+def assert_matches_ref(c: Cluster, route, sp=None) -> None:
+    """route_path (or sp, built on the same route) reads as its Fraction
+    referee: the same vertices, edges, segments and length."""
+    sp = route_path(c, route) if sp is None else sp
+    assert (sp.vertices, sp.edges, sp.segments, sp.length) == ref_route_path(c, route)
 
 
 def referee_segments(c: Cluster, sp) -> None:
@@ -437,6 +482,9 @@ class TestReports:
         y = c.point(1, 1, F(1), F(6))
         sp = special_path(c, a, b)
         assert star_terms(sp, exact_distance(c, a, b)[1]) == star_audit(c, a, b)
+        # a profile in thirds, finer than the path's frame of halves
+        thirds = CrossingProfile(sp.vertices, sp.edges, (F(1, 3), F(2, 3)), (F(4, 3), F(-1, 3)))
+        assert star_terms(sp, thirds) == star_terms_referee(sp, thirds)
         with pytest.raises(AssertionError, match="vertex geodesic"):
             star_terms(sp, exact_distance(c, a, y)[1])
 
@@ -506,6 +554,7 @@ def cross_check(c: Cluster, seed: int, seen: Counter, oracle=None) -> None:
         sp = special_path(c, x, y)
         seen["special"] += 1
         assert route_path(c, route) == sp
+        assert_matches_ref(c, route, sp)
         assert sp.length >= d
         referee_segments(c, sp)
         star = star_audit(c, x, y)
@@ -557,10 +606,24 @@ class TestSegmentReferee:
             for x, y in zip(pts[::2], pts[1::2]):
                 sp = special_path(c, x, y)
                 profile = exact_distance(c, x, y)[1]
+                assert_matches_ref(c, support_route(c, x, y), sp)
                 referee_segments(c, sp)
                 assert star_terms(sp, profile) == star_terms_referee(sp, profile)
                 walls[min(len(sp.edges), 2)] += 1
         assert walls[1] > 0 and walls[2] >= 20   # inner pieces are checked too
+
+    def test_wide_path(self):
+        """The route_path referee on points whose supports span most of T:
+        the replay pair, one wall apart, and sampled pairs, most of them
+        hundreds of walls apart."""
+        c, x, y = wide_path(400)
+        pts = [x, y, *sample_points(c, random.Random(400), 20)]
+        walls = Counter()
+        for a, b in zip(pts[::2], pts[1::2]):
+            route = support_route(c, a, b)
+            assert_matches_ref(c, route)
+            walls[min(len(route.edges), 2)] += 1
+        assert walls[1] > 0 and walls[2] >= 5
 
     def test_fixture_paths(self):
         """Bridged pieces (chain6) and an overlap whose midpoint is a half
@@ -576,45 +639,65 @@ class TestSegmentReferee:
 
 
 class TestGlueCheck:
-    """route_path reads its crossing heights from the relation memo's ints;
-    a wrong one no longer matches the placed feet, and the glue check
-    refuses the path with a typed error."""
+    """route_path reads its crossing heights from the relation memo's ints
+    and checks every crossing on ints: the exit foot must be the exit
+    mark's Line._foot at the exit parameter, and the twin's foot at the exit
+    height the next entry foot.  A wrong int no longer matches the feet
+    the relation places, and the check refuses the path with a typed
+    error; a height outside the twin's range is a SegmentOverflow."""
 
     @pytest.mark.parametrize("build, x, y, key, kind, corrupt, edge", [
-        # chain6's piece 2: the bridge's param_q one unit off
+        # chain6's piece 2: the bridge's param_q one unit off (its exit foot)
         (chain6, (0, 0, 2, 7), (5, 0, 1, 6), (2, 1, 2), Bridge,
          lambda ints: [ints[0], ints[1] + 1, ints[2]], 2),
         # chain3's piece 1: the overlap's shift one unit off
         (chain3, (0, 2, 2, 9), (2, 0, 2, 5), (1, 0, 1), Overlap,
          lambda ints: [ints[0], ints[1], ints[2] + 1], 1),
+        # chain6's piece 2: the bridge's param_p one unit off (its entry foot)
+        (chain6, (0, 0, 2, 7), (5, 0, 1, 6), (2, 1, 2), Bridge,
+         lambda ints: [ints[0] + 1, ints[1], ints[2]], 1),
     ])
     def test_corrupt_relation_int(self, build, x, y, key, kind, corrupt, edge):
         c = build()
-        x, y = c.point(*x), c.point(*y)
-        good = special_path(c, x, y)
+        route = support_route(c, c.point(*x), c.point(*y))
+        good = route_path(c, route)
         rel, ints = c._relations[key]
         assert isinstance(rel, kind)
         c._relations[key] = (rel, corrupt(ints))
         with pytest.raises(GlueMismatch, match=f"fail to glue across edge {edge}"):
-            special_path(c, x, y)
+            route_path(c, route)
         c._relations[key] = (rel, ints)
-        assert special_path(c, x, y) == good
+        assert route_path(c, route) == good
+
+    def test_height_outside_twin_range(self):
+        """chain6's piece 2 entered at a bridge parameter far past the end
+        of its entry mark: the height carried across edge 1 does not lift
+        onto that mark, the twin of the crossing."""
+        c = chain6()
+        route = support_route(c, c.point(0, 0, 2, 7), c.point(5, 0, 1, 6))
+        route_path(c, route)   # fills the relation memo
+        rel, ints = c._relations[(2, 1, 2)]
+        c._relations[(2, 1, 2)] = (rel, [ints[0] + 100 * c.unit, *ints[1:]])
+        with pytest.raises(SegmentOverflow):
+            route_path(c, route)
 
 
 class TestRoutePathWork:
     """route_path measures no tree distance on a route that crosses a
     wall: its legs are gate distances and bridge gaps.  A one-piece route
-    is the piece geodesic, one distance."""
+    is the piece geodesic, one distance.  Distances are counted at
+    MetricTree._span, the tree climb under MetricTree.distance, which
+    route_path calls on ints."""
 
     def test_no_tree_distance_on_crossing_routes(self, monkeypatch):
         calls = []
-        distance = MetricTree.distance
+        span = MetricTree._span
 
-        def counting(self, p, q):
+        def counting(self, p, q, den):
             calls.append((p, q))
-            return distance(self, p, q)
+            return span(self, p, q, den)
 
-        monkeypatch.setattr(MetricTree, "distance", counting)
+        monkeypatch.setattr(MetricTree, "_span", counting)
         crossing = 0
         clusters = [(chain3(), 3), (chain6(), 59)]
         clusters += [(remarked_cluster(seed, piece_edges=(6, 14)), seed) for seed in range(20)]
@@ -627,3 +710,47 @@ class TestRoutePathWork:
                 assert len(calls) == (1 if not route.edges else 0)
                 crossing += len(route.edges) > 0
         assert crossing >= 100
+
+
+class TestFractionCount:
+    """The bilipschitz suite's per-pair unit (support_route, route_distance,
+    route_path, the path's length and star_terms) on a fixed CORPUS slice
+    builds at most half the Fractions it built while the route layer made
+    its gates, feet, heights and lengths as Fractions: 4,321 then, 1,762
+    since (CPython 3.11; 200 pairs, 77 of them crossing a wall; each
+    instance's relation memos and gate tables included, as in the suite).
+    From Python 3.12 arithmetic results come from
+    Fraction._from_coprime_ints, which bypasses __new__, so both count."""
+
+    PARENT = 4321
+
+    def test_at_most_half(self, monkeypatch):
+        cases = []
+        for seed in range(20):
+            c = generate_cluster(dataclasses.replace(suites.CORPUS, seed=seed))
+            pts = sample_points(c, random.Random(seed + 2), 20)
+            cases += [(c, x, y) for x, y in zip(pts[::2], pts[1::2])]
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        if "_from_coprime_ints" in vars(Fraction):
+            coprime = vars(Fraction)["_from_coprime_ints"].__func__
+
+            def counting_coprime(cls, numerator, denominator):
+                built.append(cls)
+                return coprime(cls, numerator, denominator)
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        lengths = []
+        for c, x, y in cases:
+            route = support_route(c, x, y)
+            d, prof = distance_oracle.route_distance(c, route)
+            sp = route_path(c, route)
+            star_terms(sp, prof)
+            lengths.append((sp.length, d))
+        monkeypatch.undo()
+        assert all(length >= d for length, d in lengths)
+        assert 0 < len(built) <= self.PARENT // 2
