@@ -67,7 +67,7 @@ def _parse_eps(text: str):
     except ValueError as ex:
         raise UsageError(f"bad --eps: {ex}")
     if eps <= 0:
-        raise UsageError(f"--eps must be positive, got {text}")
+        raise UsageError(f"--eps must be positive, got {excerpt(eps)}")
     return eps
 
 

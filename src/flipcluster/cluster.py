@@ -22,11 +22,13 @@ structural equality is geometric equality.  A point is measured in the
 piece it is represented in: piece_distance and the distance code take
 points already represented where they measure and never re-resolve
 them.  Only the support walk moves a point from one piece to
-another.  The walk runs once per point that Cluster.point
-builds: a wall point, with more than one support, keeps the support map
-its walk found, and Cluster.supports hands that map back to the cluster
-that walked it; a one-support point, or a point handed to another
-cluster, is walked again.  The kept map is exact whichever
+another.  The walk runs once per point that Cluster.point builds: the
+point is marked with the cluster that walked it, and a wall point (more
+than one support) also keeps the support map the walk found.
+Cluster.supports answers a marked point on that cluster with no walk, a
+one-support point by its own representation.  A point the cluster did
+not build (a copy, a pickle, a _replace, another cluster's point, a
+special path's segment point) is walked.  The kept map is exact whichever
 representation is asked about, since the walk reaches the same closure
 from each of them.
 
@@ -118,11 +120,12 @@ class ClusterPoint(NamedTuple):
     height: Fraction
 
 
-class _WallPoint(ClusterPoint):
-    """A ClusterPoint on a wall that keeps the support map Cluster.point's
-    walk found (``_reps``) and the cluster that walked it (``_owner``).
-    It reads as a ClusterPoint; a copy, a pickle or _replace is a plain
-    ClusterPoint, so no copy carries the map or its cluster along."""
+class _ResolvedPoint(ClusterPoint):
+    """A ClusterPoint that Cluster.point built, marked with the cluster
+    that walked it (``_owner``) and keeping the support map the walk found
+    when it has more than one support (``_reps``, else None).  It reads as
+    a ClusterPoint; a copy, a pickle or _replace is a plain ClusterPoint,
+    so no copy carries the mark or the map along."""
 
     def __repr__(self) -> str:
         return repr(ClusterPoint(*self))
@@ -236,25 +239,24 @@ class Cluster:
     def point(self, v: int, edge: int, offset, height) -> ClusterPoint:
         """Build and canonicalize a point from raw coordinates.
 
-        A point with more than one support keeps the support map that
-        resolve found, for supports to read back on this cluster; any
-        other point is a plain ClusterPoint."""
+        The point is marked as resolved on this cluster, for supports to
+        answer without a walk; a point with more than one support also
+        keeps the support map that resolve found."""
         reps = self.resolve(v, edge, offset, height)
-        if len(reps) == 1:
-            return lowest_point(reps)
         low = min(reps)
-        pt = _WallPoint(low, *reps[low])
-        pt._owner, pt._reps = self, reps
+        pt = _ResolvedPoint(low, *reps[low])
+        pt._owner, pt._reps = self, reps if len(reps) > 1 else None
         return pt
 
     def supports(self, pt: ClusterPoint) -> Supports:
         """Every vertex whose piece contains the point, with its representation.
 
-        A wall point that this cluster's point built comes with its map,
-        and gets a fresh copy of it; every other point is walked.
+        A point that this cluster's point built is answered with no walk:
+        a wall point with a fresh copy of its map, any other with its own
+        representation.  Every other point is walked.
         """
-        if type(pt) is _WallPoint and pt._owner is self:
-            return dict(pt._reps)
+        if type(pt) is _ResolvedPoint and pt._owner is self:
+            return dict(pt._reps) if pt._reps else {pt.vertex: (pt.horizontal, pt.height)}
         return self._walk(pt)
 
     def _walk(self, pt: ClusterPoint) -> Supports:
@@ -306,12 +308,6 @@ class Cluster:
 
 
 # -- module-level operations ---------------------------------------------------
-
-
-def lowest_point(reps: Supports) -> ClusterPoint:
-    """The canonical point of a support map: its lowest entry."""
-    v = min(reps)
-    return ClusterPoint(v, *reps[v])
 
 
 def piece_distance(c: Cluster, x: ClusterPoint, y: ClusterPoint) -> Fraction:

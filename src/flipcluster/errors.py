@@ -94,6 +94,11 @@ class RemeasureMismatch(FlipClusterError):
     length."""
 
 
+class FrameMismatch(FlipClusterError):
+    """A cluster's unit is no multiple of a denominator a route lifts onto
+    it: a crossed piece tree's scale or a used mark's origin denominator."""
+
+
 class GlueMismatch(FlipClusterError):
     """Two consecutive segments of a special path fail to glue: the exit of
     one, transferred across their wall, is not the entry of the next."""

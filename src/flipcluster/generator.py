@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cluster import Cluster, ClusterPoint, Piece, SimplicialTree, to_spec
+from .errors import excerpt
 from .metric_tree import Line, MetricTree, RootedTree
 from .rational import format_rational
 
@@ -36,10 +37,11 @@ class GeneratorParams:
     def __post_init__(self):
         ints = (*self.tree_size, *self.piece_edges, self.max_denominator)
         if any(type(x) is not int for x in ints):
-            raise ValueError(f"size bounds and max denominator must be ints, got {ints}")
+            raise ValueError(f"size bounds and max denominator must be ints, got {excerpt(ints)}")
         exact = (*self.edge_length, self.slack)
         if any(type(x) not in (int, Fraction) for x in exact):
-            raise ValueError(f"edge lengths and slack must be ints or Fractions, got {exact}")
+            raise ValueError(
+                f"edge lengths and slack must be ints or Fractions, got {excerpt(exact)}")
         lo, hi = self.tree_size
         if not 1 <= lo <= hi:
             raise ValueError("tree size range is empty")
@@ -55,7 +57,7 @@ class GeneratorParams:
         if self.slack < 2:
             raise ValueError("slack factor below 2 loses the window margin below the twin ranges")
         if self.tree_shape not in ("random", "path"):
-            raise ValueError(f"unknown tree shape {self.tree_shape!r}")
+            raise ValueError(f"unknown tree shape {excerpt(self.tree_shape)}")
 
 
 def _denominators(cap: int) -> list[int]:

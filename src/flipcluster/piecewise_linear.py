@@ -194,7 +194,7 @@ class ConvexPL:
         v_lo, s_lo = at(lo, a - 1)
         if lo == hi:
             return ConvexPL((lo,), (v_lo,), ())
-        tail = (1,) if b > q else ()
+        tail = (1,) if a <= q < b else ()   # knot q kept: its slope-1 piece runs to hi
         return ConvexPL((lo, *k[a:b], hi), (v_lo, *v[a:b], at(hi, b - 1)[0]),
                         (s_lo, *s[a:min(b, q)], *tail))
 

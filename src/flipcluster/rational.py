@@ -59,7 +59,7 @@ def as_fraction(value: Fraction | int | str) -> Fraction:
         return Fraction(value)
     if type(value) is str:
         return parse_rational(value)
-    raise TypeError(f"rational must be a Fraction, an int or a string, got {value!r}")
+    raise TypeError(f"rational must be a Fraction, an int or a string, got {excerpt(value)}")
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -72,7 +72,7 @@ def format_rational(value: Fraction | int) -> str:
     elif type(value) is Fraction:
         n, d = value.numerator, value.denominator
     else:
-        raise TypeError(f"format_rational takes a Fraction or an int, got {value!r}")
+        raise TypeError(f"format_rational takes a Fraction or an int, got {excerpt(value)}")
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:

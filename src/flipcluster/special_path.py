@@ -45,7 +45,7 @@ from typing import Iterator, NamedTuple
 from .cluster import (Cluster, ClusterPoint, SupportRoute, piece_distance, route_between,
                       support_route)
 from .distance_oracle import CrossingProfile, _at, _lift, route_distance
-from .errors import GlueMismatch
+from .errors import FrameMismatch, GlueMismatch, excerpt
 from .metric_tree import Overlap, TreePoint
 
 
@@ -116,7 +116,10 @@ def route_path(c: Cluster, route: SupportRoute) -> SpecialPath:
     / 2.  End gates come from ``Line._gate`` and feet from ``Line._foot``.
     The glue check runs on every crossing, on ints: the exit foot must be
     the exit mark's foot at the exit parameter, and the twin's foot at the
-    exit height the next entry foot, else GlueMismatch.
+    exit height the next entry foot, else GlueMismatch.  Relations are
+    read as ints at the unit, so a unit that is no multiple of a crossed
+    piece tree's scale or a used mark's origin denominator, which would
+    floor them, raises FrameMismatch first.
 
     Raises no SegmentOverflow on a validated cluster: every parameter it
     hands to a mark is a gate or bridge parameter or an overlap midpoint,
@@ -131,7 +134,12 @@ def route_path(c: Cluster, route: SupportRoute) -> SpecialPath:
         heights = [_lift(x0.height, d)], [_lift(xn.height, d)]
         return SpecialPath(verts, (), (x0, xn), d, [], heights, [_lift(length, d)])
     m = lcm(*(f.denominator for p in (x0, xn) for f in (p.horizontal.offset, p.height)))
-    d, k = 2 * c.unit * m, 2 * m   # the frame, and the step from an int at unit to it
+    unit = c.unit
+    for i, e in enumerate(eids):   # every mark the route reads, so every crossed piece's tree
+        for line in (c.marks[(verts[i], e)], c.marks[(verts[i + 1], e)]):
+            if unit % line._lo[1] or unit % line.tree.scale:
+                raise FrameMismatch(f"unit {excerpt(unit)} does not clear the route's denominators")
+    d, k = 2 * unit * m, 2 * m   # the frame, and the step from an int at unit to it
     g0, d0 = c.marks[(verts[0], eids[0])]._gate(_at(x0.horizontal, d), d)
     gn, dn = c.marks[(verts[n], eids[n - 1])]._gate(_at(xn.horizontal, d), d)
     # per piece: the entry and exit feet its relation places (an end gate

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .cluster import dumps, point_to_spec, route_between, support_route
 from .cluster_iso import brute_force_iso, image_supports, isomorphic
 from .distance_oracle import DiscretizedOracle, default_eps, exact_distance, route_distance
-from .errors import SizeCapError
+from .errors import SizeCapError, excerpt
 from .generator import (
     GeneratorParams,
     generate_cluster,
@@ -349,7 +349,7 @@ def run_suite(config: dict) -> dict:
     known = {"seed", "suites", "sizes", "k_obs", "fault"}
     unknown = set(config) - known
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {excerpt(sorted(unknown))}")
     seed = config.get("seed", 0)
     if type(seed) is not int:
         raise ValueError("seed must be an integer")
@@ -358,13 +358,13 @@ def run_suite(config: dict) -> dict:
         raise ValueError("suites must be a list")
     bad = [n for n in names if n not in SUITE_NAMES]
     if bad:
-        raise ValueError(f"unknown suites: {bad}")
+        raise ValueError(f"unknown suites: {excerpt(bad)}")
     sizes_cfg = config.get("sizes", {})
     if not isinstance(sizes_cfg, dict):
         raise ValueError("sizes must be an object")
     for name, sizes in sizes_cfg.items():
         if name not in DESK_SIZES:
-            raise ValueError(f"sizes for an unknown suite {name!r}")
+            raise ValueError(f"sizes for an unknown suite {excerpt(name)}")
         if not (isinstance(sizes, dict) and sizes.keys() <= DESK_SIZES[name].keys()
                 and all(type(n) is int and n >= 0 for n in sizes.values())):
             raise ValueError(f"sizes of {name} must map some of "
@@ -374,7 +374,7 @@ def run_suite(config: dict) -> dict:
         parse_rational(k_obs)   # a canonical rational string, or ValueError
     fault = config.get("fault")
     if fault not in (None, "mutate-planted"):
-        raise ValueError(f"unknown fault flag {fault!r}")
+        raise ValueError(f"unknown fault flag {excerpt(fault)}")
 
     suites = {
         "metric-axioms": lambda sizes: suite_metric_axioms(seed, sizes),

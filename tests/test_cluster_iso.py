@@ -27,10 +27,10 @@ from fractions import Fraction
 from typing import Iterator
 
 import pytest
-from test_cluster import chain3, two_piece, two_piece_spec
+from test_cluster import chain3, lowest_point, two_piece, two_piece_spec
 
 from flipcluster import cluster_iso
-from flipcluster.cluster import Cluster, Piece, SimplicialTree, lowest_point, validate
+from flipcluster.cluster import Cluster, Piece, SimplicialTree, validate
 from flipcluster.cluster_iso import (
     GoodTriple,
     MarkedTreeIso,

@@ -24,15 +24,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from test_cluster import chain3, on_carrier, remarked_cluster, two_piece, wide_path
+from test_cluster import (chain3, lowest_point, on_carrier, remarked_cluster, two_piece,
+                          wide_path)
 from test_metric_tree import vertex_params
 from test_rescaling import LAMBDAS, scaled_point, scaled_spec
 from test_special_path import relation_kinds
 
 import flipcluster.distance_oracle as oracle_module
-from flipcluster.cluster import (Cluster, ClusterPoint, Piece, SimplicialTree, lowest_point,
-                                 piece_distance, route_between, support_route, to_spec,
-                                 validate)
+from flipcluster.cluster import (Cluster, ClusterPoint, Piece, SimplicialTree, piece_distance,
+                                 route_between, support_route, to_spec, validate)
 from flipcluster.distance_oracle import (
     CrossingProfile,
     DiscretizedOracle,
@@ -46,6 +46,7 @@ from flipcluster.errors import (FlipClusterError, InvalidPointError, RemeasureMi
 from flipcluster.generator import GeneratorParams, generate_cluster, sample_points
 from flipcluster.metric_tree import Line, MetricTree
 from flipcluster.rational import format_rational
+from flipcluster.special_path import special_path
 from flipcluster.suites import CORPUS, ORACLE_CORPUS
 
 F = Fraction
@@ -321,10 +322,12 @@ class TestRemeasureReferee:
                     checked += 1
         assert checked >= 200
 
-    def test_truncating_unit_is_caught(self, monkeypatch):
-        """A Cluster.unit that drops a factor truncates route_distance's
-        lifts; the re-measure works at its own frame, so no pair returns a
-        wrong distance and some end in RemeasureMismatch."""
+    @staticmethod
+    def truncated_outcomes(monkeypatch, measure) -> Counter:
+        """What measure(c, x, y) gives on 4 sampled pairs of each CORPUS
+        seed 0-11 scaled by each of LAMBDAS, when Cluster.unit drops the
+        scale's denominator: "right" or "wrong" against the value at the
+        true unit, or the name of the package error it raises."""
         real = Cluster.unit.func
         seen = Counter()
         for lam in LAMBDAS:
@@ -333,17 +336,33 @@ class TestRemeasureReferee:
                 cs = validate(scaled_spec(to_spec(c), lam))
                 pts = sample_points(cs, random.Random(i), 8)
                 pairs = list(zip(pts[0::2], pts[1::2]))
-                want = [exact_distance(cs, x, y)[0] for x, y in pairs]
+                want = [measure(cs, x, y) for x, y in pairs]
                 with monkeypatch.context() as m:
                     m.setattr(Cluster, "unit", property(lambda self: real(self) // lam.denominator))
                     cs = validate(to_spec(cs))   # no unit or relation memo kept
                     for (x, y), d in zip(pairs, want):
                         try:
-                            seen["right" if exact_distance(cs, x, y)[0] == d else "wrong"] += 1
+                            seen["right" if measure(cs, x, y) == d else "wrong"] += 1
                         except FlipClusterError as ex:
                             seen[type(ex).__name__] += 1
+        return seen
+
+    def test_truncating_unit_is_caught(self, monkeypatch):
+        """A Cluster.unit that drops a factor truncates route_distance's
+        lifts; the re-measure works at its own frame, so no pair returns a
+        wrong distance and some end in RemeasureMismatch."""
+        seen = self.truncated_outcomes(monkeypatch, lambda c, x, y: exact_distance(c, x, y)[0])
         assert seen["wrong"] == 0
         assert seen["RemeasureMismatch"] >= 10
+
+    def test_truncating_unit_is_refused_by_special_path(self, monkeypatch):
+        """route_path checks the unit against the denominators it lifts
+        before it lifts any, so no pair gets a path of the wrong length and
+        none runs on into SegmentOverflow or GlueMismatch (without the
+        check: 2 wrong, 11 and 8 of them)."""
+        seen = self.truncated_outcomes(monkeypatch, lambda c, x, y: special_path(c, x, y).length)
+        assert seen.keys() == {"right", "FrameMismatch"}
+        assert seen["FrameMismatch"] >= 10
 
 
 class TestExactDistance:

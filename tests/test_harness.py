@@ -20,9 +20,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cluster import lowest_point
 
 from flipcluster import cli, suites
-from flipcluster.cluster import Cluster, lowest_point, to_spec, validate
+from flipcluster.cluster import Cluster, ClusterPoint, to_spec, validate
 from flipcluster.cluster_iso import brute_force_iso, isomorphic
 from flipcluster.distance_oracle import DiscretizedOracle, default_eps, exact_distance
 from flipcluster.generator import (
@@ -38,7 +39,7 @@ from flipcluster.generator import (
     widen_window,
 )
 from flipcluster.jsonutil import dumps_canonical
-from flipcluster.rational import parse_rational
+from flipcluster.rational import as_fraction, format_rational, parse_rational
 from flipcluster.special_path import special_path, star_audit
 from flipcluster.suites import MAX_REPROS, _Recorder, run_suite, strip_timings
 
@@ -108,8 +109,9 @@ class TestGenerate:
         pts = sample_points(c, rng, 12)
         assert len(pts) == 12
         for p in pts:
-            assert c.supports(p)
-            assert lowest_point(c.supports(p)) == p
+            walked = c.supports(ClusterPoint(*p))   # a plain copy is walked
+            assert walked == c.supports(p)
+            assert lowest_point(walked) == p
 
 
 class TestPlantedPairs:
@@ -281,9 +283,9 @@ class TestRunSuite:
     def test_metric_axioms_resolves_each_point_once(self, monkeypatch):
         """Beyond what sample_points resolves itself, the metric-axioms suite
         resolves each pool point once and routes every ordered pair, self
-        pairs included, from those supports.  Of those resolutions only a
-        one-support point's walks: a wall point keeps the map its walk in
-        sample_points found."""
+        pairs included, from those supports.  None of those resolutions
+        walks: every pool point keeps the mark of its walk in
+        sample_points, and a wall point its map."""
         closures, sampled, routes, walks, pool_walks = [], [], [], [], []
 
         def counting_supports(self, pt, _real=Cluster.supports):
@@ -316,8 +318,9 @@ class TestRunSuite:
         assert len(sampled) == sizes["instances"] and min(sampled) >= sizes["pool"]
         assert len(closures) - sum(sampled) == sizes["instances"] * sizes["pool"]
         assert len(routes) == sizes["instances"] * sizes["pool"] ** 2
-        assert len(pool_walks) == sizes["instances"] * sizes["pool"] and max(pool_walks) > 1
-        assert walks == [1] * pool_walks.count(1)
+        assert len(pool_walks) == sizes["instances"] * sizes["pool"]
+        assert min(pool_walks) == 1 and max(pool_walks) > 1
+        assert walks == []
 
 
 def run_cli(*argv):
@@ -481,6 +484,53 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err.encode()) < 1024
         assert f"({len(point)} characters)" in err
+
+    LONG = "k" * 50_000
+
+    @pytest.mark.parametrize("command, config", [
+        ("suite", {"sizes": {LONG: {}}}),
+        ("suite", {"suites": [LONG]}),
+        ("suite", {"fault": LONG}),
+        ("suite", {LONG: 1}),
+        ("generate", {"tree_shape": LONG}),
+        ("generate", {"tree_size": [LONG]}),
+    ], ids=["sizes", "suites", "fault", "key", "tree-shape", "tree-size"])
+    def test_huge_config_value_is_echoed_short(self, command, config, tmp_path, capsys):
+        """A rejected config value is echoed as an excerpt (it was echoed
+        whole: 50,055 bytes for the sizes key)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--seed", "3"] if command == "generate" else []
+        assert run_cli(command, *argv, "--config", str(cfg)) == (2, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 300 and "characters)" in err
+
+    def test_huge_eps_is_echoed_short(self, small_instance, capsys):
+        from flipcluster.cluster import point_to_spec
+        c, path = small_instance
+        point = json.dumps(point_to_spec(sample_points(c, random.Random(2), 1)[0]))
+        eps = "-1/" + "9" * 4000   # canonical, and under the interpreter's digit limit
+        assert run_cli("dist", path, point, point, f"--eps={eps}") == (2, "")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        assert "must be positive" in err and "(4003 characters)" in err
+
+    @pytest.mark.parametrize("call", [
+        lambda: as_fraction([0] * 100_000),
+        lambda: format_rational([0] * 100_000),
+        lambda: GeneratorParams(seed=0, tree_shape=TestCLI.LONG),
+        lambda: GeneratorParams(seed=0, tree_size=(TestCLI.LONG, 1)),
+        lambda: GeneratorParams(seed=0, slack=TestCLI.LONG),
+        lambda: run_suite({"sizes": {TestCLI.LONG: {}}}),
+        lambda: run_suite({"suites": [TestCLI.LONG]}),
+        lambda: run_suite({"fault": TestCLI.LONG}),
+        lambda: run_suite({TestCLI.LONG: 1}),
+    ], ids=["as-fraction", "format-rational", "tree-shape", "tree-size", "slack", "sizes",
+            "suites", "fault", "key"])
+    def test_library_rejections_are_excerpted(self, call):
+        with pytest.raises((TypeError, ValueError)) as exc:
+            call()
+        assert len(str(exc.value)) < 200 and "characters)" in str(exc.value)
 
     @pytest.mark.parametrize("patch", [None, {"offset": 0}, {"height": 0.5}])
     def test_dist_malformed_point_spec_is_usage_error(self, small_instance, patch):

@@ -457,6 +457,14 @@ def brute_inf_conv(f, y):
     return min(f(x) + abs(x - y) for x in xs)
 
 
+def well_formed(f: ConvexPL) -> bool:
+    """Strictly increasing knots, one slope per piece, and values that
+    each piece's slope carries from its left knot to its right."""
+    k, v, s = f.knots, f.values, f.slopes
+    return (all(a < b for a, b in zip(k, k[1:])) and len(s) == len(k) - 1
+            and all(v[i + 1] == v[i] + s[i] * (k[i + 1] - k[i]) for i in range(len(s))))
+
+
 class TestPrimitivesPointwise:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -464,6 +472,7 @@ class TestPrimitivesPointwise:
         f = data.draw(convex_pl())
         g = data.draw(convex_pl(domain=(f.knots[0], f.knots[-1])))
         h = f.add(g)
+        assert well_formed(h)
         assert h.is_convex()
         assert set(h.knots) <= set(f.knots) | set(g.knots)
         for x in probes(f.knots, g.knots):
@@ -474,6 +483,7 @@ class TestPrimitivesPointwise:
     def test_inf_conv_abs(self, f, lo, width):
         hi = lo + width
         g = f.inf_conv_abs(lo, hi)
+        assert well_formed(g)
         assert (g.knots[0], g.knots[-1]) == (lo, hi)
         assert g.is_convex()
         assert all(-1 <= s <= 1 for s in g.slopes)
@@ -481,6 +491,16 @@ class TestPrimitivesPointwise:
         assert set(g.knots) <= set(inside) | {lo, hi}
         for y in probes(g.knots, inside):
             assert g(y) == brute_inf_conv(f, y)
+
+    @pytest.mark.parametrize("f, lo, hi, want", [
+        (ConvexPL((-2, 0), (0, 0), (0,)), 0, 4, ConvexPL((0, 4), (0, 4), (1,))),
+        (pl._unary_pl(0, 10, [3]), 5, 9, ConvexPL((5, 9), (2, 6), (1,))),
+    ], ids=["domain-end", "right-of-kink"])
+    def test_inf_conv_abs_right_of_the_slope_one_knot(self, f, lo, hi, want):
+        """A range that starts at or right of the knot where f's slope
+        reaches 1 is one slope-1 piece, with one slope."""
+        g = f.inf_conv_abs(lo, hi)
+        assert (g.knots, g.values, g.slopes) == (want.knots, want.values, want.slopes)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(term_system(), off_grid_system))
@@ -492,6 +512,7 @@ class TestPrimitivesPointwise:
             lat = to_lattice([AbsAnchor(0, t.anchor) for t in mine], [(lo, hi)])
             d = lat.scale
             f = pl._unary_pl(*lat.box[0], lat.anchors[0])
+            assert well_formed(f)
             assert (f.knots[0], f.knots[-1]) == (lo * d, hi * d)
             assert f.is_convex()
             kinks = {t.anchor for t in mine if lo <= t.anchor <= hi}
@@ -502,6 +523,7 @@ class TestPrimitivesPointwise:
     @given(convex_pl(), st.sampled_from([1, -1]), rationals())
     def test_pullback(self, f, sigma, shift):
         g = f.pullback(sigma, shift)
+        assert well_formed(g)
         ends = {sigma * g.knots[0] + shift, sigma * g.knots[-1] + shift}
         assert sorted(ends) == sorted({f.knots[0], f.knots[-1]})
         assert g.is_convex()
