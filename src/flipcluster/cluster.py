@@ -224,16 +224,15 @@ class Cluster:
     def resolve(self, v: int, edge: int, offset, height) -> Supports:
         """Check raw coordinates and return the point's support map."""
         if int_id(v) not in self.pieces:
-            raise InvalidPointError(f"no piece at vertex {v}")
+            raise InvalidPointError(f"no piece at vertex {excerpt(v)}")
         piece = self.pieces[v]
         horizontal = piece.tree.point(edge, offset)
         height = as_fraction(height)
         lo, hi = piece.window
         n, d = height.numerator, height.denominator
         if n * lo.denominator < lo.numerator * d or n * hi.denominator > hi.numerator * d:
-            raise InvalidPointError(
-                f"height {height} outside window [{lo}, {hi}] at vertex {v}"
-            )
+            raise InvalidPointError(f"height {excerpt(height)} outside window "
+                                    f"[{excerpt(lo)}, {excerpt(hi)}] at vertex {excerpt(v)}")
         return self.supports(ClusterPoint(v, horizontal, height))
 
     def point(self, v: int, edge: int, offset, height) -> ClusterPoint:

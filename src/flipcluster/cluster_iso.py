@@ -25,9 +25,10 @@ image of its carrier; marks are paired where their walls are solved.
 The search runs on one int frame per pair, D = lcm(ca.unit, cb.unit), at
 which every length, mark parameter, window end and shift of either
 cluster is an int: both sides' normal forms are built at D, and the
-search compares and hashes ints only, wall keys included.  _solve builds
-Fractions for the piece maps it returns, which verify_good,
-image_supports and witness_to_spec read.
+search compares and hashes ints only, wall keys included, and its memo
+keeps each solved wall once, as ints.  _assemble builds the witness's
+Fractions, once per piece of the returned triple: the piece maps that
+verify_good, image_supports and witness_to_spec read.
 
 isomorphic roots T at its first vertex and decides it subtree by
 subtree.  Pairing a mark at w with a target mark fixes the wall key: the
@@ -125,20 +126,19 @@ class NormalForm:
         for i, fe in enumerate(self.fedges):
             self.adj[fe.u].append((i, fe.v))
             self.adj[fe.v].append((i, fe.u))
-        self._mark_ints: list[tuple[int, int, dict[int, int]]] | None = None
 
+    @cached_property
     def mark_ints(self) -> list[tuple[int, int, dict[int, int]]]:
         """Per mark, (lo, hi, its feature vertices by parameter), times the
-        frame, which must clear the mark's origin; built on first use."""
-        if self._mark_ints is None:
-            if any(self.den % m._lo[1] for m in self.marks):
-                raise ValueError(f"frame {self.den} does not clear the marks' origins")
-            k, self._mark_ints = self.den // self.tree.scale, []
-            for m in self.marks:
-                lo, hi = m._range(self.den)
-                at = {lo + c * k: v for v, c in zip(m._verts, m._cuts) if v in self.adj}
-                self._mark_ints.append((lo, hi, at))
-        return self._mark_ints
+        frame, which must clear the mark's origin."""
+        if any(self.den % m._lo[1] for m in self.marks):
+            raise ValueError(f"frame {self.den} does not clear the marks' origins")
+        k, out = self.den // self.tree.scale, []
+        for m in self.marks:
+            lo, hi = m._range(self.den)
+            at = {lo + c * k: v for v, c in zip(m._verts, m._cuts) if v in self.adj}
+            out.append((lo, hi, at))
+        return out
 
     @cached_property
     def lines(self) -> tuple[Line, ...]:
@@ -189,7 +189,7 @@ class FeatureMap(NamedTuple):
 
 def _transform_for(nf_a: NormalForm, nf_b: NormalForm, vertex_map: dict,
                    i: int, j: int) -> Transform:
-    (alo, _, _), (blo, bhi, _) = nf_a.mark_ints()[i], nf_b.mark_ints()[j]
+    (alo, _, _), (blo, bhi, _) = nf_a.mark_ints[i], nf_b.mark_ints[j]
     if vertex_map[nf_a.marks[i].start_vertex] == nf_b.marks[j].start_vertex:
         return (1, blo - alo)
     return (-1, bhi + alo)
@@ -218,7 +218,7 @@ def marked_tree_extensions(nf_a: NormalForm, nf_b: NormalForm,
     else:
         # the pinned carrier's features go where the transform sends them
         i, j, sigma, shift = pin
-        (alo, ahi, at_a), (blo, bhi, at_b) = nf_a.mark_ints()[i], nf_b.mark_ints()[j]
+        (alo, ahi, at_a), (blo, bhi, at_b) = nf_a.mark_ints[i], nf_b.mark_ints[j]
         if sorted((sigma * alo + shift, sigma * ahi + shift)) != [blo, bhi]:
             return
         seeds = [{v: at_b.get(sigma * t + shift) for t, v in at_a.items()}]
@@ -490,14 +490,13 @@ def _wall_key(cb: Cluster, w_b: int, eid: int, j: int, transform: Transform,
     return (eid, e_b, cb.tree.other_end(e_b, w_b), *transform, shift_w)
 
 
-def extend_choices(ca: Cluster, cb: Cluster, forms: dict, w: int, key: tuple
+def extend_choices(ca: Cluster, cb: Cluster, forms: dict, den: int, w: int, key: tuple
                    ) -> Iterator[tuple[int, int, FeatureMap]]:
-    """(v_b, height shift at the pair's frame, feature map at v) across the
-    wall of key, which leaves the mapped piece w for v, in search order.
+    """(v_b, height shift at the pair's frame den, feature map at v) across
+    the wall of key, which leaves the mapped piece w for v, in search order.
     The crossing mark must come across as a translation and v's window
     must translate onto v_b's; the rest is v's search pinned on the mark."""
     eid, e_b, v_b, sigma, c_v, shift_w = key
-    den = lcm(ca.unit, cb.unit)
     v = ca.tree.other_end(eid, w)
     wlo, whi = _window(ca, v, den)
     if sigma != 1 or _window(cb, v_b, den) != (wlo + c_v, whi + c_v):
@@ -527,8 +526,9 @@ def _solve(ca: Cluster, cb: Cluster, forms: dict, solved: dict, den: int, v: int
            up: int | None, choices: Iterator) -> Iterator:
     """Coroutine for the subtree below v: yields (wall key, its coroutine)
     for each child wall key not yet solved, and returns the first (image,
-    piece map, its transforms and height shift times den) of choices
-    under which every child wall solves, or None.
+    vertex map, mark map, transforms, height shift) of choices under which
+    every child wall solves, all ints at den, or None; _assemble builds
+    the Fractions, once per piece of the returned triple.
 
     A choice's marks are paired in order, each with its first free
     candidate whose wall key solves; the up wall's mark keeps its pin.
@@ -552,7 +552,7 @@ def _solve(ca: Cluster, cb: Cluster, forms: dict, solved: dict, den: int, v: int
                     if key not in solved:
                         yield key, _solve(ca, cb, forms, solved, den,
                                           ca.tree.other_end(eid, v), eid,
-                                          extend_choices(ca, cb, forms, v, key))
+                                          extend_choices(ca, cb, forms, den, v, key))
                     if solved[key] is None:
                         continue
                 pairs[j] = transform
@@ -560,11 +560,7 @@ def _solve(ca: Cluster, cb: Cluster, forms: dict, solved: dict, den: int, v: int
             else:
                 break   # mark eid has no candidate left: next feature map
         else:
-            ints = tuple(pairs.values()), shift
-            iso = MarkedTreeIso(_form(forms, ca, 0, v, den), _form(forms, cb, 1, image, den),
-                                fm.vertex_map, tuple(pairs),
-                                tuple((sigma, Fraction(t, den)) for sigma, t in ints[0]))
-            return image, PieceMap(iso, Fraction(shift, den)), ints
+            return image, fm.vertex_map, tuple(pairs), tuple(pairs.values()), shift
 
 
 def isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
@@ -573,7 +569,7 @@ def isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
     stack, so depth is not bound by the interpreter's recursion limit."""
     if len(ca.tree.vertices) != len(cb.tree.vertices):
         return None
-    # normal forms by (side, vertex); wall key -> (map at its far end, its ints) or None
+    # normal forms by (side, vertex); wall key -> _solve's solution less its image, or None
     forms, solved, den = {}, {}, lcm(ca.unit, cb.unit)
     root = ca.tree.vertices[0]
     stack = [(None, _solve(ca, cb, forms, solved, den, root, None,
@@ -585,24 +581,26 @@ def isomorphic(ca: Cluster, cb: Cluster) -> GoodTriple | None:
         except StopIteration as done:
             stack.pop()
             if key is None:
-                return done.value and _assemble(ca, cb, root, *done.value, solved)
+                return done.value and _assemble(ca, cb, forms, solved, den, root, done.value)
             solved[key] = done.value and done.value[1:]
 
 
-def _assemble(ca: Cluster, cb: Cluster, root: int, root_b: int, pm: PieceMap,
-              ints: tuple, solved: dict) -> GoodTriple:
-    """The full triple, read off the solved walls from the root down; each
-    wall key is rebuilt from the ints kept beside its piece map."""
-    psi, edge_map, phi, kept = {root: root_b}, {}, {root: pm}, {root: ints}
-    work = [root]
+def _assemble(ca: Cluster, cb: Cluster, forms: dict, solved: dict, den: int, root: int,
+              solution: tuple) -> GoodTriple:
+    """The full triple, read off the solved walls from the root down: each
+    piece's map is built once, and each wall key rebuilt from its ints."""
+    psi, edge_map, phi = {root: solution[0]}, {}, {}
+    work = [(root, solution[1:])]
     while work:
-        w = work.pop()
-        transforms, shift = kept[w]
+        w, (vertex_map, mark_map, transforms, shift) = work.pop()
+        iso = MarkedTreeIso(forms[0, w], forms[1, psi[w]], vertex_map, mark_map,
+                            tuple((sigma, Fraction(t, den)) for sigma, t in transforms))
+        phi[w] = PieceMap(iso, Fraction(shift, den))
         for i, (eid, v) in enumerate(ca.tree.neighbors(w)):
             if v not in psi:
-                key = _wall_key(cb, psi[w], eid, phi[w].iso.mark_map[i], transforms[i], shift)
-                edge_map[eid], psi[v], (phi[v], kept[v]) = key[1], key[2], solved[key]
-                work.append(v)
+                key = _wall_key(cb, psi[w], eid, mark_map[i], transforms[i], shift)
+                edge_map[eid], psi[v] = key[1], key[2]
+                work.append((v, solved[key]))
     triple = GoodTriple(ca, cb, tuple(sorted(psi)), psi, edge_map, phi)
     ok, cond, detail = verify_good(triple)
     if not ok:

@@ -36,7 +36,7 @@ of every piece length, window end and mark parameter, so with m the lcm
 of the denominators of the two ends' offsets and heights, every box end,
 gate, overlap, bridge and gap of the objective is an int over
 D = unit * m.  An inner piece's numbers are the ints at ``unit`` that
-``Cluster.mark_relation``'s memo keeps beside each relation, shared with
+``Cluster._relation``'s memo keeps beside each relation, shared with
 ``special_path.route_path``; mark ranges and end gates come from the lines.
 ``minimize_convex_pl`` eliminates on those ints, and the distance and
 profile come back as Fractions over D.

@@ -212,21 +212,20 @@ class MetricTree:
 
     def vertex_point(self, v: int) -> TreePoint:
         if v not in self._adj:
-            raise InvalidPointError(f"vertex {v} not in tree")
+            raise InvalidPointError(f"vertex {excerpt(v)} not in tree")
         eid, _ = self._adj[v][0]
         return TreePoint(eid, _ZERO if self._ends[eid][0] == v else self._lengths[eid])
 
     def point(self, edge: int, offset: Fraction | int | str) -> TreePoint:
         offset = as_fraction(offset)
         if not 0 <= int_id(edge) < len(self._ends):
-            raise InvalidPointError(f"edge id {edge} out of range")
+            raise InvalidPointError(f"edge id {excerpt(edge)} out of range")
         # offset n/d against the edge's units/scale, both over scale * d
         n, d = offset.numerator, offset.denominator
         ns, ld = n * self.scale, self._units[edge] * d
         if n < 0 or ns > ld:
-            raise InvalidPointError(
-                f"offset {offset} outside [0, {self._lengths[edge]}] on edge {edge}"
-            )
+            raise InvalidPointError(f"offset {excerpt(offset)} outside "
+                                    f"[0, {excerpt(self._lengths[edge])}] on edge {excerpt(edge)}")
         if n == 0:
             return self.vertex_point(self._ends[edge][0])
         if ns == ld:

@@ -515,6 +515,20 @@ class TestCLI:
         assert err.count("\n") == 1 and len(err.encode()) < 300
         assert "must be positive" in err and "(4003 characters)" in err
 
+    @pytest.mark.parametrize("field", ["vertex", "edge", "offset", "height"])
+    def test_huge_point_field_is_echoed_short(self, small_instance, field, capsys):
+        """A 4,000-digit point field that parses but lies outside the
+        instance is echoed as an excerpt (it was echoed whole: 4,122 to
+        4,154 bytes of stderr)."""
+        from flipcluster.cluster import point_to_spec
+        c, path = small_instance
+        good = point_to_spec(sample_points(c, random.Random(2), 1)[0])
+        huge = int("9" * 4000)
+        bad = {**good, field: huge if field in ("vertex", "edge") else str(huge)}
+        assert run_cli("dist", path, json.dumps(bad), json.dumps(good)) == (2, "")
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 600 and "(4000 characters)" in err
+
     @pytest.mark.parametrize("call", [
         lambda: as_fraction([0] * 100_000),
         lambda: format_rational([0] * 100_000),
